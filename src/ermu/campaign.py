@@ -8,8 +8,10 @@ Artifacts written into the output directory:
 * ``perturbed.csv``   perturbed-risk sweeps D(s), when enabled
 * ``manifest.json``   config hash, code version, wall time, quarantine count
 
-Files are written to a temporary name and renamed on completion, so a run
-never leaves a partial file behind.
+Trial chunks and the per-cell stage tasks run on a process pool when
+``threads`` > 1; results are assembled in instance order, so every artifact
+is byte-identical for any thread count. Files are written to a temporary
+name and renamed on completion, so a run never leaves a partial file behind.
 """
 
 from __future__ import annotations
@@ -40,17 +42,13 @@ from ermu.seeds import derive_seed
 from ermu.universality import (
     FamilyInstance,
     TrialRow,
+    _fmt,
     build_instance,
+    map_in_order,
     perturbed_sweep,
     run_trials,
     trial_row_to_csv,
 )
-
-_FMT = "{:.17g}"
-
-
-def _fmt(x: float) -> str:
-    return _FMT.format(x)
 
 
 def _atomic_write(path: Path, writer) -> None:
@@ -112,9 +110,9 @@ def run_campaign(config: ExperimentConfig, out_dir: str | Path, threads: int = 0
     if config.save_matrices:
         _save_matrices(instances, out)
     if config.free_energy.enabled:
-        _run_free_energy_stage(config, instances, out)
+        _run_free_energy_stage(config, instances, out, threads)
     if config.perturbed.enabled:
-        _run_perturbed_stage(config, instances, out)
+        _run_perturbed_stage(config, instances, out, threads)
 
     wall = time.monotonic() - t0
     manifest = {
@@ -171,102 +169,115 @@ def _free_energy_data(instance: FamilyInstance, master_seed: int):
     return seed, X, G, eps, equiv
 
 
-def _run_free_energy_stage(config: ExperimentConfig, instances, out: Path) -> None:
+def _free_energy_task(args):
+    """Interpolation trace rows and sandwich checks of one (family, n) cell."""
+    config, instance = args
     settings = config.free_energy
-    trace_rows = []
-    checks = []
-    for instance in instances:
-        seed, X, G, eps, _ = _free_energy_data(instance, config.master_seed)
-        problem = instance.problem
-        y = labels_from_noise(problem, X, eps)
-        if settings.candidates == "solution-cloud":
-            sol = solve_erm(problem, X, y, config.solver, seed=derive_seed(seed, "solve"))
-            candidates = solution_cloud(
-                problem, sol.theta_hat, settings.M, settings.alpha, derive_seed(seed, "cloud")
-            )
-        else:
-            candidates = random_net(problem, settings.M, derive_seed(seed, "net"))
-        grid = tuple(np.linspace(0.0, math.pi / 2.0, settings.path_points))
-        path = InterpolationPath(X=X, G=G, grid=grid, eps=eps)
-        beta_ref = settings.beta_grid[-1]
-        for t, f in free_energy_path(path, candidates, problem, beta_ref):
-            trace_rows.append(
-                (t, f, instance.n, beta_ref, instance.spec.id, seed)
-            )
-        report = entropy_sandwich_check(candidates, problem, X, y, settings.beta_grid)
-        checks.append(
-            {
-                "family": instance.spec.id,
-                "n": instance.n,
-                "betas": report.betas,
-                "free_energies": report.values,
-                "minimum": report.minimum,
-                "sandwich_ok": report.sandwich_ok,
-                "monotone_ok": report.monotone_ok,
-                "offending_betas": report.offending_betas,
-            }
+    seed, X, G, eps, _ = _free_energy_data(instance, config.master_seed)
+    problem = instance.problem
+    y = labels_from_noise(problem, X, eps)
+    if settings.candidates == "solution-cloud":
+        sol = solve_erm(problem, X, y, config.solver, seed=derive_seed(seed, "solve"))
+        candidates = solution_cloud(
+            problem, sol.theta_hat, settings.M, settings.alpha, derive_seed(seed, "cloud")
         )
+    else:
+        candidates = random_net(problem, settings.M, derive_seed(seed, "net"))
+    grid = tuple(np.linspace(0.0, math.pi / 2.0, settings.path_points))
+    path = InterpolationPath(X=X, G=G, grid=grid, eps=eps)
+    beta_ref = settings.beta_grid[-1]
+    trace_rows = [
+        [_fmt(t), _fmt(f), instance.n, _fmt(beta_ref), instance.spec.id, seed]
+        for t, f in free_energy_path(path, candidates, problem, beta_ref)
+    ]
+    report = entropy_sandwich_check(candidates, problem, X, y, settings.beta_grid)
+    check = {
+        "family": instance.spec.id,
+        "n": instance.n,
+        "betas": report.betas,
+        "free_energies": report.values,
+        "minimum": report.minimum,
+        "sandwich_ok": report.sandwich_ok,
+        "monotone_ok": report.monotone_ok,
+        "offending_betas": report.offending_betas,
+    }
+    return trace_rows, check
+
+
+def _run_free_energy_stage(config: ExperimentConfig, instances, out: Path, threads: int) -> None:
+    tasks = [(config, inst) for inst in instances]
+    costs = [inst.n * inst.p for inst in instances]
+    results = map_in_order(_free_energy_task, tasks, costs, threads)
 
     def write_traces(fh):
         w = csv.writer(fh)
         w.writerow(["t", "f", "n", "beta", "family", "seed"])
-        for t, f, n, beta, fam, seed in trace_rows:
-            w.writerow([_fmt(t), _fmt(f), n, _fmt(beta), fam, seed])
+        for trace_rows, _ in results:
+            w.writerows(trace_rows)
 
     _atomic_write(out / "free_energy_paths.csv", write_traces)
+    checks = [check for _, check in results]
     _atomic_write(
         out / "free_energy_checks.json", lambda fh: json.dump(checks, fh, indent=2, sort_keys=True)
     )
 
 
-def _run_perturbed_stage(config: ExperimentConfig, instances, out: Path) -> None:
+def _perturbed_task(args):
+    """perturbed.csv rows of one (family, n) cell: one per s, negative s included."""
+    config, instance = args
     settings = config.perturbed
+    seed = derive_seed(config.master_seed, instance.spec.id, instance.n, "perturbed")
+    problem = instance.problem
+    X = draw_features(instance.model, instance.n, derive_seed(seed, "covariates"))
+    equiv = instance.equiv if instance.equiv is not None else empirical_equivalent(X)
+    eps = problem.labeler.draw_noise(instance.n, derive_seed(seed, "eps"))
+    y = labels_from_noise(problem, X, eps)
+    sweep = perturbed_sweep(
+        problem,
+        X,
+        y,
+        equiv,
+        settings.s_values + tuple(-s for s in settings.s_values),
+        cfg=config.solver,
+        n_test=settings.n_test,
+        seed=seed,
+    )
     rows = []
-    for instance in instances:
-        seed = derive_seed(config.master_seed, instance.spec.id, instance.n, "perturbed")
-        problem = instance.problem
-        X = draw_features(instance.model, instance.n, derive_seed(seed, "covariates"))
-        equiv = instance.equiv if instance.equiv is not None else empirical_equivalent(X)
-        eps = problem.labeler.draw_noise(instance.n, derive_seed(seed, "eps"))
-        y = labels_from_noise(problem, X, eps)
-        sweep = perturbed_sweep(
-            problem,
-            X,
-            y,
-            equiv,
-            settings.s_values + tuple(-s for s in settings.s_values),
-            cfg=config.solver,
-            n_test=settings.n_test,
-            seed=seed,
-        )
-        for s in sweep.s_values:
-            if s in sweep.opt_values:
-                rows.append(
-                    [
-                        instance.spec.id,
-                        instance.n,
-                        instance.p,
-                        seed,
-                        _fmt(s),
-                        _fmt(sweep.opt_values[s]),
-                        _fmt(sweep.D[s]),
-                        _fmt(sweep.test_at_theta0),
-                        _fmt(sweep.solver_gap),
-                        "",
-                    ]
-                )
-            else:
-                rows.append(
-                    [instance.spec.id, instance.n, instance.p, seed, _fmt(s), "nan", "nan",
-                     _fmt(sweep.test_at_theta0), _fmt(sweep.solver_gap), "quarantined"]
-                )
+    for s in sweep.s_values:
+        if s in sweep.opt_values:
+            rows.append(
+                [
+                    instance.spec.id,
+                    instance.n,
+                    instance.p,
+                    seed,
+                    _fmt(s),
+                    _fmt(sweep.opt_values[s]),
+                    _fmt(sweep.D[s]),
+                    _fmt(sweep.test_at_theta0),
+                    _fmt(sweep.solver_gap),
+                    "",
+                ]
+            )
+        else:
+            rows.append(
+                [instance.spec.id, instance.n, instance.p, seed, _fmt(s), "nan", "nan",
+                 _fmt(sweep.test_at_theta0), _fmt(sweep.solver_gap), "quarantined"]
+            )
+    return rows
+
+
+def _run_perturbed_stage(config: ExperimentConfig, instances, out: Path, threads: int) -> None:
+    tasks = [(config, inst) for inst in instances]
+    costs = [inst.n * inst.p for inst in instances]
+    results = map_in_order(_perturbed_task, tasks, costs, threads)
 
     def write_perturbed(fh):
         w = csv.writer(fh)
         w.writerow(
             ["family", "n", "p", "seed", "s", "opt_s", "D_s", "test_at_theta0", "solver_gap", "flags"]
         )
-        for row in rows:
-            w.writerow(row)
+        for rows in results:
+            w.writerows(rows)
 
     _atomic_write(out / "perturbed.csv", write_perturbed)

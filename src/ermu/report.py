@@ -14,16 +14,16 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ermu.campaign import _atomic_write
 from ermu.errors import InvalidArgumentError
 from ermu.seeds import derive_seed
 from ermu.stats import bl_gap, bootstrap_mean_ci, ks_null_quantile, ks_statistic
-from ermu.universality import TrialRow, trial_row_from_csv
+from ermu.universality import TrialRow, _fmt, trial_row_from_csv
 
 _REPORT_SEED = 0x52505254  # fixed; reports must be reproducible from CSVs alone
 
@@ -245,14 +245,9 @@ def write_report(
         report["warnings"] = warnings_list
 
     report_path = out / "report.json"
-    tmp = report_path.with_name(report_path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-    os.replace(tmp, report_path)
+    _atomic_write(report_path, lambda fh: json.dump(report, fh, indent=2, sort_keys=True))
 
-    gap_path = out / "gap_vs_n.csv"
-    tmp = gap_path.with_name(gap_path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
+    def write_gaps(fh):
         w = csv.writer(fh)
         w.writerow(["family", "n", "p", "trials", "mean_gap", "ci_lo", "ci_hi", "se"])
         for family in report["family_order"]:
@@ -261,9 +256,10 @@ def write_report(
                     tg = s["train_gap"]
                     w.writerow(
                         [family, s["n"], s["p"], s["trials"]]
-                        + [f"{v:.17g}" for v in (tg["mean"], tg["ci_lo"], tg["ci_hi"], tg["se"])]
+                        + [_fmt(v) for v in (tg["mean"], tg["ci_lo"], tg["ci_hi"], tg["se"])]
                     )
-    os.replace(tmp, gap_path)
+
+    _atomic_write(out / "gap_vs_n.csv", write_gaps)
 
     # Pass through plot-ready stage outputs when the run produced them.
     for name in ("free_energy_paths.csv", "perturbed.csv"):

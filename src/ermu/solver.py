@@ -79,7 +79,8 @@ def pgd_minimize(
             break
         grad_map_norm = np.sqrt(sq) / step
         # Armijo guarantees monotone objectives; keep the invariant hard.
-        assert f_new <= fx + 1e-12 * max(1.0, abs(fx)), "objective increased"
+        if f_new > fx + 1e-12 * max(1.0, abs(fx)):
+            raise SolverDivergedError("objective increased", it)
         x, fx = x_new, f_new
         if grad_map_norm <= cfg.tol:
             break

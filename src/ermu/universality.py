@@ -395,6 +395,21 @@ def _trial_chunk(args):
     return out
 
 
+def map_in_order(fn, tasks: Sequence, costs: Sequence[float], threads: int) -> list:
+    """``[fn(task) for task in tasks]``, on a process pool when ``threads`` > 1.
+
+    Pool workers take the tasks with the largest ``costs`` first, so the
+    longest task does not start last; the results come back in task order
+    whatever the scheduling. ``fn`` and the tasks must be picklable.
+    """
+    if threads <= 1 or len(tasks) <= 1:
+        return [fn(task) for task in tasks]
+    order = sorted(range(len(tasks)), key=lambda i: -costs[i])
+    with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+        futures = {i: pool.submit(fn, tasks[i]) for i in order}
+        return [futures[i].result() for i in range(len(tasks))]
+
+
 def run_trials(
     instances: Sequence[FamilyInstance],
     trials: int,
@@ -406,33 +421,21 @@ def run_trials(
     """All trials for all instances, deterministically ordered.
 
     Work is split into per-instance trial chunks executed by a process pool
-    when ``threads`` > 1; results are sorted by (instance order, trial, arm)
-    so the output stream does not depend on scheduling.
+    when ``threads`` > 1; rows come out in (instance order, trial, arm)
+    order, so the output stream does not depend on scheduling.
     """
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
-    tasks = []
-    for idx, inst in enumerate(instances):
-        chunk = max(1, math.ceil(trials / max(1, threads)))
-        for start in range(0, trials, chunk):
-            trial_ids = list(range(start, min(trials, start + chunk)))
-            tasks.append((idx, (inst, trial_ids, master_seed, solver_cfg, n_test)))
-
-    results: dict[tuple[int, int], tuple[TrialRow, TrialRow]] = {}
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for (idx, _), chunk_result in zip(tasks, pool.map(_trial_chunk, [t[1] for t in tasks])):
-                for t, pair in chunk_result:
-                    results[(idx, t)] = pair
-    else:
-        for idx, args in tasks:
-            for t, pair in _trial_chunk(args):
-                results[(idx, t)] = pair
-
+    chunk = max(1, math.ceil(trials / max(1, threads)))
+    tasks = [
+        (inst, list(range(start, min(trials, start + chunk))), master_seed, solver_cfg, n_test)
+        for inst in instances
+        for start in range(0, trials, chunk)
+    ]
+    costs = [task[0].n * task[0].p for task in tasks]
     rows: list[TrialRow] = []
-    for idx in range(len(instances)):
-        for t in range(trials):
-            pair = results[(idx, t)]
+    for chunk_result in map_in_order(_trial_chunk, tasks, costs, threads):
+        for _, pair in chunk_result:
             rows.extend(pair)
     return rows
 

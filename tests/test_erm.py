@@ -25,9 +25,10 @@ from ermu.erm import (
     train_risk,
     train_risk_grad,
 )
-from ermu.errors import InvalidArgumentError
+from ermu.errors import InvalidArgumentError, SolverDivergedError
 from ermu.gaussian import GaussianEquivalent
 from ermu.seeds import rng_from
+from ermu.solver import PgdConfig, pgd_minimize
 
 
 def make_problem(p, loss="squared", lam=0.0, tau=0.0, constraint=None, theta_star=None, **kw):
@@ -258,6 +259,13 @@ class TestSolveErm:
             train_risk(problem, theta + h * d, X, y) - train_risk(problem, theta - h * d, X, y)
         ) / (2 * h)
         assert abs(fd - float(np.sum(g * d))) <= 1e-6 * max(1.0, abs(fd))
+
+    def test_objective_increase_raises_diverged(self):
+        # A negative Armijo slope accepts an uphill step; the monotonicity
+        # check must raise a solver error, not an assert that -O strips.
+        cfg = PgdConfig(init_step=10.0, armijo_slope=-1e3)
+        with pytest.raises(SolverDivergedError, match="objective increased"):
+            pgd_minimize(lambda x: float(x @ x), lambda x: 2.0 * x, lambda x: x, np.ones(1), cfg)
 
 
 class TestClosedForm:

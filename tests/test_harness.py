@@ -156,10 +156,17 @@ class TestCampaign:
         assert (tmp_path / "a/trials.csv").read_bytes() == (tmp_path / "b/trials.csv").read_bytes()
 
     def test_thread_count_does_not_change_output(self, tmp_path):
-        cfg = base_config()
+        # Two families x two sizes: each stage runs four tasks on the pool.
+        cfg = base_config(
+            free_energy={"enabled": True, "M": 16, "path_points": 4},
+            perturbed={"enabled": True, "s_values": [0.1], "n_test": 50},
+        )
         run_campaign(cfg, tmp_path / "a", threads=1)
         run_campaign(cfg, tmp_path / "b", threads=3)
-        assert (tmp_path / "a/trials.csv").read_bytes() == (tmp_path / "b/trials.csv").read_bytes()
+        for name in ("trials.csv", "perturbed.csv", "free_energy_paths.csv",
+                     "free_energy_checks.json"):
+            a, b = (tmp_path / "a" / name).read_bytes(), (tmp_path / "b" / name).read_bytes()
+            assert a == b, name
 
     def test_manifest_links_config_hash(self, tmp_path):
         cfg = base_config()
@@ -185,11 +192,27 @@ class TestCampaign:
         checks = json.loads((tmp_path / "out/free_energy_checks.json").read_text())
         assert all(c["sandwich_ok"] and c["monotone_ok"] for c in checks)
 
-    def test_no_partial_files_left_on_failure(self, tmp_path):
-        cfg = base_config()
+    def test_no_partial_files_left_on_failure(self, tmp_path, monkeypatch):
+        cfg = base_config(trials=1, ladder=[40])
         out = tmp_path / "out"
         run_campaign(cfg, out, threads=1)
         assert not list(out.glob("*.tmp"))
+
+        def broken(*args):
+            raise RuntimeError("writer failed")
+
+        monkeypatch.setattr("ermu.report._fmt", broken)
+        with pytest.raises(RuntimeError, match="writer failed"):
+            write_report(out)
+        assert not (out / "gap_vs_n.csv").exists()
+        assert not list(out.glob("*.tmp"))
+
+        failed = tmp_path / "failed"
+        monkeypatch.setattr("ermu.campaign.trial_row_to_csv", broken)
+        with pytest.raises(RuntimeError, match="writer failed"):
+            run_campaign(cfg, failed, threads=1)
+        assert not (failed / "trials.csv").exists()
+        assert not list(failed.glob("*.tmp"))
 
     def test_save_matrices_roundtrip(self, tmp_path):
         cfg = base_config(
