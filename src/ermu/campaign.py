@@ -37,7 +37,7 @@ from ermu.free_energy import (
     random_net,
     solution_cloud,
 )
-from ermu.gaussian import empirical_equivalent, sample_gaussian
+from ermu.gaussian import sample_gaussian
 from ermu.seeds import derive_seed
 from ermu.universality import (
     FamilyInstance,
@@ -163,7 +163,7 @@ def _free_energy_data(instance: FamilyInstance, master_seed: int):
     seed = derive_seed(master_seed, instance.spec.id, instance.n, "free-energy")
     problem = instance.problem
     X = draw_features(instance.model, instance.n, derive_seed(seed, "covariates"))
-    equiv = instance.equiv if instance.equiv is not None else empirical_equivalent(X)
+    equiv = instance.twin(X)
     G = sample_gaussian(equiv, instance.n, derive_seed(seed, "gaussian-arm"))
     eps = problem.labeler.draw_noise(instance.n, derive_seed(seed, "eps"))
     return seed, X, G, eps, equiv
@@ -229,7 +229,7 @@ def _perturbed_task(args):
     seed = derive_seed(config.master_seed, instance.spec.id, instance.n, "perturbed")
     problem = instance.problem
     X = draw_features(instance.model, instance.n, derive_seed(seed, "covariates"))
-    equiv = instance.equiv if instance.equiv is not None else empirical_equivalent(X)
+    equiv = instance.twin(X)
     eps = problem.labeler.draw_noise(instance.n, derive_seed(seed, "eps"))
     y = labels_from_noise(problem, X, eps)
     sweep = perturbed_sweep(

@@ -16,8 +16,8 @@ import numpy as np
 
 from ermu.errors import InvalidArgumentError, LinearSolveError
 from ermu.features import nt_theta_matrix
-from ermu.seeds import derive_seed, rng_from
-from ermu.solver import PgdConfig, pgd_minimize
+from ermu.seeds import rng_from
+from ermu.solver import SolverConfig, pgd_minimize
 
 LOSS_KINDS = ("logistic", "huber", "squared", "pseudo-huber")
 ETA_KINDS = ("linear", "clipped-linear", "sign-smooth")
@@ -46,14 +46,6 @@ class Loss:
             raise InvalidArgumentError(f"unknown loss kind {self.kind!r}")
         if self.kind in ("huber", "pseudo-huber") and self.delta <= 0:
             raise InvalidArgumentError("huber delta must be positive")
-
-    @property
-    def non_lipschitz(self) -> bool:
-        return self.kind == "squared"
-
-    @property
-    def convex(self) -> bool:
-        return True
 
     def value(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.kind == "squared":
@@ -218,10 +210,6 @@ class Regularizer:
         if self.lam < 0:
             raise InvalidArgumentError("lambda must be nonnegative")
 
-    @property
-    def strong_convexity_mu(self) -> float:
-        return 2.0 * self.lam if self.kind == "ridge" else 0.0
-
     def value(self, theta: np.ndarray) -> float:
         if self.kind == "none" or self.lam == 0.0:
             return 0.0
@@ -282,7 +270,6 @@ class ErmSolution:
     objective: float
     grad_map_norm: float
     iterations: int
-    restarts_used: int
     flags: list[str] = field(default_factory=list)
 
     def suboptimality_bound(self, cset: ConstraintSet) -> float:
@@ -336,27 +323,6 @@ def train_risk_grad(
     )
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    max_iters: int = 5000
-    tol: float = 1e-8
-    restarts: int = 1
-    armijo_shrink: float = 0.5
-    armijo_slope: float = 1e-4
-    init_step: float = 1.0
-    step_growth: float = 2.0
-
-    def pgd(self) -> PgdConfig:
-        return PgdConfig(
-            max_iters=self.max_iters,
-            tol=self.tol,
-            armijo_shrink=self.armijo_shrink,
-            armijo_slope=self.armijo_slope,
-            init_step=self.init_step,
-            step_growth=self.step_growth,
-        )
-
-
 def solve_erm(
     problem: ErmProblem,
     X: np.ndarray,
@@ -364,11 +330,15 @@ def solve_erm(
     cfg: SolverConfig = SolverConfig(),
     warm_start: Optional[np.ndarray] = None,
     seed: int = 0,
+    extra: Optional[tuple] = None,
 ) -> ErmSolution:
     """Projected gradient descent over the constraint set, best of ``restarts``.
 
-    Restart 0 starts from the warm start (zero by default); later restarts
-    start from projected Gaussian draws. Ties are broken by restart index.
+    ``extra = (s, term)`` adds ``s * term.value(theta)`` to the train risk,
+    with gradient ``s * term.grad(theta)``; the perturbed risks are solved
+    this way. Restart 0 starts from the warm start (zero by default); later
+    restarts start from projected Gaussian draws. Ties are broken by restart
+    index.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -378,10 +348,16 @@ def solve_erm(
         raise InvalidArgumentError("X and y row counts differ")
 
     def objective(theta):
-        return train_risk(problem, theta, X, y)
+        value = train_risk(problem, theta, X, y)
+        if extra is not None:
+            value = value + extra[0] * extra[1].value(theta)
+        return value
 
     def gradient(theta):
-        return train_risk_grad(problem, theta, X, y)
+        g = train_risk_grad(problem, theta, X, y)
+        if extra is not None:
+            g = g + extra[0] * extra[1].grad(theta)
+        return g
 
     def project(theta):
         return project_constraint(problem.constraint, theta)
@@ -395,21 +371,16 @@ def solve_erm(
         else:
             rng = rng_from(seed, "restart", r)
             x0 = project(rng.standard_normal(shape))
-        state = pgd_minimize(objective, gradient, project, x0, cfg.pgd())
-        if best is None or state.value < best[0]:
-            best = (state.value, r, state)
-    value, _, state = best
-    theta_hat = state.x
-    flags = list(state.flags)
-    # Re-evaluate so the reported objective is exactly the risk at theta_hat.
-    objective_value = train_risk(problem, theta_hat, X, y)
+        state = pgd_minimize(objective, gradient, project, x0, cfg)
+        if best is None or state.value < best.value:
+            best = state
+    # Re-evaluate so the reported objective is exactly the objective at theta_hat.
     return ErmSolution(
-        theta_hat=theta_hat,
-        objective=objective_value,
-        grad_map_norm=state.grad_map_norm,
-        iterations=state.iterations,
-        restarts_used=max(1, cfg.restarts),
-        flags=flags,
+        theta_hat=best.x,
+        objective=objective(best.x),
+        grad_map_norm=best.grad_map_norm,
+        iterations=best.iterations,
+        flags=list(best.flags),
     )
 
 
@@ -440,64 +411,8 @@ def solve_ridge_closed_form(
     return theta, objective
 
 
-class FeatureSampler:
-    """Test-time sampler that draws covariates and featurizes them."""
-
-    def __init__(self, model):
-        self.model = model
-
-    def draw(self, n: int, seed: int) -> np.ndarray:
-        from ermu.features import draw_features
-
-        return draw_features(self.model, n, seed)
-
-
-class GaussianSampler:
-    """Test-time sampler for the Gaussian twin."""
-
-    def __init__(self, equiv):
-        self.equiv = equiv
-
-    def draw(self, n: int, seed: int) -> np.ndarray:
-        from ermu.gaussian import sample_gaussian
-
-        return sample_gaussian(self.equiv, n, seed)
-
-
-class FixedSampler:
-    """Replays a frozen batch; used for degenerate and unit-test paths."""
-
-    def __init__(self, X: np.ndarray):
-        self.X = np.asarray(X, dtype=np.float64)
-
-    def draw(self, n: int, seed: int) -> np.ndarray:
-        if n > self.X.shape[0]:
-            raise InvalidArgumentError("fixed sampler exhausted")
-        return self.X[:n]
-
-
-def test_risk(
-    problem: ErmProblem,
-    theta: np.ndarray,
-    sampler,
-    n_test: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of E[loss(theta^T x, eta(theta_star^T x, eps))].
-
-    Returns (estimate, jackknife standard error); for the mean the jackknife
-    SE coincides with s / sqrt(n).
-    """
-    if n_test < 1:
-        raise InvalidArgumentError("n_test must be positive")
-    X = sampler.draw(n_test, derive_seed(seed, "test-draws"))
-    eps = problem.labeler.draw_noise(n_test, derive_seed(seed, "test-noise"))
-    y = labels_from_noise(problem, X, eps)
-    vals = problem.loss.value(problem.scores(theta, X), y)
-    return mean_with_jackknife_se(vals)
-
-
 def mean_with_jackknife_se(vals: np.ndarray) -> tuple[float, float]:
+    """Mean and its jackknife standard error, which for the mean is s / sqrt(n)."""
     vals = np.asarray(vals, dtype=np.float64)
     n = vals.size
     mean = float(vals.mean())

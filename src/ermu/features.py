@@ -146,14 +146,6 @@ class FeatureModel:
         return self.p if self.family == "linear-independent" else self.d
 
 
-@dataclass(frozen=True)
-class CovariateBatch:
-    """Covariate rows plus the seed that produced them."""
-
-    Z: np.ndarray
-    seed: int
-
-
 def sample_sphere_weights(d: int, count: int, seed: int) -> np.ndarray:
     """d x count matrix whose columns are uniform on the unit sphere in R^d."""
     if d < 1 or count < 1:
@@ -169,13 +161,11 @@ def sample_sphere_weights(d: int, count: int, seed: int) -> np.ndarray:
     return W / norms
 
 
-def sample_covariates(model: FeatureModel, n: int, seed: int) -> CovariateBatch:
+def sample_covariates(model: FeatureModel, n: int, seed: int) -> np.ndarray:
     """Draw the raw covariate batch the family consumes (z or xbar rows)."""
     if model.family == "linear-independent":
-        Z = sample_linear_covariates(model.p, n, model.entry_law, seed)
-    else:
-        Z = rng_from(seed, "covariates").standard_normal((n, model.d))
-    return CovariateBatch(Z=Z, seed=seed)
+        return sample_linear_covariates(model.p, n, model.entry_law, seed)
+    return rng_from(seed, "covariates").standard_normal((n, model.d))
 
 
 def sample_linear_covariates(p: int, n: int, entry_law: str, seed: int) -> np.ndarray:
@@ -216,7 +206,7 @@ def featurize(model: FeatureModel, Z: np.ndarray) -> np.ndarray:
 
 def draw_features(model: FeatureModel, n: int, seed: int) -> np.ndarray:
     """Fresh featurized batch: sample covariates, then featurize."""
-    return featurize(model, sample_covariates(model, n, seed).Z)
+    return featurize(model, sample_covariates(model, n, seed))
 
 
 def nt_theta_matrix(theta: np.ndarray, d: int, m: int) -> np.ndarray:

@@ -96,7 +96,7 @@ def mc_covariance(
     index = 0
     while done < n_cov:
         take = min(chunk, n_cov - done)
-        Z = sample_covariates(model, take, derive_seed(seed, "cov-chunk", index)).Z
+        Z = sample_covariates(model, take, derive_seed(seed, "cov-chunk", index))
         Phi = featurize(model, Z)
         acc += Phi.T @ Phi
         done += take

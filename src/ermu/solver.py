@@ -1,7 +1,8 @@
-"""Projected gradient descent with Armijo backtracking.
+"""Projected gradient descent with Armijo backtracking, and its config.
 
-Kept generic: the ERM layer and the perturbed/near-minimizer objectives all
-funnel through ``pgd_minimize`` with their own closures.
+Kept generic: the ERM layer (plain and perturbed solves) and the
+near-minimizer penalty objectives all funnel through ``pgd_minimize`` with
+their own closures.
 """
 
 from __future__ import annotations
@@ -17,9 +18,12 @@ _MIN_STEP = 1e-18
 
 
 @dataclass(frozen=True)
-class PgdConfig:
+class SolverConfig:
+    """PGD settings; ``restarts`` is read by the ERM restart loop only."""
+
     max_iters: int = 5000
     tol: float = 1e-8
+    restarts: int = 1
     armijo_shrink: float = 0.5
     armijo_slope: float = 1e-4
     init_step: float = 1.0
@@ -40,7 +44,7 @@ def pgd_minimize(
     grad: Callable[[np.ndarray], np.ndarray],
     project: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
-    cfg: PgdConfig = PgdConfig(),
+    cfg: SolverConfig = SolverConfig(),
 ) -> PgdState:
     """Minimize a smooth function over a convex set by projected gradient.
 

@@ -24,7 +24,6 @@ from ermu.erm import (
     Labeler,
     Loss,
     Regularizer,
-    SolverConfig,
     data_risk,
     data_risk_grad,
     labels_from_noise,
@@ -52,7 +51,7 @@ from ermu.gaussian import (
     sample_gaussian,
 )
 from ermu.seeds import derive_seed, rng_from
-from ermu.solver import pgd_minimize
+from ermu.solver import SolverConfig, pgd_minimize
 
 FAMILY_KINDS = ("random-features", "neural-tangent", "linear-independent", "control-gaussian")
 
@@ -158,9 +157,11 @@ class FamilyInstance:
     equiv: Optional[GaussianEquivalent]  # None means per-trial empirical
     problem: ErmProblem
 
-    @property
-    def family_id(self) -> str:
-        return self.spec.id
+    def twin(self, X: np.ndarray) -> GaussianEquivalent:
+        """The cell's Gaussian twin; an empirical cell builds it from the batch ``X``."""
+        if self.equiv is not None:
+            return self.equiv
+        return empirical_equivalent(X, self.spec.jitter_rel)
 
 
 def _theta_star(cset: ConstraintSet, p: int, scale: float, seed: int) -> np.ndarray:
@@ -326,7 +327,7 @@ def run_single_trial(
     eps = problem.labeler.draw_noise(n, derive_seed(trial_seed, "eps"))
 
     X = draw_features(instance.model, n, derive_seed(trial_seed, "covariates"))
-    equiv = instance.equiv if instance.equiv is not None else empirical_equivalent(X, spec.jitter_rel)
+    equiv = instance.twin(X)
     G = sample_gaussian(equiv, n, derive_seed(trial_seed, "gaussian-arm"))
 
     y_x = labels_from_noise(problem, X, eps)
@@ -512,38 +513,8 @@ def _validate_s_grid(s_grid: Sequence[float]) -> list[float]:
     return values
 
 
-def _solve_composite(
-    problem: ErmProblem,
-    X: np.ndarray,
-    y: np.ndarray,
-    surrogate,
-    s: float,
-    cfg: SolverConfig,
-    warm_start: np.ndarray,
-    seed: int,
-) -> tuple[np.ndarray, float, float]:
-    """Minimize train risk + s * surrogate over the constraint set."""
-
-    def objective(theta):
-        return train_risk(problem, theta, X, y) + s * surrogate.value(theta)
-
-    def gradient(theta):
-        return train_risk_grad(problem, theta, X, y) + s * surrogate.grad(theta)
-
-    def project(theta):
-        return project_constraint(problem.constraint, theta)
-
-    best = None
-    for r in range(max(1, cfg.restarts)):
-        if r == 0:
-            x0 = project(np.asarray(warm_start, dtype=np.float64).copy())
-        else:
-            x0 = project(rng_from(seed, "restart", r).standard_normal(warm_start.shape))
-        state = pgd_minimize(objective, gradient, project, x0, cfg.pgd())
-        if best is None or state.value < best[0]:
-            best = (state.value, r, state)
-    _, _, state = best
-    return state.x, state.value, state.grad_map_norm
+# perfbench/spans.py rebinds this name; perturbed solves call solve_erm directly.
+_solve_composite = solve_erm
 
 
 def perturbed_sweep(
@@ -578,12 +549,14 @@ def perturbed_sweep(
     quarantined: list[float] = []
     for s in s_values:
         try:
-            _, opt_s, gm = _solve_composite(
-                problem, X, y, surrogate, s, cfg, theta0, derive_seed(seed, "solve-s", repr(s))
+            sol = solve_erm(
+                problem, X, y, cfg, theta0, derive_seed(seed, "solve-s", repr(s)),
+                extra=(s, surrogate),
             )
-            opt_values[s] = opt_s
-            D[s] = (opt_s - base.objective) / s
-            solver_gap = max(solver_gap, gm * problem.constraint.diameter())
+            opt_values[s] = sol.objective
+            D[s] = (sol.objective - base.objective) / s
+            # Not suboptimality_bound(): its 1e-14 floor would move the s-solve gaps.
+            solver_gap = max(solver_gap, sol.grad_map_norm * problem.constraint.diameter())
         except SolverDivergedError:
             quarantined.append(s)
     return PerturbedRiskSweep(
@@ -667,7 +640,7 @@ def min_test_over_near_minimizers(
                         g = g + (2.0 * _w * excess) * train_risk_grad(problem, theta, X, y)
                     return g
 
-                state = pgd_minimize(objective, gradient, project, point, cfg.pgd())
+                state = pgd_minimize(objective, gradient, project, point, cfg)
                 point = state.x
             test_val = surrogate.value(point)
             residual = max(0.0, train_risk(problem, point, X, y) - t)

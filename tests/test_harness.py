@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from ermu import campaign
 from ermu.campaign import run_campaign
 from ermu.cli import main as cli_main
 from ermu.config import ExperimentConfig, config_from_dict, load_config
 from ermu.errors import ConfigError, InvalidArgumentError
+from ermu.gaussian import empirical_equivalent
 from ermu.matio import load_matrix, save_matrix
 from ermu.report import read_trials_csv, write_report
 from ermu.seeds import derive_seed
@@ -167,6 +169,31 @@ class TestCampaign:
                      "free_energy_checks.json"):
             a, b = (tmp_path / "a" / name).read_bytes(), (tmp_path / "b" / name).read_bytes()
             assert a == b, name
+
+    def test_stage_twins_use_family_jitter(self, monkeypatch):
+        # An empirical-twin cell builds each draw's twin with the family's
+        # jitter_rel in the free-energy and perturbed stages, as in its trials.
+        cfg = base_config(
+            ladder=[40],
+            families=[{"id": "lin", "kind": "linear-independent", "cov_mode": "empirical",
+                       "jitter_rel": 1e-3}],
+            perturbed={"enabled": True, "s_values": [0.1], "n_test": 50},
+        )
+        (inst,) = campaign.build_instances(cfg)
+        _, X, _, _, equiv = campaign._free_energy_data(inst, cfg.master_seed)
+        assert np.array_equal(equiv.factor, empirical_equivalent(X, 1e-3).factor)
+
+        seen = []
+        sweep = campaign.perturbed_sweep
+
+        def recording_sweep(problem, X, y, equiv, *args, **kwargs):
+            seen.append((X, equiv))
+            return sweep(problem, X, y, equiv, *args, **kwargs)
+
+        monkeypatch.setattr(campaign, "perturbed_sweep", recording_sweep)
+        campaign._perturbed_task((cfg, inst))
+        ((X, equiv),) = seen
+        assert np.array_equal(equiv.factor, empirical_equivalent(X, 1e-3).factor)
 
     def test_manifest_links_config_hash(self, tmp_path):
         cfg = base_config()

@@ -261,7 +261,7 @@ class TestNearMinimizers:
             surrogate.grad,
             lambda t: project_constraint(problem.constraint, t),
             np.zeros((p, 1)),
-            SolverConfig(tol=1e-10).pgd(),
+            SolverConfig(tol=1e-10),
         )
         assert results[0].achieved_test <= direct.value + 1e-6
 
