@@ -8,10 +8,13 @@ Artifacts written into the output directory:
 * ``perturbed.csv``   perturbed-risk sweeps D(s), when enabled
 * ``manifest.json``   config hash, code version, wall time, quarantine count
 
-Trial chunks and the per-cell stage tasks run on a process pool when
-``threads`` > 1; results are assembled in instance order, so every artifact
-is byte-identical for any thread count. Files are written to a temporary
-name and renamed on completion, so a run never leaves a partial file behind.
+A campaign owns one worker pool of ``threads`` processes (see
+``universality.WorkerPool``). It builds the monte-carlo covariance chunks,
+runs the trial chunks and the per-cell stage tasks, and is shut down when
+the campaign ends, also on an error. Results are assembled in chunk and
+instance order, so every artifact is byte-identical for any thread count.
+Files are written to a temporary name and renamed on completion, so a run
+never leaves a partial file behind.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import json
 import math
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,9 +46,9 @@ from ermu.seeds import derive_seed
 from ermu.universality import (
     FamilyInstance,
     TrialRow,
+    WorkerPool,
     _fmt,
     build_instance,
-    map_in_order,
     perturbed_sweep,
     run_trials,
     trial_row_to_csv,
@@ -71,14 +75,24 @@ class CampaignSummary:
     instances: list[FamilyInstance] = field(default_factory=list)
 
 
-def build_instances(config: ExperimentConfig) -> list[FamilyInstance]:
+def build_instances(
+    config: ExperimentConfig, pool: WorkerPool | None = None
+) -> list[FamilyInstance]:
+    """Every (family, size) cell of the config, in config order.
+
+    Monte-carlo covariance chunks run on ``pool``; without one, a pool of
+    ``config.threads`` workers is opened for this call.
+    """
     instances = []
-    for spec in config.families:
-        ladder = config.ladder
-        if spec.kind == "neural-tangent" and spec.sizes:
-            ladder = tuple(int(s["d"]) for s in spec.sizes)
-        for base in ladder:
-            instances.append(build_instance(spec, config.problem, base, config.master_seed))
+    with (WorkerPool(config.threads) if pool is None else nullcontext(pool)) as pool:
+        for spec in config.families:
+            ladder = config.ladder
+            if spec.kind == "neural-tangent" and spec.sizes:
+                ladder = tuple(int(s["d"]) for s in spec.sizes)
+            for base in ladder:
+                instances.append(
+                    build_instance(spec, config.problem, base, config.master_seed, pool.map)
+                )
     return instances
 
 
@@ -88,31 +102,32 @@ def run_campaign(config: ExperimentConfig, out_dir: str | Path, threads: int = 0
     out.mkdir(parents=True, exist_ok=True)
     threads = threads or config.threads
 
-    instances = build_instances(config)
-    rows = run_trials(
-        instances,
-        trials=config.trials,
-        master_seed=config.master_seed,
-        solver_cfg=config.solver,
-        n_test=config.n_test,
-        threads=threads,
-    )
-    quarantined = sum(1 for r in rows if r.quarantined)
+    with WorkerPool(threads) as pool:
+        instances = build_instances(config, pool)
+        rows = run_trials(
+            instances,
+            trials=config.trials,
+            master_seed=config.master_seed,
+            solver_cfg=config.solver,
+            n_test=config.n_test,
+            pool=pool,
+        )
+        quarantined = sum(1 for r in rows if r.quarantined)
 
-    def write_trials(fh):
-        w = csv.writer(fh)
-        w.writerow(TrialRow.CSV_HEADER.split(","))
-        for row in rows:
-            w.writerow(trial_row_to_csv(row))
+        def write_trials(fh):
+            w = csv.writer(fh)
+            w.writerow(TrialRow.CSV_HEADER.split(","))
+            for row in rows:
+                w.writerow(trial_row_to_csv(row))
 
-    _atomic_write(out / "trials.csv", write_trials)
+        _atomic_write(out / "trials.csv", write_trials)
 
-    if config.save_matrices:
-        _save_matrices(instances, out)
-    if config.free_energy.enabled:
-        _run_free_energy_stage(config, instances, out, threads)
-    if config.perturbed.enabled:
-        _run_perturbed_stage(config, instances, out, threads)
+        if config.save_matrices:
+            _save_matrices(instances, out)
+        if config.free_energy.enabled:
+            _run_free_energy_stage(config, instances, out, pool)
+        if config.perturbed.enabled:
+            _run_perturbed_stage(config, instances, out, pool)
 
     wall = time.monotonic() - t0
     manifest = {
@@ -204,10 +219,12 @@ def _free_energy_task(args):
     return trace_rows, check
 
 
-def _run_free_energy_stage(config: ExperimentConfig, instances, out: Path, threads: int) -> None:
+def _run_free_energy_stage(
+    config: ExperimentConfig, instances, out: Path, pool: WorkerPool
+) -> None:
     tasks = [(config, inst) for inst in instances]
     costs = [inst.n * inst.p for inst in instances]
-    results = map_in_order(_free_energy_task, tasks, costs, threads)
+    results = list(pool.map(_free_energy_task, tasks, costs))
 
     def write_traces(fh):
         w = csv.writer(fh)
@@ -267,10 +284,12 @@ def _perturbed_task(args):
     return rows
 
 
-def _run_perturbed_stage(config: ExperimentConfig, instances, out: Path, threads: int) -> None:
+def _run_perturbed_stage(
+    config: ExperimentConfig, instances, out: Path, pool: WorkerPool
+) -> None:
     tasks = [(config, inst) for inst in instances]
     costs = [inst.n * inst.p for inst in instances]
-    results = map_in_order(_perturbed_task, tasks, costs, threads)
+    results = list(pool.map(_perturbed_task, tasks, costs))
 
     def write_perturbed(fh):
         w = csv.writer(fh)

@@ -7,7 +7,10 @@ conditional on the frozen weights. Sigma is obtained in one of four modes:
   closed form for the linear family.
 * ``hermite-exact``: for random features, entry (i, j) is the Hermite
   series sum_k c_k^2 (w_i^T w_j)^k of the mean-zero activation.
-* ``monte-carlo``: (1/n_cov) Phi^T Phi over a fresh featurized batch.
+* ``monte-carlo``: (1/n_cov) Phi^T Phi over a fresh featurized batch, built
+  in fixed-size chunks that may run on worker processes; the chunk Gram
+  matrices are summed in chunk-index order, so the estimate does not depend
+  on where or in which order the chunks ran.
 * ``empirical``: same estimator evaluated on the batch under study.
 
 Estimated covariances are indefinite at machine precision, so factors come
@@ -76,13 +79,26 @@ def rf_covariance_hermite(W: np.ndarray, coeffs: np.ndarray, order: int) -> np.n
     return sigma
 
 
+def _chunk_gram(task) -> np.ndarray:
+    """Phi^T Phi of one covariance chunk; ``task`` is (model, rows, seed)."""
+    model, rows, seed = task
+    Phi = featurize(model, sample_covariates(model, rows, seed))
+    return Phi.T @ Phi
+
+
 def mc_covariance(
-    model: FeatureModel, n_cov: int, seed: int, chunk: int = _COV_CHUNK
+    model: FeatureModel, n_cov: int, seed: int, chunk: int = _COV_CHUNK, mapper=map
 ) -> np.ndarray:
     """(1/n_cov) Phi^T Phi over a fresh featurized batch, accumulated in chunks.
 
-    Chunks carry their own derived seeds and are reduced in ascending index
-    order, so the result is bit-stable for a given (model, n_cov, seed).
+    Chunk ``i`` has ``chunk`` rows (the last one fewer) drawn from the derived
+    seed (seed, "cov-chunk", i). ``mapper(fn, tasks)`` computes the chunk
+    Gram matrices, for example on a worker pool, and must yield them in task
+    order; the builtin ``map`` computes them here, one at a time. Each Gram
+    matrix is added to the sum as it arrives, in ascending chunk index, and
+    then dropped. Float addition is not associative, so that fixed order is
+    what makes the result bit-stable for a given (model, n_cov, seed, chunk)
+    whatever the mapper.
     """
     if n_cov < 1:
         raise InvalidArgumentError(f"n_cov must be positive, got {n_cov}")
@@ -91,16 +107,13 @@ def mc_covariance(
             f"covariance estimate from n_cov={n_cov} < p={model.p} samples is rank-deficient",
             stacklevel=2,
         )
+    tasks = [
+        (model, min(chunk, n_cov - start), derive_seed(seed, "cov-chunk", index))
+        for index, start in enumerate(range(0, n_cov, chunk))
+    ]
     acc = np.zeros((model.p, model.p))
-    done = 0
-    index = 0
-    while done < n_cov:
-        take = min(chunk, n_cov - done)
-        Z = sample_covariates(model, take, derive_seed(seed, "cov-chunk", index))
-        Phi = featurize(model, Z)
-        acc += Phi.T @ Phi
-        done += take
-        index += 1
+    for gram in mapper(_chunk_gram, tasks):
+        acc += gram
     return acc / n_cov
 
 
@@ -165,9 +178,10 @@ def hermite_exact_equivalent(
 
 
 def monte_carlo_equivalent(
-    model: FeatureModel, n_cov: int, seed: int, jitter_rel: float = 1e-10
+    model: FeatureModel, n_cov: int, seed: int, jitter_rel: float = 1e-10, mapper=map
 ) -> GaussianEquivalent:
-    cov = mc_covariance(model, n_cov, seed)
+    """Twin from ``mc_covariance``; ``mapper`` computes its chunks (see there)."""
+    cov = mc_covariance(model, n_cov, seed, mapper=mapper)
     return GaussianEquivalent(
         cov_mode="monte-carlo",
         factor=factor_covariance(cov, jitter_rel),

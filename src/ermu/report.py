@@ -27,6 +27,9 @@ from ermu.universality import TrialRow, _fmt, trial_row_from_csv
 
 _REPORT_SEED = 0x52505254  # fixed; reports must be reproducible from CSVs alone
 
+# Solver flags of a solve that stopped before its convergence test passed.
+_NONCONVERGED = ("maxiter", "step-underflow")
+
 
 def read_trials_csv(path: str | Path) -> list[TrialRow]:
     path = Path(path)
@@ -59,6 +62,7 @@ class PairedSize:
     test_g_at_g: np.ndarray
     test_g_se: np.ndarray
     quarantined: int
+    nonconverged: int
 
 
 def _pair_rows(rows: list[TrialRow]) -> dict[str, list[PairedSize]]:
@@ -75,7 +79,7 @@ def _pair_rows(rows: list[TrialRow]) -> dict[str, list[PairedSize]]:
         for n in sorted(by_family[family]):
             trials = by_family[family][n]
             tx, tg, xx, xs, gg, gs = [], [], [], [], [], []
-            quarantined = 0
+            quarantined = nonconverged = 0
             p = 0
             for t in sorted(trials):
                 pair = trials[t]
@@ -86,6 +90,12 @@ def _pair_rows(rows: list[TrialRow]) -> dict[str, list[PairedSize]]:
                     quarantined += 1
                     continue
                 p = pair["x"].p
+                if any(
+                    flag in _NONCONVERGED
+                    for row in (pair["x"], pair["g"])
+                    for flag in row.flags.split(";")
+                ):
+                    nonconverged += 1
                 tx.append(pair["x"].train_opt)
                 tg.append(pair["g"].train_opt)
                 xx.append(pair["x"].test_x)
@@ -103,6 +113,7 @@ def _pair_rows(rows: list[TrialRow]) -> dict[str, list[PairedSize]]:
                     test_g_at_g=np.array(gg),
                     test_g_se=np.array(gs),
                     quarantined=quarantined,
+                    nonconverged=nonconverged,
                 )
             )
         out[family] = sizes
@@ -137,7 +148,13 @@ def build_report(
         abs_gaps, gap_ses = [], []
         for ps in sizes:
             T = ps.train_x.size
-            entry: dict = {"n": ps.n, "p": ps.p, "trials": T, "quarantined": ps.quarantined}
+            entry: dict = {
+                "n": ps.n,
+                "p": ps.p,
+                "trials": T,
+                "quarantined": ps.quarantined,
+                "nonconverged": ps.nonconverged,
+            }
             if T == 0:
                 entry["empty"] = True
                 fam_entry["sizes"].append(entry)

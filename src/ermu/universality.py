@@ -11,10 +11,11 @@ claim that the two arms agree asymptotically.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -181,8 +182,13 @@ def _theta_star(cset: ConstraintSet, p: int, scale: float, seed: int) -> np.ndar
 
 
 def build_instance(
-    spec: FamilySpec, problem_spec: ProblemSpec, base_size: int, master_seed: int
+    spec: FamilySpec,
+    problem_spec: ProblemSpec,
+    base_size: int,
+    master_seed: int,
+    mapper: Callable = map,
 ) -> FamilyInstance:
+    """One (family, size) cell; ``mapper`` computes a monte-carlo twin's covariance chunks."""
     if problem_spec.loss == "squared":
         warnings.warn(
             "squared loss is not globally Lipschitz; admitted for the ridge baseline only",
@@ -208,7 +214,11 @@ def build_instance(
     elif spec.cov_mode == "monte-carlo":
         n_cov = max(p, spec.cov_samples_per_dim * p)
         equiv = monte_carlo_equivalent(
-            model, n_cov, derive_seed(master_seed, spec.id, n, "covariance"), spec.jitter_rel
+            model,
+            n_cov,
+            derive_seed(master_seed, spec.id, n, "covariance"),
+            spec.jitter_rel,
+            mapper=mapper,
         )
     elif spec.cov_mode == "empirical":
         equiv = None
@@ -396,19 +406,54 @@ def _trial_chunk(args):
     return out
 
 
-def map_in_order(fn, tasks: Sequence, costs: Sequence[float], threads: int) -> list:
-    """``[fn(task) for task in tasks]``, on a process pool when ``threads`` > 1.
+class WorkerPool:
+    """``threads`` worker processes, shared by every batch of tasks it is given.
 
-    Pool workers take the tasks with the largest ``costs`` first, so the
-    longest task does not start last; the results come back in task order
-    whatever the scheduling. ``fn`` and the tasks must be picklable.
+    All workers are forked at the first batch of two or more tasks, before
+    the pool starts its own manager thread; with ``threads`` <= 1, or with
+    only one-task batches, nothing is forked and ``map`` runs the tasks in
+    the calling process. Forked workers see the caller's module state as it
+    was at that first batch. ``close``, or leaving the ``with`` block (also
+    on an exception), stops and joins the workers.
     """
-    if threads <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    order = sorted(range(len(tasks)), key=lambda i: -costs[i])
-    with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-        futures = {i: pool.submit(fn, tasks[i]) for i in order}
-        return [futures[i].result() for i in range(len(tasks))]
+
+    def __init__(self, threads: int):
+        self.threads = threads
+        self._executor: Optional[ProcessPoolExecutor] = None
+
+    def map(self, fn, tasks: Sequence, costs: Optional[Sequence[float]] = None) -> Iterator:
+        """``fn(task)`` for each task, yielded in task order.
+
+        Workers take the tasks with the largest ``costs`` first (in task order
+        when no costs are given), so the longest task does not start last.
+        Each result is released once yielded. ``fn`` and the tasks must be
+        picklable.
+        """
+        if self.threads <= 1 or len(tasks) <= 1:
+            for task in tasks:
+                yield fn(task)
+            return
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.threads, mp_context=multiprocessing.get_context("fork")
+            )
+        order = range(len(tasks))
+        if costs is not None:
+            order = sorted(order, key=lambda i: -costs[i])
+        futures = {i: self._executor.submit(fn, tasks[i]) for i in order}
+        for i in range(len(tasks)):
+            yield futures.pop(i).result()
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = None
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def run_trials(
@@ -417,17 +462,19 @@ def run_trials(
     master_seed: int,
     solver_cfg: SolverConfig = SolverConfig(),
     n_test: int = 2000,
-    threads: int = 1,
+    pool: Optional[WorkerPool] = None,
 ) -> list[TrialRow]:
     """All trials for all instances, deterministically ordered.
 
-    Work is split into per-instance trial chunks executed by a process pool
-    when ``threads`` > 1; rows come out in (instance order, trial, arm)
-    order, so the output stream does not depend on scheduling.
+    Work is split into per-instance trial chunks, one per worker of ``pool``
+    (in this process when there is no pool); rows come out in (instance
+    order, trial, arm) order, so the output stream does not depend on
+    scheduling.
     """
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
-    chunk = max(1, math.ceil(trials / max(1, threads)))
+    pool = pool or WorkerPool(1)
+    chunk = max(1, math.ceil(trials / max(1, pool.threads)))
     tasks = [
         (inst, list(range(start, min(trials, start + chunk))), master_seed, solver_cfg, n_test)
         for inst in instances
@@ -435,7 +482,7 @@ def run_trials(
     ]
     costs = [task[0].n * task[0].p for task in tasks]
     rows: list[TrialRow] = []
-    for chunk_result in map_in_order(_trial_chunk, tasks, costs, threads):
+    for chunk_result in pool.map(_trial_chunk, tasks, costs):
         for _, pair in chunk_result:
             rows.extend(pair)
     return rows
@@ -555,8 +602,7 @@ def perturbed_sweep(
             )
             opt_values[s] = sol.objective
             D[s] = (sol.objective - base.objective) / s
-            # Not suboptimality_bound(): its 1e-14 floor would move the s-solve gaps.
-            solver_gap = max(solver_gap, sol.grad_map_norm * problem.constraint.diameter())
+            solver_gap = max(solver_gap, sol.suboptimality_bound(problem.constraint))
         except SolverDivergedError:
             quarantined.append(s)
     return PerturbedRiskSweep(

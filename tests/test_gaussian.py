@@ -18,6 +18,7 @@ from ermu.gaussian import (
 )
 from ermu.quadrature import gaussian_expectation_pair, hermite_coefficients
 from ermu.seeds import rng_from
+from ermu.universality import WorkerPool
 
 
 class TestRfCovarianceHermite:
@@ -102,6 +103,18 @@ class TestMcCovariance:
             mc_covariance(model, 5000, seed=9, chunk=512),
             mc_covariance(model, 5000, seed=9, chunk=512),
         )
+
+    def test_pool_matches_serial_bit_for_bit(self):
+        # Ten chunk Gram matrices built on two workers are summed in chunk
+        # order, exactly as the serial loop sums them.
+        W = sample_sphere_weights(12, 16, seed=4)
+        model = FeatureModel(
+            family="random-features", d=12, p=16, W=W, activation=Activation("tanh-rf")
+        )
+        serial = mc_covariance(model, 5000, seed=9, chunk=512)
+        with WorkerPool(2) as pool:
+            pooled = mc_covariance(model, 5000, seed=9, chunk=512, mapper=pool.map)
+        assert np.array_equal(pooled, serial)
 
 
 class TestFactorCovariance:

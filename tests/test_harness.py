@@ -1,6 +1,7 @@
 """Config validation and hashing, campaign artifacts, report, CLI."""
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from ermu.config import ExperimentConfig, config_from_dict, load_config
 from ermu.errors import ConfigError, InvalidArgumentError
 from ermu.gaussian import empirical_equivalent
 from ermu.matio import load_matrix, save_matrix
-from ermu.report import read_trials_csv, write_report
+from ermu.report import build_report, read_trials_csv, write_report
 from ermu.seeds import derive_seed
+from ermu.universality import TrialRow
 
 BASE = {
     "master_seed": 31,
@@ -158,8 +160,14 @@ class TestCampaign:
         assert (tmp_path / "a/trials.csv").read_bytes() == (tmp_path / "b/trials.csv").read_bytes()
 
     def test_thread_count_does_not_change_output(self, tmp_path):
-        # Two families x two sizes: each stage runs four tasks on the pool.
+        # Three families x two sizes: each stage runs six tasks on the pool.
+        # The monte-carlo RF twin needs 420 p rows, four or more 4096-row
+        # covariance chunks at p = 30, so the set-up runs on the pool too.
         cfg = base_config(
+            families=BASE["families"] + [
+                {"id": "rf", "kind": "random-features", "cov_mode": "monte-carlo",
+                 "cov_samples_per_dim": 420},
+            ],
             free_energy={"enabled": True, "M": 16, "path_points": 4},
             perturbed={"enabled": True, "s_values": [0.1], "n_test": 50},
         )
@@ -241,6 +249,20 @@ class TestCampaign:
         assert not (failed / "trials.csv").exists()
         assert not list(failed.glob("*.tmp"))
 
+    def test_no_worker_outlives_a_failed_run(self, tmp_path, monkeypatch):
+        cfg = base_config(trials=1, ladder=[40])
+        alive_at_failure = []
+
+        def broken(*args):
+            alive_at_failure.append(len(multiprocessing.active_children()))
+            raise RuntimeError("writer failed")
+
+        monkeypatch.setattr("ermu.campaign.trial_row_to_csv", broken)
+        with pytest.raises(RuntimeError, match="writer failed"):
+            run_campaign(cfg, tmp_path / "failed", threads=2)
+        assert alive_at_failure == [2]  # the campaign's pool ran the two trial chunks
+        assert multiprocessing.active_children() == []
+
     def test_save_matrices_roundtrip(self, tmp_path):
         cfg = base_config(
             ladder=[40],
@@ -277,6 +299,26 @@ class TestReport:
         report = json.loads(write_report(tmp_path / "out").read_text())
         s = report["families"]["lin"]["sizes"][0]
         assert s["train_gap"]["degenerate_ci"]
+
+    def test_nonconverged_pairs_counted_not_dropped(self):
+        def row(trial, arm, train_opt, flags=""):
+            return TrialRow(
+                family="lin", n=40, p=30, trial=trial, seed=trial, train_opt=train_opt,
+                test_x=0.5, test_x_se=0.01, test_g=0.5, test_g_se=0.01, iters=10,
+                flags=";".join([f"arm:{arm}"] + ([flags] if flags else [])),
+            )
+
+        rows = [
+            row(0, "x", 1.0), row(0, "g", 0.9),
+            row(1, "x", 1.2, "maxiter"), row(1, "g", 1.0),
+            row(2, "x", 0.8, "maxiter"), row(2, "g", 0.9, "step-underflow"),
+            row(3, "x", float("nan"), "quarantined"), row(3, "g", 1.1, "maxiter"),
+        ]
+        (entry,) = build_report(rows, n_boot=50)["families"]["lin"]["sizes"]
+        assert entry["trials"] == 3
+        assert entry["quarantined"] == 1
+        assert entry["nonconverged"] == 2
+        assert entry["train_gap"]["mean"] == pytest.approx((0.1 + 0.2 - 0.1) / 3)
 
     def test_missing_csv_reports_filename(self, tmp_path):
         with pytest.raises(InvalidArgumentError, match="trials.csv"):

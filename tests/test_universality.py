@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ermu import universality
 from ermu.erm import (
     ConstraintSet,
     ErmProblem,
@@ -229,6 +230,29 @@ class TestPerturbedSweep:
         gap_small = sweep.D[-0.01] - sweep.D[0.01]
         gap_large = sweep.D[-0.1] - sweep.D[0.1]
         assert gap_small <= gap_large + 2.0 * sweep.solver_gap
+
+    def test_solver_gap_is_max_of_every_solve_bound(self, monkeypatch):
+        # The base solve and each s-solve enter solver_gap through one
+        # definition, the solution's suboptimality bound.
+        solutions = []
+
+        def recording_solve(*args, **kwargs):
+            sol = solve_erm(*args, **kwargs)
+            solutions.append(sol)
+            return sol
+
+        monkeypatch.setattr(universality, "solve_erm", recording_solve)
+        p = 6
+        problem = ridge_problem(p, seed=3)
+        X = rng_from(12, "gap").standard_normal((40, p))
+        y = generate_labels(problem, X, seed=4)
+        sweep = perturbed_sweep(
+            problem, X, y, identity_equiv(p), [0.1, -0.1, 0.01, -0.01],
+            cfg=SolverConfig(tol=1e-6), n_test=100, seed=6,
+        )
+        assert len(solutions) == 5
+        bounds = [sol.suboptimality_bound(problem.constraint) for sol in solutions]
+        assert sweep.solver_gap == max(bounds)
 
     def test_asymmetric_grid_rejected(self):
         problem = ridge_problem(4)
