@@ -109,7 +109,7 @@ def run_campaign(config: ExperimentConfig, out_dir: str | Path, threads: int = 0
             trials=config.trials,
             master_seed=config.master_seed,
             solver_cfg=config.solver,
-            n_test=config.n_test,
+            n_test=config.test_risk.n_test,
             pool=pool,
         )
         quarantined = sum(1 for r in rows if r.quarantined)

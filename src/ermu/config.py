@@ -1,97 +1,57 @@
 """Experiment configuration: parsing, validation, canonical hashing.
 
-Configs are JSON files with explicit keys. Unknown keys anywhere are hard
-errors so typos cannot silently fall back to defaults. The canonical hash is
-taken over the fully normalized config (defaults materialized, keys sorted,
-no whitespace), so formatting changes never alter it and any semantic change
-does.
+The schema is the spec dataclasses. Each JSON object of a config is one
+frozen dataclass whose fields are its keys: ``ExperimentConfig`` and its
+sections below, ``FamilySpec`` and ``ProblemSpec`` (``ermu.universality``)
+and ``SolverConfig`` (``ermu.solver``). One generic reader takes each JSON
+value as its annotated type, and one generic writer builds ``normalized()``,
+so a new field needs no edit here. Unknown keys anywhere are hard errors so
+typos cannot silently fall back to defaults, and each dataclass checks its
+values when it is built, so a bad value fails at parse time. The canonical
+hash is taken over the fully normalized config (defaults materialized, keys
+sorted, no whitespace), so formatting changes never alter it and any
+semantic change does; a float field written as an integer literal hashes
+as the float.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
-from ermu.erm import SolverConfig
-from ermu.errors import ConfigError
+from ermu.errors import ConfigError, InvalidArgumentError, check, check_one_of
+from ermu.free_energy import CANDIDATE_KINDS
+from ermu.solver import SolverConfig
 from ermu.universality import FamilySpec, ProblemSpec
 
-_FAMILY_KEYS = {
-    "id": str,
-    "kind": str,
-    "activation": str,
-    "hermite_coeffs": list,
-    "entry_law": str,
-    "nu": (int, float),
-    "gamma_p": (int, float),
-    "gamma_d_over_p": (int, float),
-    "gamma_tilde": (int, float),
-    "radius": (int, float),
-    "constraint": str,
-    "cov_mode": str,
-    "hermite_order": int,
-    "cov_samples_per_dim": int,
-    "jitter_rel": (int, float),
-    "theta_star_scale": (int, float),
-    "sizes": list,
-}
+# Field names whose JSON key differs: ``lambda`` is a Python keyword.
+_JSON_KEYS = {"lam": "lambda"}
+# Fields left out of ``normalized()`` and the hash: a deployment path.
+_UNHASHED = {"output_dir"}
 
-_PROBLEM_KEYS = {
-    "loss": str,
-    "loss_delta": (int, float),
-    "labeler": str,
-    "tau": (int, float),
-    "noise_law": str,
-    "clip_bound": (int, float),
-    "smoothing": (int, float),
-    "regularizer": str,
-    "lambda": (int, float),
-    "k": int,
-}
 
-_SOLVER_KEYS = {
-    "max_iters": int,
-    "tol": (int, float),
-    "restarts": int,
-    "armijo_shrink": (int, float),
-    "armijo_slope": (int, float),
-    "init_step": (int, float),
-    "step_growth": (int, float),
-}
+@dataclass(frozen=True)
+class TestRiskSettings:
+    n_test: int = 2000  # 0 skips the test risk
 
-_FREE_ENERGY_KEYS = {
-    "enabled": bool,
-    "M": int,
-    "beta_grid": list,
-    "path_points": int,
-    "alpha": (int, float),
-    "candidates": str,
-}
+    def __post_init__(self):
+        check(self.n_test >= 0, "n_test must be >= 0")
 
-_PERTURBED_KEYS = {
-    "enabled": bool,
-    "s_values": list,
-    "n_test": int,
-}
 
-_TOP_KEYS = {
-    "master_seed": int,
-    "trials": int,
-    "ladder": list,
-    "threads": int,
-    "output_dir": str,
-    "save_matrices": bool,
-    "families": list,
-    "problem": dict,
-    "solver": dict,
-    "test_risk": dict,
-    "bootstrap": dict,
-    "free_energy": dict,
-    "perturbed": dict,
-}
+@dataclass(frozen=True)
+class BootstrapSettings:
+    resamples: int = 2000
+    level: float = 0.95
+
+    def __post_init__(self):
+        check(self.resamples >= 1, "resamples must be >= 1")
+        check(0 < self.level < 1, "level must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -103,12 +63,30 @@ class FreeEnergySettings:
     alpha: float = 0.5
     candidates: str = "solution-cloud"
 
+    def __post_init__(self):
+        check(self.M >= 1, "M must be >= 1")
+        grid = self.beta_grid
+        check(
+            bool(grid) and grid[0] > 0 and all(a < b for a, b in zip(grid, grid[1:])),
+            "beta_grid must be a nonempty, positive, strictly ascending list",
+        )
+        check(self.path_points >= 2, "path_points must be >= 2 (the path's two ends)")
+        check_one_of("candidates", self.candidates, CANDIDATE_KINDS)
+
 
 @dataclass(frozen=True)
 class PerturbedSettings:
     enabled: bool = False
     s_values: tuple[float, ...] = (0.01, 0.1)
     n_test: int = 2000
+
+    def __post_init__(self):
+        s_values = self.s_values
+        check(
+            bool(s_values) and all(s > 0 for s in s_values) and len(set(s_values)) == len(s_values),
+            "s_values must be nonempty, positive and distinct (each s also runs as -s)",
+        )
+        check(self.n_test >= 1, "n_test must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -122,203 +100,96 @@ class ExperimentConfig:
     threads: int = 1
     output_dir: Optional[str] = None
     save_matrices: bool = False
-    n_test: int = 2000
-    bootstrap_resamples: int = 2000
-    bootstrap_level: float = 0.95
+    test_risk: TestRiskSettings = TestRiskSettings()
+    bootstrap: BootstrapSettings = BootstrapSettings()
     free_energy: FreeEnergySettings = FreeEnergySettings()
     perturbed: PerturbedSettings = PerturbedSettings()
 
+    def __post_init__(self):
+        check(self.trials >= 1, "trials must be >= 1")
+        check(bool(self.ladder), "ladder must be a nonempty list of sizes")
+        check(all(v >= 1 for v in self.ladder), "ladder entries must be positive integers")
+        check(
+            all(a < b for a, b in zip(self.ladder, self.ladder[1:])),
+            "ladder must be strictly increasing",
+        )
+        check(bool(self.families), "families must be nonempty")
+        ids = [f.id for f in self.families]
+        for fid in ids:
+            check(ids.count(fid) == 1, f"duplicate family id {fid!r}")
+
     def normalized(self) -> dict:
         """Fully materialized dict used for hashing and the manifest."""
-        return {
-            "master_seed": self.master_seed,
-            "trials": self.trials,
-            "ladder": list(self.ladder),
-            "threads": self.threads,
-            "save_matrices": self.save_matrices,
-            "families": [
-                {
-                    "id": f.id,
-                    "kind": f.kind,
-                    "activation": f.activation,
-                    "hermite_coeffs": list(f.hermite_coeffs),
-                    "entry_law": f.entry_law,
-                    "nu": f.nu,
-                    "gamma_p": f.gamma_p,
-                    "gamma_d_over_p": f.gamma_d_over_p,
-                    "gamma_tilde": f.gamma_tilde,
-                    "radius": f.radius,
-                    "constraint": f.constraint,
-                    "cov_mode": f.cov_mode,
-                    "hermite_order": f.hermite_order,
-                    "cov_samples_per_dim": f.cov_samples_per_dim,
-                    "jitter_rel": f.jitter_rel,
-                    "theta_star_scale": f.theta_star_scale,
-                    "sizes": [dict(sorted(s.items())) for s in f.sizes],
-                }
-                for f in self.families
-            ],
-            "problem": {
-                "loss": self.problem.loss,
-                "loss_delta": self.problem.loss_delta,
-                "labeler": self.problem.labeler,
-                "tau": self.problem.tau,
-                "noise_law": self.problem.noise_law,
-                "clip_bound": self.problem.clip_bound,
-                "smoothing": self.problem.smoothing,
-                "regularizer": self.problem.regularizer,
-                "lambda": self.problem.lam,
-                "k": self.problem.k,
-            },
-            "solver": {
-                "max_iters": self.solver.max_iters,
-                "tol": self.solver.tol,
-                "restarts": self.solver.restarts,
-                "armijo_shrink": self.solver.armijo_shrink,
-                "armijo_slope": self.solver.armijo_slope,
-                "init_step": self.solver.init_step,
-                "step_growth": self.solver.step_growth,
-            },
-            "test_risk": {"n_test": self.n_test},
-            "bootstrap": {"resamples": self.bootstrap_resamples, "level": self.bootstrap_level},
-            "free_energy": {
-                "enabled": self.free_energy.enabled,
-                "M": self.free_energy.M,
-                "beta_grid": list(self.free_energy.beta_grid),
-                "path_points": self.free_energy.path_points,
-                "alpha": self.free_energy.alpha,
-                "candidates": self.free_energy.candidates,
-            },
-            "perturbed": {
-                "enabled": self.perturbed.enabled,
-                "s_values": list(self.perturbed.s_values),
-                "n_test": self.perturbed.n_test,
-            },
-        }
+        return _to_json(self)
 
     def canonical_hash(self) -> str:
         canon = json.dumps(self.normalized(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _check_keys(obj: dict, allowed: dict, path: str) -> None:
-    for key, value in obj.items():
-        if key not in allowed:
-            raise ConfigError(f"{path}: unknown key {key!r} (allowed: {sorted(allowed)})")
-        expected = allowed[key]
-        types = expected if isinstance(expected, tuple) else (expected,)
-        if isinstance(value, bool) and bool not in types:
-            raise ConfigError(f"{path}.{key}: expected {expected}, got bool")
-        if not isinstance(value, types):
-            raise ConfigError(f"{path}.{key}: expected {expected}, got {type(value).__name__}")
+def _json_key(f: dataclasses.Field) -> str:
+    return _JSON_KEYS.get(f.name, f.name)
 
 
-def _require(obj: dict, key: str, path: str) -> Any:
-    if key not in obj:
-        raise ConfigError(f"{path}: missing required key {key!r}")
-    return obj[key]
+def _to_json(value: Any) -> Any:
+    """The JSON form of a config value; the inverse of ``_read``."""
+    if dataclasses.is_dataclass(value):
+        return {
+            _json_key(f): _to_json(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if f.name not in _UNHASHED
+        }
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if isinstance(value, dict):
+        return dict(sorted(value.items()))
+    return value
 
 
-def config_from_dict(raw: dict) -> ExperimentConfig:
+def _read(tp: Any, value: Any, path: str) -> Any:
+    """The JSON ``value`` at ``path`` as the annotated type ``tp``.
+
+    ``float`` takes an int or a float; ``int``, ``str`` and ``bool`` are
+    strict (a bool is never a number); ``tuple[X, ...]`` takes a list of X
+    and a dataclass takes an object. ``Optional[X]`` reads as X.
+    """
+    if dataclasses.is_dataclass(tp):
+        return _read_object(tp, value, path)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")
+        return tuple(_read(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if origin in (typing.Union, types.UnionType):
+        tp = args[0]
+    accepted = (int, float) if tp is float else tp
+    if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
+        raise ConfigError(f"{path}: expected {tp.__name__}, got {type(value).__name__}")
+    return float(value) if tp is float else value
+
+
+def _read_object(cls: type, raw: Any, path: str) -> Any:
     if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, "config")
-
-    master_seed = _require(raw, "master_seed", "config")
-    trials = _require(raw, "trials", "config")
-    if trials < 1:
-        raise ConfigError("config.trials: must be >= 1")
-    ladder = _require(raw, "ladder", "config")
-    if not ladder:
-        raise ConfigError("config.ladder: must be a nonempty list of sizes")
-    if any(not isinstance(v, int) or v < 1 for v in ladder):
-        raise ConfigError("config.ladder: entries must be positive integers")
-    if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ConfigError("config.ladder: must be strictly increasing")
-
-    fam_raw = _require(raw, "families", "config")
-    if not fam_raw:
-        raise ConfigError("config.families: must be nonempty")
-    families = []
-    seen_ids = set()
-    for i, fr in enumerate(fam_raw):
-        path = f"config.families[{i}]"
-        if not isinstance(fr, dict):
-            raise ConfigError(f"{path}: must be an object")
-        _check_keys(fr, _FAMILY_KEYS, path)
-        fid = _require(fr, "id", path)
-        if fid in seen_ids:
-            raise ConfigError(f"{path}: duplicate family id {fid!r}")
-        seen_ids.add(fid)
-        kwargs = {k: v for k, v in fr.items() if k not in ("id", "kind", "hermite_coeffs", "sizes")}
-        for ratio in ("gamma_p", "gamma_d_over_p", "gamma_tilde", "nu", "radius"):
-            if ratio in kwargs and kwargs[ratio] <= 0:
-                raise ConfigError(f"{path}.{ratio}: must be positive")
-        sizes = tuple(fr.get("sizes", ()))
-        for s in sizes:
-            if not isinstance(s, dict) or not set(s) <= {"n", "d"}:
-                raise ConfigError(f"{path}.sizes: entries must be objects with keys n and/or d")
-        try:
-            families.append(
-                FamilySpec(
-                    id=fid,
-                    kind=_require(fr, "kind", path),
-                    hermite_coeffs=tuple(fr.get("hermite_coeffs", ())),
-                    sizes=sizes,
-                    **kwargs,
-                )
-            )
-        except Exception as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-
-    prob_raw = _require(raw, "problem", "config")
-    _check_keys(prob_raw, _PROBLEM_KEYS, "config.problem")
-    prob_kwargs = dict(prob_raw)
-    if "lambda" in prob_kwargs:
-        prob_kwargs["lam"] = prob_kwargs.pop("lambda")
+        raise ConfigError(f"{path}: expected an object, got {type(raw).__name__}")
+    fields = {_json_key(f): f for f in dataclasses.fields(cls)}
+    for key in raw:
+        if key not in fields:
+            raise ConfigError(f"{path}: unknown key {key!r} (allowed: {sorted(fields)})")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, f in fields.items():
+        if key in raw:
+            kwargs[f.name] = _read(hints[f.name], raw[key], f"{path}.{key}")
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{path}: missing required key {key!r}")
     try:
-        problem = ProblemSpec(**prob_kwargs)
-    except Exception as exc:
-        raise ConfigError(f"config.problem: {exc}") from exc
+        return cls(**kwargs)
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
-    solver_raw = raw.get("solver", {})
-    _check_keys(solver_raw, _SOLVER_KEYS, "config.solver")
-    try:
-        solver = SolverConfig(**solver_raw)
-    except Exception as exc:
-        raise ConfigError(f"config.solver: {exc}") from exc
 
-    test_raw = raw.get("test_risk", {})
-    _check_keys(test_raw, {"n_test": int}, "config.test_risk")
-    boot_raw = raw.get("bootstrap", {})
-    _check_keys(boot_raw, {"resamples": int, "level": (int, float)}, "config.bootstrap")
-    fe_raw = raw.get("free_energy", {})
-    _check_keys(fe_raw, _FREE_ENERGY_KEYS, "config.free_energy")
-    fe_kwargs = dict(fe_raw)
-    if "beta_grid" in fe_kwargs:
-        fe_kwargs["beta_grid"] = tuple(float(b) for b in fe_kwargs["beta_grid"])
-    pert_raw = raw.get("perturbed", {})
-    _check_keys(pert_raw, _PERTURBED_KEYS, "config.perturbed")
-    pert_kwargs = dict(pert_raw)
-    if "s_values" in pert_kwargs:
-        pert_kwargs["s_values"] = tuple(float(s) for s in pert_kwargs["s_values"])
-
-    return ExperimentConfig(
-        master_seed=master_seed,
-        trials=trials,
-        ladder=tuple(ladder),
-        families=tuple(families),
-        problem=problem,
-        solver=solver,
-        threads=raw.get("threads", 1),
-        output_dir=raw.get("output_dir"),
-        save_matrices=raw.get("save_matrices", False),
-        n_test=test_raw.get("n_test", 2000),
-        bootstrap_resamples=boot_raw.get("resamples", 2000),
-        bootstrap_level=float(boot_raw.get("level", 0.95)),
-        free_energy=FreeEnergySettings(**fe_kwargs),
-        perturbed=PerturbedSettings(**pert_kwargs),
-    )
+def config_from_dict(raw: Any) -> ExperimentConfig:
+    return _read(ExperimentConfig, raw, "config")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -23,6 +23,7 @@ LOSS_KINDS = ("logistic", "huber", "squared", "pseudo-huber")
 ETA_KINDS = ("linear", "clipped-linear", "sign-smooth")
 NOISE_LAWS = ("gaussian", "rademacher")
 CONSTRAINT_KINDS = ("l2-ball", "nt-operator-ball", "linf-ball")
+REGULARIZER_KINDS = ("ridge", "none")
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -205,7 +206,7 @@ class Regularizer:
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("ridge", "none"):
+        if self.kind not in REGULARIZER_KINDS:
             raise InvalidArgumentError(f"unknown regularizer kind {self.kind!r}")
         if self.lam < 0:
             raise InvalidArgumentError("lambda must be nonnegative")

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the precondition checks that raise them."""
 
 
 class ErmuError(Exception):
@@ -7,6 +7,17 @@ class ErmuError(Exception):
 
 class InvalidArgumentError(ErmuError, ValueError):
     """An argument violates a documented precondition."""
+
+
+def check(ok: bool, message: str) -> None:
+    """Raise ``InvalidArgumentError(message)`` unless ``ok``."""
+    if not ok:
+        raise InvalidArgumentError(message)
+
+
+def check_one_of(key: str, value: str, kinds: tuple[str, ...]) -> None:
+    """Raise ``InvalidArgumentError`` naming ``key`` unless ``value`` is one of ``kinds``."""
+    check(value in kinds, f"{key} must be one of {', '.join(kinds)}; got {value!r}")
 
 
 class SolverDivergedError(ErmuError, RuntimeError):

@@ -31,6 +31,7 @@ from ermu.seeds import rng_from
 _INV_SQRT_E = math.exp(-0.5)
 
 ENTRY_LAWS = ("rademacher", "uniform", "laplace", "gaussian")
+ACTIVATION_KINDS = ("tanh-rf", "shifted-sine-nt", "custom-hermite")
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class Activation:
     hermite_coeffs: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
-        if self.kind not in ("tanh-rf", "shifted-sine-nt", "custom-hermite"):
+        if self.kind not in ACTIVATION_KINDS:
             raise InvalidArgumentError(f"unknown activation kind {self.kind!r}")
         if self.kind == "custom-hermite":
             if not self.hermite_coeffs:

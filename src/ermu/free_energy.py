@@ -29,6 +29,8 @@ from ermu.erm import ErmProblem, labels_from_noise, project_constraint
 from ermu.errors import InvalidArgumentError
 from ermu.seeds import rng_from
 
+CANDIDATE_KINDS = ("solution-cloud", "random-net")
+
 
 @dataclass(frozen=True)
 class CandidateSet:

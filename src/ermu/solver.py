@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from ermu.errors import SolverDivergedError
+from ermu.errors import SolverDivergedError, check
 
 _MIN_STEP = 1e-18
 
@@ -28,6 +28,13 @@ class SolverConfig:
     armijo_slope: float = 1e-4
     init_step: float = 1.0
     step_growth: float = 2.0
+
+    def __post_init__(self):
+        check(self.max_iters >= 1, "max_iters must be >= 1")
+        # A shrink factor of 1 or more never ends the backtracking loop.
+        check(0 < self.armijo_shrink < 1, "armijo_shrink must be in (0, 1)")
+        check(self.init_step > 0, "init_step must be positive")
+        check(self.step_growth >= 1, "step_growth must be >= 1")
 
 
 @dataclass

@@ -20,6 +20,11 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from ermu.erm import (
+    CONSTRAINT_KINDS,
+    ETA_KINDS,
+    LOSS_KINDS,
+    NOISE_LAWS,
+    REGULARIZER_KINDS,
     ConstraintSet,
     ErmProblem,
     Labeler,
@@ -34,8 +39,10 @@ from ermu.erm import (
     train_risk_grad,
     mean_with_jackknife_se,
 )
-from ermu.errors import InvalidArgumentError, SolverDivergedError
+from ermu.errors import InvalidArgumentError, SolverDivergedError, check, check_one_of
 from ermu.features import (
+    ACTIVATION_KINDS,
+    ENTRY_LAWS,
     Activation,
     FeatureModel,
     draw_features,
@@ -44,6 +51,7 @@ from ermu.features import (
     random_features_model,
 )
 from ermu.gaussian import (
+    COV_MODES,
     GaussianEquivalent,
     empirical_equivalent,
     hermite_exact_equivalent,
@@ -80,8 +88,7 @@ class FamilySpec:
     sizes: tuple[dict, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
-            raise InvalidArgumentError(f"unknown family kind {self.kind!r}")
+        check_one_of("kind", self.kind, FAMILY_KINDS)
         defaults = {
             "random-features": ("tanh-rf", "linf-ball", "monte-carlo"),
             "neural-tangent": ("shifted-sine-nt", "nt-operator-ball", "monte-carlo"),
@@ -94,6 +101,20 @@ class FamilySpec:
             object.__setattr__(self, "constraint", defaults[1])
         if not self.cov_mode:
             object.__setattr__(self, "cov_mode", defaults[2])
+        if self.activation:  # linear kinds have none
+            check_one_of("activation", self.activation, ACTIVATION_KINDS)
+        check_one_of("entry_law", self.entry_law, ENTRY_LAWS)
+        check_one_of("constraint", self.constraint, CONSTRAINT_KINDS)
+        check_one_of("cov_mode", self.cov_mode, COV_MODES)
+        self.build_activation()  # custom-hermite needs coefficients
+        for key in ("nu", "gamma_p", "gamma_d_over_p", "gamma_tilde", "radius"):
+            check(getattr(self, key) > 0, f"{key} must be positive")
+        for size in self.sizes:
+            check(
+                set(size) <= {"n", "d"} and all(type(v) is int and v > 0 for v in size.values()),
+                "sizes entries must be objects with keys n and/or d and positive integer values",
+            )
+            check(self.kind != "neural-tangent" or "d" in size, "neural-tangent sizes need d")
 
     def build_activation(self) -> Optional[Activation]:
         if self.kind in ("linear-independent", "control-gaussian"):
@@ -143,6 +164,28 @@ class ProblemSpec:
     regularizer: str = "ridge"
     lam: float = 0.1
     k: int = 1
+
+    def __post_init__(self):
+        check_one_of("loss", self.loss, LOSS_KINDS)
+        check_one_of("labeler", self.labeler, ETA_KINDS)
+        check_one_of("noise_law", self.noise_law, NOISE_LAWS)
+        check_one_of("regularizer", self.regularizer, REGULARIZER_KINDS)
+        check(self.k >= 1, "k must be >= 1")
+        self.parts()  # their own range checks: loss_delta, tau, smoothing, lambda
+
+    def parts(self) -> tuple[Loss, Labeler, Regularizer]:
+        """The loss, labeler and regularizer this spec names."""
+        return (
+            Loss(kind=self.loss, delta=self.loss_delta),
+            Labeler(
+                eta_kind=self.labeler,
+                tau=self.tau,
+                noise_law=self.noise_law,
+                clip_bound=self.clip_bound,
+                smoothing=self.smoothing,
+            ),
+            Regularizer(kind=self.regularizer, lam=self.lam),
+        )
 
 
 @dataclass(frozen=True)
@@ -220,26 +263,19 @@ def build_instance(
             spec.jitter_rel,
             mapper=mapper,
         )
-    elif spec.cov_mode == "empirical":
+    else:  # empirical: built per trial from the batch
         equiv = None
-    else:
-        raise InvalidArgumentError(f"unknown covariance mode {spec.cov_mode!r}")
 
     cset = ConstraintSet(kind=spec.constraint, R=spec.radius, p=p, d=d, m=max(m, 1))
     theta_star = _theta_star(
         cset, p, spec.theta_star_scale, derive_seed(master_seed, spec.id, n, "theta-star")
     )
+    loss, labeler, regularizer = problem_spec.parts()
     problem = ErmProblem(
-        loss=Loss(kind=problem_spec.loss, delta=problem_spec.loss_delta),
-        labeler=Labeler(
-            eta_kind=problem_spec.labeler,
-            tau=problem_spec.tau,
-            noise_law=problem_spec.noise_law,
-            clip_bound=problem_spec.clip_bound,
-            smoothing=problem_spec.smoothing,
-        ),
+        loss=loss,
+        labeler=labeler,
         theta_star=theta_star,
-        regularizer=Regularizer(kind=problem_spec.regularizer, lam=problem_spec.lam),
+        regularizer=regularizer,
         constraint=cset,
         k=problem_spec.k,
         head=(1.0,) * problem_spec.k,

@@ -31,10 +31,71 @@ BASE = {
 }
 
 
+# The README example config; its hash is pinned below.
+README_CONFIG = {
+    "master_seed": 20260809,
+    "trials": 50,
+    "ladder": [200, 400, 800],
+    "families": [
+        {"id": "rf", "kind": "random-features", "activation": "tanh-rf",
+         "gamma_p": 0.75, "gamma_d_over_p": 0.5, "radius": 3.0,
+         "cov_mode": "hermite-exact", "hermite_order": 41},
+        {"id": "lin", "kind": "linear-independent", "entry_law": "rademacher",
+         "gamma_p": 0.75, "radius": 3.0},
+        {"id": "control", "kind": "control-gaussian"},
+    ],
+    "problem": {"loss": "huber", "labeler": "linear", "tau": 0.5,
+                "regularizer": "ridge", "lambda": 0.1},
+    "test_risk": {"n_test": 2000},
+    "free_energy": {"enabled": True, "M": 256, "beta_grid": [0.1, 1, 10, 100]},
+    "perturbed": {"enabled": True, "s_values": [0.01, 0.1]},
+}
+
+# Every key of every section, each set to a value other than its default.
+EVERY_KEY_CONFIG = {
+    "master_seed": 11,
+    "trials": 5,
+    "ladder": [50, 100],
+    "threads": 2,
+    "output_dir": "results",
+    "save_matrices": True,
+    "families": [
+        {"id": "rf", "kind": "random-features", "activation": "custom-hermite",
+         "hermite_coeffs": [0.0, 1.0, 0.25], "entry_law": "uniform", "nu": 2.0,
+         "gamma_p": 0.5, "gamma_d_over_p": 0.25, "gamma_tilde": 2.0, "radius": 4.0,
+         "constraint": "l2-ball", "cov_mode": "monte-carlo", "hermite_order": 31,
+         "cov_samples_per_dim": 20, "jitter_rel": 1e-8, "theta_star_scale": 0.5,
+         "sizes": [{"n": 100, "d": 30}]},
+    ],
+    "problem": {"loss": "pseudo-huber", "loss_delta": 0.5, "labeler": "clipped-linear",
+                "tau": 0.25, "noise_law": "rademacher", "clip_bound": 2.0, "smoothing": 0.2,
+                "regularizer": "none", "lambda": 0.3, "k": 2},
+    "solver": {"max_iters": 300, "tol": 1e-6, "restarts": 2, "armijo_shrink": 0.25,
+               "armijo_slope": 1e-3, "init_step": 0.5, "step_growth": 1.5},
+    "test_risk": {"n_test": 100},
+    "bootstrap": {"resamples": 300, "level": 0.9},
+    "free_energy": {"enabled": True, "M": 16, "beta_grid": [0.5, 5.0], "path_points": 4,
+                    "alpha": 0.25, "candidates": "random-net"},
+    "perturbed": {"enabled": True, "s_values": [0.05], "n_test": 100},
+}
+
+
 def base_config(**overrides) -> ExperimentConfig:
     raw = json.loads(json.dumps(BASE))
     raw.update(overrides)
     return config_from_dict(raw)
+
+
+def base_with(path: tuple, value) -> dict:
+    """BASE with the value at ``path`` (keys and list indices) replaced."""
+    raw = json.loads(json.dumps(BASE))
+    for section in ("solver", "free_energy", "perturbed"):
+        raw.setdefault(section, {})
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
 
 
 class TestSeeds:
@@ -150,6 +211,120 @@ class TestConfig:
             k: v for k, v in cfg.normalized().items()
         })))
         assert again.canonical_hash() == cfg.canonical_hash()
+
+    def test_golden_hashes(self):
+        # Pinned: any edit that moves a config's hash must fail here.
+        assert config_from_dict(README_CONFIG).canonical_hash() == (
+            "e6a50d77bfe89bd4fc4babed27bb69a5871c6417496d6da6241e12cc3c103549"
+        )
+        assert config_from_dict(EVERY_KEY_CONFIG).canonical_hash() == (
+            "a938f8bc4c9e6c434b14c006ef39df11a81bcfed27143bdc852cadd9c4c72f4a"
+        )
+
+    def test_every_key_config_sets_every_field(self):
+        normalized = config_from_dict(EVERY_KEY_CONFIG).normalized()
+        default = base_config().normalized()
+        for section, value in normalized.items():
+            if isinstance(value, dict):
+                assert set(value) == set(EVERY_KEY_CONFIG[section]), section
+                assert all(value[k] != default[section][k] for k in value), section
+        assert set(normalized["families"][0]) == set(EVERY_KEY_CONFIG["families"][0])
+        assert set(normalized) | {"output_dir"} == set(EVERY_KEY_CONFIG)
+
+    @pytest.mark.parametrize("path, int_value", [
+        (("families", 0, "radius"), 3),
+        (("problem", "lambda"), 0),
+        (("solver", "init_step"), 2),
+        (("free_energy", "beta_grid"), [1, 10]),
+    ])
+    def test_float_fields_hash_int_literals_as_floats(self, path, int_value):
+        as_float = json.loads(json.dumps(int_value), parse_int=float)
+        a = config_from_dict(base_with(path, int_value))
+        b = config_from_dict(base_with(path, as_float))
+        assert a == b
+        assert a.canonical_hash() == b.canonical_hash()
+
+    @pytest.mark.parametrize("path, value", [
+        (("families", 0, "activation"), "relu"),
+        (("families", 0, "constraint"), "l1-ball"),
+        (("families", 0, "cov_mode"), "exact"),
+        (("families", 0, "entry_law"), "cauchy"),
+        (("problem", "loss"), "hinge"),
+        (("problem", "labeler"), "sign"),
+        (("problem", "noise_law"), "laplace"),
+        (("problem", "regularizer"), "lasso"),
+        (("free_energy", "candidates"), "solution_cloud"),
+    ])
+    def test_unknown_kind_rejected_at_parse_time(self, path, value):
+        with pytest.raises(ConfigError, match=path[-1]):
+            config_from_dict(base_with(path, value))
+
+    def test_unknown_candidates_names_both_constructions(self):
+        with pytest.raises(ConfigError, match="solution-cloud, random-net"):
+            config_from_dict(base_with(("free_energy", "candidates"), "random_net"))
+
+    @pytest.mark.parametrize("path, value", [
+        (("free_energy", "M"), 0),
+        (("free_energy", "beta_grid"), []),
+        (("free_energy", "beta_grid"), [0.0, 1.0]),
+        (("free_energy", "beta_grid"), [10.0, 1.0]),
+        (("free_energy", "beta_grid"), [1.0, 1.0]),
+        (("free_energy", "path_points"), 1),
+        (("perturbed", "s_values"), []),
+        (("perturbed", "s_values"), [0.0]),
+        (("perturbed", "s_values"), [0.1, -0.1]),
+        (("perturbed", "s_values"), [0.1, 0.1]),
+        (("perturbed", "n_test"), 0),
+        (("families", 0, "sizes"), [{"n": 0}]),
+        (("families", 0, "sizes"), [{"n": 40.0}]),
+        (("families", 0, "sizes"), [{"d": True}]),
+        (("families", 0, "sizes"), [{"n": 40, "p": 30}]),
+        (("test_risk", "n_test"), -5),
+        (("bootstrap", "resamples"), 0),
+        (("bootstrap", "level"), 1.5),
+        (("solver", "max_iters"), 0),
+        (("solver", "armijo_shrink"), 1.5),
+        (("solver", "init_step"), 0.0),
+        (("solver", "step_growth"), 0.5),
+    ])
+    def test_out_of_range_value_rejected_at_parse_time(self, path, value):
+        with pytest.raises(ConfigError, match=path[-1]):
+            config_from_dict(base_with(path, value))
+
+    def test_neural_tangent_sizes_need_d(self):
+        nt = {"id": "nt", "kind": "neural-tangent", "sizes": [{"n": 60}]}
+        with pytest.raises(ConfigError, match="sizes need d"):
+            base_config(ladder=[6], families=[nt])
+
+    @pytest.mark.parametrize("path, where", [
+        (("perturbed", "s_values"), r"config\.perturbed\.s_values\[0\]"),
+        (("free_energy", "beta_grid"), r"config\.free_energy\.beta_grid\[0\]"),
+    ])
+    def test_non_numeric_list_entry_names_element(self, path, where):
+        with pytest.raises(ConfigError, match=where):
+            config_from_dict(base_with(path, ["x"]))
+
+    @pytest.mark.parametrize("path, value", [
+        (("trials",), True),
+        (("trials",), 3.0),
+        (("families", 0, "radius"), True),
+        (("families", 0, "id"), 7),
+        (("free_energy", "enabled"), 1),
+        (("problem",), []),
+    ])
+    def test_wrong_json_type_rejected(self, path, value):
+        with pytest.raises(ConfigError, match=r"\." + str(path[-1]) + ": expected"):
+            config_from_dict(base_with(path, value))
+
+    def test_missing_required_key_named(self):
+        raw = json.loads(json.dumps(BASE))
+        del raw["problem"]
+        with pytest.raises(ConfigError, match="missing required key 'problem'"):
+            config_from_dict(raw)
+        raw = json.loads(json.dumps(BASE))
+        del raw["families"][1]["kind"]
+        with pytest.raises(ConfigError, match=r"families\[1\]: missing required key 'kind'"):
+            config_from_dict(raw)
 
 
 class TestCampaign:
@@ -366,6 +541,13 @@ class TestCli:
         cfg_path.write_text(json.dumps({**BASE, "ladder": []}))
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert "ladder" in capsys.readouterr().err
+
+    def test_non_numeric_list_entry_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_with(("perturbed", "s_values"), ["x"])))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "config.perturbed.s_values[0]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
