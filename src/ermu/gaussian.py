@@ -11,17 +11,22 @@ conditional on the frozen weights. Sigma is obtained in one of four modes:
   in fixed-size chunks that may run on worker processes; the chunk Gram
   matrices are summed in chunk-index order, so the estimate does not depend
   on where or in which order the chunks ran.
-* ``empirical``: same estimator evaluated on the batch under study.
+* ``empirical``: Sigma = X^T X / n of the batch X under study.
 
-Estimated covariances are indefinite at machine precision, so factors come
-from an eigendecomposition with eigenvalues clipped at zero plus optional
-relative jitter.
+A twin is a p x r factor L plus an isotropic scale s, and its rows are
+L xi + s zeta with xi ~ N(0, I_r), zeta ~ N(0, I_p), so that
+Sigma = L L^T + s^2 I. The estimated p x p covariances (hermite-exact and
+monte-carlo) are indefinite at machine precision, so their square factors
+come from an eigendecomposition with eigenvalues clipped at zero plus
+optional relative jitter. The empirical twin needs none: its factor is
+X^T / sqrt(n), so a batch is Z X / sqrt(n) + s Xi with Z an n_rows x n
+standard normal matrix, and the jitter enters as the isotropic scale.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from ermu.errors import InvalidArgumentError
@@ -35,12 +40,15 @@ _COV_CHUNK = 4096
 
 @dataclass(frozen=True)
 class GaussianEquivalent:
-    """Sampler state for the Gaussian twin: a factor L with L L^T ~= Sigma."""
+    """Sampler state for the Gaussian twin: Sigma = L L^T + iso_scale^2 I.
+
+    ``factor`` is the p x r matrix L; ``iso_scale`` is nonzero only for
+    empirical twins, whose factor is X^T / sqrt(n).
+    """
 
     cov_mode: str
     factor: np.ndarray
-    jitter: float = 0.0
-    provenance: dict = field(default_factory=dict)
+    iso_scale: float = 0.0
 
     def __post_init__(self):
         if self.cov_mode not in COV_MODES:
@@ -51,7 +59,9 @@ class GaussianEquivalent:
         return self.factor.shape[0]
 
     def covariance(self) -> np.ndarray:
-        return self.factor @ self.factor.T
+        cov = self.factor @ self.factor.T
+        cov[np.diag_indices(self.p)] += self.iso_scale**2
+        return cov
 
 
 def rf_covariance_hermite(W: np.ndarray, coeffs: np.ndarray, order: int) -> np.ndarray:
@@ -117,12 +127,6 @@ def mc_covariance(
     return acc / n_cov
 
 
-def empirical_covariance(X: np.ndarray) -> np.ndarray:
-    """Second-moment matrix X^T X / n of an observed batch."""
-    X = np.asarray(X, dtype=np.float64)
-    return (X.T @ X) / X.shape[0]
-
-
 def factor_covariance(cov: np.ndarray, jitter_rel: float = 0.0) -> np.ndarray:
     """PSD factor L = U diag(sqrt(clip(lambda, 0))) of a symmetric matrix.
 
@@ -143,23 +147,25 @@ def factor_covariance(cov: np.ndarray, jitter_rel: float = 0.0) -> np.ndarray:
 
 
 def sample_gaussian(equiv: GaussianEquivalent, n: int, seed: int) -> np.ndarray:
-    """n x p batch with rows L xi, xi ~ N(0, I_p)."""
+    """n x p batch with rows L xi + s zeta, xi ~ N(0, I_r), zeta ~ N(0, I_p).
+
+    The isotropic term is drawn only when s > 0, after xi from the same
+    stream, so a twin with s = 0 draws exactly n x r normals.
+    """
     if n < 1:
         raise InvalidArgumentError(f"n must be positive, got {n}")
-    xi = rng_from(seed, "gaussian-rows").standard_normal((n, equiv.p))
-    return xi @ equiv.factor.T
+    rng = rng_from(seed, "gaussian-rows")
+    G = rng.standard_normal((n, equiv.factor.shape[1])) @ equiv.factor.T
+    if equiv.iso_scale > 0.0:
+        G += equiv.iso_scale * rng.standard_normal((n, equiv.p))
+    return G
 
 
-def linear_exact_equivalent(model: FeatureModel, jitter_rel: float = 0.0) -> GaussianEquivalent:
+def linear_exact_equivalent(model: FeatureModel) -> GaussianEquivalent:
     """Closed-form twin of the linear family: factor sqrt(nu) * sigma_half."""
     if model.family != "linear-independent":
         raise InvalidArgumentError("linear-exact mode applies to the linear family only")
-    return GaussianEquivalent(
-        cov_mode="linear-exact",
-        factor=np.sqrt(model.nu) * model.sigma_half,
-        jitter=jitter_rel,
-        provenance={"nu": model.nu},
-    )
+    return GaussianEquivalent(cov_mode="linear-exact", factor=np.sqrt(model.nu) * model.sigma_half)
 
 
 def hermite_exact_equivalent(
@@ -169,12 +175,7 @@ def hermite_exact_equivalent(
         raise InvalidArgumentError("hermite-exact mode applies to random features only")
     coeffs = model.activation.coefficients(order)
     cov = rf_covariance_hermite(model.W, coeffs, order)
-    return GaussianEquivalent(
-        cov_mode="hermite-exact",
-        factor=factor_covariance(cov, jitter_rel),
-        jitter=jitter_rel,
-        provenance={"order": order},
-    )
+    return GaussianEquivalent(cov_mode="hermite-exact", factor=factor_covariance(cov, jitter_rel))
 
 
 def monte_carlo_equivalent(
@@ -182,19 +183,18 @@ def monte_carlo_equivalent(
 ) -> GaussianEquivalent:
     """Twin from ``mc_covariance``; ``mapper`` computes its chunks (see there)."""
     cov = mc_covariance(model, n_cov, seed, mapper=mapper)
-    return GaussianEquivalent(
-        cov_mode="monte-carlo",
-        factor=factor_covariance(cov, jitter_rel),
-        jitter=jitter_rel,
-        provenance={"n_cov": n_cov, "seed": seed},
-    )
+    return GaussianEquivalent(cov_mode="monte-carlo", factor=factor_covariance(cov, jitter_rel))
 
 
 def empirical_equivalent(X: np.ndarray, jitter_rel: float = 1e-10) -> GaussianEquivalent:
-    cov = empirical_covariance(X)
+    """Twin of the batch X: Sigma = X^T X / n + jitter_rel * (trace / p) * I.
+
+    The factor is X^T / sqrt(n), so no p x p matrix is formed or factored.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n, p = X.shape
+    factor = (X / np.sqrt(n)).T
+    trace = float(np.vdot(X, X)) / n
     return GaussianEquivalent(
-        cov_mode="empirical",
-        factor=factor_covariance(cov, jitter_rel),
-        jitter=jitter_rel,
-        provenance={"n_rows": int(np.asarray(X).shape[0])},
+        cov_mode="empirical", factor=factor, iso_scale=float(np.sqrt(jitter_rel * trace / p))
     )

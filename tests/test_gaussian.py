@@ -7,7 +7,7 @@ from ermu.errors import InvalidArgumentError
 from ermu.features import Activation, FeatureModel, featurize, linear_model, sample_sphere_weights
 from ermu.gaussian import (
     GaussianEquivalent,
-    empirical_covariance,
+    empirical_equivalent,
     factor_covariance,
     hermite_exact_equivalent,
     linear_exact_equivalent,
@@ -161,8 +161,28 @@ class TestSampleGaussian:
         cov = np.array([[2.0, 0.6], [0.6, 1.0]])
         equiv = GaussianEquivalent(cov_mode="monte-carlo", factor=factor_covariance(cov))
         draws = sample_gaussian(equiv, 200_000, seed=6)
-        emp = empirical_covariance(draws)
+        emp = draws.T @ draws / draws.shape[0]
         assert np.linalg.norm(emp - cov) <= 0.05 * np.linalg.norm(cov)
+
+    def test_square_factor_draws_one_normal_per_entry(self):
+        # A twin without isotropic term draws exactly n x p normals, so its
+        # batches are the same bits as xi @ L^T.
+        factor = factor_covariance(np.array([[2.0, 0.6, 0.1], [0.6, 1.0, 0.2], [0.1, 0.2, 0.5]]))
+        equiv = GaussianEquivalent(cov_mode="hermite-exact", factor=factor)
+        xi = rng_from(13, "gaussian-rows").standard_normal((40, 3))
+        assert np.array_equal(sample_gaussian(equiv, 40, seed=13), xi @ factor.T)
+
+    @pytest.mark.parametrize("r", [2, 7])
+    def test_non_square_factor_rows_match_covariance(self, r):
+        # A p x r factor draws r normals per row and returns p columns.
+        factor = rng_from(4, "factor", r).standard_normal((4, r)) / np.sqrt(r)
+        equiv = GaussianEquivalent(cov_mode="empirical", factor=factor)
+        draws = sample_gaussian(equiv, 200_000, seed=8)
+        assert draws.shape == (200_000, 4)
+        cov = factor @ factor.T
+        emp = draws.T @ draws / draws.shape[0]
+        # Entrywise SE of a second moment is at most sqrt(2 / n) * max variance.
+        assert np.abs(emp - cov).max() <= 5.0 * np.sqrt(2.0 / 200_000) * cov.diagonal().max()
 
 
 class TestLinearExactTwin:
@@ -179,7 +199,7 @@ class TestLinearExactTwin:
         X = featurize(model, rng_from(1, "xbar").uniform(-np.sqrt(3), np.sqrt(3), (200_000, 2)))
         equiv = linear_exact_equivalent(model)
         G = sample_gaussian(equiv, 200_000, seed=2)
-        assert np.linalg.norm(empirical_covariance(X) - empirical_covariance(G)) <= 0.02
+        assert np.linalg.norm(X.T @ X / len(X) - G.T @ G / len(G)) <= 0.02
 
 
 class TestEquivalentBuilders:
@@ -187,10 +207,38 @@ class TestEquivalentBuilders:
         with pytest.raises(InvalidArgumentError):
             hermite_exact_equivalent(linear_model(np.eye(2)), order=3)
 
-    def test_monte_carlo_provenance(self):
+    def test_monte_carlo_twin_is_psd(self):
         model = linear_model(np.eye(3), entry_law="gaussian")
         equiv = monte_carlo_equivalent(model, 500, seed=11)
-        assert equiv.provenance["n_cov"] == 500
         assert equiv.cov_mode == "monte-carlo"
         eig = np.linalg.eigvalsh(equiv.covariance())
         assert eig.min() >= -1e-12
+
+
+class TestEmpiricalTwin:
+    @pytest.mark.parametrize("n, p", [(30, 50), (80, 20)])
+    def test_covariance_is_batch_second_moment_plus_jitter(self, n, p):
+        X = rng_from(5, "batch", n).standard_normal((n, p)) + 0.3
+        equiv = empirical_equivalent(X, jitter_rel=1e-3)
+        second = X.T @ X / n
+        expected = second + 1e-3 * (np.trace(second) / p) * np.eye(p)
+        got = equiv.covariance()
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert equiv.factor.shape == (p, n)
+
+    def test_rows_match_covariance_with_isotropic_term(self):
+        # A large jitter makes the isotropic draw visible in the sample.
+        X = rng_from(6, "batch").standard_normal((3, 4)) * [1.0, 2.0, 0.5, 1.5]
+        equiv = empirical_equivalent(X, jitter_rel=0.5)
+        draws = sample_gaussian(equiv, 200_000, seed=9)
+        cov = equiv.covariance()
+        emp = draws.T @ draws / draws.shape[0]
+        assert np.abs(emp - cov).max() <= 5.0 * np.sqrt(2.0 / 200_000) * cov.diagonal().max()
+
+    def test_zero_jitter_draws_no_isotropic_term(self):
+        X = rng_from(7, "batch").standard_normal((5, 8))
+        equiv = empirical_equivalent(X, jitter_rel=0.0)
+        assert equiv.iso_scale == 0.0
+        G = sample_gaussian(equiv, 10, seed=3)
+        z = rng_from(3, "gaussian-rows").standard_normal((10, 5))
+        assert np.array_equal(G, z @ (X / np.sqrt(5)))

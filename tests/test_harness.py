@@ -6,7 +6,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from ermu import campaign
+from ermu import campaign, gaussian
 from ermu.campaign import run_campaign
 from ermu.cli import main as cli_main
 from ermu.config import ExperimentConfig, config_from_dict, load_config
@@ -356,15 +356,24 @@ class TestCampaign:
     def test_stage_twins_use_family_jitter(self, monkeypatch):
         # An empirical-twin cell builds each draw's twin with the family's
         # jitter_rel in the free-energy and perturbed stages, as in its trials.
+        # The jitter lives in the isotropic scale, so the whole twin is compared.
         cfg = base_config(
             ladder=[40],
             families=[{"id": "lin", "kind": "linear-independent", "cov_mode": "empirical",
                        "jitter_rel": 1e-3}],
             perturbed={"enabled": True, "s_values": [0.1], "n_test": 50},
         )
+
+        def assert_family_twin(equiv, X):
+            twin = empirical_equivalent(X, 1e-3)
+            assert equiv.cov_mode == twin.cov_mode
+            assert np.array_equal(equiv.factor, twin.factor)
+            assert equiv.iso_scale == twin.iso_scale
+            assert equiv.iso_scale != empirical_equivalent(X).iso_scale
+
         (inst,) = campaign.build_instances(cfg)
         _, X, _, _, equiv = campaign._free_energy_data(inst, cfg.master_seed)
-        assert np.array_equal(equiv.factor, empirical_equivalent(X, 1e-3).factor)
+        assert_family_twin(equiv, X)
 
         seen = []
         sweep = campaign.perturbed_sweep
@@ -376,7 +385,31 @@ class TestCampaign:
         monkeypatch.setattr(campaign, "perturbed_sweep", recording_sweep)
         campaign._perturbed_task((cfg, inst))
         ((X, equiv),) = seen
-        assert np.array_equal(equiv.factor, empirical_equivalent(X, 1e-3).factor)
+        assert_family_twin(equiv, X)
+
+    def test_empirical_twins_never_factor_a_covariance(self, tmp_path, monkeypatch):
+        # An empirical twin samples Z X / sqrt(n) directly: neither the trials
+        # nor the free-energy and perturbed stages eigendecompose a covariance.
+        calls = []
+        factor = gaussian.factor_covariance
+
+        def counting_factor(*args, **kwargs):
+            calls.append(1)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(gaussian, "factor_covariance", counting_factor)
+        cfg = base_config(
+            ladder=[6],
+            trials=2,
+            families=[{"id": "nt", "kind": "neural-tangent", "cov_mode": "empirical",
+                       "sizes": [{"d": 6, "n": 40}]}],
+            free_energy={"enabled": True, "M": 8, "path_points": 3},
+            perturbed={"enabled": True, "s_values": [0.1], "n_test": 20},
+        )
+        run_campaign(cfg, tmp_path / "out", threads=1)
+        assert (tmp_path / "out/free_energy_paths.csv").exists()
+        assert len((tmp_path / "out/perturbed.csv").read_text().splitlines()) == 1 + 2
+        assert calls == []
 
     def test_manifest_links_config_hash(self, tmp_path):
         cfg = base_config()
