@@ -25,7 +25,7 @@ import math
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,7 @@ from ermu.gaussian import sample_gaussian
 from ermu.seeds import derive_seed
 from ermu.universality import (
     FamilyInstance,
+    FrozenTestRisk,
     TrialRow,
     WorkerPool,
     _fmt,
@@ -72,7 +73,6 @@ class CampaignSummary:
     n_rows: int
     quarantined: int
     wall_time_s: float
-    instances: list[FamilyInstance] = field(default_factory=list)
 
 
 def build_instances(
@@ -153,7 +153,6 @@ def run_campaign(config: ExperimentConfig, out_dir: str | Path, threads: int = 0
         n_rows=len(rows),
         quarantined=quarantined,
         wall_time_s=wall,
-        instances=instances,
     )
 
 
@@ -246,17 +245,18 @@ def _perturbed_task(args):
     seed = derive_seed(config.master_seed, instance.spec.id, instance.n, "perturbed")
     problem = instance.problem
     X = draw_features(instance.model, instance.n, derive_seed(seed, "covariates"))
-    equiv = instance.twin(X)
+    test_risk = FrozenTestRisk(
+        problem, instance.twin(X), settings.n_test, derive_seed(seed, "surrogate")
+    )
     eps = problem.labeler.draw_noise(instance.n, derive_seed(seed, "eps"))
     y = labels_from_noise(problem, X, eps)
     sweep = perturbed_sweep(
         problem,
         X,
         y,
-        equiv,
+        test_risk,
         settings.s_values + tuple(-s for s in settings.s_values),
         cfg=config.solver,
-        n_test=settings.n_test,
         seed=seed,
     )
     rows = []

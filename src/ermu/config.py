@@ -50,7 +50,7 @@ class BootstrapSettings:
     level: float = 0.95
 
     def __post_init__(self):
-        check(self.resamples >= 1, "resamples must be >= 1")
+        check(self.resamples >= 2, "resamples must be >= 2 (one resample has no spread)")
         check(0 < self.level < 1, "level must be in (0, 1)")
 
 
@@ -107,6 +107,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check(self.trials >= 1, "trials must be >= 1")
+        check(self.threads >= 1, "threads must be >= 1")
         check(bool(self.ladder), "ladder must be a nonempty list of sizes")
         check(all(v >= 1 for v in self.ladder), "ladder entries must be positive integers")
         check(

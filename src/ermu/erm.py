@@ -70,14 +70,6 @@ class Loss:
             return np.clip(t, -self.delta, self.delta)
         return t / np.sqrt(1.0 + (t / self.delta) ** 2)
 
-    def lipschitz_bound(self, u_bound: float, y_bound: float) -> float:
-        """Modulus of u -> loss(u, y) over |u| <= u_bound, |y| <= y_bound."""
-        if self.kind == "squared":
-            return 2.0 * (u_bound + y_bound)
-        if self.kind == "logistic":
-            return max(1.0, y_bound)
-        return self.delta
-
 
 @dataclass(frozen=True)
 class Labeler:
@@ -111,12 +103,6 @@ class Labeler:
         if self.eta_kind == "clipped-linear":
             return np.clip(v, -self.clip_bound, self.clip_bound) + self.tau * eps
         return np.tanh(v / self.smoothing) + self.tau * eps
-
-    @property
-    def lipschitz_modulus(self) -> float:
-        """Joint (v, eps) modulus in the Euclidean norm."""
-        lv = 1.0 / self.smoothing if self.eta_kind == "sign-smooth" else 1.0
-        return math.hypot(lv, self.tau)
 
 
 @dataclass(frozen=True)
@@ -164,15 +150,6 @@ class ConstraintSet:
         T_clipped = (U * np.clip(s, None, bound)) @ Vt
         return T_clipped.T.reshape(-1)
 
-    def contains_column(self, theta: np.ndarray, tol: float = 1e-10) -> bool:
-        if self.kind == "l2-ball":
-            return not np.isfinite(self.R) or float(np.linalg.norm(theta)) <= self.R + tol
-        if self.kind == "linf-ball":
-            return float(np.abs(theta).max(initial=0.0)) <= self.R / math.sqrt(self.p) + tol
-        T = nt_theta_matrix(theta, self.d, self.m)
-        top = float(np.linalg.svd(T, compute_uv=False)[0]) if T.size else 0.0
-        return top <= self.R / math.sqrt(self.d) + tol
-
     def diameter(self) -> float:
         """Euclidean diameter of the set, used for suboptimality bounds."""
         if self.kind == "l2-ball":
@@ -191,13 +168,6 @@ def project_constraint(cset: ConstraintSet, theta: np.ndarray) -> np.ndarray:
     for j in range(theta.shape[1]):
         out[:, j] = cset.project_column(theta[:, j])
     return out
-
-
-def constraint_contains(cset: ConstraintSet, theta: np.ndarray, tol: float = 1e-10) -> bool:
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim == 1:
-        return cset.contains_column(theta, tol)
-    return all(cset.contains_column(theta[:, j], tol) for j in range(theta.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -233,7 +203,6 @@ class ErmProblem:
     constraint: ConstraintSet
     k: int = 1
     head: tuple[float, ...] = (1.0,)
-    star_head: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         ts = np.asarray(self.theta_star, dtype=np.float64)
@@ -242,18 +211,10 @@ class ErmProblem:
         object.__setattr__(self, "theta_star", ts)
         if len(self.head) != self.k:
             raise InvalidArgumentError("head weights must have length k")
-        sh = self.star_head if self.star_head is not None else (1.0,) * ts.shape[1]
-        if len(sh) != ts.shape[1]:
-            raise InvalidArgumentError("star head weights must match theta_star columns")
-        object.__setattr__(self, "star_head", tuple(float(v) for v in sh))
 
     @property
     def p(self) -> int:
         return self.theta_star.shape[0]
-
-    @property
-    def k_star(self) -> int:
-        return self.theta_star.shape[1]
 
     def scores(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
@@ -262,7 +223,7 @@ class ErmProblem:
         return (X @ theta) @ np.asarray(self.head)
 
     def target_scores(self, X: np.ndarray) -> np.ndarray:
-        return (X @ self.theta_star) @ np.asarray(self.star_head)
+        return (X @ self.theta_star) @ np.ones(self.theta_star.shape[1])
 
 
 @dataclass

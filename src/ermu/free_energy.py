@@ -37,8 +37,6 @@ class CandidateSet:
     """Finite set of feasible parameter matrices (M x p x k array)."""
 
     points: np.ndarray
-    construction: str = "random-net"
-    alpha: float = 0.0
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -62,7 +60,7 @@ def random_net(problem: ErmProblem, M: int, seed: int, scale: float = 1.0) -> Ca
     for i in range(M):
         draw = scale * rng.standard_normal((problem.p, problem.k)) / math.sqrt(problem.p)
         pts[i] = project_constraint(problem.constraint, draw)
-    return CandidateSet(points=pts, construction="random-net", alpha=scale)
+    return CandidateSet(points=pts)
 
 
 def solution_cloud(
@@ -89,7 +87,7 @@ def solution_cloud(
         if norm > 0:
             direction *= radius / norm
         pts[i] = project_constraint(problem.constraint, theta_hat + direction)
-    return CandidateSet(points=pts, construction="solution-cloud", alpha=alpha)
+    return CandidateSet(points=pts)
 
 
 def candidate_risks(
@@ -117,17 +115,6 @@ def softmin_free_energy(values: np.ndarray, n: int, beta: float) -> float:
     vmin = float(values.min())
     logsum = float(np.log(np.sum(np.exp(-beta * n * (values - vmin)))))
     return vmin - logsum / (n * beta)
-
-
-def free_energy(
-    candidates: CandidateSet,
-    problem: ErmProblem,
-    X: np.ndarray,
-    y: np.ndarray,
-    beta: float,
-) -> float:
-    values = candidate_risks(candidates, problem, X, y)
-    return softmin_free_energy(values, np.asarray(X).shape[0], beta)
 
 
 @dataclass(frozen=True)
@@ -187,29 +174,6 @@ def free_energy_path(
         values = candidate_risks(candidates, problem, U, y_t)
         out.append((t, softmin_free_energy(values, n, beta)))
     return out
-
-
-def path_slope_bound(
-    path: InterpolationPath,
-    candidates: CandidateSet,
-    problem: ErmProblem,
-) -> float:
-    """Runtime bound on |df/dt| from data norms and Lipschitz moduli.
-
-    d/dt U_t has rows cos(t) x_i - sin(t) g_i, so each row norm is at most
-    ||x_i|| + ||g_i||; the loss and labeler moduli and the candidate radii
-    turn that into a slope bound for the softmin (a softmin of functions
-    with a common Lipschitz bound inherits it).
-    """
-    row_budget = np.linalg.norm(path.X, axis=1) + np.linalg.norm(path.G, axis=1)
-    theta_norm = float(max(np.linalg.norm(candidates.points[i]) for i in range(candidates.M)))
-    star_norm = float(np.linalg.norm(problem.theta_star @ np.asarray(problem.star_head)))
-    head_norm = float(np.linalg.norm(np.asarray(problem.head)))
-    score_bound = (theta_norm * head_norm + star_norm) * float(row_budget.max(initial=0.0))
-    y_bound = problem.labeler.lipschitz_modulus * (score_bound + float(np.abs(path.eps).max(initial=0.0)) + 1.0)
-    loss_lip = problem.loss.lipschitz_bound(score_bound, y_bound)
-    sensitivity = theta_norm * head_norm + problem.labeler.lipschitz_modulus * star_norm
-    return loss_lip * sensitivity * float(row_budget.mean()) + 1e-12
 
 
 @dataclass

@@ -58,11 +58,6 @@ class GaussianEquivalent:
     def p(self) -> int:
         return self.factor.shape[0]
 
-    def covariance(self) -> np.ndarray:
-        cov = self.factor @ self.factor.T
-        cov[np.diag_indices(self.p)] += self.iso_scale**2
-        return cov
-
 
 def rf_covariance_hermite(W: np.ndarray, coeffs: np.ndarray, order: int) -> np.ndarray:
     """Random-features covariance from an orthonormal-Hermite expansion.

@@ -279,8 +279,11 @@ def write_report(
     _atomic_write(out / "gap_vs_n.csv", write_gaps)
 
     # Pass through plot-ready stage outputs when the run produced them.
+    # newline="" on both sides keeps csv.writer's \r\n line ends byte for byte.
     for name in ("free_energy_paths.csv", "perturbed.csv"):
         src = results / name
         if src.exists() and out != results:
-            (out / name).write_bytes(src.read_bytes())
+            with open(src, newline="") as fh:
+                text = fh.read()
+            _atomic_write(out / name, lambda fh: fh.write(text))
     return report_path

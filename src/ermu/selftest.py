@@ -26,7 +26,7 @@ from ermu.erm import (
     train_risk,
     train_risk_grad,
 )
-from ermu.features import Activation, sample_sphere_weights
+from ermu.features import Activation, nt_theta_matrix, sample_sphere_weights
 from ermu.free_energy import entropy_sandwich_check, random_net
 from ermu.gaussian import mc_covariance, rf_covariance_hermite
 from ermu.quadrature import gaussian_expectation_pair
@@ -129,7 +129,8 @@ def _projections():
     nt = ConstraintSet("nt-operator-ball", R=1.0, d=4, m=3, p=12)
     v = rng.standard_normal(12) * 5
     proj = nt.project_column(v)
-    assert nt.contains_column(proj)
+    top = np.linalg.svd(nt_theta_matrix(proj, nt.d, nt.m), compute_uv=False)[0]
+    assert top <= nt.R / math.sqrt(nt.d) + 1e-10
 
 
 def _free_energy_props():

@@ -5,8 +5,7 @@ The bounded-Lipschitz dictionary contains the ramp functions
     u_{delta,rho}(t) = clip((t - rho) / delta, 0, 1)
 
 on a (delta, rho) grid derived from the pooled samples, plus a clipped
-identity and a clipped quadratic. Every entry records its Lipschitz
-constant so gaps can be normalized downstream if needed.
+identity and a clipped quadratic.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ def ks_null_quantile(
 class PsiFunction:
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
-    lipschitz: float
 
 
 def ramp(delta: float, rho: float) -> PsiFunction:
@@ -80,7 +78,7 @@ def ramp(delta: float, rho: float) -> PsiFunction:
     def fn(t: np.ndarray) -> np.ndarray:
         return np.clip((np.asarray(t, dtype=np.float64) - rho) / delta, 0.0, 1.0)
 
-    return PsiFunction(name=f"ramp(d={delta:.6g},r={rho:.6g})", fn=fn, lipschitz=1.0 / delta)
+    return PsiFunction(name=f"ramp(d={delta:.6g},r={rho:.6g})", fn=fn)
 
 
 def default_psi_dictionary(pooled: np.ndarray) -> list[PsiFunction]:
@@ -104,8 +102,8 @@ def default_psi_dictionary(pooled: np.ndarray) -> list[PsiFunction]:
         c = np.clip(t - center, -bound, bound)
         return c * c / (2.0 * bound)
 
-    psis.append(PsiFunction("clipped-identity", clipped_identity, 1.0))
-    psis.append(PsiFunction("clipped-quadratic", clipped_quadratic, 1.0))
+    psis.append(PsiFunction("clipped-identity", clipped_identity))
+    psis.append(PsiFunction("clipped-quadratic", clipped_quadratic))
     return psis
 
 

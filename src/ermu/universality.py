@@ -287,11 +287,7 @@ def build_instance(
 
 @dataclass
 class TrialRow:
-    """One CSV row: a single arm of a coupled trial.
-
-    ``theta_hat`` is an in-memory reference for callers that post-process
-    solutions; it never enters the CSV stream.
-    """
+    """One CSV row: a single arm of a coupled trial."""
 
     family: str
     n: int
@@ -305,7 +301,6 @@ class TrialRow:
     test_g_se: float
     iters: int
     flags: str
-    theta_hat: Optional[np.ndarray] = None
 
     CSV_HEADER = "family,n,p,trial,seed,train_opt,test_x,test_x_se,test_g,test_g_se,iters,flags"
 
@@ -389,12 +384,10 @@ def run_single_trial(
     rows = []
     for arm, data, labels in (("x", X, y_x), ("g", G, y_g)):
         flags = [f"arm:{arm}"]
-        theta_hat = None
         try:
             sol = solve_erm(
                 problem, data, labels, solver_cfg, seed=derive_seed(trial_seed, "solver", arm)
             )
-            theta_hat = sol.theta_hat
             train_opt = sol.objective
             iters = sol.iterations
             flags.extend(sol.flags)
@@ -422,7 +415,6 @@ def run_single_trial(
                 test_g_se=tg_se,
                 iters=iters,
                 flags=";".join(flags),
-                theta_hat=theta_hat,
             )
         )
     return rows[0], rows[1]
@@ -551,23 +543,9 @@ class FrozenTestRisk:
         return data_risk_grad(self.problem, theta, self.G, self.y)
 
 
-class ConstantTestRisk:
-    """Degenerate surrogate with constant value; gradient is zero."""
-
-    def __init__(self, value: float):
-        self._value = float(value)
-
-    def value(self, theta: np.ndarray) -> float:
-        return self._value
-
-    def grad(self, theta: np.ndarray) -> np.ndarray:
-        return np.zeros_like(np.asarray(theta, dtype=np.float64))
-
-
 @dataclass
 class PerturbedRiskSweep:
     s_values: list[float]
-    base_opt: float
     opt_values: dict[float, float]
     D: dict[float, float]
     test_at_theta0: float
@@ -604,28 +582,23 @@ def perturbed_sweep(
     problem: ErmProblem,
     X: np.ndarray,
     y: np.ndarray,
-    equiv: Optional[GaussianEquivalent],
+    test_risk,
     s_grid: Sequence[float],
     cfg: SolverConfig = SolverConfig(),
-    n_test: int = 2000,
     seed: int = 0,
-    surrogate=None,
 ) -> PerturbedRiskSweep:
-    """Minimize train risk + s * frozen twin test risk over a symmetric s grid.
+    """Minimize train risk + s * test risk over a symmetric s grid.
 
-    D(s) = (opt_s - opt_0) / s. Every perturbed solve is warm-started at the
-    base solution, so with a monotone solver the convex sandwich
-    D(s) <= surrogate(theta_0) <= D(-s) holds by construction up to solver
-    tolerance.
+    ``test_risk`` is any term with ``value(theta)`` and ``grad(theta)``, such
+    as a ``FrozenTestRisk`` of the Gaussian twin. D(s) = (opt_s - opt_0) / s.
+    Every perturbed solve is warm-started at the base solution, so with a
+    monotone solver the convex sandwich D(s) <= test_risk(theta_0) <= D(-s)
+    holds by construction up to solver tolerance.
     """
     s_values = _validate_s_grid(s_grid)
-    if surrogate is None:
-        if equiv is None:
-            raise InvalidArgumentError("need a Gaussian twin or an explicit surrogate")
-        surrogate = FrozenTestRisk(problem, equiv, n_test, derive_seed(seed, "surrogate"))
     base = solve_erm(problem, X, y, cfg, seed=derive_seed(seed, "solve-base"))
     theta0 = base.theta_hat
-    test_ref = surrogate.value(theta0)
+    test_ref = test_risk.value(theta0)
     solver_gap = base.suboptimality_bound(problem.constraint)
     opt_values: dict[float, float] = {}
     D: dict[float, float] = {}
@@ -634,7 +607,7 @@ def perturbed_sweep(
         try:
             sol = solve_erm(
                 problem, X, y, cfg, theta0, derive_seed(seed, "solve-s", repr(s)),
-                extra=(s, surrogate),
+                extra=(s, test_risk),
             )
             opt_values[s] = sol.objective
             D[s] = (sol.objective - base.objective) / s
@@ -643,13 +616,16 @@ def perturbed_sweep(
             quarantined.append(s)
     return PerturbedRiskSweep(
         s_values=s_values,
-        base_opt=base.objective,
         opt_values=opt_values,
         D=D,
         test_at_theta0=test_ref,
         solver_gap=solver_gap,
         quarantined=quarantined,
     )
+
+
+_PENALTY_WEIGHTS = (10.0, 100.0, 1000.0, 10000.0)
+_RESIDUAL_TOL = 1e-3
 
 
 @dataclass
@@ -665,26 +641,20 @@ def min_test_over_near_minimizers(
     problem: ErmProblem,
     X: np.ndarray,
     y: np.ndarray,
-    equiv: Optional[GaussianEquivalent],
+    test_risk,
     t_levels: Sequence[float],
     cfg: SolverConfig = SolverConfig(),
-    n_test: int = 2000,
     seed: int = 0,
-    surrogate=None,
-    penalty_weights: Sequence[float] = (10.0, 100.0, 1000.0, 10000.0),
-    residual_tol: float = 1e-3,
 ) -> list[NearMinimizerResult]:
-    """Approximately minimize the twin test risk subject to train risk <= t.
+    """Approximately minimize ``test_risk`` subject to train risk <= t.
 
-    Quadratic-penalty continuation warm-started at the unconstrained ERM
-    solution; levels are processed in ascending order and each level also
-    inherits the previous level's point, which keeps the reported minima
-    monotone in t up to solver tolerance.
+    ``test_risk`` is any term with ``value(theta)`` and ``grad(theta)``.
+    Quadratic-penalty continuation over ``_PENALTY_WEIGHTS``, warm-started at
+    the unconstrained ERM solution; levels are processed in ascending order
+    and each level also inherits the previous level's point, which keeps the
+    reported minima monotone in t up to solver tolerance. A point counts as
+    feasible when its train risk exceeds t by at most ``_RESIDUAL_TOL``.
     """
-    if surrogate is None:
-        if equiv is None:
-            raise InvalidArgumentError("need a Gaussian twin or an explicit surrogate")
-        surrogate = FrozenTestRisk(problem, equiv, n_test, derive_seed(seed, "surrogate"))
     base = solve_erm(problem, X, y, cfg, seed=derive_seed(seed, "solve-base"))
     theta_hat = base.theta_hat
     results: list[NearMinimizerResult] = []
@@ -709,27 +679,27 @@ def min_test_over_near_minimizers(
         best_point = None
         for x0 in candidates:
             point = np.asarray(x0, dtype=np.float64).copy()
-            for w in penalty_weights:
+            for w in _PENALTY_WEIGHTS:
 
                 def objective(theta, _w=w):
                     excess = max(0.0, train_risk(problem, theta, X, y) - t)
-                    return surrogate.value(theta) + _w * excess * excess
+                    return test_risk.value(theta) + _w * excess * excess
 
                 def gradient(theta, _w=w):
                     excess = max(0.0, train_risk(problem, theta, X, y) - t)
-                    g = surrogate.grad(theta)
+                    g = test_risk.grad(theta)
                     if excess > 0.0:
                         g = g + (2.0 * _w * excess) * train_risk_grad(problem, theta, X, y)
                     return g
 
                 state = pgd_minimize(objective, gradient, project, point, cfg)
                 point = state.x
-            test_val = surrogate.value(point)
+            test_val = test_risk.value(point)
             residual = max(0.0, train_risk(problem, point, X, y) - t)
-            if residual <= residual_tol and (best_point is None or test_val < best_point[0]):
+            if residual <= _RESIDUAL_TOL and (best_point is None or test_val < best_point[0]):
                 best_point = (test_val, residual, point)
         # theta_hat itself is feasible whenever t >= base objective.
-        base_test = surrogate.value(theta_hat)
+        base_test = test_risk.value(theta_hat)
         if best_point is None or base_test < best_point[0]:
             best_point = (base_test, 0.0, theta_hat)
         test_val, residual, point = best_point
@@ -739,7 +709,7 @@ def min_test_over_near_minimizers(
                 t_level=t,
                 achieved_test=test_val,
                 residual=residual,
-                feasible=residual <= residual_tol,
+                feasible=residual <= _RESIDUAL_TOL,
                 base_train_opt=base.objective,
             )
         )

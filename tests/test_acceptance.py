@@ -35,9 +35,10 @@ from ermu.free_energy import entropy_sandwich_check, random_net, solution_cloud
 from ermu.gaussian import GaussianEquivalent, mc_covariance, rf_covariance_hermite
 from ermu.quadrature import gaussian_expectation, gaussian_expectation_pair
 from ermu.report import build_report
-from ermu.seeds import rng_from
+from ermu.seeds import derive_seed, rng_from
 from ermu.universality import (
     FamilySpec,
+    FrozenTestRisk,
     ProblemSpec,
     build_instance,
     perturbed_sweep,
@@ -374,15 +375,15 @@ def test_criterion_08_convex_sandwich():
         X = rng.standard_normal((n, p))
         y = generate_labels(problem, X, seed=inst_idx)
         equiv = GaussianEquivalent(cov_mode="linear-exact", factor=np.eye(p))
+        seed = MASTER_SEED + inst_idx
         sweep = perturbed_sweep(
             problem,
             X,
             y,
-            equiv,
+            FrozenTestRisk(problem, equiv, 500, derive_seed(seed, "surrogate")),
             [0.01, -0.01, 0.1, -0.1],
             cfg=SolverConfig(tol=1e-10),
-            n_test=500,
-            seed=MASTER_SEED + inst_idx,
+            seed=seed,
         )
         slack = 2.0 * sweep.solver_gap
         if not sweep.sandwich_ok(slack):

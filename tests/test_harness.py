@@ -2,6 +2,10 @@
 
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +290,8 @@ class TestConfig:
         (("solver", "armijo_shrink"), 1.5),
         (("solver", "init_step"), 0.0),
         (("solver", "step_growth"), 0.5),
+        (("bootstrap", "resamples"), 1),
+        (("threads",), -2),
     ])
     def test_out_of_range_value_rejected_at_parse_time(self, path, value):
         with pytest.raises(ConfigError, match=path[-1]):
@@ -376,15 +382,20 @@ class TestCampaign:
         assert_family_twin(equiv, X)
 
         seen = []
-        sweep = campaign.perturbed_sweep
+        frozen, sweep = campaign.FrozenTestRisk, campaign.perturbed_sweep
 
-        def recording_sweep(problem, X, y, equiv, *args, **kwargs):
-            seen.append((X, equiv))
-            return sweep(problem, X, y, equiv, *args, **kwargs)
+        def recording_frozen(problem, equiv, *args):
+            seen.append(equiv)
+            return frozen(problem, equiv, *args)
 
+        def recording_sweep(problem, X, *args, **kwargs):
+            seen.append(X)
+            return sweep(problem, X, *args, **kwargs)
+
+        monkeypatch.setattr(campaign, "FrozenTestRisk", recording_frozen)
         monkeypatch.setattr(campaign, "perturbed_sweep", recording_sweep)
         campaign._perturbed_task((cfg, inst))
-        ((X, equiv),) = seen
+        equiv, X = seen
         assert_family_twin(equiv, X)
 
     def test_empirical_twins_never_factor_a_covariance(self, tmp_path, monkeypatch):
@@ -477,8 +488,8 @@ class TestCampaign:
             save_matrices=True,
             families=[{"id": "rf", "kind": "random-features", "gamma_d_over_p": 0.5}],
         )
-        summary = run_campaign(cfg, tmp_path / "out", threads=1)
-        inst = summary.instances[0]
+        run_campaign(cfg, tmp_path / "out", threads=1)
+        (inst,) = campaign.build_instances(cfg)
         W = load_matrix(tmp_path / "out/matrices/rf_n40_weights.ermumat")
         assert np.array_equal(W, inst.model.W)
         L = load_matrix(tmp_path / "out/matrices/rf_n40_factor.ermumat")
@@ -527,6 +538,21 @@ class TestReport:
         assert entry["quarantined"] == 1
         assert entry["nonconverged"] == 2
         assert entry["train_gap"]["mean"] == pytest.approx((0.1 + 0.2 - 0.1) / 3)
+
+    def test_report_elsewhere_copies_stage_outputs_byte_for_byte(self, tmp_path):
+        cfg = base_config(
+            ladder=[40],
+            free_energy={"enabled": True, "M": 16, "path_points": 4},
+            perturbed={"enabled": True, "s_values": [0.1], "n_test": 50},
+        )
+        results, out = tmp_path / "results", tmp_path / "report"
+        run_campaign(cfg, results, threads=1)
+        write_report(results, out)
+        for name in ("free_energy_paths.csv", "perturbed.csv"):
+            copied = (out / name).read_bytes()
+            assert b"\r\n" in copied, name  # csv.writer line ends survive the copy
+            assert copied == (results / name).read_bytes(), name
+        assert not list(out.glob("*.tmp"))
 
     def test_missing_csv_reports_filename(self, tmp_path):
         with pytest.raises(InvalidArgumentError, match="trials.csv"):
@@ -600,3 +626,17 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["threads"] == 2
+
+
+class TestBenchmarkHooks:
+    def test_perfbench_spans_install_finds_every_name(self):
+        # perfbench/spans.py rebinds ermu functions and methods by name; a
+        # name deleted from src/ makes install() raise. It runs in a fresh
+        # process because install() rebinds them for the whole process.
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from perfbench import spans; spans.install()"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
