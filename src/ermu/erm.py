@@ -261,13 +261,20 @@ def data_risk(problem: ErmProblem, theta: np.ndarray, X: np.ndarray, y: np.ndarr
 
 
 def data_risk_grad(
-    problem: ErmProblem, theta: np.ndarray, X: np.ndarray, y: np.ndarray
+    problem: ErmProblem,
+    theta: np.ndarray,
+    X: np.ndarray,
+    y: np.ndarray,
+    scores: Optional[np.ndarray] = None,
 ) -> np.ndarray:
+    """Gradient of ``data_risk``; pass ``scores = problem.scores(theta, X)`` if known."""
     theta = np.asarray(theta, dtype=np.float64)
     squeeze = theta.ndim == 1
     if squeeze:
         theta = theta[:, None]
-    g = problem.loss.grad(problem.scores(theta, X), y)
+    if scores is None:
+        scores = problem.scores(theta, X)
+    g = problem.loss.grad(scores, y)
     grad = (X.T @ g)[:, None] * (np.asarray(problem.head)[None, :] / X.shape[0])
     return grad[:, 0] if squeeze else grad
 
@@ -283,6 +290,42 @@ def train_risk_grad(
     return data_risk_grad(problem, theta, X, y) + problem.regularizer.grad(
         np.asarray(theta, dtype=np.float64)
     )
+
+
+class EmpiricalRisk:
+    """Mean loss over a fixed batch, plus the regularizer when ``regularized``.
+
+    Keeps the scores X theta of the last point it evaluated, with a copy of
+    that point. PGD takes each gradient at the point its last objective call
+    evaluated, so that gradient costs one pass over X (X^T l') instead of
+    two. A call at any other point recomputes the scores and keeps them.
+    """
+
+    def __init__(self, problem: ErmProblem, X: np.ndarray, y: np.ndarray, regularized: bool = False):
+        self.problem = problem
+        self.X = X
+        self.y = y
+        self.regularized = regularized
+        self._theta: Optional[np.ndarray] = None
+        self._scores: Optional[np.ndarray] = None
+
+    def _scores_at(self, theta: np.ndarray) -> np.ndarray:
+        if self._theta is None or not np.array_equal(theta, self._theta):
+            self._scores = self.problem.scores(theta, self.X)
+            self._theta = np.array(theta, dtype=np.float64)
+        return self._scores
+
+    def value(self, theta: np.ndarray) -> float:
+        value = float(np.mean(self.problem.loss.value(self._scores_at(theta), self.y)))
+        if self.regularized:
+            value = value + self.problem.regularizer.value(np.asarray(theta))
+        return value
+
+    def grad(self, theta: np.ndarray) -> np.ndarray:
+        g = data_risk_grad(self.problem, theta, self.X, self.y, scores=self._scores_at(theta))
+        if self.regularized:
+            g = g + self.problem.regularizer.grad(np.asarray(theta, dtype=np.float64))
+        return g
 
 
 def solve_erm(
@@ -309,14 +352,16 @@ def solve_erm(
     if X.shape[0] != y.shape[0]:
         raise InvalidArgumentError("X and y row counts differ")
 
+    train = EmpiricalRisk(problem, X, y, regularized=True)
+
     def objective(theta):
-        value = train_risk(problem, theta, X, y)
+        value = train.value(theta)
         if extra is not None:
             value = value + extra[0] * extra[1].value(theta)
         return value
 
     def gradient(theta):
-        g = train_risk_grad(problem, theta, X, y)
+        g = train.grad(theta)
         if extra is not None:
             g = g + extra[0] * extra[1].grad(theta)
         return g

@@ -26,17 +26,15 @@ from ermu.erm import (
     NOISE_LAWS,
     REGULARIZER_KINDS,
     ConstraintSet,
+    EmpiricalRisk,
     ErmProblem,
     Labeler,
     Loss,
     Regularizer,
-    data_risk,
-    data_risk_grad,
+    data_risk_grad,  # rebound by perfbench/spans.py
     labels_from_noise,
     project_constraint,
     solve_erm,
-    train_risk,
-    train_risk_grad,
     mean_with_jackknife_se,
 )
 from ermu.errors import InvalidArgumentError, SolverDivergedError, check, check_one_of
@@ -521,7 +519,7 @@ def run_trials(
 # ---------------------------------------------------------------------------
 
 
-class FrozenTestRisk:
+class FrozenTestRisk(EmpiricalRisk):
     """Deterministic surrogate for the twin-model test risk.
 
     Holds a frozen Gaussian batch and noise draws; evaluating at theta is a
@@ -531,16 +529,9 @@ class FrozenTestRisk:
     def __init__(self, problem: ErmProblem, equiv: GaussianEquivalent, n_test: int, seed: int):
         if n_test < 1:
             raise InvalidArgumentError("n_test must be positive for a frozen surrogate")
-        self.problem = problem
-        self.G = sample_gaussian(equiv, n_test, derive_seed(seed, "frozen-g"))
+        G = sample_gaussian(equiv, n_test, derive_seed(seed, "frozen-g"))
         eps = problem.labeler.draw_noise(n_test, derive_seed(seed, "frozen-eps"))
-        self.y = labels_from_noise(problem, self.G, eps)
-
-    def value(self, theta: np.ndarray) -> float:
-        return data_risk(self.problem, theta, self.G, self.y)
-
-    def grad(self, theta: np.ndarray) -> np.ndarray:
-        return data_risk_grad(self.problem, theta, self.G, self.y)
+        super().__init__(problem, G, labels_from_noise(problem, G, eps))
 
 
 @dataclass
@@ -657,6 +648,7 @@ def min_test_over_near_minimizers(
     """
     base = solve_erm(problem, X, y, cfg, seed=derive_seed(seed, "solve-base"))
     theta_hat = base.theta_hat
+    train = EmpiricalRisk(problem, X, y, regularized=True)
     results: list[NearMinimizerResult] = []
     carried: Optional[np.ndarray] = None
 
@@ -682,20 +674,20 @@ def min_test_over_near_minimizers(
             for w in _PENALTY_WEIGHTS:
 
                 def objective(theta, _w=w):
-                    excess = max(0.0, train_risk(problem, theta, X, y) - t)
+                    excess = max(0.0, train.value(theta) - t)
                     return test_risk.value(theta) + _w * excess * excess
 
                 def gradient(theta, _w=w):
-                    excess = max(0.0, train_risk(problem, theta, X, y) - t)
+                    excess = max(0.0, train.value(theta) - t)
                     g = test_risk.grad(theta)
                     if excess > 0.0:
-                        g = g + (2.0 * _w * excess) * train_risk_grad(problem, theta, X, y)
+                        g = g + (2.0 * _w * excess) * train.grad(theta)
                     return g
 
                 state = pgd_minimize(objective, gradient, project, point, cfg)
                 point = state.x
             test_val = test_risk.value(point)
-            residual = max(0.0, train_risk(problem, point, X, y) - t)
+            residual = max(0.0, train.value(point) - t)
             if residual <= _RESIDUAL_TOL and (best_point is None or test_val < best_point[0]):
                 best_point = (test_val, residual, point)
         # theta_hat itself is feasible whenever t >= base objective.

@@ -1,10 +1,12 @@
 """ERM problems: labels, risks, solver, projections, test risk."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from ermu import erm
 from ermu.erm import (
     ConstraintSet,
     ErmProblem,
@@ -26,7 +28,7 @@ from ermu.features import nt_theta_matrix
 from ermu.gaussian import GaussianEquivalent, sample_gaussian
 from ermu.seeds import derive_seed, rng_from
 from ermu.solver import pgd_minimize
-from ermu.universality import _risk_on
+from ermu.universality import FrozenTestRisk, _risk_on
 
 
 def make_problem(p, loss="squared", lam=0.0, tau=0.0, constraint=None, theta_star=None, **kw):
@@ -277,6 +279,81 @@ class TestSolveErm:
         cfg = SolverConfig(init_step=10.0, armijo_slope=-1e3)
         with pytest.raises(SolverDivergedError, match="objective increased"):
             pgd_minimize(lambda x: float(x @ x), lambda x: 2.0 * x, lambda x: x, np.ones(1), cfg)
+
+
+class TestKeptScores:
+    """A gradient at the point the objective last evaluated reuses its scores X theta."""
+
+    @staticmethod
+    def instrumented_solve(monkeypatch, problem, X, y, **kwargs):
+        """Run ``solve_erm`` and count ``ErmProblem.scores`` calls per batch and phase."""
+        passes: Counter = Counter()
+        calls: Counter = Counter()
+        captured = {}
+        phase = ["solve"]
+        real_scores, real_pgd = ErmProblem.scores, erm.pgd_minimize
+
+        def scores(self, theta, batch):
+            passes[(phase[0], id(batch))] += 1
+            return real_scores(self, theta, batch)
+
+        def in_phase(name, fn):
+            def counted(x):
+                calls[name] += 1
+                phase[0] = name
+                try:
+                    return fn(x)
+                finally:
+                    phase[0] = "solve"
+
+            return counted
+
+        def pgd(fun, grad, project, x0, cfg):
+            captured["grad"] = grad
+            return real_pgd(in_phase("fun", fun), in_phase("grad", grad), project, x0, cfg)
+
+        monkeypatch.setattr(ErmProblem, "scores", scores)
+        monkeypatch.setattr(erm, "pgd_minimize", pgd)
+        sol = solve_erm(problem, X, y, **kwargs)
+        return sol, passes, calls, captured["grad"]
+
+    @staticmethod
+    def setup_problem(p=6, n=40):
+        rng = rng_from(31, "kept-scores")
+        theta_star = rng.standard_normal((p, 1)) / math.sqrt(p)
+        problem = make_problem(p, loss="huber", lam=0.1, tau=0.5, theta_star=theta_star,
+                               constraint=ConstraintSet("l2-ball", R=1.0))
+        X = rng.standard_normal((n, p))
+        return problem, X, generate_labels(problem, X, seed=4)
+
+    def test_one_scores_pass_per_objective_evaluation(self, monkeypatch):
+        problem, X, y = self.setup_problem()
+        sol, passes, calls, _ = self.instrumented_solve(monkeypatch, problem, X, y)
+        assert sol.iterations > 3 and calls["grad"] == sol.iterations
+        assert passes[("fun", id(X))] == calls["fun"]
+        assert passes[("grad", id(X))] == 0
+
+    def test_perturbed_solve_passes_each_batch_once(self, monkeypatch):
+        problem, X, y = self.setup_problem()
+        equiv = GaussianEquivalent(cov_mode="linear-exact", factor=np.eye(problem.p))
+        surrogate = FrozenTestRisk(problem, equiv, 300, seed=5)
+        sol, passes, calls, _ = self.instrumented_solve(
+            monkeypatch, problem, X, y, extra=(0.1, surrogate)
+        )
+        assert sol.iterations > 3
+        for batch in (X, surrogate.X):
+            assert passes[("fun", id(batch))] == calls["fun"]
+            assert passes[("grad", id(batch))] == 0
+
+    def test_gradient_away_from_the_kept_point_recomputes(self, monkeypatch):
+        problem, X, y = self.setup_problem()
+        _, _, _, gradient = self.instrumented_solve(monkeypatch, problem, X, y)
+        rng = rng_from(32, "fresh")
+        theta = rng.standard_normal((problem.p, 1))
+        assert np.array_equal(gradient(theta), train_risk_grad(problem, theta, X, y))
+        # A point changed in place after it was evaluated is a new point.
+        theta += rng.standard_normal(theta.shape)
+        assert np.array_equal(gradient(theta), train_risk_grad(problem, theta, X, y))
 
 
 class TestClosedForm:
