@@ -1,4 +1,12 @@
-"""Projected gradient descent with Armijo backtracking, and its config.
+"""Spectral projected gradient with Armijo backtracking, and its config.
+
+Each iteration tries a first step and halves it (``armijo_shrink``) until
+the Armijo test holds. The first step of the first iteration is
+``init_step``; later ones are the Barzilai-Borwein step s's / s'y from the
+last change in point and gradient (Barzilai & Borwein, IMA J. Numer. Anal.
+1988; spectral projected gradient: Birgin, Martinez & Raydan, SIAM J. Optim.
+2000), or the last accepted step times ``step_growth`` when s'y <= 0 gives
+no curvature estimate.
 
 Kept generic: the ERM layer (plain and perturbed solves) and the
 near-minimizer penalty objectives all funnel through ``pgd_minimize`` with
@@ -15,6 +23,7 @@ import numpy as np
 from ermu.errors import SolverDivergedError, check
 
 _MIN_STEP = 1e-18
+_MAX_STEP = 1e12
 
 
 @dataclass(frozen=True)
@@ -55,9 +64,11 @@ def pgd_minimize(
 ) -> PgdState:
     """Minimize a smooth function over a convex set by projected gradient.
 
-    The accepted step carries over between iterations (regrown by
-    ``step_growth``) so backtracking stays cheap once the local curvature is
-    known. Convergence is declared on the gradient-mapping norm
+    The first trial step is ``init_step``, then the Barzilai-Borwein step
+    s's / s'y with s = x_k - x_{k-1} and y = g_k - g_{k-1}, capped at 1e12;
+    when s'y <= 0 it is the last accepted step times ``step_growth``.
+    Armijo backtracking from there keeps the objective monotone.
+    Convergence is declared on the gradient-mapping norm
     ||x - P(x - s g)|| / s at the accepted step.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
@@ -68,9 +79,15 @@ def pgd_minimize(
     grad_map_norm = np.inf
     flags: list[str] = []
     iterations = 0
+    x_prev = g_prev = None
     for it in range(1, cfg.max_iters + 1):
         iterations = it
         g = grad(x)
+        if x_prev is not None:
+            s, dg = x - x_prev, g - g_prev
+            sy = float(np.sum(s * dg))
+            step = float(np.sum(s * s)) / sy if sy > 0 else step * cfg.step_growth
+            step = min(step, _MAX_STEP)
         accepted = False
         while step >= _MIN_STEP:
             x_new = project(x - step * g)
@@ -92,10 +109,10 @@ def pgd_minimize(
         # Armijo guarantees monotone objectives; keep the invariant hard.
         if f_new > fx + 1e-12 * max(1.0, abs(fx)):
             raise SolverDivergedError("objective increased", it)
+        x_prev, g_prev = x, g
         x, fx = x_new, f_new
         if grad_map_norm <= cfg.tol:
             break
-        step = min(step * cfg.step_growth, 1e12)
     else:
         flags.append("maxiter")
     return PgdState(x=x, value=fx, grad_map_norm=float(grad_map_norm), iterations=iterations, flags=flags)

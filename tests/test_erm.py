@@ -280,6 +280,22 @@ class TestSolveErm:
         with pytest.raises(SolverDivergedError, match="objective increased"):
             pgd_minimize(lambda x: float(x @ x), lambda x: 2.0 * x, lambda x: x, np.ones(1), cfg)
 
+    def test_no_curvature_falls_back_to_growing_the_step(self):
+        # A linear objective has a constant gradient, so s'y = 0 at every
+        # iteration and the first trial step is the last one times step_growth.
+        R = 5.0
+        c = np.array([0.06, -0.08, 0.0])
+        state = pgd_minimize(
+            lambda x: float(c @ x), lambda x: c,
+            lambda x: project_constraint(ConstraintSet("l2-ball", R=R), x),
+            np.zeros(3), SolverConfig(),
+        )
+        assert np.abs(state.x - (-R * c / np.linalg.norm(c))).max() <= 1e-8
+        assert state.flags == []
+        # Doubling from init_step 1 reaches the boundary, 50 gradient lengths
+        # away, at iteration 6; iteration 7 stays put.
+        assert state.iterations == 7
+
 
 class TestKeptScores:
     """A gradient at the point the objective last evaluated reuses its scores X theta."""
