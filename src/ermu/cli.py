@@ -9,6 +9,16 @@ from ermu import __version__
 from ermu.errors import ConfigError, ErmuError
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _threads_from(args) -> int:
     if args.threads is not None:
         return args.threads
@@ -80,7 +90,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a campaign from a config file")
     p_run.add_argument("--config", required=True, help="path to the JSON experiment config")
     p_run.add_argument("--out", default=None, help="output directory (overrides config)")
-    p_run.add_argument("--threads", type=int, default=None, help="worker processes")
+    p_run.add_argument("--threads", type=_thread_count, default=None, help="worker processes")
     p_run.add_argument("--seed-override", type=int, default=None, help="replace the master seed")
     p_run.set_defaults(fn=cmd_run)
 
@@ -90,7 +100,7 @@ def main(argv=None) -> int:
     p_rep.set_defaults(fn=cmd_report)
 
     p_self = sub.add_parser("selftest", help="run the fast property suite")
-    p_self.add_argument("--threads", type=int, default=None)
+    p_self.add_argument("--threads", type=_thread_count, default=None)
     p_self.set_defaults(fn=cmd_selftest)
 
     args = parser.parse_args(argv)

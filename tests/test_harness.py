@@ -627,6 +627,19 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["threads"] == 2
 
+    @pytest.mark.parametrize("command", ["run", "selftest"])
+    @pytest.mark.parametrize("threads", ["-3", "0"])
+    def test_threads_below_one_rejected_at_parse_time(self, tmp_path, capsys, command, threads):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**BASE, "ladder": [40]}))
+        out = tmp_path / "o"
+        extra = ["--config", str(cfg_path), "--out", str(out)] if command == "run" else []
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, *extra, "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBenchmarkHooks:
     def test_perfbench_spans_install_finds_every_name(self):
