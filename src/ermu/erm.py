@@ -257,23 +257,14 @@ def generate_labels(problem: ErmProblem, X: np.ndarray, seed: int) -> np.ndarray
 
 def data_risk(problem: ErmProblem, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     """Average loss term only, without the regularizer."""
-    return float(np.mean(problem.loss.value(problem.scores(theta, X), y)))
+    return EmpiricalRisk(problem, X, y).value(theta)
 
 
 def data_risk_grad(
-    problem: ErmProblem,
-    theta: np.ndarray,
-    X: np.ndarray,
-    y: np.ndarray,
-    scores: Optional[np.ndarray] = None,
+    problem: ErmProblem, theta: np.ndarray, X: np.ndarray, y: np.ndarray, scores: np.ndarray
 ) -> np.ndarray:
-    """Gradient of ``data_risk``; pass ``scores = problem.scores(theta, X)`` if known."""
-    theta = np.asarray(theta, dtype=np.float64)
-    squeeze = theta.ndim == 1
-    if squeeze:
-        theta = theta[:, None]
-    if scores is None:
-        scores = problem.scores(theta, X)
+    """Gradient of ``data_risk`` at theta, given its scores ``problem.scores(theta, X)``."""
+    squeeze = np.ndim(theta) == 1
     g = problem.loss.grad(scores, y)
     grad = (X.T @ g)[:, None] * (np.asarray(problem.head)[None, :] / X.shape[0])
     return grad[:, 0] if squeeze else grad
@@ -281,15 +272,13 @@ def data_risk_grad(
 
 def train_risk(problem: ErmProblem, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     """(1/n) sum loss(theta^T x_i, y_i) + r(theta)."""
-    return data_risk(problem, theta, X, y) + problem.regularizer.value(np.asarray(theta))
+    return EmpiricalRisk(problem, X, y, regularized=True).value(theta)
 
 
 def train_risk_grad(
     problem: ErmProblem, theta: np.ndarray, X: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
-    return data_risk_grad(problem, theta, X, y) + problem.regularizer.grad(
-        np.asarray(theta, dtype=np.float64)
-    )
+    return EmpiricalRisk(problem, X, y, regularized=True).grad(theta)
 
 
 class EmpiricalRisk:
@@ -322,7 +311,7 @@ class EmpiricalRisk:
         return value
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
-        g = data_risk_grad(self.problem, theta, self.X, self.y, scores=self._scores_at(theta))
+        g = data_risk_grad(self.problem, theta, self.X, self.y, self._scores_at(theta))
         if self.regularized:
             g = g + self.problem.regularizer.grad(np.asarray(theta, dtype=np.float64))
         return g
