@@ -287,7 +287,8 @@ class EmpiricalRisk:
     Keeps the scores X theta of the last point it evaluated, with a copy of
     that point. PGD takes each gradient at the point its last objective call
     evaluated, so that gradient costs one pass over X (X^T l') instead of
-    two. A call at any other point recomputes the scores and keeps them.
+    two. A call at any other point, or at one changed in place since (points
+    are compared by value), recomputes the scores and keeps them.
     """
 
     def __init__(self, problem: ErmProblem, X: np.ndarray, y: np.ndarray, regularized: bool = False):

@@ -1,6 +1,6 @@
 """Spectral projected gradient with Armijo backtracking, and its config.
 
-Each iteration tries a first step and halves it (``armijo_shrink``) until
+Each iteration tries a first step and shrinks it by ``armijo_shrink`` until
 the Armijo test holds. The first step of the first iteration is
 ``init_step``; later ones are the Barzilai-Borwein step s's / s'y from the
 last change in point and gradient (Barzilai & Borwein, IMA J. Numer. Anal.
