@@ -166,8 +166,6 @@ def _save_matrices(instances, out: Path) -> None:
         stem = f"{inst.spec.id}_n{inst.n}"
         if inst.model.W is not None:
             save_matrix(mat_dir / f"{stem}_weights.ermumat", inst.model.W)
-        if inst.model.sigma_half is not None:
-            save_matrix(mat_dir / f"{stem}_sigma_half.ermumat", inst.model.sigma_half)
         if inst.equiv is not None:
             save_matrix(mat_dir / f"{stem}_factor.ermumat", inst.equiv.factor)
 
@@ -273,7 +271,7 @@ def _perturbed_task(args):
                     _fmt(sweep.D[s]),
                     _fmt(sweep.test_at_theta0),
                     _fmt(sweep.solver_gap),
-                    "",
+                    ";".join(sweep.flags[s]),
                 ]
             )
         else:

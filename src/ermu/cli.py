@@ -19,18 +19,6 @@ def _thread_count(text: str) -> int:
     return value
 
 
-def _threads_from(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("ERMU_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            print(f"warning: ignoring non-integer ERMU_THREADS={env!r}", file=sys.stderr)
-    return 0  # fall back to the config value
-
-
 def cmd_run(args) -> int:
     from dataclasses import replace
 
@@ -49,7 +37,7 @@ def cmd_run(args) -> int:
         print("error: no output directory (use --out or config output_dir)", file=sys.stderr)
         return 2
     try:
-        summary = run_campaign(config, out_dir, threads=_threads_from(args))
+        summary = run_campaign(config, out_dir, threads=args.threads or 0)
     except ErmuError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
@@ -75,7 +63,7 @@ def cmd_report(args) -> int:
 def cmd_selftest(args) -> int:
     from ermu.selftest import run_selftest
 
-    ok = run_selftest(threads=_threads_from(args) or 1)
+    ok = run_selftest(threads=args.threads or 1)
     return 0 if ok else 1
 
 
@@ -104,6 +92,12 @@ def main(argv=None) -> int:
     p_self.set_defaults(fn=cmd_selftest)
 
     args = parser.parse_args(argv)
+    env = os.environ.get("ERMU_THREADS")
+    if env is not None and getattr(args, "threads", 1) is None:  # report has no --threads
+        try:
+            args.threads = _thread_count(env)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"ERMU_THREADS: {exc}")
     return args.fn(args)
 
 

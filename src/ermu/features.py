@@ -8,8 +8,8 @@ Three families are supported:
   the first-order feature map of a two-layer network at initialization,
   flattened as m blocks of length d (p = m d). The activation derivative
   satisfies E[sigma'(G)] = 0 and E[G sigma'(G)] = 0.
-* ``linear-independent``: x = Sigma^{1/2} xbar with xbar having i.i.d.
-  zero-mean unit-variance subgaussian entries.
+* ``linear-independent``: x = sqrt(nu) xbar with xbar having i.i.d.
+  zero-mean unit-variance subgaussian entries, so E[x x^T] = nu I.
 
 Weight matrices are sampled once per configuration and reused across
 trials; all sampling takes explicit seeds.
@@ -106,8 +106,8 @@ class FeatureModel:
     """Frozen description of one feature family.
 
     For ``random-features`` W is d x p; for ``neural-tangent`` W is d x m and
-    p = m d; for ``linear-independent`` only ``sigma_half`` (p x p) and the
-    entry law matter.
+    p = m d; for ``linear-independent`` only p, ``nu`` and the entry law
+    matter.
     """
 
     family: str
@@ -115,7 +115,6 @@ class FeatureModel:
     p: int
     m: int = 0
     W: Optional[np.ndarray] = None
-    sigma_half: Optional[np.ndarray] = None
     activation: Optional[Activation] = None
     nu: float = 1.0
     entry_law: str = "rademacher"
@@ -134,8 +133,6 @@ class FeatureModel:
             if self.activation is None:
                 raise InvalidArgumentError("neural-tangent requires an activation")
         elif self.family == "linear-independent":
-            if self.sigma_half is None or self.sigma_half.shape != (self.p, self.p):
-                raise InvalidArgumentError("linear family requires square sigma_half")
             if self.entry_law not in ENTRY_LAWS:
                 raise InvalidArgumentError(f"unknown entry law {self.entry_law!r}")
         else:
@@ -202,7 +199,7 @@ def featurize(model: FeatureModel, Z: np.ndarray) -> np.ndarray:
         S = model.activation.derivative(Z @ model.W)  # n x m
         n = Z.shape[0]
         return (S[:, :, None] * Z[:, None, :]).reshape(n, model.p)
-    return Z @ model.sigma_half.T
+    return math.sqrt(model.nu) * Z
 
 
 def draw_features(model: FeatureModel, n: int, seed: int) -> np.ndarray:
@@ -239,15 +236,5 @@ def neural_tangent_model(d: int, m: int, activation: Activation, seed: int) -> F
     )
 
 
-def linear_model(
-    sigma_half: np.ndarray, entry_law: str = "rademacher", nu: float = 1.0
-) -> FeatureModel:
-    sigma_half = np.asarray(sigma_half, dtype=np.float64)
-    return FeatureModel(
-        family="linear-independent",
-        d=sigma_half.shape[0],
-        p=sigma_half.shape[0],
-        sigma_half=sigma_half,
-        nu=nu,
-        entry_law=entry_law,
-    )
+def linear_model(p: int, entry_law: str = "rademacher", nu: float = 1.0) -> FeatureModel:
+    return FeatureModel(family="linear-independent", d=p, p=p, nu=nu, entry_law=entry_law)

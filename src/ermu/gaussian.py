@@ -3,8 +3,7 @@
 The twin replaces feature rows x by g ~ N(0, Sigma) with Sigma = E[x x^T]
 conditional on the frozen weights. Sigma is obtained in one of four modes:
 
-* ``linear-exact``: Sigma = nu * (sigma_half sigma_half^T), available in
-  closed form for the linear family.
+* ``linear-exact``: Sigma = nu I, in closed form for the linear family.
 * ``hermite-exact``: for random features, entry (i, j) is the Hermite
   series sum_k c_k^2 (w_i^T w_j)^k of the mean-zero activation.
 * ``monte-carlo``: (1/n_cov) Phi^T Phi over a fresh featurized batch, built
@@ -15,16 +14,19 @@ conditional on the frozen weights. Sigma is obtained in one of four modes:
 
 A twin is a p x r factor L plus an isotropic scale s, and its rows are
 L xi + s zeta with xi ~ N(0, I_r), zeta ~ N(0, I_p), so that
-Sigma = L L^T + s^2 I. The estimated p x p covariances (hermite-exact and
-monte-carlo) are indefinite at machine precision, so their square factors
-come from an eigendecomposition with eigenvalues clipped at zero plus
-optional relative jitter. The empirical twin needs none: its factor is
-X^T / sqrt(n), so a batch is Z X / sqrt(n) + s Xi with Z an n_rows x n
-standard normal matrix, and the jitter enters as the isotropic scale.
+Sigma = L L^T + s^2 I. The linear-exact twin has r = 0 and s = sqrt(nu),
+so its rows are sqrt(nu) zeta. The estimated p x p covariances
+(hermite-exact and monte-carlo) are indefinite at machine precision, so
+their square factors come from an eigendecomposition with eigenvalues
+clipped at zero plus optional relative jitter. The empirical twin needs
+none: its factor is X^T / sqrt(n), so a batch is Z X / sqrt(n) + s Xi with
+Z an n_rows x n standard normal matrix, and the jitter enters as the
+isotropic scale.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 import numpy as np
@@ -42,17 +44,13 @@ _COV_CHUNK = 4096
 class GaussianEquivalent:
     """Sampler state for the Gaussian twin: Sigma = L L^T + iso_scale^2 I.
 
-    ``factor`` is the p x r matrix L; ``iso_scale`` is nonzero only for
-    empirical twins, whose factor is X^T / sqrt(n).
+    ``factor`` is the p x r matrix L; ``iso_scale`` is nonzero for linear
+    twins (with r = 0) and for empirical twins, whose factor is
+    X^T / sqrt(n).
     """
 
-    cov_mode: str
     factor: np.ndarray
     iso_scale: float = 0.0
-
-    def __post_init__(self):
-        if self.cov_mode not in COV_MODES:
-            raise InvalidArgumentError(f"unknown covariance mode {self.cov_mode!r}")
 
     @property
     def p(self) -> int:
@@ -157,10 +155,10 @@ def sample_gaussian(equiv: GaussianEquivalent, n: int, seed: int) -> np.ndarray:
 
 
 def linear_exact_equivalent(model: FeatureModel) -> GaussianEquivalent:
-    """Closed-form twin of the linear family: factor sqrt(nu) * sigma_half."""
+    """Closed-form twin of the linear family: N(0, nu I), an empty factor and s = sqrt(nu)."""
     if model.family != "linear-independent":
         raise InvalidArgumentError("linear-exact mode applies to the linear family only")
-    return GaussianEquivalent(cov_mode="linear-exact", factor=np.sqrt(model.nu) * model.sigma_half)
+    return GaussianEquivalent(factor=np.zeros((model.p, 0)), iso_scale=math.sqrt(model.nu))
 
 
 def hermite_exact_equivalent(
@@ -170,7 +168,7 @@ def hermite_exact_equivalent(
         raise InvalidArgumentError("hermite-exact mode applies to random features only")
     coeffs = model.activation.coefficients(order)
     cov = rf_covariance_hermite(model.W, coeffs, order)
-    return GaussianEquivalent(cov_mode="hermite-exact", factor=factor_covariance(cov, jitter_rel))
+    return GaussianEquivalent(factor=factor_covariance(cov, jitter_rel))
 
 
 def monte_carlo_equivalent(
@@ -178,7 +176,7 @@ def monte_carlo_equivalent(
 ) -> GaussianEquivalent:
     """Twin from ``mc_covariance``; ``mapper`` computes its chunks (see there)."""
     cov = mc_covariance(model, n_cov, seed, mapper=mapper)
-    return GaussianEquivalent(cov_mode="monte-carlo", factor=factor_covariance(cov, jitter_rel))
+    return GaussianEquivalent(factor=factor_covariance(cov, jitter_rel))
 
 
 def empirical_equivalent(X: np.ndarray, jitter_rel: float = 1e-10) -> GaussianEquivalent:
@@ -190,6 +188,4 @@ def empirical_equivalent(X: np.ndarray, jitter_rel: float = 1e-10) -> GaussianEq
     n, p = X.shape
     factor = (X / np.sqrt(n)).T
     trace = float(np.vdot(X, X)) / n
-    return GaussianEquivalent(
-        cov_mode="empirical", factor=factor, iso_scale=float(np.sqrt(jitter_rel * trace / p))
-    )
+    return GaussianEquivalent(factor=factor, iso_scale=float(np.sqrt(jitter_rel * trace / p)))

@@ -104,6 +104,15 @@ class FamilySpec:
         check_one_of("entry_law", self.entry_law, ENTRY_LAWS)
         check_one_of("constraint", self.constraint, CONSTRAINT_KINDS)
         check_one_of("cov_mode", self.cov_mode, COV_MODES)
+        for key, value, kinds in (
+            ("cov_mode", "linear-exact", ("linear-independent", "control-gaussian")),
+            ("cov_mode", "hermite-exact", ("random-features",)),
+            ("constraint", "nt-operator-ball", ("neural-tangent",)),
+        ):
+            check(
+                getattr(self, key) != value or self.kind in kinds,
+                f"{key} {value!r} applies to kind {' or '.join(kinds)} only; got {self.kind!r}",
+            )
         self.build_activation()  # custom-hermite needs coefficients
         for key in ("nu", "gamma_p", "gamma_d_over_p", "gamma_tilde", "radius"):
             check(getattr(self, key) > 0, f"{key} must be positive")
@@ -244,9 +253,9 @@ def build_instance(
     elif spec.kind == "neural-tangent":
         model = neural_tangent_model(d, m, activation, w_seed)
     elif spec.kind == "linear-independent":
-        model = linear_model(np.eye(p), entry_law=spec.entry_law, nu=spec.nu)
+        model = linear_model(p, entry_law=spec.entry_law, nu=spec.nu)
     else:  # control: both arms standard Gaussian, independently sampled
-        model = linear_model(np.eye(p), entry_law="gaussian", nu=1.0)
+        model = linear_model(p, entry_law="gaussian", nu=1.0)
 
     if spec.cov_mode == "linear-exact":
         equiv = linear_exact_equivalent(model)
@@ -542,6 +551,9 @@ class PerturbedRiskSweep:
     test_at_theta0: float
     solver_gap: float
     quarantined: list[float] = field(default_factory=list)
+    # Per solved s: the non-convergence flags of the base solve and the s-solve,
+    # since D(s) depends on both.
+    flags: dict[float, list[str]] = field(default_factory=dict)
 
     def sandwich_ok(self, slack: float = 0.0) -> bool:
         for s in self.s_values:
@@ -593,6 +605,7 @@ def perturbed_sweep(
     solver_gap = base.suboptimality_bound(problem.constraint)
     opt_values: dict[float, float] = {}
     D: dict[float, float] = {}
+    flags: dict[float, list[str]] = {}
     quarantined: list[float] = []
     for s in s_values:
         try:
@@ -602,6 +615,7 @@ def perturbed_sweep(
             )
             opt_values[s] = sol.objective
             D[s] = (sol.objective - base.objective) / s
+            flags[s] = list(dict.fromkeys(base.flags + sol.flags))
             solver_gap = max(solver_gap, sol.suboptimality_bound(problem.constraint))
         except SolverDivergedError:
             quarantined.append(s)
@@ -612,6 +626,7 @@ def perturbed_sweep(
         test_at_theta0=test_ref,
         solver_gap=solver_gap,
         quarantined=quarantined,
+        flags=flags,
     )
 
 

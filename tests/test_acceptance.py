@@ -374,7 +374,7 @@ def test_criterion_08_convex_sandwich():
         )
         X = rng.standard_normal((n, p))
         y = generate_labels(problem, X, seed=inst_idx)
-        equiv = GaussianEquivalent(cov_mode="linear-exact", factor=np.eye(p))
+        equiv = GaussianEquivalent(factor=np.eye(p))
         seed = MASTER_SEED + inst_idx
         sweep = perturbed_sweep(
             problem,

@@ -351,7 +351,7 @@ class TestKeptScores:
 
     def test_perturbed_solve_passes_each_batch_once(self, monkeypatch):
         problem, X, y = self.setup_problem()
-        equiv = GaussianEquivalent(cov_mode="linear-exact", factor=np.eye(problem.p))
+        equiv = GaussianEquivalent(factor=np.eye(problem.p))
         surrogate = FrozenTestRisk(problem, equiv, 300, seed=5)
         sol, passes, calls, _ = self.instrumented_solve(
             monkeypatch, problem, X, y, extra=(0.1, surrogate)
@@ -436,7 +436,7 @@ class TestTestRisk:
         theta_star = np.zeros((p, 1))
         theta_star[0, 0] = 1.0
         problem = make_problem(p, theta_star=theta_star, tau=1.0)
-        equiv = GaussianEquivalent(cov_mode="linear-exact", factor=np.eye(p))
+        equiv = GaussianEquivalent(factor=np.eye(p))
         est, se = twin_test_risk(problem, theta_star, equiv, 20_000, seed=3)
         assert abs(est - 1.0) <= 3.0 * se
 
@@ -445,7 +445,7 @@ class TestTestRisk:
         rng = rng_from(22, "cal")
         theta_star = rng.standard_normal((p, 1)) / 2
         problem = make_problem(p, loss="huber", theta_star=theta_star, tau=0.5)
-        equiv = GaussianEquivalent(cov_mode="linear-exact", factor=np.eye(p))
+        equiv = GaussianEquivalent(factor=np.eye(p))
         theta = rng.standard_normal((p, 1)) / 2
         hits = 0
         for rep in range(100):

@@ -103,18 +103,13 @@ class TestFeaturize:
         assert np.allclose(out, [[a * sp, b * sp]])
 
     def test_linear_identity(self):
-        model = linear_model(np.eye(2))
-        out = featurize(model, np.array([[1.0, -1.0]]))
-        assert np.array_equal(out, [[1.0, -1.0]])
-
-    def test_linear_uses_sigma_half(self):
-        S = np.array([[2.0, 1.0], [0.0, 1.0]])
-        model = linear_model(S)
-        xbar = np.array([[1.0, 1.0]])
-        assert np.allclose(featurize(model, xbar), xbar @ S.T)
+        # With nu = 1 the linear map returns its input bit for bit.
+        Z = rng_from(3, "xbar").standard_normal((20, 5))
+        assert np.array_equal(featurize(linear_model(5), Z), Z)
+        assert np.array_equal(featurize(linear_model(5, nu=2.0), Z), np.sqrt(2.0) * Z)
 
     def test_dimension_mismatch_rejected(self):
-        model = linear_model(np.eye(3))
+        model = linear_model(3)
         with pytest.raises(InvalidArgumentError):
             featurize(model, np.zeros((2, 4)))
 
@@ -174,7 +169,7 @@ class TestSubgaussianProxy:
             model = neural_tangent_model(6, 5, Activation("shifted-sine-nt"), seed=1)
             cset = ConstraintSet("nt-operator-ball", R=3.0, d=6, m=5, p=30)
         else:
-            model = linear_model(np.eye(32), entry_law="laplace")
+            model = linear_model(32, entry_law="laplace")
             cset = ConstraintSet("linf-ball", R=3.0, p=32)
         X = draw_features(model, 10_000, seed=5)
         for _ in range(5):
@@ -187,7 +182,7 @@ class TestSubgaussianProxy:
 
 class TestCovariateBatch:
     def test_seed_determines_content(self):
-        model = linear_model(np.eye(4), entry_law="uniform")
+        model = linear_model(4, entry_law="uniform")
         b1 = sample_covariates(model, 7, seed=99)
         b2 = sample_covariates(model, 7, seed=99)
         assert np.array_equal(b1, b2)

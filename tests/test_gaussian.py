@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ermu.errors import InvalidArgumentError
-from ermu.features import Activation, FeatureModel, featurize, linear_model, sample_sphere_weights
+from ermu.features import Activation, FeatureModel, linear_model, sample_sphere_weights
 from ermu.gaussian import (
     GaussianEquivalent,
     empirical_equivalent,
@@ -64,7 +64,7 @@ class TestRfCovarianceHermite:
 
 class TestMcCovariance:
     def test_linear_identity_converges(self):
-        model = linear_model(np.eye(8), entry_law="gaussian")
+        model = linear_model(8, entry_law="gaussian")
         sigma = mc_covariance(model, 1_000_000, seed=17)
         assert np.abs(sigma - np.eye(8)).max() <= 5e-3
 
@@ -77,7 +77,7 @@ class TestMcCovariance:
         assert np.linalg.norm(sigma_mc - sigma_h) <= 2e-2 * 32
 
     def test_single_sample_rank_one(self):
-        model = linear_model(np.eye(5), entry_law="gaussian")
+        model = linear_model(5, entry_law="gaussian")
         with pytest.warns(UserWarning):
             sigma = mc_covariance(model, 1, seed=2)
         assert np.linalg.matrix_rank(sigma) == 1
@@ -103,7 +103,7 @@ class TestMcCovariance:
             assert abs(s1[i, j] - s2[i, j]) <= 3.0 * se
 
     def test_chunking_invariant(self):
-        model = linear_model(np.eye(4), entry_law="uniform")
+        model = linear_model(4, entry_law="uniform")
         assert np.array_equal(
             mc_covariance(model, 5000, seed=9, chunk=512),
             mc_covariance(model, 5000, seed=9, chunk=512),
@@ -150,21 +150,21 @@ class TestFactorCovariance:
 
 class TestSampleGaussian:
     def test_zero_factor_gives_zero_rows(self):
-        equiv = GaussianEquivalent(cov_mode="monte-carlo", factor=np.zeros((3, 3)))
+        equiv = GaussianEquivalent(factor=np.zeros((3, 3)))
         assert np.all(sample_gaussian(equiv, 10, seed=1) == 0.0)
 
     def test_unit_variance_scalar(self):
-        equiv = GaussianEquivalent(cov_mode="monte-carlo", factor=np.eye(1))
+        equiv = GaussianEquivalent(factor=np.eye(1))
         draws = sample_gaussian(equiv, 1_000_000, seed=5)
         assert abs(draws.var() - 1.0) <= 0.01
 
     def test_bit_identical_for_fixed_seed(self):
-        equiv = GaussianEquivalent(cov_mode="monte-carlo", factor=np.eye(4))
+        equiv = GaussianEquivalent(factor=np.eye(4))
         assert np.array_equal(sample_gaussian(equiv, 50, 3), sample_gaussian(equiv, 50, 3))
 
     def test_empirical_covariance_of_samples(self):
         cov = np.array([[2.0, 0.6], [0.6, 1.0]])
-        equiv = GaussianEquivalent(cov_mode="monte-carlo", factor=factor_covariance(cov))
+        equiv = GaussianEquivalent(factor=factor_covariance(cov))
         draws = sample_gaussian(equiv, 200_000, seed=6)
         emp = draws.T @ draws / draws.shape[0]
         assert np.linalg.norm(emp - cov) <= 0.05 * np.linalg.norm(cov)
@@ -173,7 +173,7 @@ class TestSampleGaussian:
         # A twin without isotropic term draws exactly n x p normals, so its
         # batches are the same bits as xi @ L^T.
         factor = factor_covariance(np.array([[2.0, 0.6, 0.1], [0.6, 1.0, 0.2], [0.1, 0.2, 0.5]]))
-        equiv = GaussianEquivalent(cov_mode="hermite-exact", factor=factor)
+        equiv = GaussianEquivalent(factor=factor)
         xi = rng_from(13, "gaussian-rows").standard_normal((40, 3))
         assert np.array_equal(sample_gaussian(equiv, 40, seed=13), xi @ factor.T)
 
@@ -181,7 +181,7 @@ class TestSampleGaussian:
     def test_non_square_factor_rows_match_covariance(self, r):
         # A p x r factor draws r normals per row and returns p columns.
         factor = rng_from(4, "factor", r).standard_normal((4, r)) / np.sqrt(r)
-        equiv = GaussianEquivalent(cov_mode="empirical", factor=factor)
+        equiv = GaussianEquivalent(factor=factor)
         draws = sample_gaussian(equiv, 200_000, seed=8)
         assert draws.shape == (200_000, 4)
         cov = factor @ factor.T
@@ -191,31 +191,24 @@ class TestSampleGaussian:
 
 
 class TestLinearExactTwin:
-    def test_factor_is_scaled_sigma_half(self):
-        S = np.array([[1.5, 0.0], [0.3, 1.0]])
-        model = linear_model(S, entry_law="rademacher", nu=2.0)
-        equiv = linear_exact_equivalent(model)
-        assert np.allclose(equiv.factor, np.sqrt(2.0) * S)
-
-    def test_matches_featurized_covariance(self):
-        # Feature rows Sigma^{1/2} xbar and twin rows share covariance nu Sigma.
-        S = factor_covariance(np.array([[1.0, 0.4], [0.4, 0.8]]))
-        model = linear_model(S, entry_law="uniform", nu=1.0)
-        X = featurize(model, rng_from(1, "xbar").uniform(-np.sqrt(3), np.sqrt(3), (200_000, 2)))
-        equiv = linear_exact_equivalent(model)
-        G = sample_gaussian(equiv, 200_000, seed=2)
-        assert np.linalg.norm(X.T @ X / len(X) - G.T @ G / len(G)) <= 0.02
+    @pytest.mark.parametrize("nu", [1.0, 2.0])
+    def test_rows_are_scaled_standard_normal_stream(self, nu):
+        # The twin N(0, nu I) is sqrt(nu) times the n x p standard normals
+        # of the gaussian-rows stream, bit for bit.
+        equiv = linear_exact_equivalent(linear_model(6, nu=nu))
+        assert equiv.factor.shape == (6, 0)
+        xi = rng_from(13, "gaussian-rows").standard_normal((40, 6))
+        assert np.array_equal(sample_gaussian(equiv, 40, seed=13), np.sqrt(nu) * xi)
 
 
 class TestEquivalentBuilders:
     def test_hermite_exact_requires_rf(self):
         with pytest.raises(InvalidArgumentError):
-            hermite_exact_equivalent(linear_model(np.eye(2)), order=3)
+            hermite_exact_equivalent(linear_model(2), order=3)
 
     def test_monte_carlo_twin_is_psd(self):
-        model = linear_model(np.eye(3), entry_law="gaussian")
+        model = linear_model(3, entry_law="gaussian")
         equiv = monte_carlo_equivalent(model, 500, seed=11)
-        assert equiv.cov_mode == "monte-carlo"
         eig = np.linalg.eigvalsh(covariance(equiv))
         assert eig.min() >= -1e-12
 

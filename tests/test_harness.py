@@ -1,5 +1,6 @@
 """Config validation and hashing, campaign artifacts, report, CLI."""
 
+import csv
 import json
 import multiprocessing
 import os
@@ -292,10 +293,24 @@ class TestConfig:
         (("solver", "step_growth"), 0.5),
         (("bootstrap", "resamples"), 1),
         (("threads",), -2),
+        (("families", 0, "cov_mode"), "hermite-exact"),
+        (("families", 1, "cov_mode"), "hermite-exact"),
+        (("families", 0, "constraint"), "nt-operator-ball"),
+        (("families", 1, "constraint"), "nt-operator-ball"),
     ])
     def test_out_of_range_value_rejected_at_parse_time(self, path, value):
         with pytest.raises(ConfigError, match=path[-1]):
             config_from_dict(base_with(path, value))
+
+    @pytest.mark.parametrize("family, key", [
+        ({"kind": "random-features", "cov_mode": "linear-exact"}, "cov_mode"),
+        ({"kind": "random-features", "constraint": "nt-operator-ball"}, "constraint"),
+        ({"kind": "neural-tangent", "cov_mode": "hermite-exact"}, "cov_mode"),
+        ({"kind": "neural-tangent", "cov_mode": "linear-exact"}, "cov_mode"),
+    ])
+    def test_family_setting_outside_its_kind_rejected(self, family, key):
+        with pytest.raises(ConfigError, match=rf"config\.families\[0\]: {key} "):
+            base_config(families=[{"id": "f", **family}])
 
     def test_neural_tangent_sizes_need_d(self):
         nt = {"id": "nt", "kind": "neural-tangent", "sizes": [{"n": 60}]}
@@ -372,7 +387,6 @@ class TestCampaign:
 
         def assert_family_twin(equiv, X):
             twin = empirical_equivalent(X, 1e-3)
-            assert equiv.cov_mode == twin.cov_mode
             assert np.array_equal(equiv.factor, twin.factor)
             assert equiv.iso_scale == twin.iso_scale
             assert equiv.iso_scale != empirical_equivalent(X).iso_scale
@@ -445,6 +459,22 @@ class TestCampaign:
         assert len(pert) == 1 + 2 * 2  # +/- s for each family
         checks = json.loads((tmp_path / "out/free_energy_checks.json").read_text())
         assert all(c["sandwich_ok"] and c["monotone_ok"] for c in checks)
+
+    def test_perturbed_rows_show_nonconverged_solves(self, tmp_path):
+        # Three iterations stop every solve short; D(s) depends on the base
+        # solve and the row's s-solve, so each row carries their flags.
+        cfg = base_config(
+            ladder=[40],
+            solver={"max_iters": 3},
+            perturbed={"enabled": True, "s_values": [0.1], "n_test": 50},
+        )
+        run_campaign(cfg, tmp_path / "out", threads=1)
+        trials = (tmp_path / "out/trials.csv").read_text().splitlines()[1:]
+        assert all(row.endswith("maxiter") for row in trials)
+        with open(tmp_path / "out/perturbed.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * 2
+        assert all(row["flags"] == "maxiter" for row in rows)
 
     def test_no_partial_files_left_on_failure(self, tmp_path, monkeypatch):
         cfg = base_config(trials=1, ladder=[40])
@@ -608,6 +638,13 @@ class TestCli:
         assert "config.perturbed.s_values[0]" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_family_setting_outside_its_kind_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_with(("families", 0, "constraint"), "nt-operator-ball")))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "config.families[0]: constraint 'nt-operator-ball'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({**BASE, "ladder": [40]}))
@@ -628,8 +665,10 @@ class TestCli:
         assert manifest["threads"] == 2
 
     @pytest.mark.parametrize("command", ["run", "selftest"])
-    @pytest.mark.parametrize("threads", ["-3", "0"])
-    def test_threads_below_one_rejected_at_parse_time(self, tmp_path, capsys, command, threads):
+    @pytest.mark.parametrize("threads", ["-3", "0", "two"])
+    def test_threads_below_one_rejected_at_parse_time(
+        self, tmp_path, capsys, monkeypatch, command, threads
+    ):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({**BASE, "ladder": [40]}))
         out = tmp_path / "o"
@@ -638,6 +677,12 @@ class TestCli:
             cli_main([command, *extra, "--threads", threads])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+        # The environment fallback is held to the same rule and named.
+        monkeypatch.setenv("ERMU_THREADS", threads)
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, *extra])
+        assert exc.value.code == 2
+        assert "ERMU_THREADS" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -17,7 +17,8 @@ from ermu.erm import (
     solve_erm,
 )
 from ermu.errors import InvalidArgumentError
-from ermu.gaussian import GaussianEquivalent
+from ermu.features import draw_features
+from ermu.gaussian import GaussianEquivalent, sample_gaussian
 from ermu.seeds import derive_seed, rng_from
 from ermu.stats import bl_gap, bootstrap_mean_ci, ks_null_quantile, ks_statistic, ramp
 from ermu.universality import (
@@ -35,7 +36,7 @@ PROBLEM = ProblemSpec(loss="huber", tau=0.5, lam=0.1)
 
 
 def identity_equiv(p):
-    return GaussianEquivalent(cov_mode="linear-exact", factor=np.eye(p))
+    return GaussianEquivalent(factor=np.eye(p))
 
 
 def twin_test_risk(problem, n_test, seed):
@@ -75,6 +76,17 @@ class TestRunTrials:
         assert len(rows) == 2
         assert {r.arm for r in rows} == {"x", "g"}
         assert rows[0].family == "lin" and rows[0].n == 60
+
+    def test_linear_nu_scales_features_and_twin_alike(self):
+        # Both arms of a linear cell have second moment nu I.
+        spec = FamilySpec(id="lin", kind="linear-independent", entry_law="uniform", nu=2.0)
+        inst = build_instance(spec, PROBLEM, 400, 5)
+        X = draw_features(inst.model, 4000, seed=1)
+        G = sample_gaussian(inst.twin(X), 4000, seed=2)
+        sq_x, sq_g = (X * X).ravel(), (G * G).ravel()
+        se = math.hypot(sq_x.std() / math.sqrt(sq_x.size), sq_g.std() / math.sqrt(sq_g.size))
+        assert abs(sq_x.mean() - sq_g.mean()) <= 5.0 * se
+        assert abs(sq_g.mean() - 2.0) <= 5.0 * sq_g.std() / math.sqrt(sq_g.size)
 
     def test_determinism_bitwise(self):
         inst = build_instance(FamilySpec(id="lin", kind="linear-independent"), PROBLEM, 50, 7)
