@@ -14,7 +14,8 @@ runs the trial chunks and the per-cell stage tasks, and is shut down when
 the campaign ends, also on an error. Results are assembled in chunk and
 instance order, so every artifact is byte-identical for any thread count.
 Files are written to a temporary name and renamed on completion, so a run
-never leaves a partial file behind.
+never leaves a partial file behind. Every CSV artifact, the report's too,
+goes through ``write_csv``, the one place that formats numbers.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,11 +49,9 @@ from ermu.universality import (
     FrozenTestRisk,
     TrialRow,
     WorkerPool,
-    _fmt,
     build_instance,
     perturbed_sweep,
     run_trials,
-    trial_row_to_csv,
 )
 
 
@@ -65,6 +64,26 @@ def _atomic_write(path: Path, writer) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def write_csv(path: Path, header: list[str], rows) -> None:
+    """Write ``header`` and then ``rows`` to the CSV file ``path``, atomically.
+
+    Every artifact CSV goes through here: each ``float`` is written with 17
+    significant digits, so it reads back exactly; other values as ``str``.
+    """
+
+    def write(fh):
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+
+    _atomic_write(path, write)
 
 
 @dataclass
@@ -113,14 +132,7 @@ def run_campaign(config: ExperimentConfig, out_dir: str | Path, threads: int = 0
             pool=pool,
         )
         quarantined = sum(1 for r in rows if r.quarantined)
-
-        def write_trials(fh):
-            w = csv.writer(fh)
-            w.writerow(TrialRow.CSV_HEADER.split(","))
-            for row in rows:
-                w.writerow(trial_row_to_csv(row))
-
-        _atomic_write(out / "trials.csv", write_trials)
+        write_csv(out / "trials.csv", [f.name for f in fields(TrialRow)], map(astuple, rows))
 
         if config.save_matrices:
             _save_matrices(instances, out)
@@ -178,14 +190,14 @@ def _free_energy_data(instance: FamilyInstance, master_seed: int):
     equiv = instance.twin(X)
     G = sample_gaussian(equiv, instance.n, derive_seed(seed, "gaussian-arm"))
     eps = problem.labeler.draw_noise(instance.n, derive_seed(seed, "eps"))
-    return seed, X, G, eps, equiv
+    return seed, X, G, eps
 
 
 def _free_energy_task(args):
     """Interpolation trace rows and sandwich checks of one (family, n) cell."""
     config, instance = args
     settings = config.free_energy
-    seed, X, G, eps, _ = _free_energy_data(instance, config.master_seed)
+    seed, X, G, eps = _free_energy_data(instance, config.master_seed)
     problem = instance.problem
     y = labels_from_noise(problem, X, eps)
     if settings.candidates == "solution-cloud":
@@ -199,7 +211,7 @@ def _free_energy_task(args):
     path = InterpolationPath(X=X, G=G, grid=grid, eps=eps)
     beta_ref = settings.beta_grid[-1]
     trace_rows = [
-        [_fmt(t), _fmt(f), instance.n, _fmt(beta_ref), instance.spec.id, seed]
+        [t, f, instance.n, beta_ref, instance.spec.id, seed]
         for t, f in free_energy_path(path, candidates, problem, beta_ref)
     ]
     report = entropy_sandwich_check(candidates, problem, X, y, settings.beta_grid)
@@ -222,14 +234,11 @@ def _run_free_energy_stage(
     tasks = [(config, inst) for inst in instances]
     costs = [inst.n * inst.p for inst in instances]
     results = list(pool.map(_free_energy_task, tasks, costs))
-
-    def write_traces(fh):
-        w = csv.writer(fh)
-        w.writerow(["t", "f", "n", "beta", "family", "seed"])
-        for trace_rows, _ in results:
-            w.writerows(trace_rows)
-
-    _atomic_write(out / "free_energy_paths.csv", write_traces)
+    write_csv(
+        out / "free_energy_paths.csv",
+        ["t", "f", "n", "beta", "family", "seed"],
+        (row for trace_rows, _ in results for row in trace_rows),
+    )
     checks = [check for _, check in results]
     _atomic_write(
         out / "free_energy_checks.json", lambda fh: json.dump(checks, fh, indent=2, sort_keys=True)
@@ -257,29 +266,13 @@ def _perturbed_task(args):
         cfg=config.solver,
         seed=seed,
     )
-    rows = []
-    for s in sweep.s_values:
-        if s in sweep.opt_values:
-            rows.append(
-                [
-                    instance.spec.id,
-                    instance.n,
-                    instance.p,
-                    seed,
-                    _fmt(s),
-                    _fmt(sweep.opt_values[s]),
-                    _fmt(sweep.D[s]),
-                    _fmt(sweep.test_at_theta0),
-                    _fmt(sweep.solver_gap),
-                    ";".join(sweep.flags[s]),
-                ]
-            )
-        else:
-            rows.append(
-                [instance.spec.id, instance.n, instance.p, seed, _fmt(s), "nan", "nan",
-                 _fmt(sweep.test_at_theta0), _fmt(sweep.solver_gap), "quarantined"]
-            )
-    return rows
+    # An s whose solve diverged has no optimum: nan in opt_s and D_s.
+    return [
+        [instance.spec.id, instance.n, instance.p, seed, s,
+         sweep.opt_values.get(s, math.nan), sweep.D.get(s, math.nan), sweep.test_at_theta0,
+         sweep.solver_gap, ";".join(sweep.flags.get(s, ["quarantined"]))]
+        for s in sweep.s_values
+    ]
 
 
 def _run_perturbed_stage(
@@ -288,13 +281,8 @@ def _run_perturbed_stage(
     tasks = [(config, inst) for inst in instances]
     costs = [inst.n * inst.p for inst in instances]
     results = list(pool.map(_perturbed_task, tasks, costs))
-
-    def write_perturbed(fh):
-        w = csv.writer(fh)
-        w.writerow(
-            ["family", "n", "p", "seed", "s", "opt_s", "D_s", "test_at_theta0", "solver_gap", "flags"]
-        )
-        for rows in results:
-            w.writerows(rows)
-
-    _atomic_write(out / "perturbed.csv", write_perturbed)
+    write_csv(
+        out / "perturbed.csv",
+        ["family", "n", "p", "seed", "s", "opt_s", "D_s", "test_at_theta0", "solver_gap", "flags"],
+        (row for rows in results for row in rows),
+    )

@@ -118,6 +118,14 @@ class ExperimentConfig:
         ids = [f.id for f in self.families]
         for fid in ids:
             check(ids.count(fid) == 1, f"duplicate family id {fid!r}")
+        # A neural-tangent family's sizes replace the ladder; any other
+        # family's sizes override cells of the ladder, each named by its n.
+        for spec in self.families:
+            for size in spec.sizes:
+                check(
+                    spec.kind == "neural-tangent" or size.get("n") in self.ladder,
+                    f"family {spec.id!r}: sizes entry {size} names no n on the ladder",
+                )
 
     def normalized(self) -> dict:
         """Fully materialized dict used for hashing and the manifest."""

@@ -88,6 +88,8 @@ class Labeler:
             raise InvalidArgumentError(f"unknown noise law {self.noise_law!r}")
         if self.tau < 0:
             raise InvalidArgumentError("tau must be nonnegative")
+        if self.clip_bound <= 0:
+            raise InvalidArgumentError("clip_bound must be positive")
         if self.eta_kind == "sign-smooth" and self.smoothing <= 0:
             raise InvalidArgumentError("sign-smooth needs a positive smoothing scale")
 

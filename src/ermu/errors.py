@@ -21,11 +21,19 @@ def check_one_of(key: str, value: str, kinds: tuple[str, ...]) -> None:
 
 
 class SolverDivergedError(ErmuError, RuntimeError):
-    """The iterative solver produced a non-finite objective."""
+    """The iterative solver produced a non-finite or increasing objective.
+
+    ``args`` holds both constructor arguments, so the error pickles: a worker
+    process raises it back to the campaign intact.
+    """
 
     def __init__(self, message: str, iteration: int):
-        super().__init__(f"{message} (iteration {iteration})")
+        super().__init__(message, iteration)
         self.iteration = iteration
+
+    def __str__(self) -> str:
+        message, iteration = self.args
+        return f"{message} (iteration {iteration})"
 
 
 class LinearSolveError(ErmuError, RuntimeError):

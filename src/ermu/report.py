@@ -14,16 +14,17 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from ermu.campaign import _atomic_write
+from ermu.campaign import _atomic_write, write_csv
 from ermu.errors import InvalidArgumentError
 from ermu.seeds import derive_seed
 from ermu.stats import bl_gap, bootstrap_mean_ci, ks_null_quantile, ks_statistic
-from ermu.universality import TrialRow, _fmt, trial_row_from_csv
+from ermu.universality import TrialRow
 
 _REPORT_SEED = 0x52505254  # fixed; reports must be reproducible from CSVs alone
 
@@ -32,20 +33,25 @@ _NONCONVERGED = ("maxiter", "step-underflow")
 
 
 def read_trials_csv(path: str | Path) -> list[TrialRow]:
+    """The rows of a trials.csv; each column is read as its ``TrialRow`` field's type."""
     path = Path(path)
     if not path.exists():
         raise InvalidArgumentError(f"{path}: no such file")
+    names = [f.name for f in fields(TrialRow)]
+    types = typing.get_type_hints(TrialRow)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != TrialRow.CSV_HEADER.split(","):
+        if header != names:
             raise InvalidArgumentError(f"{path}: unexpected header {header}")
         rows = []
-        for i, fields in enumerate(reader, start=2):
-            if len(fields) != 12:
-                raise InvalidArgumentError(f"{path}: line {i}: expected 12 fields, got {len(fields)}")
+        for i, values in enumerate(reader, start=2):
+            if len(values) != len(names):
+                raise InvalidArgumentError(
+                    f"{path}: line {i}: expected {len(names)} fields, got {len(values)}"
+                )
             try:
-                rows.append(trial_row_from_csv(fields))
+                rows.append(TrialRow(*(types[name](v) for name, v in zip(names, values))))
             except ValueError as exc:
                 raise InvalidArgumentError(f"{path}: line {i}: {exc}") from exc
     return rows
@@ -264,22 +270,20 @@ def write_report(
     report_path = out / "report.json"
     _atomic_write(report_path, lambda fh: json.dump(report, fh, indent=2, sort_keys=True))
 
-    def write_gaps(fh):
-        w = csv.writer(fh)
-        w.writerow(["family", "n", "p", "trials", "mean_gap", "ci_lo", "ci_hi", "se"])
-        for family in report["family_order"]:
-            for s in report["families"][family]["sizes"]:
-                if "train_gap" in s:
-                    tg = s["train_gap"]
-                    w.writerow(
-                        [family, s["n"], s["p"], s["trials"]]
-                        + [_fmt(v) for v in (tg["mean"], tg["ci_lo"], tg["ci_hi"], tg["se"])]
-                    )
-
-    _atomic_write(out / "gap_vs_n.csv", write_gaps)
+    write_csv(
+        out / "gap_vs_n.csv",
+        ["family", "n", "p", "trials", "mean_gap", "ci_lo", "ci_hi", "se"],
+        (
+            [family, s["n"], s["p"], s["trials"]]
+            + [s["train_gap"][k] for k in ("mean", "ci_lo", "ci_hi", "se")]
+            for family in report["family_order"]
+            for s in report["families"][family]["sizes"]
+            if "train_gap" in s
+        ),
+    )
 
     # Pass through plot-ready stage outputs when the run produced them.
-    # newline="" on both sides keeps csv.writer's \r\n line ends byte for byte.
+    # newline="" on both sides keeps write_csv's \r\n line ends byte for byte.
     for name in ("free_energy_paths.csv", "perturbed.csv"):
         src = results / name
         if src.exists() and out != results:

@@ -42,6 +42,9 @@ class SolverConfig:
         check(self.max_iters >= 1, "max_iters must be >= 1")
         # A shrink factor of 1 or more never ends the backtracking loop.
         check(0 < self.armijo_shrink < 1, "armijo_shrink must be in (0, 1)")
+        # A slope of 1 or more fails every step, so every solve ends in
+        # step-underflow; a negative one accepts uphill steps.
+        check(0 < self.armijo_slope < 1, "armijo_slope must be in (0, 1)")
         check(self.init_step > 0, "init_step must be positive")
         check(self.step_growth >= 1, "step_growth must be >= 1")
 

@@ -116,6 +116,9 @@ class FamilySpec:
         self.build_activation()  # custom-hermite needs coefficients
         for key in ("nu", "gamma_p", "gamma_d_over_p", "gamma_tilde", "radius"):
             check(getattr(self, key) > 0, f"{key} must be positive")
+        for key in ("hermite_order", "cov_samples_per_dim"):
+            check(getattr(self, key) >= 1, f"{key} must be >= 1")
+        check(self.jitter_rel >= 0, "jitter_rel must be >= 0")
         for size in self.sizes:
             check(
                 set(size) <= {"n", "d"} and all(type(v) is int and v > 0 for v in size.values()),
@@ -294,7 +297,7 @@ def build_instance(
 
 @dataclass
 class TrialRow:
-    """One CSV row: a single arm of a coupled trial."""
+    """One trials.csv row: a single arm of a coupled trial; the fields are its columns."""
 
     family: str
     n: int
@@ -309,8 +312,6 @@ class TrialRow:
     iters: int
     flags: str
 
-    CSV_HEADER = "family,n,p,trial,seed,train_opt,test_x,test_x_se,test_g,test_g_se,iters,flags"
-
     @property
     def arm(self) -> str:
         for token in self.flags.split(";"):
@@ -321,44 +322,6 @@ class TrialRow:
     @property
     def quarantined(self) -> bool:
         return "quarantined" in self.flags.split(";")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def trial_row_to_csv(row: TrialRow) -> list[str]:
-    return [
-        row.family,
-        str(row.n),
-        str(row.p),
-        str(row.trial),
-        str(row.seed),
-        _fmt(row.train_opt),
-        _fmt(row.test_x),
-        _fmt(row.test_x_se),
-        _fmt(row.test_g),
-        _fmt(row.test_g_se),
-        str(row.iters),
-        row.flags,
-    ]
-
-
-def trial_row_from_csv(fields: Sequence[str]) -> TrialRow:
-    return TrialRow(
-        family=fields[0],
-        n=int(fields[1]),
-        p=int(fields[2]),
-        trial=int(fields[3]),
-        seed=int(fields[4]),
-        train_opt=float(fields[5]),
-        test_x=float(fields[6]),
-        test_x_se=float(fields[7]),
-        test_g=float(fields[8]),
-        test_g_se=float(fields[9]),
-        iters=int(fields[10]),
-        flags=fields[11],
-    )
 
 
 def run_single_trial(
@@ -550,7 +513,6 @@ class PerturbedRiskSweep:
     D: dict[float, float]
     test_at_theta0: float
     solver_gap: float
-    quarantined: list[float] = field(default_factory=list)
     # Per solved s: the non-convergence flags of the base solve and the s-solve,
     # since D(s) depends on both.
     flags: dict[float, list[str]] = field(default_factory=dict)
@@ -606,7 +568,6 @@ def perturbed_sweep(
     opt_values: dict[float, float] = {}
     D: dict[float, float] = {}
     flags: dict[float, list[str]] = {}
-    quarantined: list[float] = []
     for s in s_values:
         try:
             sol = solve_erm(
@@ -618,14 +579,13 @@ def perturbed_sweep(
             flags[s] = list(dict.fromkeys(base.flags + sol.flags))
             solver_gap = max(solver_gap, sol.suboptimality_bound(problem.constraint))
         except SolverDivergedError:
-            quarantined.append(s)
+            continue  # no optimum: s stays out of opt_values, D and flags
     return PerturbedRiskSweep(
         s_values=s_values,
         opt_values=opt_values,
         D=D,
         test_at_theta0=test_ref,
         solver_gap=solver_gap,
-        quarantined=quarantined,
         flags=flags,
     )
 

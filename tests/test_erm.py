@@ -276,7 +276,9 @@ class TestSolveErm:
     def test_objective_increase_raises_diverged(self):
         # A negative Armijo slope accepts an uphill step; the monotonicity
         # check must raise a solver error, not an assert that -O strips.
-        cfg = SolverConfig(init_step=10.0, armijo_slope=-1e3)
+        # SolverConfig rejects such a slope, so it is set past that check.
+        cfg = SolverConfig(init_step=10.0)
+        object.__setattr__(cfg, "armijo_slope", -1e3)
         with pytest.raises(SolverDivergedError, match="objective increased"):
             pgd_minimize(lambda x: float(x @ x), lambda x: 2.0 * x, lambda x: x, np.ones(1), cfg)
 

@@ -2,20 +2,23 @@
 
 import csv
 import json
+import math
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ermu import campaign, gaussian
+from ermu import campaign, erm, gaussian
 from ermu.campaign import run_campaign
 from ermu.cli import main as cli_main
 from ermu.config import ExperimentConfig, config_from_dict, load_config
-from ermu.errors import ConfigError, InvalidArgumentError
+from ermu.errors import ConfigError, InvalidArgumentError, SolverDivergedError
 from ermu.gaussian import empirical_equivalent
 from ermu.matio import load_matrix, save_matrix
 from ermu.report import build_report, read_trials_csv, write_report
@@ -297,6 +300,15 @@ class TestConfig:
         (("families", 1, "cov_mode"), "hermite-exact"),
         (("families", 0, "constraint"), "nt-operator-ball"),
         (("families", 1, "constraint"), "nt-operator-ball"),
+        (("families", 0, "hermite_order"), 0),
+        (("families", 0, "cov_samples_per_dim"), 0),
+        (("families", 0, "jitter_rel"), -1e-3),
+        (("solver", "armijo_slope"), -1.0),
+        (("solver", "armijo_slope"), 0.0),
+        (("solver", "armijo_slope"), 2.0),
+        (("problem", "clip_bound"), 0.0),
+        (("families", 0, "sizes"), [{"d": 7}]),
+        (("families", 0, "sizes"), [{"n": 50}]),
     ])
     def test_out_of_range_value_rejected_at_parse_time(self, path, value):
         with pytest.raises(ConfigError, match=path[-1]):
@@ -392,7 +404,16 @@ class TestCampaign:
             assert equiv.iso_scale != empirical_equivalent(X).iso_scale
 
         (inst,) = campaign.build_instances(cfg)
-        _, X, _, _, equiv = campaign._free_energy_data(inst, cfg.master_seed)
+        seen = []
+        sample = campaign.sample_gaussian
+
+        def recording_sample(equiv, *args):
+            seen.append(equiv)
+            return sample(equiv, *args)
+
+        monkeypatch.setattr(campaign, "sample_gaussian", recording_sample)
+        _, X, _, _ = campaign._free_energy_data(inst, cfg.master_seed)
+        (equiv,) = seen
         assert_family_twin(equiv, X)
 
         seen = []
@@ -485,14 +506,14 @@ class TestCampaign:
         def broken(*args):
             raise RuntimeError("writer failed")
 
-        monkeypatch.setattr("ermu.report._fmt", broken)
+        # The number formatter of write_csv fails after the file is opened.
+        monkeypatch.setattr("ermu.campaign._fmt", broken)
         with pytest.raises(RuntimeError, match="writer failed"):
             write_report(out)
         assert not (out / "gap_vs_n.csv").exists()
         assert not list(out.glob("*.tmp"))
 
         failed = tmp_path / "failed"
-        monkeypatch.setattr("ermu.campaign.trial_row_to_csv", broken)
         with pytest.raises(RuntimeError, match="writer failed"):
             run_campaign(cfg, failed, threads=1)
         assert not (failed / "trials.csv").exists()
@@ -506,11 +527,80 @@ class TestCampaign:
             alive_at_failure.append(len(multiprocessing.active_children()))
             raise RuntimeError("writer failed")
 
-        monkeypatch.setattr("ermu.campaign.trial_row_to_csv", broken)
+        monkeypatch.setattr("ermu.campaign._fmt", broken)
         with pytest.raises(RuntimeError, match="writer failed"):
             run_campaign(cfg, tmp_path / "failed", threads=2)
         assert alive_at_failure == [2]  # the campaign's pool ran the two trial chunks
         assert multiprocessing.active_children() == []
+
+    def test_solver_diverged_error_pickles(self):
+        exc = pickle.loads(pickle.dumps(SolverDivergedError("objective increased", 7)))
+        assert str(exc) == "objective increased (iteration 7)"
+        assert exc.iteration == 7
+
+    def test_divergence_in_a_worker_reaches_the_caller(self, tmp_path, monkeypatch):
+        # Every plain solve diverges: the trials quarantine their rows, and
+        # the perturbed stage's base solve raises in a worker. The error must
+        # come back through the pool as itself, not as a broken pool.
+        def diverging(*args, **kwargs):
+            raise SolverDivergedError("non-finite objective", 3)
+
+        monkeypatch.setattr("ermu.universality.solve_erm", diverging)
+        cfg = base_config(perturbed={"enabled": True, "s_values": [0.1], "n_test": 50})
+        with pytest.raises(SolverDivergedError, match=r"non-finite objective \(iteration 3\)") as info:
+            run_campaign(cfg, tmp_path / "out", threads=2)
+        assert info.value.iteration == 3
+        assert multiprocessing.active_children() == []
+
+    def test_perturbed_row_of_a_diverged_s_solve(self, tmp_path, monkeypatch):
+        def diverging_s_solves(*args, extra=None, **kwargs):
+            if extra is not None:
+                raise SolverDivergedError("non-finite objective", 1)
+            return erm.solve_erm(*args, **kwargs)
+
+        monkeypatch.setattr("ermu.universality.solve_erm", diverging_s_solves)
+        cfg = base_config(
+            ladder=[40], perturbed={"enabled": True, "s_values": [0.1], "n_test": 50}
+        )
+        run_campaign(cfg, tmp_path / "out", threads=1)
+        with open(tmp_path / "out/perturbed.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * 2
+        for row in rows:
+            assert (row["opt_s"], row["D_s"], row["flags"]) == ("nan", "nan", "quarantined")
+            assert math.isfinite(float(row["test_at_theta0"]))
+
+    @pytest.mark.parametrize("n_test", [30, 0])
+    def test_trials_csv_round_trips_exactly(self, tmp_path, monkeypatch, n_test):
+        written = []
+        run_trials = campaign.run_trials
+
+        def recording(*args, **kwargs):
+            written.extend(run_trials(*args, **kwargs))
+            return written
+
+        monkeypatch.setattr(campaign, "run_trials", recording)
+        cfg = base_config(ladder=[40], test_risk={"n_test": n_test})
+        run_campaign(cfg, tmp_path / "out", threads=1)
+        read = read_trials_csv(tmp_path / "out/trials.csv")
+        assert len(read) == len(written) == 2 * 2 * 3
+
+        def same(a, b):  # exact equality; NaN (the no-test columns) matches NaN
+            return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+        for r, w in zip(read, written):
+            assert all(same(a, b) for a, b in zip(astuple(r), astuple(w))), (r, w)
+        if n_test == 0:
+            assert all(math.isnan(r.test_x) and "no-test" in r.flags for r in read)
+
+    def test_trials_header_is_the_benchmark_gates(self, tmp_path):
+        # perfbench's correctness gate pins the trials.csv header; a renamed or
+        # reordered TrialRow field fails here, not first in the benchmark.
+        from perfbench.checks import TRIALS_HEADER
+
+        run_campaign(base_config(trials=1, ladder=[40]), tmp_path / "out", threads=1)
+        with open(tmp_path / "out/trials.csv", newline="") as fh:
+            assert fh.readline() == TRIALS_HEADER + "\r\n"
 
     def test_save_matrices_roundtrip(self, tmp_path):
         cfg = base_config(
