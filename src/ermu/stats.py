@@ -56,12 +56,18 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
 def ks_null_quantile(
     n_a: int, n_b: int, level: float = 0.99, n_sims: int = 2000, seed: int = 0
 ) -> float:
-    """Simulated null quantile of the two-sample KS statistic."""
+    """Simulated null quantile of the two-sample KS statistic.
+
+    Each simulation is one row of normals, the first ``n_a`` for sample a
+    and the rest for b. Its statistic is the largest gap between the two
+    running empirical CDFs along the row's sorted order, which equals
+    ``ks_statistic`` of the two samples when they have no ties.
+    """
     rng = rng_from(seed, "ks-null", n_a, n_b)
-    stats = np.empty(n_sims)
-    for i in range(n_sims):
-        stats[i] = ks_statistic(rng.standard_normal(n_a), rng.standard_normal(n_b))
-    return float(np.quantile(stats, level))
+    order = np.argsort(rng.standard_normal((n_sims, n_a + n_b)), axis=1)
+    is_a = order < n_a
+    gaps = np.cumsum(is_a, axis=1) / n_a - np.cumsum(~is_a, axis=1) / n_b
+    return float(np.quantile(np.abs(gaps).max(axis=1), level))
 
 
 @dataclass(frozen=True)
@@ -124,11 +130,18 @@ def bl_gap(
     n_boot: int = 2000,
     seed: int = 0,
 ) -> BlGapResult:
-    """Max over the dictionary of |mean psi(a) - mean psi(b)|, with bootstrap CI."""
+    """Max over the dictionary of |mean psi(a) - mean psi(b)|, with bootstrap CI.
+
+    ``a`` and ``b`` have the same size T. All resample indices are drawn at
+    once as an (n_boot, 2, T) array: row r holds resample r of a, then of b.
+    Each resample mean adds its T values in index order.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
         raise InvalidArgumentError("samples must be nonempty")
+    if a.size != b.size:
+        raise InvalidArgumentError(f"samples must have the same size, got {a.size} and {b.size}")
     if psi_dictionary is None:
         psi_dictionary = default_psi_dictionary(np.concatenate([a, b]))
     per_psi: dict[str, float] = {}
@@ -140,12 +153,16 @@ def bl_gap(
         per_psi[psi.name] = float(abs(psi_a[i].mean() - psi_b[i].mean()))
     gaps = np.abs(psi_a.mean(axis=1) - psi_b.mean(axis=1))
     best = int(np.argmax(gaps))
-    rng = rng_from(seed, "bl-bootstrap")
-    boot = np.empty(n_boot)
-    for r in range(n_boot):
-        ia = rng.integers(0, a.size, size=a.size)
-        ib = rng.integers(0, b.size, size=b.size)
-        boot[r] = np.abs(psi_a[:, ia].mean(axis=1) - psi_b[:, ib].mean(axis=1)).max()
+    idx = rng_from(seed, "bl-bootstrap").integers(0, a.size, size=(n_boot, 2, a.size))
+
+    def resample_means(values, rows):  # each mean sums its T values in index order
+        return values[rows].cumsum(axis=1)[:, -1] / a.size
+
+    boot = np.max(
+        [np.abs(resample_means(fa, idx[:, 0]) - resample_means(fb, idx[:, 1]))
+         for fa, fb in zip(psi_a, psi_b)],
+        axis=0,
+    )
     lo, hi = np.quantile(boot, [0.025, 0.975])
     return BlGapResult(
         per_psi=per_psi,

@@ -20,7 +20,14 @@ from ermu.errors import InvalidArgumentError
 from ermu.features import draw_features
 from ermu.gaussian import GaussianEquivalent, sample_gaussian
 from ermu.seeds import derive_seed, rng_from
-from ermu.stats import bl_gap, bootstrap_mean_ci, ks_null_quantile, ks_statistic, ramp
+from ermu.stats import (
+    bl_gap,
+    bootstrap_mean_ci,
+    default_psi_dictionary,
+    ks_null_quantile,
+    ks_statistic,
+    ramp,
+)
 from ermu.universality import (
     FamilySpec,
     FrozenTestRisk,
@@ -43,6 +50,20 @@ def twin_test_risk(problem, n_test, seed):
     """The frozen test risk of the identity twin, seeded as the perturbed stage seeds it."""
     equiv = identity_equiv(problem.p)
     return FrozenTestRisk(problem, equiv, n_test, derive_seed(seed, "surrogate"))
+
+
+def bl_gap_loop(a, b, psis, n_boot, seed):
+    """bl_gap's bootstrap (ci_lo, ci_hi, se), one resample of a and then of b at a time."""
+    psi_a = np.array([p.fn(a) for p in psis])
+    psi_b = np.array([p.fn(b) for p in psis])
+    rng = rng_from(seed, "bl-bootstrap")
+    boot = np.empty(n_boot)
+    for r in range(n_boot):
+        ia = rng.integers(0, a.size, size=a.size)
+        ib = rng.integers(0, b.size, size=b.size)
+        boot[r] = np.abs(psi_a[:, ia].mean(axis=1) - psi_b[:, ib].mean(axis=1)).max()
+    lo, hi = np.quantile(boot, [0.025, 0.975])
+    return float(lo), float(hi), float(boot.std(ddof=1))
 
 
 class ConstantTestRisk:
@@ -149,8 +170,6 @@ class TestBlGap:
         rng = rng_from(2, "bl")
         a = rng.standard_normal(10_000)
         b = rng.standard_normal(10_000) + 0.5
-        from ermu.stats import default_psi_dictionary
-
         psis = default_psi_dictionary(np.concatenate([a, b]))
         res = bl_gap(a, b, psi_dictionary=psis, n_boot=400, seed=3)
         big_a = rng.standard_normal(1_000_000)
@@ -161,6 +180,19 @@ class TestBlGap:
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
             bl_gap(np.array([]), np.array([1.0]))
+
+    def test_unequal_sizes_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="same size"):
+            bl_gap(np.zeros(3), np.zeros(4))
+
+    @pytest.mark.parametrize("T", [2, 4, 7, 30, 100])
+    def test_matches_per_resample_loop_bit_for_bit(self, T):
+        rng = rng_from(21, "bl-oracle", T)
+        a, b = rng.standard_normal(T), rng.standard_normal(T) + 0.3
+        psis = default_psi_dictionary(np.concatenate([a, b]))
+        res = bl_gap(a, b, psi_dictionary=psis, n_boot=500, seed=T)
+        lo, hi, se = bl_gap_loop(a, b, psis, n_boot=500, seed=T)
+        assert (res.ci_lo, res.ci_hi, res.se) == (lo, hi, se)
 
 
 class TestKs:
@@ -193,6 +225,13 @@ class TestKs:
     def test_simulated_null_quantile_scale(self):
         q = ks_null_quantile(50, 50, level=0.99, n_sims=400, seed=6)
         assert 0.2 <= q <= 0.45  # 1.628 sqrt(2/50) ~ 0.326
+
+    @pytest.mark.parametrize("n_a, n_b", [(2, 2), (4, 4), (7, 7), (30, 30), (100, 100), (5, 9)])
+    def test_null_matches_per_simulation_loop_bit_for_bit(self, n_a, n_b):
+        rng = rng_from(6, "ks-null", n_a, n_b)
+        stats = [ks_statistic(rng.standard_normal(n_a), rng.standard_normal(n_b)) for _ in range(300)]
+        oracle = float(np.quantile(stats, 0.99))
+        assert ks_null_quantile(n_a, n_b, level=0.99, n_sims=300, seed=6) == oracle
 
 
 class TestBootstrap:
