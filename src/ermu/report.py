@@ -177,7 +177,9 @@ def build_report(
                 "degenerate_ci": T < 2 or hi == lo,
             }
             if T >= 2:
-                bl = bl_gap(ps.train_x, ps.train_g, n_boot=n_boot, seed=derive_seed(seed, "bl"))
+                bl = bl_gap(
+                    ps.train_x, ps.train_g, n_boot=n_boot, seed=derive_seed(seed, "bl"), level=level
+                )
                 entry["bl_gap"] = {
                     "max": bl.max_gap,
                     "argmax": bl.argmax,

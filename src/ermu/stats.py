@@ -129,8 +129,10 @@ def bl_gap(
     psi_dictionary: Sequence[PsiFunction] | None = None,
     n_boot: int = 2000,
     seed: int = 0,
+    level: float = 0.95,
 ) -> BlGapResult:
-    """Max over the dictionary of |mean psi(a) - mean psi(b)|, with bootstrap CI.
+    """Max over the dictionary of |mean psi(a) - mean psi(b)|, with a percentile
+    bootstrap CI at ``level``.
 
     ``a`` and ``b`` have the same size T. All resample indices are drawn at
     once as an (n_boot, 2, T) array: row r holds resample r of a, then of b.
@@ -163,7 +165,8 @@ def bl_gap(
          for fa, fb in zip(psi_a, psi_b)],
         axis=0,
     )
-    lo, hi = np.quantile(boot, [0.025, 0.975])
+    alpha = 0.5 * (1.0 - level)
+    lo, hi = np.quantile(boot, [alpha, 1.0 - alpha])
     return BlGapResult(
         per_psi=per_psi,
         max_gap=float(gaps[best]),

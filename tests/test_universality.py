@@ -53,7 +53,7 @@ def twin_test_risk(problem, n_test, seed):
 
 
 def bl_gap_loop(a, b, psis, n_boot, seed):
-    """bl_gap's bootstrap (ci_lo, ci_hi, se), one resample of a and then of b at a time."""
+    """bl_gap's bootstrap statistics, one resample of a and then of b at a time."""
     psi_a = np.array([p.fn(a) for p in psis])
     psi_b = np.array([p.fn(b) for p in psis])
     rng = rng_from(seed, "bl-bootstrap")
@@ -62,8 +62,7 @@ def bl_gap_loop(a, b, psis, n_boot, seed):
         ia = rng.integers(0, a.size, size=a.size)
         ib = rng.integers(0, b.size, size=b.size)
         boot[r] = np.abs(psi_a[:, ia].mean(axis=1) - psi_b[:, ib].mean(axis=1)).max()
-    lo, hi = np.quantile(boot, [0.025, 0.975])
-    return float(lo), float(hi), float(boot.std(ddof=1))
+    return boot
 
 
 class ConstantTestRisk:
@@ -191,8 +190,22 @@ class TestBlGap:
         a, b = rng.standard_normal(T), rng.standard_normal(T) + 0.3
         psis = default_psi_dictionary(np.concatenate([a, b]))
         res = bl_gap(a, b, psi_dictionary=psis, n_boot=500, seed=T)
-        lo, hi, se = bl_gap_loop(a, b, psis, n_boot=500, seed=T)
-        assert (res.ci_lo, res.ci_hi, res.se) == (lo, hi, se)
+        boot = bl_gap_loop(a, b, psis, n_boot=500, seed=T)
+        alpha = 0.5 * (1.0 - 0.95)
+        lo, hi = np.quantile(boot, [alpha, 1.0 - alpha])
+        assert (res.ci_lo, res.ci_hi, res.se) == (lo, hi, boot.std(ddof=1))
+
+    def test_ci_takes_the_level(self):
+        # At level 0.8 the CI is the 0.1 and 0.9 quantiles of the same resamples;
+        # (1 - 0.8) / 2 is 0.1 only up to rounding, hence the relative 1e-12.
+        rng = rng_from(22, "bl-level")
+        a, b = rng.standard_normal(30), rng.standard_normal(30) + 0.3
+        psis = default_psi_dictionary(np.concatenate([a, b]))
+        res = bl_gap(a, b, psi_dictionary=psis, n_boot=500, seed=5, level=0.8)
+        lo, hi = np.quantile(bl_gap_loop(a, b, psis, n_boot=500, seed=5), [0.1, 0.9])
+        assert (res.ci_lo, res.ci_hi) == (pytest.approx(lo, rel=1e-12), pytest.approx(hi, rel=1e-12))
+        wide = bl_gap(a, b, psi_dictionary=psis, n_boot=500, seed=5)
+        assert wide.ci_lo < res.ci_lo < res.ci_hi < wide.ci_hi
 
 
 class TestKs:
