@@ -143,11 +143,14 @@ def sample_gaussian(equiv: GaussianEquivalent, n: int, seed: int) -> np.ndarray:
     """n x p batch with rows L xi + s zeta, xi ~ N(0, I_r), zeta ~ N(0, I_p).
 
     The isotropic term is drawn only when s > 0, after xi from the same
-    stream, so a twin with s = 0 draws exactly n x r normals.
+    stream, so a twin with s = 0 draws exactly n x r normals. A twin with
+    r = 0 (the linear family's) is drawn as s zeta directly.
     """
     if n < 1:
         raise InvalidArgumentError(f"n must be positive, got {n}")
     rng = rng_from(seed, "gaussian-rows")
+    if equiv.factor.shape[1] == 0:
+        return equiv.iso_scale * rng.standard_normal((n, equiv.p))
     G = rng.standard_normal((n, equiv.factor.shape[1])) @ equiv.factor.T
     if equiv.iso_scale > 0.0:
         G += equiv.iso_scale * rng.standard_normal((n, equiv.p))
