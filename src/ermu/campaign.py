@@ -5,7 +5,8 @@ Artifacts written into the output directory:
 * ``trials.csv``      one row per (family, size, trial, arm)
 * ``free_energy_paths.csv``  interpolation traces, when enabled
 * ``free_energy_checks.json`` sandwich/monotonicity diagnostics, when enabled
-* ``perturbed.csv``   perturbed-risk sweeps D(s), when enabled
+* ``perturbed.csv``   perturbed-risk sweeps D(s) of the exact twin test risk,
+  when enabled
 * ``manifest.json``   config hash, code version, wall time, quarantine count
 
 A campaign owns one worker pool of ``threads`` processes (see
@@ -46,8 +47,8 @@ from ermu.gaussian import sample_gaussian
 from ermu.seeds import derive_seed
 from ermu.universality import (
     FamilyInstance,
-    FrozenTestRisk,
     TrialRow,
+    TwinTestRisk,
     WorkerPool,
     build_instance,
     perturbed_sweep,
@@ -252,9 +253,7 @@ def _perturbed_task(args):
     seed = derive_seed(config.master_seed, instance.spec.id, instance.n, "perturbed")
     problem = instance.problem
     X = draw_features(instance.model, instance.n, derive_seed(seed, "covariates"))
-    test_risk = FrozenTestRisk(
-        problem, instance.twin(X), settings.n_test, derive_seed(seed, "surrogate")
-    )
+    test_risk = TwinTestRisk(problem, instance.twin(X))
     eps = problem.labeler.draw_noise(instance.n, derive_seed(seed, "eps"))
     y = labels_from_noise(problem, X, eps)
     sweep = perturbed_sweep(

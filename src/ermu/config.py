@@ -78,6 +78,8 @@ class FreeEnergySettings:
 class PerturbedSettings:
     enabled: bool = False
     s_values: tuple[float, ...] = (0.01, 0.1)
+    # No longer read: the stage uses the exact twin test risk. Kept, with its
+    # check, so configs that set it parse and hash as before.
     n_test: int = 2000
 
     def __post_init__(self):

@@ -2,10 +2,11 @@
 
 A trial draws one featurized batch X and one Gaussian batch G with matched
 covariance, reuses the same label-noise vector for both arms, solves the
-constrained ERM on each, and records optimal train risks plus Monte Carlo
-test risks at the two solutions. Campaign-level statistics (bootstrap CIs of
-the train gap, bounded-Lipschitz gaps, KS distances) operationalize the
-claim that the two arms agree asymptotically.
+constrained ERM on each, and records optimal train risks plus two test
+risks at each solution: a Monte Carlo estimate on a fresh featurized batch,
+and the twin's exact test risk (``TwinTestRisk``). Campaign-level statistics
+(bootstrap CIs of the train gap, bounded-Lipschitz gaps, KS distances)
+operationalize the claim that the two arms agree asymptotically.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from ermu.gaussian import (
     monte_carlo_equivalent,
     sample_gaussian,
 )
+from ermu.quadrature import normal_panel_nodes
 from ermu.seeds import derive_seed, rng_from
 from ermu.solver import SolverConfig, pgd_minimize
 
@@ -295,6 +297,96 @@ def build_instance(
     )
 
 
+# The twin test-risk integral takes each score axis over [-_TWIN_RISK_RANGE,
+# _TWIN_RISK_RANGE] in TWIN_RISK_PANELS equal panels of 8 Gauss-Legendre
+# nodes, and a Gaussian noise axis in a quarter as many panels. The node
+# convergence test in tests/test_universality.py states the error this leaves.
+TWIN_RISK_PANELS = 16
+_TWIN_RISK_RANGE = 9.0
+
+
+class TwinTestRisk:
+    """Exact test risk E[loss(u, y)] under the Gaussian twin, and its gradient.
+
+    For g ~ N(0, Sigma) with Sigma = L L^T + s^2 I, the student score
+    u = w^T g (w = Theta head) and the teacher score v = t^T g (t the sum of
+    theta_star's columns) are jointly Gaussian. Their covariances c_uu, c_uv
+    and c_vv cost one product L^T w per theta. The label is
+    y = eta(v) + tau eps. With a linear eta and Gaussian noise, eps folds
+    into v, whose variance becomes c_vv + tau^2. Rademacher noise is the mean
+    of the eps = -1 and +1 integrals, and Gaussian noise with a nonlinear eta
+    is a third node axis. The label side sits on fixed nodes,
+    v = sqrt(c_vv) z1, with the kinks of a clipped eta at panel edges, and
+    u = alpha z1 + beta z2 with alpha = c_uv / sqrt(c_vv) and
+    beta = sqrt(c_uu - alpha^2). So the labels do not depend on theta, and
+    ``grad`` is the exact gradient of ``value``, the quadrature sum. For a
+    convex loss that sum is convex in theta, since the z2 nodes come in +-
+    pairs.
+    """
+
+    def __init__(self, problem: ErmProblem, equiv: GaussianEquivalent):
+        self.problem = problem
+        self.factor = equiv.factor
+        self.iso2 = equiv.iso_scale**2
+        t = problem.theta_star.sum(axis=1)
+        self.sigma_t = self.factor @ (self.factor.T @ t) + self.iso2 * t
+        labeler = problem.labeler
+        fold = labeler.eta_kind == "linear" and labeler.noise_law == "gaussian"
+        c_vv = float(t @ self.sigma_t) + (labeler.tau**2 if fold else 0.0)
+        self.root_vv = math.sqrt(c_vv) or 1.0  # t = 0 has c_uv = 0, so alpha = 0
+        edges = np.linspace(-_TWIN_RISK_RANGE, _TWIN_RISK_RANGE, TWIN_RISK_PANELS + 1)
+        kinks = np.array([-labeler.clip_bound, labeler.clip_bound]) / self.root_vv
+        if labeler.eta_kind == "clipped-linear":
+            self.z1, w1 = normal_panel_nodes(
+                np.union1d(edges, kinks[np.abs(kinks) < _TWIN_RISK_RANGE])
+            )
+        else:
+            self.z1, w1 = normal_panel_nodes(edges)
+        self.z2, w2 = normal_panel_nodes(edges)
+        if fold or labeler.tau == 0.0:
+            eps, w_eps = np.zeros(1), np.ones(1)
+        elif labeler.noise_law == "gaussian":
+            eps, w_eps = normal_panel_nodes(edges[::4])
+        else:
+            eps, w_eps = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+        # Axes (z1, z2, eps): the label depends on z1 and eps, the score on z1 and z2.
+        self.y = labeler.label(math.sqrt(c_vv) * self.z1[:, None], eps[None, :])[:, None, :]
+        self.weights = w1[:, None, None] * w2[None, :, None] * w_eps[None, None, :]
+        self._theta: Optional[np.ndarray] = None
+
+    def _overlaps(self, theta: np.ndarray):
+        """(w, L^T w, alpha, beta) at theta, kept for the last point evaluated."""
+        if self._theta is None or not np.array_equal(theta, self._theta):
+            Theta = np.asarray(theta, dtype=np.float64)
+            w = (Theta[:, None] if Theta.ndim == 1 else Theta) @ np.asarray(self.problem.head)
+            Lw = self.factor.T @ w
+            alpha = float(w @ self.sigma_t) / self.root_vv
+            beta = math.sqrt(max(float(Lw @ Lw) + self.iso2 * float(w @ w) - alpha * alpha, 0.0))
+            self._kept = (w, Lw, alpha, beta)
+            self._theta = np.array(theta, dtype=np.float64)
+        return self._kept
+
+    def _scores(self, alpha: float, beta: float) -> np.ndarray:
+        return alpha * self.z1[:, None, None] + beta * self.z2[None, :, None]
+
+    def value(self, theta: np.ndarray) -> float:
+        _, _, alpha, beta = self._overlaps(theta)
+        return float(np.vdot(self.weights, self.problem.loss.value(self._scores(alpha, beta), self.y)))
+
+    def grad(self, theta: np.ndarray) -> np.ndarray:
+        w, Lw, alpha, beta = self._overlaps(theta)
+        lw = self.weights * self.problem.loss.grad(self._scores(alpha, beta), self.y)
+        d_alpha = lw.sum(axis=(1, 2)) @ self.z1
+        d_beta = lw.sum(axis=(0, 2)) @ self.z2
+        # grad alpha = Sigma t / sqrt(c_vv); grad beta = (Sigma w - alpha grad alpha) / beta.
+        g = (d_alpha / self.root_vv) * self.sigma_t
+        if beta > 0.0:
+            sigma_w = self.factor @ Lw + self.iso2 * w
+            g = g + (d_beta / beta) * (sigma_w - (alpha / self.root_vv) * self.sigma_t)
+        grad = g[:, None] * np.asarray(self.problem.head)[None, :]
+        return grad[:, 0] if np.ndim(theta) == 1 else grad
+
+
 @dataclass
 class TrialRow:
     """One trials.csv row: a single arm of a coupled trial; the fields are its columns."""
@@ -345,11 +437,11 @@ def run_single_trial(
     y_g = labels_from_noise(problem, G, eps)
 
     test_seed = derive_seed(trial_seed, "test")
-    X_test = G_test = eps_test = None
+    X_test = eps_test = twin_risk = None
     if n_test > 0:
         X_test = draw_features(instance.model, n_test, derive_seed(test_seed, "x"))
-        G_test = sample_gaussian(equiv, n_test, derive_seed(test_seed, "g"))
         eps_test = problem.labeler.draw_noise(n_test, derive_seed(test_seed, "noise"))
+        twin_risk = TwinTestRisk(problem, equiv)
 
     rows = []
     for arm, data, labels in (("x", X, y_x), ("g", G, y_g)):
@@ -363,7 +455,7 @@ def run_single_trial(
             flags.extend(sol.flags)
             if n_test > 0:
                 tx, tx_se = _risk_on(problem, sol.theta_hat, X_test, eps_test)
-                tg, tg_se = _risk_on(problem, sol.theta_hat, G_test, eps_test)
+                tg, tg_se = twin_risk.value(sol.theta_hat), 0.0
             else:
                 tx = tx_se = tg = tg_se = float("nan")
                 flags.append("no-test")
@@ -492,10 +584,9 @@ def run_trials(
 
 
 class FrozenTestRisk(EmpiricalRisk):
-    """Deterministic surrogate for the twin-model test risk.
-
-    Holds a frozen Gaussian batch and noise draws; evaluating at theta is a
-    plain empirical risk, so perturbed objectives stay deterministic in theta.
+    """Monte Carlo surrogate for the twin test risk: the empirical risk on a
+    frozen Gaussian batch and noise draw, so it is deterministic in theta.
+    ``TwinTestRisk`` is the exact term the campaign uses.
     """
 
     def __init__(self, problem: ErmProblem, equiv: GaussianEquivalent, n_test: int, seed: int):
@@ -555,7 +646,7 @@ def perturbed_sweep(
     """Minimize train risk + s * test risk over a symmetric s grid.
 
     ``test_risk`` is any term with ``value(theta)`` and ``grad(theta)``, such
-    as a ``FrozenTestRisk`` of the Gaussian twin. D(s) = (opt_s - opt_0) / s.
+    as the twin's ``TwinTestRisk``. D(s) = (opt_s - opt_0) / s.
     Every perturbed solve is warm-started at the base solution, so with a
     monotone solver the convex sandwich D(s) <= test_risk(theta_0) <= D(-s)
     holds by construction up to solver tolerance.

@@ -18,7 +18,7 @@ from ermu.erm import (
 )
 from ermu.errors import InvalidArgumentError
 from ermu.features import draw_features
-from ermu.gaussian import GaussianEquivalent, sample_gaussian
+from ermu.gaussian import GaussianEquivalent, empirical_equivalent, sample_gaussian
 from ermu.seeds import derive_seed, rng_from
 from ermu.stats import (
     bl_gap,
@@ -32,6 +32,8 @@ from ermu.universality import (
     FamilySpec,
     FrozenTestRisk,
     ProblemSpec,
+    TwinTestRisk,
+    _risk_on,
     build_instance,
     min_test_over_near_minimizers,
     perturbed_sweep,
@@ -262,6 +264,166 @@ class TestBootstrap:
     def test_deterministic(self):
         vals = rng_from(8, "b2").standard_normal(25)
         assert bootstrap_mean_ci(vals, 300, seed=9) == bootstrap_mean_ci(vals, 300, seed=9)
+
+
+def twin_problem(loss, labeler, noise_law, p, k=1):
+    rng = rng_from(31, "twin-problem", p)
+    return ErmProblem(
+        loss=Loss(loss),
+        labeler=Labeler(eta_kind=labeler, tau=0.5, noise_law=noise_law),
+        theta_star=rng.standard_normal((p, 1)) / math.sqrt(p),
+        regularizer=Regularizer("ridge", 0.1),
+        constraint=ConstraintSet("l2-ball", R=3.0),
+        k=k,
+        head=(1.0,) * k,
+    )
+
+
+def twin_kinds(p):
+    """A square-factor twin, the linear p x 0 twin (nu = 2) and an empirical p x n twin."""
+    rng = rng_from(32, "twins", p)
+    return {
+        "square": GaussianEquivalent(factor=rng.standard_normal((p, p)) / math.sqrt(p)),
+        "linear": GaussianEquivalent(factor=np.zeros((p, 0)), iso_scale=math.sqrt(2.0)),
+        "empirical": empirical_equivalent(rng.standard_normal((p // 2, p)), 0.05),
+    }
+
+
+def probe_point(problem, scale=1.0):
+    """theta_star plus an orthogonal-ish random direction, so that both alpha and beta are nonzero."""
+    p = problem.p
+    return 0.7 * problem.theta_star[:, 0] + scale * rng_from(33, "point", p).standard_normal(p) / math.sqrt(p)
+
+
+def central_differences(fn, theta, h=1e-6):
+    out = np.empty_like(theta)
+    for i in np.ndindex(theta.shape):
+        e = np.zeros_like(theta)
+        e[i] = h
+        out[i] = (fn(theta + e) - fn(theta - e)) / (2.0 * h)
+    return out
+
+
+class TestTwinTestRisk:
+    @pytest.mark.parametrize("loss", ["huber", "logistic", "squared", "pseudo-huber"])
+    @pytest.mark.parametrize("labeler", ["linear", "clipped-linear", "sign-smooth"])
+    @pytest.mark.parametrize("noise_law", ["gaussian", "rademacher"])
+    def test_matches_monte_carlo_within_4_se(self, loss, labeler, noise_law):
+        p, n_test = 12, 200_000
+        problem = twin_problem(loss, labeler, noise_law, p)
+        theta = probe_point(problem)
+        for i, (name, equiv) in enumerate(twin_kinds(p).items()):
+            exact = TwinTestRisk(problem, equiv).value(theta)
+            G = sample_gaussian(equiv, n_test, seed=100 + i)
+            eps = problem.labeler.draw_noise(n_test, seed=200 + i)
+            mc, se = _risk_on(problem, theta, G, eps)
+            assert abs(exact - mc) <= 4.0 * se, (name, exact, mc, se)
+
+    @pytest.mark.parametrize(
+        "loss, labeler, noise_law",
+        [
+            ("huber", "linear", "gaussian"),
+            ("huber", "clipped-linear", "rademacher"),
+            ("logistic", "sign-smooth", "gaussian"),
+            ("pseudo-huber", "linear", "rademacher"),
+            ("squared", "clipped-linear", "gaussian"),
+        ],
+    )
+    def test_grad_matches_central_differences(self, loss, labeler, noise_law):
+        p = 6
+        problem = twin_problem(loss, labeler, noise_law, p)
+        for name, equiv in twin_kinds(p).items():
+            risk = TwinTestRisk(problem, equiv)
+            for theta in (probe_point(problem), np.zeros(p), 1.3 * problem.theta_star[:, 0]):
+                g = risk.grad(theta)
+                assert np.all(np.isfinite(g)) and np.isfinite(risk.value(theta))
+                fd = central_differences(risk.value, theta)
+                assert np.abs(g - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max()), (name, theta, g, fd)
+
+    def test_theta_along_theta_star_has_zero_beta(self):
+        # With Rademacher noise u is a multiple of v at theta = c theta_star:
+        # beta = 0, and value and gradient stay finite.
+        problem = twin_problem("huber", "linear", "rademacher", 6)
+        risk = TwinTestRisk(problem, twin_kinds(6)["square"])
+        theta = -0.4 * problem.theta_star[:, 0]
+        assert risk._overlaps(theta)[3] < 1e-7
+        assert np.all(np.isfinite(risk.grad(theta))) and np.isfinite(risk.value(theta))
+
+    def test_two_column_theta_goes_through_the_head(self):
+        # Theta (p x 2) enters through Theta head, as data_risk_grad takes it.
+        p = 5
+        problem = twin_problem("huber", "clipped-linear", "rademacher", p, k=2)
+        risk = TwinTestRisk(problem, twin_kinds(p)["square"])
+        Theta = np.stack([probe_point(problem), -0.3 * probe_point(problem, 2.0)], axis=1)
+        single = TwinTestRisk(twin_problem("huber", "clipped-linear", "rademacher", p), twin_kinds(p)["square"])
+        assert risk.value(Theta) == pytest.approx(single.value(Theta.sum(axis=1)), rel=1e-14)
+        g = risk.grad(Theta)
+        assert g.shape == (p, 2)
+        assert np.abs(g - central_differences(risk.value, Theta)).max() <= 1e-6
+
+    @pytest.mark.parametrize(
+        "loss, labeler",
+        [("huber", "linear"), ("huber", "clipped-linear"), ("logistic", "clipped-linear"),
+         ("squared", "clipped-linear"), ("pseudo-huber", "clipped-linear")],
+    )
+    @pytest.mark.parametrize("noise_law", ["gaussian", "rademacher"])
+    def test_doubling_the_panels_moves_kinked_integrands_little(self, monkeypatch, loss, labeler, noise_law):
+        # Measured: doubling TWIN_RISK_PANELS from 16 to 32 moved the value by
+        # at most 1.1e-4 relative over these cases, twins and points: huber,
+        # linear labels, Gaussian noise, the empirical twin at scale 4, where
+        # the loss kink crosses the panels near the centre. At scales 0.3 and
+        # 1.5 the largest move was 1.8e-5. The bound is 2e-4 relative.
+        p = 12
+        problem = twin_problem(loss, labeler, noise_law, p)
+        for equiv in twin_kinds(p).values():
+            for scale in (0.3, 1.5, 4.0):
+                theta = probe_point(problem, scale)
+                base = TwinTestRisk(problem, equiv).value(theta)
+                monkeypatch.setattr(universality, "TWIN_RISK_PANELS", 2 * universality.TWIN_RISK_PANELS)
+                fine = TwinTestRisk(problem, equiv).value(theta)
+                monkeypatch.undo()
+                assert abs(base - fine) <= 2e-4 * abs(fine), (scale, base, fine)
+
+    def test_trial_g_arm_records_the_exact_term(self, monkeypatch):
+        solutions = []
+
+        def recording_solve(*args, **kwargs):
+            sol = solve_erm(*args, **kwargs)
+            solutions.append(sol)
+            return sol
+
+        monkeypatch.setattr(universality, "solve_erm", recording_solve)
+        inst = build_instance(FamilySpec(id="lin", kind="linear-independent"), PROBLEM, 60, 5)
+        rx, rg = run_single_trial(inst, 0, 5, SolverConfig(), n_test=40)
+        risk = TwinTestRisk(inst.problem, inst.equiv)
+        for row, sol in zip((rx, rg), solutions):
+            assert row.test_g_se == 0.0
+            assert row.test_g == risk.value(sol.theta_hat)
+        assert rg.arm == "g" and math.isfinite(rx.test_x_se) and rx.test_x_se > 0.0
+
+    def test_sandwich_on_criterion_8_instances(self):
+        # Criterion 8's 20 ridge instances, with the exact twin test risk in
+        # place of its frozen batch: D(s) <= test(theta_0) <= D(-s) within 2 x solver_gap.
+        for inst_idx in range(20):
+            rng = rng_from(20260809, "sandwich", inst_idx)
+            n, p = 80, 60
+            problem = ErmProblem(
+                loss=Loss("huber"),
+                labeler=Labeler(tau=0.5),
+                theta_star=rng.standard_normal((p, 1)) / math.sqrt(p),
+                regularizer=Regularizer("ridge", 0.2),
+                constraint=ConstraintSet("l2-ball", R=3.0),
+            )
+            X = rng.standard_normal((n, p))
+            y = generate_labels(problem, X, seed=inst_idx)
+            sweep = perturbed_sweep(
+                problem, X, y, TwinTestRisk(problem, identity_equiv(p)), [0.01, -0.01, 0.1, -0.1],
+                cfg=SolverConfig(tol=1e-10), seed=20260809 + inst_idx,
+            )
+            slack = 2.0 * sweep.solver_gap
+            assert sweep.sandwich_ok(slack), inst_idx
+            for s in (0.01, 0.1):
+                assert sweep.D[-s] - sweep.D[s] >= -slack, (inst_idx, s)
 
 
 class TestPerturbedSweep:
