@@ -25,15 +25,15 @@ def gaussian_nodes(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(2.0) * x, w / np.sqrt(np.pi)
 
 
-def normal_panel_nodes(edges: np.ndarray, points: int = 8) -> tuple[np.ndarray, np.ndarray]:
+def normal_panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights such that sum(w * f(x)) ~= E[f(G); edges[0] <= G <= edges[-1]].
 
-    A ``points``-point Gauss-Legendre rule on each panel between consecutive
+    An 8-point Gauss-Legendre rule on each panel between consecutive
     ``edges``, with the standard normal density folded into the weights. A
     kink of f at an edge costs no accuracy; symmetric edges give nodes in
     +- pairs.
     """
-    x, w = leggauss(points)
+    x, w = leggauss(8)
     edges = np.asarray(edges, dtype=np.float64)
     half = 0.5 * np.diff(edges)[:, None]
     nodes = (half * x + (edges[:-1, None] + half)).ravel()

@@ -335,13 +335,11 @@ class TwinTestRisk:
         c_vv = float(t @ self.sigma_t) + (labeler.tau**2 if fold else 0.0)
         self.root_vv = math.sqrt(c_vv) or 1.0  # t = 0 has c_uv = 0, so alpha = 0
         edges = np.linspace(-_TWIN_RISK_RANGE, _TWIN_RISK_RANGE, TWIN_RISK_PANELS + 1)
-        kinks = np.array([-labeler.clip_bound, labeler.clip_bound]) / self.root_vv
+        z1_edges = edges
         if labeler.eta_kind == "clipped-linear":
-            self.z1, w1 = normal_panel_nodes(
-                np.union1d(edges, kinks[np.abs(kinks) < _TWIN_RISK_RANGE])
-            )
-        else:
-            self.z1, w1 = normal_panel_nodes(edges)
+            kinks = np.array([-labeler.clip_bound, labeler.clip_bound]) / self.root_vv
+            z1_edges = np.union1d(edges, kinks[np.abs(kinks) < _TWIN_RISK_RANGE])
+        self.z1, w1 = normal_panel_nodes(z1_edges)
         self.z2, w2 = normal_panel_nodes(edges)
         if fold or labeler.tau == 0.0:
             eps, w_eps = np.zeros(1), np.ones(1)
@@ -353,6 +351,7 @@ class TwinTestRisk:
         self.y = labeler.label(math.sqrt(c_vv) * self.z1[:, None], eps[None, :])[:, None, :]
         self.weights = w1[:, None, None] * w2[None, :, None] * w_eps[None, None, :]
         self._theta: Optional[np.ndarray] = None
+        self._kept: tuple = ()
 
     def _overlaps(self, theta: np.ndarray):
         """(w, L^T w, alpha, beta) at theta, kept for the last point evaluated."""
