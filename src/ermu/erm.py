@@ -145,6 +145,9 @@ class ConstraintSet:
             bound = self.R / math.sqrt(self.p)
             return np.clip(theta, -bound, bound)
         bound = self.R / math.sqrt(self.d)
+        # ||T||_2 <= ||T||_F = ||theta||: inside that bound no SVD is needed.
+        if float(np.linalg.norm(theta)) <= bound:
+            return theta
         T = nt_theta_matrix(theta, self.d, self.m)
         U, s, Vt = np.linalg.svd(T, full_matrices=False)
         if s.size == 0 or s[0] <= bound:

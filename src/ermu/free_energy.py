@@ -25,7 +25,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ermu.erm import ErmProblem, labels_from_noise, project_constraint
+from ermu.erm import (
+    ErmProblem,
+    labels_from_noise,  # rebound by perfbench/spans.py
+    project_constraint,
+)
 from ermu.errors import InvalidArgumentError
 from ermu.seeds import rng_from
 
@@ -95,11 +99,20 @@ def candidate_risks(
 ) -> np.ndarray:
     """Empirical risk of every candidate, vectorized over the set."""
     X = np.asarray(X, dtype=np.float64)
+    return _risks_from_scores(candidates, problem, _candidate_scores(candidates, problem, X), y)
+
+
+def _candidate_scores(candidates: CandidateSet, problem: ErmProblem, X: np.ndarray) -> np.ndarray:
+    """scores[m, i] = head . (Theta_m^T x_i), an M x n matrix."""
+    return np.einsum("ip,mpk,k->mi", X, candidates.points, np.asarray(problem.head), optimize=True)
+
+
+def _risks_from_scores(
+    candidates: CandidateSet, problem: ErmProblem, scores: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """Mean loss of each row of ``scores`` against y, plus each candidate's regularizer."""
     y = np.asarray(y, dtype=np.float64)
     pts = candidates.points
-    head = np.asarray(problem.head)
-    # scores[m, i] = head . (Theta_m^T x_i)
-    scores = np.einsum("ip,mpk,k->mi", X, pts, head, optimize=True)
     losses = problem.loss.value(scores, y[None, :]).mean(axis=1)
     regs = problem.regularizer.lam * np.einsum("mpk->m", pts * pts) if problem.regularizer.kind == "ridge" else np.zeros(len(pts))
     return losses + regs
@@ -122,7 +135,10 @@ class InterpolationPath:
     """Sine/cosine interpolation U_t = sin(t) X + cos(t) G on [0, pi/2].
 
     The label noise is drawn once and reused at every point so the labels
-    vary only through U_t.
+    vary only through U_t. ``coefficients`` gives (sin t, cos t) with values
+    below 1e-15 snapped to 0, so both ends of ``matrix_at`` and of
+    ``free_energy_path`` are the pure models, G at t = 0 and X at t = pi/2,
+    bit for bit.
     """
 
     X: np.ndarray
@@ -148,7 +164,8 @@ class InterpolationPath:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "eps", eps)
 
-    def matrix_at(self, t: float) -> np.ndarray:
+    @staticmethod
+    def coefficients(t: float) -> tuple[float, float]:
         s, c = math.sin(t), math.cos(t)
         # sin/cos of the float nearest pi/2 are not exactly (1, 0); snap so
         # the endpoints reproduce the pure matrices bit-for-bit.
@@ -156,6 +173,10 @@ class InterpolationPath:
             s = 0.0
         if abs(c) < 1e-15:
             c = 0.0
+        return s, c
+
+    def matrix_at(self, t: float) -> np.ndarray:
+        s, c = self.coefficients(t)
         return s * self.X + c * self.G
 
 
@@ -165,13 +186,24 @@ def free_energy_path(
     problem: ErmProblem,
     beta: float,
 ) -> list[tuple[float, float]]:
-    """Free energy along the path, with labels regenerated at each t."""
+    """Free energy along the path, with labels regenerated at each t.
+
+    U_t is never formed: scores and labels are linear in U_t, so the
+    candidate scores at t are sin t * (X Theta) + cos t * (G Theta) and the
+    target scores sin t * (X theta*) + cos t * (G theta*), from two score
+    matrices and two target vectors computed once. Both ends equal
+    ``candidate_risks`` on G and on X bit for bit; interior points match the
+    per-point products up to rounding.
+    """
+    SX = _candidate_scores(candidates, problem, path.X)
+    SG = _candidate_scores(candidates, problem, path.G)
+    TX, TG = problem.target_scores(path.X), problem.target_scores(path.G)
     out = []
     n = path.X.shape[0]
     for t in path.grid:
-        U = path.matrix_at(t)
-        y_t = labels_from_noise(problem, U, path.eps)
-        values = candidate_risks(candidates, problem, U, y_t)
+        s, c = path.coefficients(t)
+        y_t = problem.labeler.label(s * TX + c * TG, path.eps)
+        values = _risks_from_scores(candidates, problem, s * SX + c * SG, y_t)
         out.append((t, softmin_free_energy(values, n, beta)))
     return out
 

@@ -1,4 +1,4 @@
-"""Spectral projected gradient with Armijo backtracking, and its config.
+"""Nonmonotone spectral projected gradient, and its config.
 
 Each iteration tries a first step and shrinks it by ``armijo_shrink`` until
 the Armijo test holds. The first step of the first iteration is
@@ -6,7 +6,12 @@ the Armijo test holds. The first step of the first iteration is
 last change in point and gradient (Barzilai & Borwein, IMA J. Numer. Anal.
 1988; spectral projected gradient: Birgin, Martinez & Raydan, SIAM J. Optim.
 2000), or the last accepted step times ``step_growth`` when s'y <= 0 gives
-no curvature estimate.
+no curvature estimate. The Armijo test is nonmonotone (Grippo, Lampariello
+& Lucidi, SIAM J. Numer. Anal. 1986): it measures descent from the largest
+of the last ``NONMONOTONE_WINDOW`` accepted objective values, so a
+Barzilai-Borwein step that rises a little above the current value is taken
+as it stands instead of being backtracked. That reference never exceeds the
+value at the start, so a solve never ends above its initial point.
 
 Kept generic: the ERM layer (plain and perturbed solves) and the
 near-minimizer penalty objectives all funnel through ``pgd_minimize`` with
@@ -15,6 +20,7 @@ their own closures.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,6 +30,8 @@ from ermu.errors import SolverDivergedError, check
 
 _MIN_STEP = 1e-18
 _MAX_STEP = 1e12
+# Accepted objective values the nonmonotone Armijo reference is the maximum of.
+NONMONOTONE_WINDOW = 10
 
 
 @dataclass(frozen=True)
@@ -70,9 +78,13 @@ def pgd_minimize(
     The first trial step is ``init_step``, then the Barzilai-Borwein step
     s's / s'y with s = x_k - x_{k-1} and y = g_k - g_{k-1}, capped at 1e12;
     when s'y <= 0 it is the last accepted step times ``step_growth``.
-    Armijo backtracking from there keeps the objective monotone.
-    Convergence is declared on the gradient-mapping norm
-    ||x - P(x - s g)|| / s at the accepted step.
+    Armijo backtracking from there measures descent from f_ref, the largest
+    of the last ``NONMONOTONE_WINDOW`` accepted values (f(x0) first): a step
+    is accepted when f_new <= f_ref - armijo_slope * ||x - x_new||^2 / step.
+    The objective never rises above f_ref, so a solve never ends above
+    f(x0); a step that does raises ``SolverDivergedError``. Convergence is
+    declared on the gradient-mapping norm ||x - P(x - s g)|| / s at the
+    accepted step.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     fx = float(fun(x))
@@ -83,6 +95,7 @@ def pgd_minimize(
     flags: list[str] = []
     iterations = 0
     x_prev = g_prev = None
+    window = deque([fx], maxlen=NONMONOTONE_WINDOW)
     for it in range(1, cfg.max_iters + 1):
         iterations = it
         g = grad(x)
@@ -91,6 +104,7 @@ def pgd_minimize(
             sy = float(np.sum(s * dg))
             step = float(np.sum(s * s)) / sy if sy > 0 else step * cfg.step_growth
             step = min(step, _MAX_STEP)
+        f_ref = max(window)
         accepted = False
         while step >= _MIN_STEP:
             x_new = project(x - step * g)
@@ -99,7 +113,7 @@ def pgd_minimize(
             f_new = float(fun(x_new))
             if not np.isfinite(f_new):
                 raise SolverDivergedError("non-finite objective", it)
-            if f_new <= fx - cfg.armijo_slope * sq / step:
+            if f_new <= f_ref - cfg.armijo_slope * sq / step:
                 accepted = True
                 break
             step *= cfg.armijo_shrink
@@ -109,11 +123,13 @@ def pgd_minimize(
             grad_map_norm = 0.0
             break
         grad_map_norm = np.sqrt(sq) / step
-        # Armijo guarantees monotone objectives; keep the invariant hard.
-        if f_new > fx + 1e-12 * max(1.0, abs(fx)):
+        # The Armijo test keeps every value at or below f_ref <= f(x0); keep
+        # that invariant hard.
+        if f_new > f_ref + 1e-12 * max(1.0, abs(f_ref)):
             raise SolverDivergedError("objective increased", it)
         x_prev, g_prev = x, g
         x, fx = x_new, f_new
+        window.append(fx)
         if grad_map_norm <= cfg.tol:
             break
     else:

@@ -303,6 +303,10 @@ def build_instance(
 # convergence test in tests/test_universality.py states the error this leaves.
 TWIN_RISK_PANELS = 16
 _TWIN_RISK_RANGE = 9.0
+# z1 panel edges of a sign-smooth eta, in units of its smoothing scale: tanh
+# turns within a few smoothing widths of 0, and uniform panels leave a
+# doubling error of up to 9e-4 relative there.
+_SIGN_SMOOTH_EDGES = np.arange(-4.0, 4.5, 1.0)
 
 
 class TwinTestRisk:
@@ -316,7 +320,8 @@ class TwinTestRisk:
     into v, whose variance becomes c_vv + tau^2. Rademacher noise is the mean
     of the eps = -1 and +1 integrals, and Gaussian noise with a nonlinear eta
     is a third node axis. The label side sits on fixed nodes,
-    v = sqrt(c_vv) z1, with the kinks of a clipped eta at panel edges, and
+    v = sqrt(c_vv) z1, with panel edges at the kinks of a clipped eta and at
+    v = 0, +-smoothing, ..., +-4 smoothing for a sign-smooth eta, and
     u = alpha z1 + beta z2 with alpha = c_uv / sqrt(c_vv) and
     beta = sqrt(c_uu - alpha^2). So the labels do not depend on theta, and
     ``grad`` is the exact gradient of ``value``, the quadrature sum. For a
@@ -339,6 +344,9 @@ class TwinTestRisk:
         if labeler.eta_kind == "clipped-linear":
             kinks = np.array([-labeler.clip_bound, labeler.clip_bound]) / self.root_vv
             z1_edges = np.union1d(edges, kinks[np.abs(kinks) < _TWIN_RISK_RANGE])
+        elif labeler.eta_kind == "sign-smooth":
+            steep = labeler.smoothing * _SIGN_SMOOTH_EDGES / self.root_vv
+            z1_edges = np.union1d(edges, steep[np.abs(steep) < _TWIN_RISK_RANGE])
         self.z1, w1 = normal_panel_nodes(z1_edges)
         self.z2, w2 = normal_panel_nodes(edges)
         if fold or labeler.tau == 0.0:
@@ -646,9 +654,10 @@ def perturbed_sweep(
 
     ``test_risk`` is any term with ``value(theta)`` and ``grad(theta)``, such
     as the twin's ``TwinTestRisk``. D(s) = (opt_s - opt_0) / s.
-    Every perturbed solve is warm-started at the base solution, so with a
-    monotone solver the convex sandwich D(s) <= test_risk(theta_0) <= D(-s)
-    holds by construction up to solver tolerance.
+    Every perturbed solve is warm-started at the base solution, and a solve
+    never ends above its start, so the convex sandwich
+    D(s) <= test_risk(theta_0) <= D(-s) holds by construction up to solver
+    tolerance.
     """
     s_values = _validate_s_grid(s_grid)
     base = solve_erm(problem, X, y, cfg, seed=derive_seed(seed, "solve-base"))

@@ -180,6 +180,40 @@ class TestProjection:
         s = np.linalg.svd(T_out, compute_uv=False)
         assert np.allclose(s, [c, c])
 
+    def test_operator_ball_skips_the_svd_inside_the_frobenius_bound(self, monkeypatch):
+        # ||T||_2 <= ||T||_F = ||theta||, so a point with ||theta|| <= R / sqrt(d)
+        # is a member without an SVD; every other point takes the SVD path.
+        d, m = 3, 4
+        cset = ConstraintSet("nt-operator-ball", R=2.0, d=d, m=m, p=d * m)
+        bound = cset.R / math.sqrt(d)
+
+        def svd_path(theta):
+            T = nt_theta_matrix(theta, d, m)
+            U, s, Vt = np.linalg.svd(T, full_matrices=False)
+            if s[0] <= bound:
+                return theta
+            return ((U * np.clip(s, None, bound)) @ Vt).T.reshape(-1)
+
+        rng = rng_from(14, "frobenius-skip")
+        direction = rng.standard_normal(d * m)
+        inside = 0.5 * bound * direction / np.linalg.norm(direction)
+        # Rank one: ||T||_2 = ||T||_F, so scaling puts it outside both bounds.
+        outside = np.outer(rng.standard_normal(d), rng.standard_normal(m)).T.reshape(-1)
+        outside *= 3.0 * bound / np.linalg.norm(outside)
+        # Equal singular values: ||T||_2 = ||T||_F / sqrt(d), between the two norms.
+        between = (0.9 * bound * np.eye(d, m)).T.reshape(-1)
+        assert np.linalg.norm(between) > bound >= np.linalg.svd(nt_theta_matrix(between, d, m))[1][0]
+        for theta in (inside, outside, between):
+            assert np.array_equal(cset.project_column(theta), svd_path(theta))
+
+        calls = []
+        real_svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or real_svd(*a, **kw))
+        assert cset.project_column(inside) is inside
+        assert calls == []
+        cset.project_column(between)
+        assert calls == [1]
+
     def test_nonexpansive_on_l2_ball(self):
         rng = rng_from(11, "nonexp")
         cset = ConstraintSet("l2-ball", R=1.0)
@@ -281,6 +315,45 @@ class TestSolveErm:
         object.__setattr__(cfg, "armijo_slope", -1e3)
         with pytest.raises(SolverDivergedError, match="objective increased"):
             pgd_minimize(lambda x: float(x @ x), lambda x: 2.0 * x, lambda x: x, np.ones(1), cfg)
+
+    def test_nonmonotone_steps_rise_yet_end_below_the_start(self):
+        # Barzilai-Borwein steps on an ill-conditioned quadratic overshoot;
+        # the nonmonotone Armijo test accepts a step that rises above the
+        # previous value, and the solve still ends below f(x0).
+        A = np.diag([1.0, 3.0, 10.0, 30.0, 100.0])
+        fun = lambda x: 0.5 * float(x @ A @ x)  # noqa: E731
+        accepted = []
+
+        def grad(x):
+            accepted.append(fun(x))  # grad is called once at each accepted point
+            return A @ x
+
+        x0 = np.ones(5)
+        state = pgd_minimize(fun, grad, lambda x: x, x0, SolverConfig(tol=1e-10))
+        assert any(b > a for a, b in zip(accepted, accepted[1:]))
+        assert state.value <= fun(x0)
+        assert state.flags == [] and np.abs(state.x).max() <= 1e-9
+
+    @pytest.mark.parametrize("kind", ["l2-ball", "linf-ball", "nt-operator-ball"])
+    def test_solves_never_end_above_the_start(self, kind):
+        # The nonmonotone reference is the largest of the last accepted values,
+        # which starts at f(x0), so the final value never exceeds f(x0), at
+        # any iteration cap.
+        d, m = 3, 4
+        p = d * m
+        cset = ConstraintSet(kind, R=1.5, p=p, d=d, m=m)
+        project = lambda x: project_constraint(cset, x)  # noqa: E731
+        for seed in range(12):
+            rng = rng_from(seed, "nonmonotone-convex", kind)
+            B = rng.standard_normal((2 * p, p)) * np.logspace(0, 2, p)
+            b = rng.standard_normal(2 * p)
+            c = rng.standard_normal(p)
+            fun = lambda x: 0.5 * float(np.sum((B @ x - b) ** 2)) + float(np.logaddexp(0.0, c @ x))  # noqa: E731
+            grad = lambda x: B.T @ (B @ x - b) + c / (1.0 + np.exp(-(c @ x)))  # noqa: E731
+            x0 = project(rng.standard_normal(p))
+            for max_iters in (1, 2, 5, 20, 5000):
+                state = pgd_minimize(fun, grad, project, x0, SolverConfig(max_iters=max_iters))
+                assert state.value <= fun(x0), (seed, max_iters)
 
     def test_no_curvature_falls_back_to_growing_the_step(self):
         # A linear objective has a constant gradient, so s'y = 0 at every

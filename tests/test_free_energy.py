@@ -127,7 +127,45 @@ class TestCandidates:
         assert vals[3] == pytest.approx(train_risk(problem, net.points[3], X, y))
 
 
+def per_point_path(path, candidates, problem, beta):
+    """Reference: form U_t at every grid point and score it from scratch."""
+    from ermu.erm import labels_from_noise
+
+    n = path.X.shape[0]
+    out = []
+    for t in path.grid:
+        U = path.matrix_at(t)
+        values = candidate_risks(candidates, problem, U, labels_from_noise(problem, U, path.eps))
+        out.append((t, softmin_free_energy(values, n, beta)))
+    return out
+
+
 class TestPath:
+    @pytest.mark.parametrize("eta", ["linear", "clipped-linear", "sign-smooth"])
+    def test_two_score_matrices_match_the_per_point_loop(self, eta):
+        p, n = 7, 40
+        rng = rng_from(11, "two-scores", eta)
+        problem = ErmProblem(
+            loss=Loss("logistic" if eta == "sign-smooth" else "huber"),
+            labeler=Labeler(eta_kind=eta, tau=0.3),
+            theta_star=rng.standard_normal((p, 1)) / math.sqrt(p),
+            regularizer=Regularizer("ridge", 0.05),
+            constraint=ConstraintSet("l2-ball", R=2.0),
+        )
+        X = rng.standard_normal((n, p))
+        G = rng.standard_normal((n, p))
+        eps = problem.labeler.draw_noise(n, seed=5)
+        theta = rng.standard_normal((p, 1)) / math.sqrt(p)
+        cloud = solution_cloud(problem, theta, M=12, alpha=0.4, seed=6)
+        grid = tuple(np.linspace(0.0, math.pi / 2, 10))
+        path = InterpolationPath(X=X, G=G, grid=grid, eps=eps)
+        fast = free_energy_path(path, cloud, problem, beta=3.0)
+        slow = per_point_path(path, cloud, problem, beta=3.0)
+        assert [t for t, _ in fast] == list(grid)
+        for (_, f), (_, ref) in zip(fast, slow):
+            assert abs(f - ref) <= 1e-12 * abs(ref)
+        assert fast[0] == slow[0] and fast[-1] == slow[-1]
+
     def test_endpoints_are_pure_models(self):
         problem = small_problem(4)
         rng = rng_from(5, "path")
