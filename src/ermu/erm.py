@@ -1,9 +1,8 @@
 """Constrained regularized empirical risk minimization.
 
 A problem bundles a scalar loss, a labeling rule, a ground-truth parameter
-matrix, a regularizer, and a symmetric convex constraint set. Parameters are
-p x k matrices whose columns are constrained individually; predictions pass
-through a fixed linear head, so the loss sees a scalar score per sample.
+vector, a regularizer, and a symmetric convex constraint set. Parameters are
+length-p vectors, so the loss sees the scalar score theta^T x per sample.
 """
 
 from __future__ import annotations
@@ -109,12 +108,12 @@ class Labeler:
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Symmetric convex constraint applied to each parameter column.
+    """Symmetric convex constraint on a length-p parameter vector.
 
     * ``l2-ball``: Euclidean ball of radius R (R may be inf).
     * ``linf-ball``: coordinate bound R / sqrt(p).
     * ``nt-operator-ball``: bound R / sqrt(d) on the operator norm of the
-      d x m reshaping of the column.
+      d x m reshaping of the vector.
     """
 
     kind: str = "l2-ball"
@@ -165,14 +164,8 @@ class ConstraintSet:
 
 
 def project_constraint(cset: ConstraintSet, theta: np.ndarray) -> np.ndarray:
-    """Project a vector or p x k matrix onto the set, column by column."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim == 1:
-        return cset.project_column(theta)
-    out = np.empty_like(theta)
-    for j in range(theta.shape[1]):
-        out[:, j] = cset.project_column(theta[:, j])
-    return out
+    """Project a length-p vector onto the set."""
+    return cset.project_column(np.asarray(theta, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -199,36 +192,36 @@ class Regularizer:
 
 @dataclass(frozen=True)
 class ErmProblem:
-    """Loss + labeler + ground truth + regularizer + constraint."""
+    """Loss + labeler + ground truth + regularizer + constraint.
+
+    Every parameter, the teacher ``theta_star`` included, is a length-p
+    vector: the score of a row x is theta^T x. ``scores`` rejects any other
+    shape, which would broadcast against the labels without an error.
+    """
 
     loss: Loss
     labeler: Labeler
-    theta_star: np.ndarray  # p x k_star
+    theta_star: np.ndarray  # length p
     regularizer: Regularizer
     constraint: ConstraintSet
-    k: int = 1
-    head: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
         ts = np.asarray(self.theta_star, dtype=np.float64)
-        if ts.ndim == 1:
-            ts = ts[:, None]
+        if ts.ndim != 1:
+            raise InvalidArgumentError(f"theta_star must be a length-p vector, got shape {ts.shape}")
         object.__setattr__(self, "theta_star", ts)
-        if len(self.head) != self.k:
-            raise InvalidArgumentError("head weights must have length k")
 
     @property
     def p(self) -> int:
         return self.theta_star.shape[0]
 
     def scores(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.ndim == 1:
-            theta = theta[:, None]
-        return (X @ theta) @ np.asarray(self.head)
+        if np.ndim(theta) != 1:
+            raise InvalidArgumentError(f"theta must be a length-p vector, got shape {np.shape(theta)}")
+        return X @ theta
 
     def target_scores(self, X: np.ndarray) -> np.ndarray:
-        return (X @ self.theta_star) @ np.ones(self.theta_star.shape[1])
+        return X @ self.theta_star
 
 
 @dataclass
@@ -269,10 +262,7 @@ def data_risk_grad(
     problem: ErmProblem, theta: np.ndarray, X: np.ndarray, y: np.ndarray, scores: np.ndarray
 ) -> np.ndarray:
     """Gradient of ``data_risk`` at theta, given its scores ``problem.scores(theta, X)``."""
-    squeeze = np.ndim(theta) == 1
-    g = problem.loss.grad(scores, y)
-    grad = (X.T @ g)[:, None] * (np.asarray(problem.head)[None, :] / X.shape[0])
-    return grad[:, 0] if squeeze else grad
+    return (X.T @ problem.loss.grad(scores, y)) * (1.0 / X.shape[0])
 
 
 def train_risk(problem: ErmProblem, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
@@ -364,7 +354,7 @@ def solve_erm(
     def project(theta):
         return project_constraint(problem.constraint, theta)
 
-    shape = (problem.p, problem.k)
+    shape = (problem.p,)
     best = None
     for r in range(max(1, cfg.restarts)):
         if r == 0:

@@ -1,9 +1,9 @@
 """Softmin free energy over finite candidate sets and interpolation paths.
 
-The free energy of a candidate set {Theta_1..Theta_M} at inverse temperature
+The free energy of a candidate set {theta_1..theta_M} at inverse temperature
 beta is
 
-    f = -(1 / (n beta)) * log sum_m exp(-beta n R_n(Theta_m))
+    f = -(1 / (n beta)) * log sum_m exp(-beta n R_n(theta_m))
 
 computed with a max shift so the exponent never overflows. The n-scaled
 exponent is the convention under which the finite-set bound
@@ -38,16 +38,14 @@ CANDIDATE_KINDS = ("solution-cloud", "random-net")
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Finite set of feasible parameter matrices (M x p x k array)."""
+    """Finite set of feasible parameter vectors (M x p array, one point per row)."""
 
     points: np.ndarray
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim == 2:
-            pts = pts[:, :, None]
-        if pts.ndim != 3 or pts.shape[0] < 1:
-            raise InvalidArgumentError("candidate set needs at least one p x k point")
+        if pts.ndim != 2 or pts.shape[0] < 1:
+            raise InvalidArgumentError("candidate set needs at least one length-p point")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -60,9 +58,9 @@ def random_net(problem: ErmProblem, M: int, seed: int, scale: float = 1.0) -> Ca
     if M < 1:
         raise InvalidArgumentError("M must be >= 1")
     rng = rng_from(seed, "random-net")
-    pts = np.empty((M, problem.p, problem.k))
+    pts = np.empty((M, problem.p))
     for i in range(M):
-        draw = scale * rng.standard_normal((problem.p, problem.k)) / math.sqrt(problem.p)
+        draw = scale * rng.standard_normal(problem.p) / math.sqrt(problem.p)
         pts[i] = project_constraint(problem.constraint, draw)
     return CandidateSet(points=pts)
 
@@ -78,10 +76,8 @@ def solution_cloud(
     if M < 1:
         raise InvalidArgumentError("M must be >= 1")
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
-    if theta_hat.ndim == 1:
-        theta_hat = theta_hat[:, None]
     rng = rng_from(seed, "solution-cloud")
-    pts = np.empty((M, theta_hat.shape[0], theta_hat.shape[1]))
+    pts = np.empty((M, theta_hat.shape[0]))
     pts[0] = project_constraint(problem.constraint, theta_hat)
     n_levels = 8
     for i in range(1, M):
@@ -99,12 +95,12 @@ def candidate_risks(
 ) -> np.ndarray:
     """Empirical risk of every candidate, vectorized over the set."""
     X = np.asarray(X, dtype=np.float64)
-    return _risks_from_scores(candidates, problem, _candidate_scores(candidates, problem, X), y)
+    return _risks_from_scores(candidates, problem, _candidate_scores(candidates, X), y)
 
 
-def _candidate_scores(candidates: CandidateSet, problem: ErmProblem, X: np.ndarray) -> np.ndarray:
-    """scores[m, i] = head . (Theta_m^T x_i), an M x n matrix."""
-    return np.einsum("ip,mpk,k->mi", X, candidates.points, np.asarray(problem.head), optimize=True)
+def _candidate_scores(candidates: CandidateSet, X: np.ndarray) -> np.ndarray:
+    """scores[m, i] = theta_m^T x_i, an M x n matrix."""
+    return np.einsum("ip,mp->mi", X, candidates.points, optimize=True)
 
 
 def _risks_from_scores(
@@ -114,7 +110,7 @@ def _risks_from_scores(
     y = np.asarray(y, dtype=np.float64)
     pts = candidates.points
     losses = problem.loss.value(scores, y[None, :]).mean(axis=1)
-    regs = problem.regularizer.lam * np.einsum("mpk->m", pts * pts) if problem.regularizer.kind == "ridge" else np.zeros(len(pts))
+    regs = problem.regularizer.lam * np.einsum("mp->m", pts * pts) if problem.regularizer.kind == "ridge" else np.zeros(len(pts))
     return losses + regs
 
 
@@ -189,14 +185,14 @@ def free_energy_path(
     """Free energy along the path, with labels regenerated at each t.
 
     U_t is never formed: scores and labels are linear in U_t, so the
-    candidate scores at t are sin t * (X Theta) + cos t * (G Theta) and the
+    candidate scores at t are sin t * (X theta) + cos t * (G theta) and the
     target scores sin t * (X theta*) + cos t * (G theta*), from two score
     matrices and two target vectors computed once. Both ends equal
     ``candidate_risks`` on G and on X bit for bit; interior points match the
     per-point products up to rounding.
     """
-    SX = _candidate_scores(candidates, problem, path.X)
-    SG = _candidate_scores(candidates, problem, path.G)
+    SX = _candidate_scores(candidates, path.X)
+    SG = _candidate_scores(candidates, path.G)
     TX, TG = problem.target_scores(path.X), problem.target_scores(path.G)
     out = []
     n = path.X.shape[0]

@@ -84,7 +84,7 @@ def _ridge_exactness():
     problem = ErmProblem(
         loss=Loss("squared"),
         labeler=Labeler(),
-        theta_star=np.zeros((40, 1)),
+        theta_star=np.zeros(40),
         regularizer=Regularizer("ridge", 0.1),
         constraint=ConstraintSet("l2-ball", R=float("inf")),
     )
@@ -98,18 +98,18 @@ def _gradient_check():
     problem = ErmProblem(
         loss=Loss("huber", delta=1.0),
         labeler=Labeler(tau=0.3),
-        theta_star=rng.standard_normal((12, 1)) / math.sqrt(12),
+        theta_star=rng.standard_normal(12) / math.sqrt(12),
         regularizer=Regularizer("ridge", 0.05),
         constraint=ConstraintSet("l2-ball", R=10.0),
     )
     from ermu.erm import generate_labels
 
     y = generate_labels(problem, X, seed=4)
-    theta = rng.standard_normal((12, 1)) * 0.3
+    theta = rng.standard_normal(12) * 0.3
     g = train_risk_grad(problem, theta, X, y)
     h = 1e-5
     for _ in range(5):
-        direction = rng.standard_normal((12, 1))
+        direction = rng.standard_normal(12)
         direction /= np.linalg.norm(direction)
         fd = (
             train_risk(problem, theta + h * direction, X, y)
@@ -138,7 +138,7 @@ def _free_energy_props():
     problem = ErmProblem(
         loss=Loss("huber"),
         labeler=Labeler(tau=0.5),
-        theta_star=rng.standard_normal((10, 1)) / math.sqrt(10),
+        theta_star=rng.standard_normal(10) / math.sqrt(10),
         regularizer=Regularizer("ridge", 0.1),
         constraint=ConstraintSet("l2-ball", R=2.0),
     )

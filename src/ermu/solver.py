@@ -84,7 +84,10 @@ def pgd_minimize(
     The objective never rises above f_ref, so a solve never ends above
     f(x0); a step that does raises ``SolverDivergedError``. Convergence is
     declared on the gradient-mapping norm ||x - P(x - s g)|| / s at the
-    accepted step.
+    accepted step. A converged solve returns its last point. A solve that
+    ends in ``maxiter`` or ``step-underflow`` returns the accepted point
+    with the lowest objective, since a nonmonotone run may end above it,
+    with the gradient-mapping norm of the step that reached that point.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     fx = float(fun(x))
@@ -96,6 +99,7 @@ def pgd_minimize(
     iterations = 0
     x_prev = g_prev = None
     window = deque([fx], maxlen=NONMONOTONE_WINDOW)
+    best = None  # (value, point, grad_map_norm) of the lowest accepted point
     for it in range(1, cfg.max_iters + 1):
         iterations = it
         g = grad(x)
@@ -132,6 +136,10 @@ def pgd_minimize(
         window.append(fx)
         if grad_map_norm <= cfg.tol:
             break
+        if best is None or fx < best[0]:
+            best = (fx, x, grad_map_norm)
     else:
         flags.append("maxiter")
+    if flags and best is not None and best[0] < fx:
+        fx, x, grad_map_norm = best
     return PgdState(x=x, value=fx, grad_map_norm=float(grad_map_norm), iterations=iterations, flags=flags)

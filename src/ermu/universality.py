@@ -175,14 +175,12 @@ class ProblemSpec:
     smoothing: float = 0.1
     regularizer: str = "ridge"
     lam: float = 0.1
-    k: int = 1
 
     def __post_init__(self):
         check_one_of("loss", self.loss, LOSS_KINDS)
         check_one_of("labeler", self.labeler, ETA_KINDS)
         check_one_of("noise_law", self.noise_law, NOISE_LAWS)
         check_one_of("regularizer", self.regularizer, REGULARIZER_KINDS)
-        check(self.k >= 1, "k must be >= 1")
         self.parts()  # their own range checks: loss_delta, tau, smoothing, lambda
 
     def parts(self) -> tuple[Loss, Labeler, Regularizer]:
@@ -289,8 +287,6 @@ def build_instance(
         theta_star=theta_star,
         regularizer=regularizer,
         constraint=cset,
-        k=problem_spec.k,
-        head=(1.0,) * problem_spec.k,
     )
     return FamilyInstance(
         spec=spec, n=n, p=p, d=d, m=m, model=model, equiv=equiv, problem=problem
@@ -313,27 +309,26 @@ class TwinTestRisk:
     """Exact test risk E[loss(u, y)] under the Gaussian twin, and its gradient.
 
     For g ~ N(0, Sigma) with Sigma = L L^T + s^2 I, the student score
-    u = w^T g (w = Theta head) and the teacher score v = t^T g (t the sum of
-    theta_star's columns) are jointly Gaussian. Their covariances c_uu, c_uv
-    and c_vv cost one product L^T w per theta. The label is
-    y = eta(v) + tau eps. With a linear eta and Gaussian noise, eps folds
-    into v, whose variance becomes c_vv + tau^2. Rademacher noise is the mean
-    of the eps = -1 and +1 integrals, and Gaussian noise with a nonlinear eta
-    is a third node axis. The label side sits on fixed nodes,
-    v = sqrt(c_vv) z1, with panel edges at the kinks of a clipped eta and at
-    v = 0, +-smoothing, ..., +-4 smoothing for a sign-smooth eta, and
-    u = alpha z1 + beta z2 with alpha = c_uv / sqrt(c_vv) and
-    beta = sqrt(c_uu - alpha^2). So the labels do not depend on theta, and
-    ``grad`` is the exact gradient of ``value``, the quadrature sum. For a
-    convex loss that sum is convex in theta, since the z2 nodes come in +-
-    pairs.
+    u = w^T g (w = theta) and the teacher score v = t^T g (t = theta_star)
+    are jointly Gaussian. Their covariances c_uu, c_uv and c_vv cost one
+    product L^T w per theta. The label is y = eta(v) + tau eps. With a
+    linear eta and Gaussian noise, eps folds into v, whose variance becomes
+    c_vv + tau^2. Rademacher noise is the mean of the eps = -1 and +1
+    integrals, and Gaussian noise with a nonlinear eta is a third node axis.
+    The label side sits on fixed nodes, v = sqrt(c_vv) z1, with panel edges
+    at the kinks of a clipped eta and at v = 0, +-smoothing, ...,
+    +-4 smoothing for a sign-smooth eta, and u = alpha z1 + beta z2 with
+    alpha = c_uv / sqrt(c_vv) and beta = sqrt(c_uu - alpha^2). So the labels
+    do not depend on theta, and ``grad`` is the exact gradient of ``value``,
+    the quadrature sum. For a convex loss that sum is convex in theta, since
+    the z2 nodes come in +- pairs.
     """
 
     def __init__(self, problem: ErmProblem, equiv: GaussianEquivalent):
         self.problem = problem
         self.factor = equiv.factor
         self.iso2 = equiv.iso_scale**2
-        t = problem.theta_star.sum(axis=1)
+        t = problem.theta_star
         self.sigma_t = self.factor @ (self.factor.T @ t) + self.iso2 * t
         labeler = problem.labeler
         fold = labeler.eta_kind == "linear" and labeler.noise_law == "gaussian"
@@ -364,13 +359,12 @@ class TwinTestRisk:
     def _overlaps(self, theta: np.ndarray):
         """(w, L^T w, alpha, beta) at theta, kept for the last point evaluated."""
         if self._theta is None or not np.array_equal(theta, self._theta):
-            Theta = np.asarray(theta, dtype=np.float64)
-            w = (Theta[:, None] if Theta.ndim == 1 else Theta) @ np.asarray(self.problem.head)
+            w = np.array(theta, dtype=np.float64)
             Lw = self.factor.T @ w
             alpha = float(w @ self.sigma_t) / self.root_vv
             beta = math.sqrt(max(float(Lw @ Lw) + self.iso2 * float(w @ w) - alpha * alpha, 0.0))
             self._kept = (w, Lw, alpha, beta)
-            self._theta = np.array(theta, dtype=np.float64)
+            self._theta = w
         return self._kept
 
     def _scores(self, alpha: float, beta: float) -> np.ndarray:
@@ -390,8 +384,7 @@ class TwinTestRisk:
         if beta > 0.0:
             sigma_w = self.factor @ Lw + self.iso2 * w
             g = g + (d_beta / beta) * (sigma_w - (alpha / self.root_vv) * self.sigma_t)
-        grad = g[:, None] * np.asarray(self.problem.head)[None, :]
-        return grad[:, 0] if np.ndim(theta) == 1 else grad
+        return g
 
 
 @dataclass
@@ -444,10 +437,11 @@ def run_single_trial(
     y_g = labels_from_noise(problem, G, eps)
 
     test_seed = derive_seed(trial_seed, "test")
-    X_test = eps_test = twin_risk = None
+    X_test = y_test = twin_risk = None
     if n_test > 0:
         X_test = draw_features(instance.model, n_test, derive_seed(test_seed, "x"))
         eps_test = problem.labeler.draw_noise(n_test, derive_seed(test_seed, "noise"))
+        y_test = labels_from_noise(problem, X_test, eps_test)
         twin_risk = TwinTestRisk(problem, equiv)
 
     rows = []
@@ -461,7 +455,7 @@ def run_single_trial(
             iters = sol.iterations
             flags.extend(sol.flags)
             if n_test > 0:
-                tx, tx_se = _risk_on(problem, sol.theta_hat, X_test, eps_test)
+                tx, tx_se = _risk_on(problem, sol.theta_hat, X_test, y_test)
                 tg, tg_se = twin_risk.value(sol.theta_hat), 0.0
             else:
                 tx = tx_se = tg = tg_se = float("nan")
@@ -489,8 +483,8 @@ def run_single_trial(
     return rows[0], rows[1]
 
 
-def _risk_on(problem, theta, batch, eps) -> tuple[float, float]:
-    labels = labels_from_noise(problem, batch, eps)
+def _risk_on(problem, theta, batch, labels) -> tuple[float, float]:
+    """Mean loss of theta on a labelled test batch, and its standard error."""
     vals = problem.loss.value(problem.scores(theta, batch), labels)
     return mean_with_jackknife_se(vals)
 

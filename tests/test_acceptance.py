@@ -128,7 +128,7 @@ def test_criterion_03_ridge_exactness_and_gradients():
     problem = ErmProblem(
         loss=Loss("squared"),
         labeler=Labeler(),
-        theta_star=np.zeros((p, 1)),
+        theta_star=np.zeros(p),
         regularizer=Regularizer("ridge", lam),
         constraint=ConstraintSet("l2-ball", R=float("inf")),
     )
@@ -145,7 +145,7 @@ def test_criterion_03_ridge_exactness_and_gradients():
                 prob_g = ErmProblem(
                     loss=Loss(loss),
                     labeler=Labeler(eta_kind=eta, tau=0.4),
-                    theta_star=rng_g.standard_normal((pg, 1)) / 3,
+                    theta_star=rng_g.standard_normal(pg) / 3,
                     regularizer=Regularizer("ridge" if lam_g else "none", lam_g),
                     constraint=ConstraintSet("l2-ball", R=float("inf")),
                 )
@@ -153,9 +153,9 @@ def test_criterion_03_ridge_exactness_and_gradients():
                 yg = generate_labels(prob_g, Xg, seed=3)
                 h = 1e-5
                 for _ in range(20):
-                    theta = rng_g.standard_normal((pg, 1)) * 0.5
+                    theta = rng_g.standard_normal(pg) * 0.5
                     g = train_risk_grad(prob_g, theta, Xg, yg)
-                    d = rng_g.standard_normal((pg, 1))
+                    d = rng_g.standard_normal(pg)
                     d /= np.linalg.norm(d)
                     fd = (
                         train_risk(prob_g, theta + h * d, Xg, yg)
@@ -191,7 +191,7 @@ def test_criterion_04_free_energy_sandwich():
         problem = ErmProblem(
             loss=Loss("huber"),
             labeler=Labeler(tau=0.5),
-            theta_star=rng.standard_normal((p, 1)) / math.sqrt(p),
+            theta_star=rng.standard_normal(p) / math.sqrt(p),
             regularizer=Regularizer("ridge", 0.1),
             constraint=ConstraintSet("l2-ball", R=2.0),
         )
@@ -368,7 +368,7 @@ def test_criterion_08_convex_sandwich():
         problem = ErmProblem(
             loss=Loss("huber"),
             labeler=Labeler(tau=0.5),
-            theta_star=rng.standard_normal((p, 1)) / math.sqrt(p),
+            theta_star=rng.standard_normal(p) / math.sqrt(p),
             regularizer=Regularizer("ridge", 0.2),
             constraint=ConstraintSet("l2-ball", R=3.0),
         )

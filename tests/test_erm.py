@@ -37,17 +37,15 @@ def make_problem(p, loss="squared", lam=0.0, tau=0.0, constraint=None, theta_sta
         labeler=Labeler(eta_kind=kw.get("eta", "linear"), tau=tau,
                         noise_law=kw.get("noise_law", "gaussian"),
                         smoothing=kw.get("smoothing", 0.1)),
-        theta_star=theta_star if theta_star is not None else np.zeros((p, 1)),
+        theta_star=theta_star if theta_star is not None else np.zeros(p),
         regularizer=Regularizer("ridge" if lam else "none", lam),
         constraint=constraint or ConstraintSet("l2-ball", R=float("inf")),
     )
 
 
 def contains(cset, theta, tol=1e-10):
-    """Whether each column of ``theta`` (a vector or a p x k matrix) lies in ``cset``."""
+    """Whether the vector ``theta`` lies in ``cset``."""
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim == 2:
-        return all(contains(cset, column, tol) for column in theta.T)
     if cset.kind == "l2-ball":
         return not np.isfinite(cset.R) or float(np.linalg.norm(theta)) <= cset.R + tol
     if cset.kind == "linf-ball":
@@ -60,15 +58,15 @@ def contains(cset, theta, tol=1e-10):
 class TestGenerateLabels:
     def test_noiseless_linear(self):
         p = 4
-        theta_star = np.zeros((p, 1))
-        theta_star[0, 0] = 1.0
+        theta_star = np.zeros(p)
+        theta_star[0] = 1.0
         problem = make_problem(p, theta_star=theta_star)
         X = np.zeros((1, p))
         X[0, 0] = 3.0
         assert generate_labels(problem, X, seed=0)[0] == 3.0
 
     def test_sign_smooth_approximates_sign(self):
-        theta_star = np.ones((1, 1))
+        theta_star = np.ones(1)
         problem = make_problem(1, theta_star=theta_star, eta="sign-smooth", smoothing=1e-3)
         v = np.array([[0.1], [-0.25], [2.0]])
         y = generate_labels(problem, v, seed=0)
@@ -76,7 +74,7 @@ class TestGenerateLabels:
 
     def test_noise_variance(self):
         p = 3
-        theta_star = rng_from(1, "ts").standard_normal((p, 1))
+        theta_star = rng_from(1, "ts").standard_normal(p)
         problem = make_problem(p, theta_star=theta_star, tau=1.0)
         X = rng_from(2, "x").standard_normal((100_000, p))
         y = generate_labels(problem, X, seed=7)
@@ -85,7 +83,7 @@ class TestGenerateLabels:
 
     def test_shared_noise_couples_arms(self):
         p = 5
-        theta_star = rng_from(3, "ts").standard_normal((p, 1))
+        theta_star = rng_from(3, "ts").standard_normal(p)
         problem = make_problem(p, theta_star=theta_star, tau=0.7)
         eps = problem.labeler.draw_noise(50, seed=11)
         X = rng_from(4, "x").standard_normal((50, p))
@@ -99,11 +97,24 @@ class TestGenerateLabels:
         with pytest.raises(InvalidArgumentError):
             generate_labels(problem, np.zeros((2, 4)), seed=0)
 
+    @pytest.mark.parametrize("shape", [(3, 2), (3, 1), ()])
+    def test_theta_star_must_be_a_vector(self, shape):
+        with pytest.raises(InvalidArgumentError, match="length-p vector"):
+            make_problem(3, theta_star=np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(3, 1), ()])
+    def test_theta_must_be_a_vector(self, shape):
+        # A p x 1 theta would give n x 1 scores, broadcast against the n labels.
+        problem = make_problem(3, loss="huber", lam=0.1)
+        X, y = np.ones((5, 3)), np.ones(5)
+        with pytest.raises(InvalidArgumentError, match="length-p vector"):
+            train_risk(problem, np.zeros(shape), X, y)
+
 
 class TestTrainRisk:
     def test_interpolation_gives_zero(self):
         p = 3
-        theta_star = rng_from(6, "ts").standard_normal((p, 1))
+        theta_star = rng_from(6, "ts").standard_normal(p)
         problem = make_problem(p, theta_star=theta_star)
         X = rng_from(7, "x").standard_normal((10, p))
         y = generate_labels(problem, X, seed=0)
@@ -113,7 +124,7 @@ class TestTrainRisk:
         problem = make_problem(2, loss="logistic")
         X = rng_from(8, "x").standard_normal((6, 2))
         y = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
-        assert train_risk(problem, np.zeros((2, 1)), X, y) == pytest.approx(math.log(2.0))
+        assert train_risk(problem, np.zeros(2), X, y) == pytest.approx(math.log(2.0))
 
     def test_hand_instance(self):
         # x = (1, 0), y = 2, theta = (1, 0), squared loss, lambda = 0.5:
@@ -129,15 +140,15 @@ class TestGradients:
     def test_matches_central_differences(self, loss, lam):
         p = 7
         rng = rng_from(9, "grad", loss, int(lam * 10))
-        theta_star = rng.standard_normal((p, 1)) / math.sqrt(p)
+        theta_star = rng.standard_normal(p) / math.sqrt(p)
         problem = make_problem(p, loss=loss, lam=lam, tau=0.4, theta_star=theta_star)
         X = rng.standard_normal((25, p))
         y = generate_labels(problem, X, seed=13)
         h = 1e-5
         for _ in range(20):
-            theta = rng.standard_normal((p, 1)) * 0.5
+            theta = rng.standard_normal(p) * 0.5
             g = train_risk_grad(problem, theta, X, y)
-            direction = rng.standard_normal((p, 1))
+            direction = rng.standard_normal(p)
             direction /= np.linalg.norm(direction)
             fd = (
                 train_risk(problem, theta + h * direction, X, y)
@@ -232,7 +243,7 @@ class TestSolveErm:
         y = rng.standard_normal(30)
         sol = solve_erm(problem, X, y, SolverConfig())
         assert np.linalg.norm(sol.theta_hat) <= 1e-5
-        assert sol.objective == pytest.approx(data_risk(problem, np.zeros((p, 1)), X, y), rel=1e-6)
+        assert sol.objective == pytest.approx(data_risk(problem, np.zeros(p), X, y), rel=1e-6)
 
     def test_matches_normal_equations_small(self):
         rng = rng_from(13, "ne")
@@ -241,7 +252,7 @@ class TestSolveErm:
         problem = make_problem(2, lam=0.3)
         sol = solve_erm(problem, X, y, SolverConfig(tol=1e-12))
         theta_cf, obj_cf = solve_ridge_closed_form(X, y, 0.3)
-        assert np.abs(sol.theta_hat[:, 0] - theta_cf).max() <= 1e-8
+        assert np.abs(sol.theta_hat - theta_cf).max() <= 1e-8
 
     def test_zero_radius_returns_origin(self):
         problem = make_problem(3, lam=0.1, constraint=ConstraintSet("l2-ball", R=0.0))
@@ -275,38 +286,6 @@ class TestSolveErm:
         sol = solve_erm(problem, X, y, SolverConfig(restarts=4), seed=21)
         assert np.allclose(sol.theta_hat, 0.0, atol=1e-8)
 
-    def test_two_head_smoke(self):
-        # k = 2 columns with a fixed linear head; gradient and solver agree
-        # with the equivalent single-column problem theta_eff = theta @ head.
-        p = 5
-        rng = rng_from(23, "k2")
-        theta_star = rng.standard_normal((p, 1)) / math.sqrt(p)
-        problem = ErmProblem(
-            loss=Loss("huber"),
-            labeler=Labeler(tau=0.3),
-            theta_star=theta_star,
-            regularizer=Regularizer("ridge", 0.1),
-            constraint=ConstraintSet("l2-ball", R=2.0),
-            k=2,
-            head=(0.8, 0.6),
-        )
-        X = rng.standard_normal((40, p))
-        y = generate_labels(problem, X, seed=9)
-        sol = solve_erm(problem, X, y, SolverConfig(), seed=2)
-        assert sol.theta_hat.shape == (p, 2)
-        assert contains(problem.constraint, sol.theta_hat)
-        assert sol.objective == pytest.approx(train_risk(problem, sol.theta_hat, X, y), abs=1e-12)
-        # finite-difference gradient check in the matrix variable
-        h = 1e-5
-        theta = rng.standard_normal((p, 2)) * 0.3
-        g = train_risk_grad(problem, theta, X, y)
-        d = rng.standard_normal((p, 2))
-        d /= np.linalg.norm(d)
-        fd = (
-            train_risk(problem, theta + h * d, X, y) - train_risk(problem, theta - h * d, X, y)
-        ) / (2 * h)
-        assert abs(fd - float(np.sum(g * d))) <= 1e-6 * max(1.0, abs(fd))
-
     def test_objective_increase_raises_diverged(self):
         # A negative Armijo slope accepts an uphill step; the monotonicity
         # check must raise a solver error, not an assert that -O strips.
@@ -333,6 +312,28 @@ class TestSolveErm:
         assert any(b > a for a, b in zip(accepted, accepted[1:]))
         assert state.value <= fun(x0)
         assert state.flags == [] and np.abs(state.x).max() <= 1e-9
+
+    @pytest.mark.parametrize("max_iters", range(6, 36))
+    def test_unconverged_solve_returns_its_lowest_accepted_point(self, max_iters):
+        # A nonmonotone run cut off after max_iters iterations may end above a
+        # point it visited (at 33 iterations: 8.3e-4 against 1.2e-5); it
+        # returns the lowest accepted value. grad is called once at each
+        # accepted point, so a run one iteration longer visits every point
+        # accepted within max_iters iterations.
+        A = np.diag([1.0, 3.0, 10.0, 30.0, 100.0])
+        fun = lambda x: 0.5 * float(x @ A @ x)  # noqa: E731
+        accepted = []
+
+        def grad(x):
+            accepted.append(fun(x))
+            return A @ x
+
+        pgd_minimize(fun, grad, lambda x: x, np.ones(5), SolverConfig(max_iters=max_iters + 1))
+        state = pgd_minimize(fun, lambda x: A @ x, lambda x: x, np.ones(5),
+                             SolverConfig(max_iters=max_iters))
+        assert state.flags == ["maxiter"]
+        assert state.value == min(accepted[1:max_iters + 1])
+        assert state.value == fun(state.x)
 
     @pytest.mark.parametrize("kind", ["l2-ball", "linf-ball", "nt-operator-ball"])
     def test_solves_never_end_above_the_start(self, kind):
@@ -411,7 +412,7 @@ class TestKeptScores:
     @staticmethod
     def setup_problem(p=6, n=40):
         rng = rng_from(31, "kept-scores")
-        theta_star = rng.standard_normal((p, 1)) / math.sqrt(p)
+        theta_star = rng.standard_normal(p) / math.sqrt(p)
         problem = make_problem(p, loss="huber", lam=0.1, tau=0.5, theta_star=theta_star,
                                constraint=ConstraintSet("l2-ball", R=1.0))
         X = rng.standard_normal((n, p))
@@ -440,7 +441,7 @@ class TestKeptScores:
         problem, X, y = self.setup_problem()
         _, _, _, gradient = self.instrumented_solve(monkeypatch, problem, X, y)
         rng = rng_from(32, "fresh")
-        theta = rng.standard_normal((problem.p, 1))
+        theta = rng.standard_normal(problem.p)
         assert np.array_equal(gradient(theta), train_risk_grad(problem, theta, X, y))
         # A point changed in place after it was evaluated is a new point.
         theta += rng.standard_normal(theta.shape)
@@ -488,19 +489,19 @@ def twin_test_risk(problem, theta, equiv, n_test, seed):
     """Monte Carlo test risk on a fresh twin batch, as the trials compute it."""
     batch = sample_gaussian(equiv, n_test, derive_seed(seed, "test-draws"))
     eps = problem.labeler.draw_noise(n_test, derive_seed(seed, "test-noise"))
-    return _risk_on(problem, theta, batch, eps)
+    return _risk_on(problem, theta, batch, labels_from_noise(problem, batch, eps))
 
 
 class TestTestRisk:
     def test_constant_loss_values_give_zero_se(self):
         # Frozen nonzero covariates with tau = 0 make every loss value equal.
         p = 3
-        theta_star = np.ones((p, 1))
+        theta_star = np.ones(p)
         problem = make_problem(p, theta_star=theta_star)
         x0 = np.ones((500, p))
-        theta = np.zeros((p, 1))
+        theta = np.zeros(p)
         eps = problem.labeler.draw_noise(500, seed=0)
-        est, se = _risk_on(problem, theta, x0, eps)
+        est, se = _risk_on(problem, theta, x0, labels_from_noise(problem, x0, eps))
         assert est == pytest.approx(9.0)  # (0 - 3)^2
         assert se == 0.0
 
@@ -508,8 +509,8 @@ class TestTestRisk:
         # theta = theta_star = e1, g ~ N(0, I), tau = 1:
         # E[(G - (G + eps))^2] = E[eps^2] = 1.
         p = 2
-        theta_star = np.zeros((p, 1))
-        theta_star[0, 0] = 1.0
+        theta_star = np.zeros(p)
+        theta_star[0] = 1.0
         problem = make_problem(p, theta_star=theta_star, tau=1.0)
         equiv = GaussianEquivalent(factor=np.eye(p))
         est, se = twin_test_risk(problem, theta_star, equiv, 20_000, seed=3)
@@ -518,10 +519,10 @@ class TestTestRisk:
     def test_two_seeds_agree_within_combined_se(self):
         p = 4
         rng = rng_from(22, "cal")
-        theta_star = rng.standard_normal((p, 1)) / 2
+        theta_star = rng.standard_normal(p) / 2
         problem = make_problem(p, loss="huber", theta_star=theta_star, tau=0.5)
         equiv = GaussianEquivalent(factor=np.eye(p))
-        theta = rng.standard_normal((p, 1)) / 2
+        theta = rng.standard_normal(p) / 2
         hits = 0
         for rep in range(100):
             e1, s1 = twin_test_risk(problem, theta, equiv, 2000, seed=1000 + rep)

@@ -27,7 +27,7 @@ def small_problem(p, seed=0, lam=0.1, tau=0.5):
     return ErmProblem(
         loss=Loss("huber"),
         labeler=Labeler(tau=tau),
-        theta_star=rng.standard_normal((p, 1)) / math.sqrt(p),
+        theta_star=rng.standard_normal(p) / math.sqrt(p),
         regularizer=Regularizer("ridge", lam),
         constraint=ConstraintSet("l2-ball", R=2.0),
     )
@@ -108,7 +108,7 @@ class TestCandidates:
 
     def test_solution_cloud_contains_center(self):
         problem = small_problem(6)
-        theta = rng_from(3, "c").standard_normal((6, 1)) * 0.1
+        theta = rng_from(3, "c").standard_normal(6) * 0.1
         cloud = solution_cloud(problem, theta, M=9, alpha=0.5, seed=7)
         assert np.allclose(cloud.points[0], theta)
         radii = [np.linalg.norm(cloud.points[i] - theta) for i in range(1, 9)]
@@ -148,14 +148,14 @@ class TestPath:
         problem = ErmProblem(
             loss=Loss("logistic" if eta == "sign-smooth" else "huber"),
             labeler=Labeler(eta_kind=eta, tau=0.3),
-            theta_star=rng.standard_normal((p, 1)) / math.sqrt(p),
+            theta_star=rng.standard_normal(p) / math.sqrt(p),
             regularizer=Regularizer("ridge", 0.05),
             constraint=ConstraintSet("l2-ball", R=2.0),
         )
         X = rng.standard_normal((n, p))
         G = rng.standard_normal((n, p))
         eps = problem.labeler.draw_noise(n, seed=5)
-        theta = rng.standard_normal((p, 1)) / math.sqrt(p)
+        theta = rng.standard_normal(p) / math.sqrt(p)
         cloud = solution_cloud(problem, theta, M=12, alpha=0.4, seed=6)
         grid = tuple(np.linspace(0.0, math.pi / 2, 10))
         path = InterpolationPath(X=X, G=G, grid=grid, eps=eps)
@@ -218,7 +218,7 @@ class TestEntropySandwich:
         rng = rng_from(9, "tb")
         X = rng.standard_normal((12, 4))
         y = generate_labels(problem, X, seed=6)
-        theta = rng.standard_normal((4, 1)) * 0.1
+        theta = rng.standard_normal(4) * 0.1
         candidates = CandidateSet(points=np.repeat(theta[None], 8, axis=0))
         report = entropy_sandwich_check(candidates, problem, X, y, [1e-6])
         assert report.values[0] == pytest.approx(report.lower_bounds[0], abs=1e-9)

@@ -77,7 +77,7 @@ EVERY_KEY_CONFIG = {
     ],
     "problem": {"loss": "pseudo-huber", "loss_delta": 0.5, "labeler": "clipped-linear",
                 "tau": 0.25, "noise_law": "rademacher", "clip_bound": 2.0, "smoothing": 0.2,
-                "regularizer": "none", "lambda": 0.3, "k": 2},
+                "regularizer": "none", "lambda": 0.3},
     "solver": {"max_iters": 300, "tol": 1e-6, "restarts": 2, "armijo_shrink": 0.25,
                "armijo_slope": 1e-3, "init_step": 0.5, "step_growth": 1.5},
     "test_risk": {"n_test": 100},
@@ -176,6 +176,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="los"):
             config_from_dict(raw)
 
+    def test_k_is_an_unknown_problem_key(self):
+        # Parameters are length-p vectors: there is no number of parameter vectors to set.
+        raw = json.loads(json.dumps(BASE))
+        raw["problem"]["k"] = 1
+        with pytest.raises(ConfigError, match="problem: unknown key 'k'"):
+            config_from_dict(raw)
+
     def test_duplicate_family_ids_rejected(self):
         raw = json.loads(json.dumps(BASE))
         raw["families"].append({"id": "lin", "kind": "control-gaussian"})
@@ -223,10 +230,10 @@ class TestConfig:
     def test_golden_hashes(self):
         # Pinned: any edit that moves a config's hash must fail here.
         assert config_from_dict(README_CONFIG).canonical_hash() == (
-            "e6a50d77bfe89bd4fc4babed27bb69a5871c6417496d6da6241e12cc3c103549"
+            "d21ad701797944e0b61ec6e94b765d260ad84dcbc527a25dbf1cf581bb114e82"
         )
         assert config_from_dict(EVERY_KEY_CONFIG).canonical_hash() == (
-            "a938f8bc4c9e6c434b14c006ef39df11a81bcfed27143bdc852cadd9c4c72f4a"
+            "74d745dfcb030976fd341b695d02dc6cfb682b9ed0c205d79f7b80d06535a111"
         )
 
     def test_every_key_config_sets_every_field(self):
@@ -720,6 +727,13 @@ class TestCli:
         cfg_path.write_text(json.dumps({**BASE, "ladder": []}))
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert "ladder" in capsys.readouterr().err
+
+    def test_k_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_with(("problem", "k"), 2)))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "config.problem: unknown key 'k'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_non_numeric_list_entry_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -14,6 +14,7 @@ from ermu.erm import (
     Regularizer,
     SolverConfig,
     generate_labels,
+    labels_from_noise,
     solve_erm,
 )
 from ermu.errors import InvalidArgumentError
@@ -85,7 +86,7 @@ def ridge_problem(p, lam=0.2, seed=0):
     return ErmProblem(
         loss=Loss("huber"),
         labeler=Labeler(tau=0.5),
-        theta_star=rng.standard_normal((p, 1)) / math.sqrt(p),
+        theta_star=rng.standard_normal(p) / math.sqrt(p),
         regularizer=Regularizer("ridge", lam),
         constraint=ConstraintSet("l2-ball", R=3.0),
     )
@@ -266,16 +267,14 @@ class TestBootstrap:
         assert bootstrap_mean_ci(vals, 300, seed=9) == bootstrap_mean_ci(vals, 300, seed=9)
 
 
-def twin_problem(loss, labeler, noise_law, p, k=1):
+def twin_problem(loss, labeler, noise_law, p):
     rng = rng_from(31, "twin-problem", p)
     return ErmProblem(
         loss=Loss(loss),
         labeler=Labeler(eta_kind=labeler, tau=0.5, noise_law=noise_law),
-        theta_star=rng.standard_normal((p, 1)) / math.sqrt(p),
+        theta_star=rng.standard_normal(p) / math.sqrt(p),
         regularizer=Regularizer("ridge", 0.1),
         constraint=ConstraintSet("l2-ball", R=3.0),
-        k=k,
-        head=(1.0,) * k,
     )
 
 
@@ -292,7 +291,7 @@ def twin_kinds(p):
 def probe_point(problem, scale=1.0):
     """theta_star plus an orthogonal-ish random direction, so that both alpha and beta are nonzero."""
     p = problem.p
-    return 0.7 * problem.theta_star[:, 0] + scale * rng_from(33, "point", p).standard_normal(p) / math.sqrt(p)
+    return 0.7 * problem.theta_star + scale * rng_from(33, "point", p).standard_normal(p) / math.sqrt(p)
 
 
 def central_differences(fn, theta, h=1e-6):
@@ -316,7 +315,7 @@ class TestTwinTestRisk:
             exact = TwinTestRisk(problem, equiv).value(theta)
             G = sample_gaussian(equiv, n_test, seed=100 + i)
             eps = problem.labeler.draw_noise(n_test, seed=200 + i)
-            mc, se = _risk_on(problem, theta, G, eps)
+            mc, se = _risk_on(problem, theta, G, labels_from_noise(problem, G, eps))
             assert abs(exact - mc) <= 4.0 * se, (name, exact, mc, se)
 
     @pytest.mark.parametrize(
@@ -334,7 +333,7 @@ class TestTwinTestRisk:
         problem = twin_problem(loss, labeler, noise_law, p)
         for name, equiv in twin_kinds(p).items():
             risk = TwinTestRisk(problem, equiv)
-            for theta in (probe_point(problem), np.zeros(p), 1.3 * problem.theta_star[:, 0]):
+            for theta in (probe_point(problem), np.zeros(p), 1.3 * problem.theta_star):
                 g = risk.grad(theta)
                 assert np.all(np.isfinite(g)) and np.isfinite(risk.value(theta))
                 fd = central_differences(risk.value, theta)
@@ -345,21 +344,9 @@ class TestTwinTestRisk:
         # beta = 0, and value and gradient stay finite.
         problem = twin_problem("huber", "linear", "rademacher", 6)
         risk = TwinTestRisk(problem, twin_kinds(6)["square"])
-        theta = -0.4 * problem.theta_star[:, 0]
+        theta = -0.4 * problem.theta_star
         assert risk._overlaps(theta)[3] < 1e-7
         assert np.all(np.isfinite(risk.grad(theta))) and np.isfinite(risk.value(theta))
-
-    def test_two_column_theta_goes_through_the_head(self):
-        # Theta (p x 2) enters through Theta head, as data_risk_grad takes it.
-        p = 5
-        problem = twin_problem("huber", "clipped-linear", "rademacher", p, k=2)
-        risk = TwinTestRisk(problem, twin_kinds(p)["square"])
-        Theta = np.stack([probe_point(problem), -0.3 * probe_point(problem, 2.0)], axis=1)
-        single = TwinTestRisk(twin_problem("huber", "clipped-linear", "rademacher", p), twin_kinds(p)["square"])
-        assert risk.value(Theta) == pytest.approx(single.value(Theta.sum(axis=1)), rel=1e-14)
-        g = risk.grad(Theta)
-        assert g.shape == (p, 2)
-        assert np.abs(g - central_differences(risk.value, Theta)).max() <= 1e-6
 
     @pytest.mark.parametrize(
         "loss, labeler",
@@ -413,7 +400,7 @@ class TestTwinTestRisk:
             problem = ErmProblem(
                 loss=Loss("huber"),
                 labeler=Labeler(tau=0.5),
-                theta_star=rng.standard_normal((p, 1)) / math.sqrt(p),
+                theta_star=rng.standard_normal(p) / math.sqrt(p),
                 regularizer=Regularizer("ridge", 0.2),
                 constraint=ConstraintSet("l2-ball", R=3.0),
             )
@@ -526,7 +513,7 @@ class TestNearMinimizers:
             surrogate.value,
             surrogate.grad,
             lambda t: project_constraint(problem.constraint, t),
-            np.zeros((p, 1)),
+            np.zeros(p),
             SolverConfig(tol=1e-10),
         )
         assert results[0].achieved_test <= direct.value + 1e-6
@@ -551,7 +538,7 @@ class TestNearMinimizers:
         problem = ErmProblem(
             loss=Loss("logistic"),
             labeler=Labeler(eta_kind="sign-smooth", tau=0.0, smoothing=1e-2),
-            theta_star=rng.standard_normal((p, 1)) / math.sqrt(p),
+            theta_star=rng.standard_normal(p) / math.sqrt(p),
             regularizer=Regularizer("none"),
             constraint=ConstraintSet("l2-ball", R=5.0),
         )
