@@ -15,13 +15,11 @@ conditional on the frozen weights. Sigma is obtained in one of four modes:
 A twin is a p x r factor L plus an isotropic scale s, and its rows are
 L xi + s zeta with xi ~ N(0, I_r), zeta ~ N(0, I_p), so that
 Sigma = L L^T + s^2 I. The linear-exact twin has r = 0 and s = sqrt(nu),
-so its rows are sqrt(nu) zeta. The estimated p x p covariances
-(hermite-exact and monte-carlo) are indefinite at machine precision, so
-their square factors come from an eigendecomposition with eigenvalues
-clipped at zero plus optional relative jitter. The empirical twin needs
-none: its factor is X^T / sqrt(n), so a batch is Z X / sqrt(n) + s Xi with
-Z an n_rows x n standard normal matrix, and the jitter enters as the
-isotropic scale.
+so its rows are sqrt(nu) zeta. Hermite-exact and monte-carlo twins factor
+their jittered p x p covariance by Cholesky (any L with L L^T = Sigma draws
+the same law). The empirical twin factors nothing: its factor is
+X^T / sqrt(n), so a batch is Z X / sqrt(n) + s Xi with Z an n_rows x n
+standard normal matrix, and the jitter enters as the isotropic scale.
 """
 
 from __future__ import annotations
@@ -60,8 +58,8 @@ class GaussianEquivalent:
 def rf_covariance_hermite(W: np.ndarray, coeffs: np.ndarray, order: int) -> np.ndarray:
     """Random-features covariance from an orthonormal-Hermite expansion.
 
-    Entry (i, j) is sum_{k=1..order} c_k^2 rho^k with rho = w_i^T w_j. Valid
-    for unit-norm columns and mean-zero activations (c_0 = 0).
+    Entry (i, j) is sum_{k=1..order} c_k^2 rho^k, rho = w_i^T w_j, by Horner's rule
+    in place. Valid for unit-norm columns and mean-zero activations (c_0 = 0).
     """
     W = np.asarray(W, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
@@ -75,10 +73,9 @@ def rf_covariance_hermite(W: np.ndarray, coeffs: np.ndarray, order: int) -> np.n
     upto = min(order, len(coeffs) - 1)
     rho = np.clip(W.T @ W, -1.0, 1.0)
     sigma = np.zeros_like(rho)
-    rho_pow = np.ones_like(rho)
-    for k in range(1, upto + 1):
-        rho_pow = rho_pow * rho
-        sigma += coeffs[k] ** 2 * rho_pow
+    for a in coeffs[upto:0:-1] ** 2:
+        sigma += a
+        sigma *= rho
     return sigma
 
 
@@ -121,22 +118,27 @@ def mc_covariance(
 
 
 def factor_covariance(cov: np.ndarray, jitter_rel: float = 0.0) -> np.ndarray:
-    """PSD factor L = U diag(sqrt(clip(lambda, 0))) of a symmetric matrix.
+    """Lower-triangular Cholesky L, L L^T = cov + jitter_rel * (trace / p) * I.
 
-    Relative jitter (times trace/p) is added to the diagonal before the
-    eigendecomposition; negative eigenvalues are clipped at zero.
+    A matrix that is not positive definite (singular, or indefinite at rounding
+    level) is factored as U diag(sqrt(clip(lambda, 0))) from its eigenpairs.
     """
     cov = np.asarray(cov, dtype=np.float64)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise InvalidArgumentError(f"covariance must be square, got {cov.shape}")
+    if not np.isfinite(cov).all():
+        raise InvalidArgumentError("covariance has non-finite entries")
     scale = max(1.0, float(np.abs(cov).max()))
     if np.abs(cov - cov.T).max() > 1e-10 * scale:
         raise InvalidArgumentError("covariance is not symmetric within 1e-10 relative")
     sym = 0.5 * (cov + cov.T)
     if jitter_rel > 0.0:
-        sym = sym + (jitter_rel * np.trace(sym) / sym.shape[0]) * np.eye(sym.shape[0])
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+        sym.flat[:: sym.shape[0] + 1] += jitter_rel * np.trace(sym) / sym.shape[0]
+    try:
+        return np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        eigvals, eigvecs = np.linalg.eigh(sym)
+        return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
 def sample_gaussian(equiv: GaussianEquivalent, n: int, seed: int) -> np.ndarray:

@@ -14,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from numpy.polynomial.hermite_e import hermeval
 from numpy.polynomial.legendre import leggauss
 
 
@@ -65,20 +64,15 @@ def gaussian_expectation_pair(
     return float(w @ vals @ w)
 
 
-def normalized_hermite(k: int, x: np.ndarray) -> np.ndarray:
-    """Probabilists' Hermite polynomial He_k(x) / sqrt(k!), orthonormal under N(0,1)."""
-    coeffs = np.zeros(k + 1)
-    coeffs[k] = 1.0
-    return hermeval(x, coeffs) / math.sqrt(math.factorial(k))
-
-
 def hermite_coefficients(
     f: Callable[[np.ndarray], np.ndarray], order: int, n_nodes: int = 200
 ) -> np.ndarray:
     """Coefficients c_k = E[f(G) he_k(G)], k = 0..order, in the orthonormal basis."""
     x, w = gaussian_nodes(n_nodes)
-    fx = f(x)
+    wf = w * f(x)
     out = np.empty(order + 1)
-    for k in range(order + 1):
-        out[k] = float(np.dot(w, fx * normalized_hermite(k, x)))
+    he_prev, he = np.zeros_like(x), np.ones_like(x)
+    for k in range(order + 1):  # he_k = He_k / sqrt(k!) by its three-term recurrence
+        out[k] = float(np.dot(wf, he))
+        he_prev, he = he, (x * he - math.sqrt(k) * he_prev) / math.sqrt(k + 1)
     return out

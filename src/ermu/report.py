@@ -266,6 +266,11 @@ def write_report(
             )
 
     report = build_report(rows, n_boot=n_boot, level=level, family_kinds=family_kinds)
+    warnings_list += [
+        f"{family} n={s['n']}: {s['nonconverged']} non-converged pairs averaged into the gaps"
+        for family in report["family_order"]
+        for s in report["families"][family]["sizes"] if s["nonconverged"] > 0
+    ]
     if warnings_list:
         report["warnings"] = warnings_list
 

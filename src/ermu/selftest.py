@@ -21,14 +21,15 @@ from ermu.erm import (
     Loss,
     Regularizer,
     SolverConfig,
+    generate_labels,
     solve_erm,
     solve_ridge_closed_form,
     train_risk,
     train_risk_grad,
 )
-from ermu.features import Activation, nt_theta_matrix, sample_sphere_weights
+from ermu.features import Activation, FeatureModel, nt_theta_matrix, sample_sphere_weights
 from ermu.free_energy import entropy_sandwich_check, random_net
-from ermu.gaussian import mc_covariance, rf_covariance_hermite
+from ermu.gaussian import factor_covariance, mc_covariance, rf_covariance_hermite
 from ermu.quadrature import gaussian_expectation_pair
 from ermu.seeds import rng_from
 from ermu.stats import ks_statistic
@@ -66,14 +67,16 @@ def _covariance_triangle():
     act = Activation("custom-hermite", hermite_coeffs=(0.0, 0.6, 0.3, 0.1))
     W = sample_sphere_weights(16, 16, seed=3)
     sigma_h = rf_covariance_hermite(W, np.array(act.hermite_coeffs), order=3)
-    from ermu.features import FeatureModel
-
     model = FeatureModel(family="random-features", d=16, p=16, W=W, activation=act)
     sigma_mc = mc_covariance(model, 30000, seed=11)
     assert np.abs(sigma_h - sigma_mc).max() <= 4e-2
     rho = float(W[:, 0] @ W[:, 1])
     quad = gaussian_expectation_pair(act.value, act.value, rho, n_nodes=120)
     assert abs(quad - sigma_h[0, 1]) <= 1e-6
+    L = factor_covariance(sigma_h, 1e-10)
+    target = sigma_h + (1e-10 * np.trace(sigma_h) / 16) * np.eye(16)
+    assert np.array_equal(L, np.tril(L)), "factor is not lower-triangular"
+    assert np.abs(L @ L.T - target).max() <= 1e-12 * np.abs(target).max()
 
 
 def _ridge_exactness():
@@ -102,8 +105,6 @@ def _gradient_check():
         regularizer=Regularizer("ridge", 0.05),
         constraint=ConstraintSet("l2-ball", R=10.0),
     )
-    from ermu.erm import generate_labels
-
     y = generate_labels(problem, X, seed=4)
     theta = rng.standard_normal(12) * 0.3
     g = train_risk_grad(problem, theta, X, y)
@@ -142,8 +143,6 @@ def _free_energy_props():
         regularizer=Regularizer("ridge", 0.1),
         constraint=ConstraintSet("l2-ball", R=2.0),
     )
-    from ermu.erm import generate_labels
-
     X = rng.standard_normal((64, 10))
     y = generate_labels(problem, X, seed=2)
     candidates = random_net(problem, 64, seed=23)

@@ -1,7 +1,10 @@
 """Covariance oracles, PSD factorization, Gaussian twin sampling."""
 
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermeval
 
 from ermu.errors import InvalidArgumentError
 from ermu.features import Activation, FeatureModel, linear_model, sample_sphere_weights
@@ -16,9 +19,18 @@ from ermu.gaussian import (
     rf_covariance_hermite,
     sample_gaussian,
 )
-from ermu.quadrature import gaussian_expectation_pair, hermite_coefficients
+from ermu.quadrature import gaussian_expectation_pair, gaussian_nodes, hermite_coefficients
 from ermu.seeds import rng_from
-from ermu.universality import WorkerPool
+from ermu.universality import FamilySpec, ProblemSpec, WorkerPool, build_instance
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Records every np.linalg.eigh call made while the test runs."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    return calls
 
 
 def covariance(equiv):
@@ -53,6 +65,19 @@ class TestRfCovarianceHermite:
         sigma_p = rf_covariance_hermite(W[:, perm], coeffs, order=2)
         assert np.allclose(sigma_p, sigma[np.ix_(perm, perm)])
 
+    @pytest.mark.parametrize("order", [1, 3, 41, 121])
+    def test_horner_matches_power_sum(self, order):
+        W = sample_sphere_weights(10, 30, seed=2)
+        coeffs = hermite_coefficients(np.tanh, order)
+        rho = np.clip(W.T @ W, -1.0, 1.0)
+        oracle = sum(coeffs[k] ** 2 * rho**k for k in range(1, order + 1))
+        sigma = rf_covariance_hermite(W, coeffs, order)
+        assert np.abs(sigma - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+    def test_constant_only_series_gives_zeros(self):
+        sigma = rf_covariance_hermite(sample_sphere_weights(4, 3, seed=1), np.zeros(1), order=5)
+        assert np.array_equal(sigma, np.zeros((3, 3)))
+
     def test_non_unit_columns_rejected(self):
         with pytest.raises(InvalidArgumentError):
             rf_covariance_hermite(2.0 * np.eye(3), np.array([0.0, 1.0]), order=1)
@@ -60,6 +85,19 @@ class TestRfCovarianceHermite:
     def test_nonzero_mean_rejected(self):
         with pytest.raises(InvalidArgumentError):
             rf_covariance_hermite(np.eye(3), np.array([0.5, 1.0]), order=1)
+
+
+class TestHermiteCoefficients:
+    @pytest.mark.parametrize(
+        "f", [np.tanh, lambda x: np.sin(x) - x / math.sqrt(math.e)], ids=["tanh", "shifted-sine"]
+    )
+    def test_recurrence_matches_per_order_hermeval(self, f):
+        # Oracle: c_k = E[f(G) He_k(G)] / sqrt(k!), each He_k evaluated on its own.
+        x, w = gaussian_nodes(200)
+        got = hermite_coefficients(f, 121)
+        for k in range(122):
+            he_k = hermeval(x, np.eye(k + 1)[k]) / math.sqrt(math.factorial(k))
+            assert abs(got[k] - float(np.dot(w, f(x) * he_k))) <= 1e-14, k
 
 
 class TestMcCovariance:
@@ -147,6 +185,31 @@ class TestFactorCovariance:
         with pytest.raises(InvalidArgumentError):
             factor_covariance(A)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            factor_covariance(np.diag([1.0, bad, 1.0]))
+
+    def test_cholesky_factor_of_hermite_covariance(self, eigh_calls):
+        # A jittered covariance is positive definite: its factor is the
+        # lower-triangular Cholesky factor, found without an eigendecomposition.
+        W = sample_sphere_weights(20, 40, seed=6)
+        sigma = rf_covariance_hermite(W, hermite_coefficients(np.tanh, 41), order=41)
+        L = factor_covariance(sigma, jitter_rel=1e-10)
+        target = sigma + (1e-10 * np.trace(sigma) / 40) * np.eye(40)
+        assert eigh_calls == []
+        assert np.array_equal(L, np.tril(L))
+        assert np.abs(L @ L.T - target).max() <= 1e-12 * np.abs(target).max()
+
+    def test_singular_covariance_falls_back_to_eigh(self, eigh_calls):
+        # Only c_1 is nonzero, so Sigma = c_1^2 W^T W has rank d < p; with no
+        # jitter Cholesky fails and the clipped eigendecomposition factors it.
+        W = sample_sphere_weights(8, 24, seed=5)
+        sigma = rf_covariance_hermite(W, np.array([0.0, 0.8]), order=1)
+        L = factor_covariance(sigma, jitter_rel=0.0)
+        assert eigh_calls == [1]
+        assert np.abs(L @ L.T - sigma).max() <= 1e-12 * np.abs(sigma).max()
+
 
 class TestSampleGaussian:
     def test_zero_factor_gives_zero_rows(self):
@@ -205,6 +268,20 @@ class TestEquivalentBuilders:
     def test_hermite_exact_requires_rf(self):
         with pytest.raises(InvalidArgumentError):
             hermite_exact_equivalent(linear_model(2), order=3)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            {"cov_mode": "hermite-exact", "hermite_order": 41},
+            {"cov_mode": "monte-carlo", "cov_samples_per_dim": 5},
+        ],
+        ids=["hermite-exact", "monte-carlo"],
+    )
+    def test_set_up_calls_no_eigh(self, family, eigh_calls):
+        spec = FamilySpec(id="rf", kind="random-features", sizes=({"n": 40, "d": 12},), **family)
+        inst = build_instance(spec, ProblemSpec(loss="huber", tau=0.5, lam=0.1), 40, 5)
+        assert inst.equiv.factor.shape == (inst.p, inst.p)
+        assert eigh_calls == []
 
     def test_monte_carlo_twin_is_psd(self):
         model = linear_model(3, entry_law="gaussian")

@@ -8,7 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -623,6 +623,15 @@ class TestCampaign:
         assert np.array_equal(L, inst.equiv.factor)
 
 
+def trial_row(trial, arm, train_opt, flags=""):
+    """One lin n=40 trials.csv row of the given arm."""
+    return TrialRow(
+        family="lin", n=40, p=30, trial=trial, seed=trial, train_opt=train_opt,
+        test_x=0.5, test_x_se=0.01, test_g=0.5, test_g_se=0.01, iters=10,
+        flags=";".join([f"arm:{arm}"] + ([flags] if flags else [])),
+    )
+
+
 class TestReport:
     def test_report_structure(self, tmp_path):
         cfg = base_config()
@@ -647,24 +656,36 @@ class TestReport:
         assert s["train_gap"]["degenerate_ci"]
 
     def test_nonconverged_pairs_counted_not_dropped(self):
-        def row(trial, arm, train_opt, flags=""):
-            return TrialRow(
-                family="lin", n=40, p=30, trial=trial, seed=trial, train_opt=train_opt,
-                test_x=0.5, test_x_se=0.01, test_g=0.5, test_g_se=0.01, iters=10,
-                flags=";".join([f"arm:{arm}"] + ([flags] if flags else [])),
-            )
-
         rows = [
-            row(0, "x", 1.0), row(0, "g", 0.9),
-            row(1, "x", 1.2, "maxiter"), row(1, "g", 1.0),
-            row(2, "x", 0.8, "maxiter"), row(2, "g", 0.9, "step-underflow"),
-            row(3, "x", float("nan"), "quarantined"), row(3, "g", 1.1, "maxiter"),
+            trial_row(0, "x", 1.0), trial_row(0, "g", 0.9),
+            trial_row(1, "x", 1.2, "maxiter"), trial_row(1, "g", 1.0),
+            trial_row(2, "x", 0.8, "maxiter"), trial_row(2, "g", 0.9, "step-underflow"),
+            trial_row(3, "x", float("nan"), "quarantined"), trial_row(3, "g", 1.1, "maxiter"),
         ]
         (entry,) = build_report(rows, n_boot=50)["families"]["lin"]["sizes"]
         assert entry["trials"] == 3
         assert entry["quarantined"] == 1
         assert entry["nonconverged"] == 2
         assert entry["train_gap"]["mean"] == pytest.approx((0.1 + 0.2 - 0.1) / 3)
+
+    def test_nonconverged_pairs_warned(self, tmp_path):
+        rows = [
+            trial_row(0, "x", 1.0), trial_row(0, "g", 0.9),
+            trial_row(1, "x", 1.2, "maxiter"), trial_row(1, "g", 1.0),
+        ]
+        campaign.write_csv(
+            tmp_path / "trials.csv", [f.name for f in fields(TrialRow)], map(astuple, rows)
+        )
+        report = json.loads(write_report(tmp_path).read_text())
+        assert report["families"]["lin"]["sizes"][0]["nonconverged"] == 1
+        assert report["warnings"] == ["lin n=40: 1 non-converged pairs averaged into the gaps"]
+
+    def test_clean_run_has_no_warnings(self, tmp_path):
+        cfg = base_config(trials=2, ladder=[40])
+        run_campaign(cfg, tmp_path / "out", threads=1)
+        report = json.loads(write_report(tmp_path / "out").read_text())
+        assert all(s["nonconverged"] == 0 for f in report["families"].values() for s in f["sizes"])
+        assert "warnings" not in report
 
     def test_report_elsewhere_copies_stage_outputs_byte_for_byte(self, tmp_path):
         cfg = base_config(
