@@ -9,10 +9,13 @@ Artifacts written into the output directory:
   when enabled
 * ``manifest.json``   config hash, code version, wall time, quarantine count
 
-A campaign owns one worker pool of ``threads`` processes (see
-``universality.WorkerPool``). It builds the monte-carlo covariance chunks,
-runs the trial chunks and the per-cell stage tasks, and is shut down when
-the campaign ends, also on an error. Results are assembled in chunk and
+A campaign first builds its (family, size) cells, running any monte-carlo
+covariance chunks on a set-up pool of ``threads`` processes that is closed
+once the cells exist. It then opens its worker pool of ``threads``
+processes (see ``universality.WorkerPool``), whose workers receive the
+cells when they are forked. The pool runs the trial chunks and the per-cell
+stage tasks, each naming its cell by index, and is shut down when the
+campaign ends, also on an error. Results are assembled in chunk and
 instance order, so every artifact is byte-identical for any thread count.
 Files are written to a temporary name and renamed on completion, so a run
 never leaves a partial file behind. Every CSV artifact, the report's too,
@@ -53,6 +56,7 @@ from ermu.universality import (
     build_instance,
     perturbed_sweep,
     run_trials,
+    served_cell,
 )
 
 
@@ -122,8 +126,11 @@ def run_campaign(config: ExperimentConfig, out_dir: str | Path, threads: int = 0
     out.mkdir(parents=True, exist_ok=True)
     threads = threads or config.threads
 
-    with WorkerPool(threads) as pool:
-        instances = build_instances(config, pool)
+    # The cells are built before the campaign's pool, so that its workers
+    # receive them at fork and no task pickles a cell.
+    with WorkerPool(threads) as setup_pool:
+        instances = build_instances(config, setup_pool)
+    with WorkerPool(threads, instances) as pool:
         rows = run_trials(
             instances,
             trials=config.trials,
@@ -195,8 +202,12 @@ def _free_energy_data(instance: FamilyInstance, master_seed: int):
 
 
 def _free_energy_task(args):
-    """Interpolation trace rows and sandwich checks of one (family, n) cell."""
-    config, instance = args
+    """Interpolation trace rows and sandwich checks of one (family, n) cell.
+
+    ``args`` is (config, cell), the cell as its pool index or the instance.
+    """
+    config, cell = args
+    instance = served_cell(cell)
     settings = config.free_energy
     seed, X, G, eps = _free_energy_data(instance, config.master_seed)
     problem = instance.problem
@@ -232,7 +243,7 @@ def _free_energy_task(args):
 def _run_free_energy_stage(
     config: ExperimentConfig, instances, out: Path, pool: WorkerPool
 ) -> None:
-    tasks = [(config, inst) for inst in instances]
+    tasks = [(config, pool.index(inst)) for inst in instances]
     costs = [inst.n * inst.p for inst in instances]
     results = list(pool.map(_free_energy_task, tasks, costs))
     write_csv(
@@ -247,8 +258,12 @@ def _run_free_energy_stage(
 
 
 def _perturbed_task(args):
-    """perturbed.csv rows of one (family, n) cell: one per s, negative s included."""
-    config, instance = args
+    """perturbed.csv rows of one (family, n) cell: one per s, negative s included.
+
+    ``args`` is (config, cell), the cell as its pool index or the instance.
+    """
+    config, cell = args
+    instance = served_cell(cell)
     settings = config.perturbed
     seed = derive_seed(config.master_seed, instance.spec.id, instance.n, "perturbed")
     problem = instance.problem
@@ -277,7 +292,7 @@ def _perturbed_task(args):
 def _run_perturbed_stage(
     config: ExperimentConfig, instances, out: Path, pool: WorkerPool
 ) -> None:
-    tasks = [(config, inst) for inst in instances]
+    tasks = [(config, pool.index(inst)) for inst in instances]
     costs = [inst.n * inst.p for inst in instances]
     results = list(pool.map(_perturbed_task, tasks, costs))
     write_csv(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermeval
@@ -163,23 +163,49 @@ def sample_covariates(model: FeatureModel, n: int, seed: int) -> np.ndarray:
     """Draw the raw covariate batch the family consumes (z or xbar rows)."""
     if model.family == "linear-independent":
         return sample_linear_covariates(model.p, n, model.entry_law, seed)
-    return rng_from(seed, "covariates").standard_normal((n, model.d))
+    return _covariate_stream(model, seed)(n)
+
+
+def covariate_blocks(model: FeatureModel, n: int, seed: int, block: int) -> Iterator[np.ndarray]:
+    """``sample_covariates(model, n, seed)`` as consecutive blocks of ``block`` rows.
+
+    The blocks are drawn one after another from the stream the one-batch
+    draw reads, so they concatenate to exactly that batch; the last block
+    has the remaining rows.
+    """
+    if n < 1 or block < 1:
+        raise InvalidArgumentError(f"n and block must be positive, got n={n}, block={block}")
+    draw = _covariate_stream(model, seed)
+    for start in range(0, n, block):
+        yield draw(min(block, n - start))
+
+
+def _covariate_stream(model: FeatureModel, seed: int) -> Callable[[int], np.ndarray]:
+    """``draw(rows)``: the next ``rows`` covariate rows of the stream ``seed`` names."""
+    if model.family == "linear-independent":
+        rng = rng_from(seed, "entries", model.entry_law)
+        return lambda rows: _entries(rng, model.entry_law, (rows, model.p))
+    rng = rng_from(seed, "covariates")
+    return lambda rows: rng.standard_normal((rows, model.d))
 
 
 def sample_linear_covariates(p: int, n: int, entry_law: str, seed: int) -> np.ndarray:
     """n x p matrix of i.i.d. zero-mean unit-variance entries from the named law."""
     if p < 1 or n < 1:
         raise InvalidArgumentError(f"dimensions must be positive, got p={p}, n={n}")
-    rng = rng_from(seed, "entries", entry_law)
+    return _entries(rng_from(seed, "entries", entry_law), entry_law, (n, p))
+
+
+def _entries(rng: np.random.Generator, entry_law: str, shape: tuple[int, int]) -> np.ndarray:
     if entry_law == "rademacher":
-        return (2.0 * rng.integers(0, 2, size=(n, p)) - 1.0).astype(np.float64)
+        return (2.0 * rng.integers(0, 2, size=shape) - 1.0).astype(np.float64, copy=False)
     if entry_law == "uniform":
         half_width = math.sqrt(3.0)
-        return rng.uniform(-half_width, half_width, size=(n, p))
+        return rng.uniform(-half_width, half_width, size=shape)
     if entry_law == "laplace":
-        return rng.laplace(0.0, 1.0 / math.sqrt(2.0), size=(n, p))
+        return rng.laplace(0.0, 1.0 / math.sqrt(2.0), size=shape)
     if entry_law == "gaussian":
-        return rng.standard_normal((n, p))
+        return rng.standard_normal(shape)
     raise InvalidArgumentError(f"unknown entry law {entry_law!r}")
 
 
@@ -192,7 +218,10 @@ def featurize(model: FeatureModel, Z: np.ndarray) -> np.ndarray:
             f"model expects {model.covariate_dim}"
         )
     if model.family == "random-features":
-        return model.activation.value(Z @ model.W)
+        A = Z @ model.W
+        if model.activation.kind == "tanh-rf":  # in place: no second n x p array
+            return np.tanh(A, out=A)
+        return model.activation.value(A)
     if model.family == "neural-tangent":
         # Block j of each row is z * sigma'(w_j^T z); reshape(m, d).T recovers
         # the d x m T-matrix layout used by the operator-norm projection.

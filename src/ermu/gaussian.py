@@ -19,7 +19,9 @@ so its rows are sqrt(nu) zeta. Hermite-exact and monte-carlo twins factor
 their jittered p x p covariance by Cholesky (any L with L L^T = Sigma draws
 the same law). The empirical twin factors nothing: its factor is
 X^T / sqrt(n), so a batch is Z X / sqrt(n) + s Xi with Z an n_rows x n
-standard normal matrix, and the jitter enters as the isotropic scale.
+standard normal matrix, and the jitter enters as the isotropic scale. When
+n > p that Z is larger than the batch, so it is drawn a block of rows at a
+time (see ``sample_gaussian``).
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from ermu.seeds import derive_seed, rng_from
 COV_MODES = ("hermite-exact", "monte-carlo", "empirical", "linear-exact")
 
 _COV_CHUNK = 4096
+# Rows per block when ``sample_gaussian`` draws a batch in pieces.
+_ROW_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -147,15 +151,36 @@ def sample_gaussian(equiv: GaussianEquivalent, n: int, seed: int) -> np.ndarray:
     The isotropic term is drawn only when s > 0, after xi from the same
     stream, so a twin with s = 0 draws exactly n x r normals. A twin with
     r = 0 (the linear family's) is drawn as s zeta directly.
+
+    A factor with more columns than rows (an empirical twin of a batch with
+    more rows than features) would need an n x r normal matrix larger than
+    the batch, so its xi rows are drawn ``_ROW_BLOCK`` at a time, each block
+    multiplied straight into the preallocated batch. The s zeta term is
+    added in place, one block at a time. Both read the one stream in the
+    same order as a single draw, so the blocks change no number drawn. A
+    p x p factor is applied in one product.
     """
     if n < 1:
         raise InvalidArgumentError(f"n must be positive, got {n}")
     rng = rng_from(seed, "gaussian-rows")
-    if equiv.factor.shape[1] == 0:
-        return equiv.iso_scale * rng.standard_normal((n, equiv.p))
-    G = rng.standard_normal((n, equiv.factor.shape[1])) @ equiv.factor.T
+    p, r = equiv.factor.shape
+    if r == 0:
+        G = rng.standard_normal((n, p))
+        G *= equiv.iso_scale
+        return G
+    if r <= p:
+        G = rng.standard_normal((n, r)) @ equiv.factor.T
+    else:
+        G = np.empty((n, p))
+        for start in range(0, n, _ROW_BLOCK):
+            block = G[start : start + _ROW_BLOCK]
+            np.matmul(rng.standard_normal((block.shape[0], r)), equiv.factor.T, out=block)
     if equiv.iso_scale > 0.0:
-        G += equiv.iso_scale * rng.standard_normal((n, equiv.p))
+        for start in range(0, n, _ROW_BLOCK):
+            block = G[start : start + _ROW_BLOCK]
+            zeta = rng.standard_normal(block.shape)
+            zeta *= equiv.iso_scale
+            block += zeta
     return G
 
 

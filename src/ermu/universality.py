@@ -44,7 +44,9 @@ from ermu.features import (
     ENTRY_LAWS,
     Activation,
     FeatureModel,
+    covariate_blocks,
     draw_features,
+    featurize,
     linear_model,
     neural_tangent_model,
     random_features_model,
@@ -423,7 +425,11 @@ def run_single_trial(
     solver_cfg: SolverConfig,
     n_test: int,
 ) -> tuple[TrialRow, TrialRow]:
-    """Run the coupled X/G pair for one trial; never raises on solver failure."""
+    """Run the coupled X/G pair for one trial; never raises on solver failure.
+
+    Both arms are solved first; then the training batches are dropped and the
+    test rows are drawn and scored in blocks (``_test_losses``).
+    """
     spec, n, p = instance.spec, instance.n, instance.p
     problem = instance.problem
     trial_seed = derive_seed(master_seed, spec.id, n, trial)
@@ -432,38 +438,35 @@ def run_single_trial(
     X = draw_features(instance.model, n, derive_seed(trial_seed, "covariates"))
     equiv = instance.twin(X)
     G = sample_gaussian(equiv, n, derive_seed(trial_seed, "gaussian-arm"))
+    arms = ("x", "g")
+    sols = [
+        _solve_arm(problem, data, eps, solver_cfg, derive_seed(trial_seed, "solver", arm))
+        for arm, data in zip(arms, (X, G))
+    ]
+    del X, G  # the test rows need neither batch
 
-    y_x = labels_from_noise(problem, X, eps)
-    y_g = labels_from_noise(problem, G, eps)
-
-    test_seed = derive_seed(trial_seed, "test")
-    X_test = y_test = twin_risk = None
+    solved = [sol.theta_hat for sol in sols if not isinstance(sol, SolverDivergedError)]
     if n_test > 0:
-        X_test = draw_features(instance.model, n_test, derive_seed(test_seed, "x"))
-        eps_test = problem.labeler.draw_noise(n_test, derive_seed(test_seed, "noise"))
-        y_test = labels_from_noise(problem, X_test, eps_test)
+        losses = iter(_test_losses(instance, solved, n_test, derive_seed(trial_seed, "test")))
         twin_risk = TwinTestRisk(problem, equiv)
 
     rows = []
-    for arm, data, labels in (("x", X, y_x), ("g", G, y_g)):
+    for arm, sol in zip(arms, sols):
         flags = [f"arm:{arm}"]
-        try:
-            sol = solve_erm(
-                problem, data, labels, solver_cfg, seed=derive_seed(trial_seed, "solver", arm)
-            )
+        if isinstance(sol, SolverDivergedError):
+            train_opt = tx = tx_se = tg = tg_se = float("nan")
+            iters = sol.iteration
+            flags.append("quarantined")
+        else:
             train_opt = sol.objective
             iters = sol.iterations
             flags.extend(sol.flags)
             if n_test > 0:
-                tx, tx_se = _risk_on(problem, sol.theta_hat, X_test, y_test)
+                tx, tx_se = mean_with_jackknife_se(next(losses))
                 tg, tg_se = twin_risk.value(sol.theta_hat), 0.0
             else:
                 tx = tx_se = tg = tg_se = float("nan")
                 flags.append("no-test")
-        except SolverDivergedError as exc:
-            train_opt = tx = tx_se = tg = tg_se = float("nan")
-            iters = exc.iteration
-            flags.append("quarantined")
         rows.append(
             TrialRow(
                 family=spec.id,
@@ -483,14 +486,77 @@ def run_single_trial(
     return rows[0], rows[1]
 
 
-def _risk_on(problem, theta, batch, labels) -> tuple[float, float]:
-    """Mean loss of theta on a labelled test batch, and its standard error."""
-    vals = problem.loss.value(problem.scores(theta, batch), labels)
-    return mean_with_jackknife_se(vals)
+def _solve_arm(problem, data, eps, solver_cfg, seed):
+    """The arm's ERM solution, or the ``SolverDivergedError`` its solve raised."""
+    try:
+        labels = labels_from_noise(problem, data, eps)
+        return solve_erm(problem, data, labels, solver_cfg, seed=seed)
+    except SolverDivergedError as exc:
+        return exc
+
+
+# Rows of a trial's test batch that are drawn, featurized, labelled and scored together.
+_TEST_BLOCK = 128
+
+
+def _test_losses(
+    instance: FamilyInstance, thetas: Sequence[np.ndarray], n_test: int, test_seed: int
+) -> list[np.ndarray]:
+    """Per-row test losses of each theta on one fresh featurized batch of n_test rows.
+
+    The covariates come ``_TEST_BLOCK`` rows at a time from the stream
+    ``draw_features(instance.model, n_test, ...)`` reads, so the rows, their
+    labels and losses are those of the one-batch draw, while no more than one
+    block of features is held at a time.
+    """
+    problem, model = instance.problem, instance.model
+    eps = problem.labeler.draw_noise(n_test, derive_seed(test_seed, "noise"))
+    losses = [np.empty(n_test) for _ in thetas]
+    start = 0
+    for Z in covariate_blocks(model, n_test, derive_seed(test_seed, "x"), _TEST_BLOCK):
+        block = featurize(model, Z)
+        stop = start + block.shape[0]
+        labels = labels_from_noise(problem, block, eps[start:stop])
+        for theta, out in zip(thetas, losses):
+            out[start:stop] = _risk_on(problem, theta, block, labels)
+        start = stop
+    return losses
+
+
+def _risk_on(problem, theta, batch, labels) -> np.ndarray:
+    """Per-row losses of theta on a labelled test batch."""
+    return problem.loss.value(problem.scores(theta, batch), labels)
+
+
+# The cells of the pool running the current task, which pool tasks name by
+# index: set once in each forked worker by its initializer, and around each
+# task a pool runs in the calling process.
+_cells: Sequence[FamilyInstance] = ()
+
+
+def _serve_cells(cells: Sequence[FamilyInstance]) -> None:
+    global _cells
+    _cells = cells
+
+
+def _run_serving(cells: Sequence[FamilyInstance], fn, task):
+    """``fn(task)`` in this process, with ``cells`` served for its duration."""
+    saved = _cells
+    _serve_cells(cells)
+    try:
+        return fn(task)
+    finally:
+        _serve_cells(saved)
+
+
+def served_cell(ref) -> FamilyInstance:
+    """The cell a task names: an index into the serving pool's cells, or the cell itself."""
+    return _cells[ref] if isinstance(ref, int) else ref
 
 
 def _trial_chunk(args):
-    instance, trials, master_seed, solver_cfg, n_test = args
+    cell, trials, master_seed, solver_cfg, n_test = args
+    instance = served_cell(cell)
     out = []
     for t in trials:
         out.append((t, run_single_trial(instance, t, master_seed, solver_cfg, n_test)))
@@ -506,11 +572,27 @@ class WorkerPool:
     the calling process. Forked workers see the caller's module state as it
     was at that first batch. ``close``, or leaving the ``with`` block (also
     on an exception), stops and joins the workers.
+
+    ``cells`` are the (family, size) cells the tasks work on. Each worker
+    receives them once, at fork, through the executor's initializer (a
+    forked worker inherits them, nothing is pickled), and a task names its
+    cell by its ``index``, so a task stays a few bytes whatever the cell's
+    size. A task run in the calling process finds the same cells.
     """
 
-    def __init__(self, threads: int):
+    def __init__(self, threads: int, cells: Sequence[FamilyInstance] = ()):
         self.threads = threads
+        self.cells = cells
         self._executor: Optional[ProcessPoolExecutor] = None
+
+    def index(self, instance: FamilyInstance) -> int:
+        """Position of ``instance`` among the pool's cells, the name a task gives it."""
+        for i, cell in enumerate(self.cells):
+            if cell is instance:
+                return i
+        raise InvalidArgumentError(
+            f"cell {instance.spec.id} n={instance.n} is not one of this pool's cells"
+        )
 
     def map(self, fn, tasks: Sequence, costs: Optional[Sequence[float]] = None) -> Iterator:
         """``fn(task)`` for each task, yielded in task order.
@@ -522,11 +604,14 @@ class WorkerPool:
         """
         if self.threads <= 1 or len(tasks) <= 1:
             for task in tasks:
-                yield fn(task)
+                yield _run_serving(self.cells, fn, task)
             return
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
-                max_workers=self.threads, mp_context=multiprocessing.get_context("fork")
+                max_workers=self.threads,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_serve_cells,
+                initargs=(self.cells,),
             )
         order = range(len(tasks))
         if costs is not None:
@@ -558,20 +643,21 @@ def run_trials(
     """All trials for all instances, deterministically ordered.
 
     Work is split into per-instance trial chunks, one per worker of ``pool``
-    (in this process when there is no pool); rows come out in (instance
-    order, trial, arm) order, so the output stream does not depend on
-    scheduling.
+    (in this process when there is no pool), each naming its instance by
+    its index among the pool's cells, which must hold every instance; rows
+    come out in (instance order, trial, arm) order, so the output stream
+    does not depend on scheduling.
     """
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
-    pool = pool or WorkerPool(1)
+    pool = pool or WorkerPool(1, instances)
     chunk = max(1, math.ceil(trials / max(1, pool.threads)))
-    tasks = [
-        (inst, list(range(start, min(trials, start + chunk))), master_seed, solver_cfg, n_test)
-        for inst in instances
-        for start in range(0, trials, chunk)
-    ]
-    costs = [task[0].n * task[0].p for task in tasks]
+    tasks, costs = [], []
+    for inst in instances:
+        for start in range(0, trials, chunk):
+            tasks.append((pool.index(inst), list(range(start, min(trials, start + chunk))),
+                          master_seed, solver_cfg, n_test))
+            costs.append(inst.n * inst.p)
     rows: list[TrialRow] = []
     for chunk_result in pool.map(_trial_chunk, tasks, costs):
         for _, pair in chunk_result:

@@ -17,6 +17,7 @@ from ermu.erm import (
     data_risk,
     generate_labels,
     labels_from_noise,
+    mean_with_jackknife_se,
     project_constraint,
     solve_erm,
     solve_ridge_closed_form,
@@ -489,7 +490,8 @@ def twin_test_risk(problem, theta, equiv, n_test, seed):
     """Monte Carlo test risk on a fresh twin batch, as the trials compute it."""
     batch = sample_gaussian(equiv, n_test, derive_seed(seed, "test-draws"))
     eps = problem.labeler.draw_noise(n_test, derive_seed(seed, "test-noise"))
-    return _risk_on(problem, theta, batch, labels_from_noise(problem, batch, eps))
+    labels = labels_from_noise(problem, batch, eps)
+    return mean_with_jackknife_se(_risk_on(problem, theta, batch, labels))
 
 
 class TestTestRisk:
@@ -501,7 +503,8 @@ class TestTestRisk:
         x0 = np.ones((500, p))
         theta = np.zeros(p)
         eps = problem.labeler.draw_noise(500, seed=0)
-        est, se = _risk_on(problem, theta, x0, labels_from_noise(problem, x0, eps))
+        labels = labels_from_noise(problem, x0, eps)
+        est, se = mean_with_jackknife_se(_risk_on(problem, theta, x0, labels))
         assert est == pytest.approx(9.0)  # (0 - 3)^2
         assert se == 0.0
 

@@ -7,6 +7,7 @@ from ermu.errors import InvalidArgumentError
 from ermu.features import (
     Activation,
     FeatureModel,
+    covariate_blocks,
     draw_features,
     featurize,
     linear_model,
@@ -18,6 +19,7 @@ from ermu.features import (
     sample_sphere_weights,
 )
 from ermu.seeds import rng_from
+from ermu.universality import _TEST_BLOCK
 
 
 class TestActivation:
@@ -186,3 +188,41 @@ class TestCovariateBatch:
         b1 = sample_covariates(model, 7, seed=99)
         b2 = sample_covariates(model, 7, seed=99)
         assert np.array_equal(b1, b2)
+
+
+# The trials' test batches are drawn in blocks of B rows; these row counts
+# put a block boundary at every position that can go wrong.
+B = _TEST_BLOCK
+STREAM_MODELS = {
+    "rf": lambda: random_features_model(6, 9, Activation("tanh-rf"), seed=2),
+    "nt": lambda: neural_tangent_model(5, 3, Activation("shifted-sine-nt"), seed=2),
+    **{
+        f"linear-{law}": (lambda law=law: linear_model(7, entry_law=law))
+        for law in ("rademacher", "uniform", "laplace")
+    },
+    "control": lambda: linear_model(7, entry_law="gaussian"),
+}
+
+
+class TestCovariateBlocks:
+    @pytest.mark.parametrize("name", list(STREAM_MODELS))
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+    def test_blocks_concatenate_to_the_one_batch_draw(self, name, n):
+        model = STREAM_MODELS[name]()
+        blocks = list(covariate_blocks(model, n, seed=41, block=B))
+        assert [b.shape[0] for b in blocks[:-1]] == [B] * (len(blocks) - 1)
+        assert np.array_equal(np.concatenate(blocks), sample_covariates(model, n, seed=41))
+
+    def test_non_positive_sizes_rejected(self):
+        model = linear_model(3)
+        for n, block in ((0, 4), (4, 0)):
+            with pytest.raises(InvalidArgumentError):
+                next(covariate_blocks(model, n, seed=1, block=block))
+
+
+class TestFeaturizeInPlace:
+    def test_tanh_features_are_tanh_of_the_product(self):
+        model = random_features_model(6, 9, Activation("tanh-rf"), seed=2)
+        Z = sample_covariates(model, 50, seed=3)
+        assert np.array_equal(featurize(model, Z), np.tanh(Z @ model.W))
+        assert np.array_equal(Z, sample_covariates(model, 50, seed=3))  # input untouched

@@ -1,6 +1,7 @@
 """Covariance oracles, PSD factorization, Gaussian twin sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.polynomial.hermite_e import hermeval
 from ermu.errors import InvalidArgumentError
 from ermu.features import Activation, FeatureModel, linear_model, sample_sphere_weights
 from ermu.gaussian import (
+    _ROW_BLOCK,
     GaussianEquivalent,
     empirical_equivalent,
     factor_covariance,
@@ -317,3 +319,27 @@ class TestEmpiricalTwin:
         G = sample_gaussian(equiv, 10, seed=3)
         z = rng_from(3, "gaussian-rows").standard_normal((10, 5))
         assert np.array_equal(G, z @ (X / np.sqrt(5)))
+
+    @pytest.mark.parametrize("n", [1, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 3])
+    def test_blocked_draw_matches_one_batch(self, n):
+        # A factor with more columns than rows is drawn in row blocks; the
+        # batch is the one-batch xi L^T + s zeta of the same stream.
+        X = rng_from(8, "batch").standard_normal((300, 12))
+        equiv = empirical_equivalent(X, jitter_rel=1e-3)
+        rng = rng_from(21, "gaussian-rows")
+        xi = rng.standard_normal((n, 300))
+        want = xi @ equiv.factor.T + equiv.iso_scale * rng.standard_normal((n, 12))
+        got = sample_gaussian(equiv, n, seed=21)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_wide_factor_allocates_no_n_by_n_matrix(self):
+        n, p = 2000, 20
+        equiv = empirical_equivalent(rng_from(9, "batch").standard_normal((n, p)))
+        tracemalloc.start()
+        try:
+            G = sample_gaussian(equiv, n, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The batch plus one block of xi; a one-batch draw needs n x n normals.
+        assert peak <= G.nbytes + 2 * _ROW_BLOCK * n * 8 < n * n * 8

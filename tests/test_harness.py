@@ -1,6 +1,7 @@
 """Config validation and hashing, campaign artifacts, report, CLI."""
 
 import csv
+import io
 import json
 import math
 import multiprocessing
@@ -23,7 +24,7 @@ from ermu.gaussian import empirical_equivalent
 from ermu.matio import load_matrix, save_matrix
 from ermu.report import build_report, read_trials_csv, write_report
 from ermu.seeds import derive_seed
-from ermu.universality import TrialRow
+from ermu.universality import TrialRow, WorkerPool, run_trials
 
 BASE = {
     "master_seed": 31,
@@ -392,6 +393,57 @@ class TestCampaign:
                      "free_energy_checks.json"):
             a, b = (tmp_path / "a" / name).read_bytes(), (tmp_path / "b" / name).read_bytes()
             assert a == b, name
+
+    def test_pool_tasks_carry_no_array(self, tmp_path):
+        # Trial, free-energy and perturbed tasks name their cell by index:
+        # none holds an ndarray, and a p = 600 cell's task pickles to the same
+        # size as a p = 30 cell's.
+        cfg = base_config(
+            ladder=[40, 800],
+            families=[{"id": "lin", "kind": "linear-independent"}],
+            free_energy={"enabled": True, "M": 8, "path_points": 3},
+            perturbed={"enabled": True, "s_values": [0.1], "n_test": 20},
+        )
+        instances = campaign.build_instances(cfg)
+        assert [inst.p for inst in instances] == [30, 600]
+        mapped = []
+
+        class RecordingPool(WorkerPool):
+            def map(self, fn, tasks, costs=None):
+                mapped.append((fn.__name__, list(tasks)))
+                return iter(())
+
+        class ArrayFinder(pickle.Pickler):
+            def reducer_override(self, obj):
+                assert not isinstance(obj, np.ndarray), "a pool task carries an array"
+                return NotImplemented
+
+        def pickled_size(task):
+            buf = io.BytesIO()
+            ArrayFinder(buf).dump(task)
+            return len(buf.getvalue())
+
+        pool = RecordingPool(1, instances)
+        run_trials(instances, cfg.trials, cfg.master_seed, pool=pool)
+        campaign._run_free_energy_stage(cfg, instances, tmp_path, pool)
+        campaign._run_perturbed_stage(cfg, instances, tmp_path, pool)
+        assert [name for name, _ in mapped] == [
+            "_trial_chunk", "_free_energy_task", "_perturbed_task"
+        ]
+        for name, tasks in mapped:
+            assert len(tasks) == 2, name
+            small, large = map(pickled_size, tasks)
+            assert small == large, name
+
+    def test_tasks_find_the_pools_cells(self):
+        cfg = base_config(ladder=[40])
+        instances = campaign.build_instances(cfg)
+        pool = WorkerPool(1, instances)
+        assert [pool.index(inst) for inst in instances] == [0, 1]
+        with pytest.raises(InvalidArgumentError, match="not one of this pool's cells"):
+            pool.index(campaign.build_instances(cfg)[0])
+        rows = run_trials(instances, 2, cfg.master_seed, n_test=10, pool=pool)
+        assert rows == run_trials(instances, 2, cfg.master_seed, n_test=10)
 
     def test_stage_twins_use_family_jitter(self, monkeypatch):
         # An empirical-twin cell builds each draw's twin with the family's

@@ -1,6 +1,7 @@
 """Coupled trials, gap statistics, perturbed risks, near-minimizers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ermu.erm import (
     SolverConfig,
     generate_labels,
     labels_from_noise,
+    mean_with_jackknife_se,
     solve_erm,
 )
 from ermu.errors import InvalidArgumentError
@@ -34,6 +36,7 @@ from ermu.universality import (
     FrozenTestRisk,
     ProblemSpec,
     TwinTestRisk,
+    _TEST_BLOCK,
     _risk_on,
     build_instance,
     min_test_over_near_minimizers,
@@ -43,6 +46,7 @@ from ermu.universality import (
 )
 
 PROBLEM = ProblemSpec(loss="huber", tau=0.5, lam=0.1)
+RF_SPEC = FamilySpec(id="rf", kind="random-features", cov_mode="hermite-exact", hermite_order=9)
 
 
 def identity_equiv(p):
@@ -154,6 +158,46 @@ class TestRunTrials:
         rx, rg = run_single_trial(inst, 0, 3, SolverConfig(), n_test=10)
         for row in (rx, rg):
             assert row.train_opt >= 0.0
+
+    def test_streamed_test_risk_matches_one_batch(self, monkeypatch):
+        # The x arm's test rows are drawn and scored in blocks; its test_x and
+        # test_x_se are those of the whole batch drawn and scored at once.
+        inst = build_instance(RF_SPEC, PROBLEM, 60, 5)
+        seen = []
+        stream = universality._test_losses
+
+        def recording(instance, thetas, n_test, seed):
+            seen.append((list(thetas), seed))
+            return stream(instance, thetas, n_test, seed)
+
+        monkeypatch.setattr(universality, "_test_losses", recording)
+        n_test = 2 * _TEST_BLOCK + 3
+        rows = run_single_trial(inst, 0, 5, SolverConfig(), n_test)
+        ((thetas, seed),) = seen
+        X = draw_features(inst.model, n_test, derive_seed(seed, "x"))
+        eps = inst.problem.labeler.draw_noise(n_test, derive_seed(seed, "noise"))
+        labels = labels_from_noise(inst.problem, X, eps)
+        assert len(thetas) == len(rows) == 2
+        for row, theta in zip(rows, thetas):
+            mean, se = mean_with_jackknife_se(_risk_on(inst.problem, theta, X, labels))
+            assert abs(row.test_x - mean) <= 1e-14 * abs(mean)
+            assert abs(row.test_x_se - se) <= 1e-14 * abs(se)
+
+    def test_trial_memory_grows_by_per_row_vectors_only(self):
+        # Ten times the test rows add a few length-n_test vectors (noise and
+        # the two arms' losses), not an n_test x p batch.
+        inst = build_instance(RF_SPEC, PROBLEM, 60, 5)
+
+        def peak(n_test):
+            tracemalloc.start()
+            try:
+                run_single_trial(inst, 0, 5, SolverConfig(), n_test)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2000), peak(20000)
+        assert large - small < 4 * 8 * (20000 - 2000) + _TEST_BLOCK * inst.p * 8
 
 
 class TestBlGap:
@@ -315,7 +359,8 @@ class TestTwinTestRisk:
             exact = TwinTestRisk(problem, equiv).value(theta)
             G = sample_gaussian(equiv, n_test, seed=100 + i)
             eps = problem.labeler.draw_noise(n_test, seed=200 + i)
-            mc, se = _risk_on(problem, theta, G, labels_from_noise(problem, G, eps))
+            labels = labels_from_noise(problem, G, eps)
+            mc, se = mean_with_jackknife_se(_risk_on(problem, theta, G, labels))
             assert abs(exact - mc) <= 4.0 * se, (name, exact, mc, se)
 
     @pytest.mark.parametrize(
