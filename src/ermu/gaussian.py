@@ -157,8 +157,15 @@ def sample_gaussian(equiv: GaussianEquivalent, n: int, seed: int) -> np.ndarray:
     the batch, so its xi rows are drawn ``_ROW_BLOCK`` at a time, each block
     multiplied straight into the preallocated batch. The s zeta term is
     added in place, one block at a time. Both read the one stream in the
-    same order as a single draw, so the blocks change no number drawn. A
-    p x p factor is applied in one product.
+    same order as a single draw, so the blocks change no number drawn.
+
+    A factor with r <= p (a Cholesky factor) is applied in one n x r by
+    r x p product, so its n x r normals and the batch are held together
+    while it runs. Splitting that product into row blocks would not change
+    the numbers drawn, but it does change the rounding of the result: the
+    BLAS picks another kernel for a product with few rows, and row-blocking
+    it moved the last digits of the g arm's results (campaign-mixed
+    ``trials.csv`` changed).
     """
     if n < 1:
         raise InvalidArgumentError(f"n must be positive, got {n}")

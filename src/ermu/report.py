@@ -86,7 +86,8 @@ def _pair_rows(rows: list[TrialRow]) -> dict[str, list[PairedSize]]:
             trials = by_family[family][n]
             tx, tg, xx, xs, gg, gs = [], [], [], [], [], []
             quarantined = nonconverged = 0
-            p = 0
+            # Any row of the size carries its p, kept or quarantined.
+            p = next(row.p for pair in trials.values() for row in pair.values())
             for t in sorted(trials):
                 pair = trials[t]
                 if "x" not in pair or "g" not in pair:
@@ -95,7 +96,6 @@ def _pair_rows(rows: list[TrialRow]) -> dict[str, list[PairedSize]]:
                 if pair["x"].quarantined or pair["g"].quarantined:
                     quarantined += 1
                     continue
-                p = pair["x"].p
                 if any(
                     flag in _NONCONVERGED
                     for row in (pair["x"], pair["g"])

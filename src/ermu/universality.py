@@ -427,26 +427,30 @@ def run_single_trial(
 ) -> tuple[TrialRow, TrialRow]:
     """Run the coupled X/G pair for one trial; never raises on solver failure.
 
-    Both arms are solved first; then the training batches are dropped and the
-    test rows are drawn and scored in blocks (``_test_losses``).
+    The x arm is drawn and solved, the twin is built from X and X is dropped;
+    then G is drawn and solved and dropped. So a trial holds at most two
+    n x p arrays: X and an empirical twin's factor, or G and the normals it
+    is drawn from. Every draw and solve has its own derived seed, so this
+    order changes no number. The test rows are then drawn and scored in
+    blocks (``_test_losses``), unless no arm solved.
     """
     spec, n, p = instance.spec, instance.n, instance.p
     problem = instance.problem
     trial_seed = derive_seed(master_seed, spec.id, n, trial)
     eps = problem.labeler.draw_noise(n, derive_seed(trial_seed, "eps"))
+    arms = ("x", "g")
 
     X = draw_features(instance.model, n, derive_seed(trial_seed, "covariates"))
+    sol_x = _solve_arm(problem, X, eps, solver_cfg, derive_seed(trial_seed, "solver", "x"))
     equiv = instance.twin(X)
+    del X  # an empirical twin holds its own scaled copy
     G = sample_gaussian(equiv, n, derive_seed(trial_seed, "gaussian-arm"))
-    arms = ("x", "g")
-    sols = [
-        _solve_arm(problem, data, eps, solver_cfg, derive_seed(trial_seed, "solver", arm))
-        for arm, data in zip(arms, (X, G))
-    ]
-    del X, G  # the test rows need neither batch
+    sol_g = _solve_arm(problem, G, eps, solver_cfg, derive_seed(trial_seed, "solver", "g"))
+    del G  # the test rows need neither batch
+    sols = (sol_x, sol_g)
 
     solved = [sol.theta_hat for sol in sols if not isinstance(sol, SolverDivergedError)]
-    if n_test > 0:
+    if n_test > 0 and solved:
         losses = iter(_test_losses(instance, solved, n_test, derive_seed(trial_seed, "test")))
         twin_risk = TwinTestRisk(problem, equiv)
 
@@ -487,12 +491,15 @@ def run_single_trial(
 
 
 def _solve_arm(problem, data, eps, solver_cfg, seed):
-    """The arm's ERM solution, or the ``SolverDivergedError`` its solve raised."""
+    """The arm's ERM solution, or the ``SolverDivergedError`` its solve raised.
+
+    The error is returned without its traceback, whose frames hold the batch.
+    """
     try:
         labels = labels_from_noise(problem, data, eps)
         return solve_erm(problem, data, labels, solver_cfg, seed=seed)
     except SolverDivergedError as exc:
-        return exc
+        return exc.with_traceback(None)
 
 
 # Rows of a trial's test batch that are drawn, featurized, labelled and scored together.

@@ -720,6 +720,17 @@ class TestReport:
         assert entry["nonconverged"] == 2
         assert entry["train_gap"]["mean"] == pytest.approx((0.1 + 0.2 - 0.1) / 3)
 
+    def test_all_quarantined_size_keeps_its_p(self):
+        rows = [
+            trial_row(0, "x", float("nan"), "quarantined"), trial_row(0, "g", 0.9),
+            trial_row(1, "x", 1.2), trial_row(1, "g", float("nan"), "quarantined"),
+            trial_row(2, "x", 0.8),
+        ]
+        (entry,) = build_report(rows, n_boot=50)["families"]["lin"]["sizes"]
+        assert (entry["n"], entry["p"], entry["trials"]) == (40, 30, 0)
+        assert entry["quarantined"] == 3
+        assert entry["empty"]
+
     def test_nonconverged_pairs_warned(self, tmp_path):
         rows = [
             trial_row(0, "x", 1.0), trial_row(0, "g", 0.9),

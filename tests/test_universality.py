@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ermu import universality
+from ermu import gaussian, universality
 from ermu.erm import (
     ConstraintSet,
     ErmProblem,
@@ -19,7 +19,7 @@ from ermu.erm import (
     mean_with_jackknife_se,
     solve_erm,
 )
-from ermu.errors import InvalidArgumentError
+from ermu.errors import InvalidArgumentError, SolverDivergedError
 from ermu.features import draw_features
 from ermu.gaussian import GaussianEquivalent, empirical_equivalent, sample_gaussian
 from ermu.seeds import derive_seed, rng_from
@@ -198,6 +198,45 @@ class TestRunTrials:
 
         small, large = peak(2000), peak(20000)
         assert large - small < 4 * 8 * (20000 - 2000) + _TEST_BLOCK * inst.p * 8
+
+    @pytest.mark.parametrize(
+        "spec, base",
+        [
+            (FamilySpec(id="nt", kind="neural-tangent", cov_mode="empirical"), 16),
+            (RF_SPEC, 600),
+        ],
+        ids=["empirical-nt", "hermite-exact-rf"],
+    )
+    def test_trial_holds_at_most_two_batches(self, spec, base):
+        # The x arm is solved and released before G is drawn, so the trial
+        # holds X and an empirical twin's factor, or G and its normals: two
+        # n x p arrays, plus one block of normals of a blocked twin draw.
+        inst = build_instance(spec, PROBLEM, base, 5)
+        n, p = inst.n, inst.p
+        tracemalloc.start()
+        try:
+            run_single_trial(inst, 0, 5, SolverConfig(), n_test=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n * p * 8 + gaussian._ROW_BLOCK * (n + p) * 8 + 64 * 1024
+
+    def test_no_test_pass_when_no_arm_solved(self, monkeypatch):
+        def diverging_solve(*args, **kwargs):
+            raise SolverDivergedError("objective is not finite", 7)
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the test pass ran with no solved arm")
+
+        monkeypatch.setattr(universality, "solve_erm", diverging_solve)
+        monkeypatch.setattr(universality, "covariate_blocks", unexpected)
+        monkeypatch.setattr(universality, "TwinTestRisk", unexpected)
+        inst = build_instance(RF_SPEC, PROBLEM, 60, 5)
+        for row in run_single_trial(inst, 0, 5, SolverConfig(), n_test=500):
+            assert row.quarantined and row.iters == 7
+            assert all(
+                math.isnan(v) for v in (row.test_x, row.test_x_se, row.test_g, row.test_g_se)
+            )
 
 
 class TestBlGap:
