@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass
@@ -71,6 +72,9 @@ class FreeEnergySettings:
             "beta_grid must be a nonempty, positive, strictly ascending list",
         )
         check(self.path_points >= 2, "path_points must be >= 2 (the path's two ends)")
+        # The solution cloud's radii are alpha, alpha/2, ...: at 0 every point
+        # is the solution, below 0 the radii are negative.
+        check(self.alpha > 0, "alpha must be positive")
         check_one_of("candidates", self.candidates, CANDIDATE_KINDS)
 
 
@@ -160,7 +164,8 @@ def _to_json(value: Any) -> Any:
 def _read(tp: Any, value: Any, path: str) -> Any:
     """The JSON ``value`` at ``path`` as the annotated type ``tp``.
 
-    ``float`` takes an int or a float; ``int``, ``str`` and ``bool`` are
+    ``float`` takes an int or a finite float (``json`` reads ``NaN`` and
+    ``Infinity``, which no float key accepts); ``int``, ``str`` and ``bool`` are
     strict (a bool is never a number); ``tuple[X, ...]`` takes a list of X
     and a dataclass takes an object. ``Optional[X]`` reads as X.
     """
@@ -176,7 +181,15 @@ def _read(tp: Any, value: Any, path: str) -> Any:
     accepted = (int, float) if tp is float else tp
     if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
         raise ConfigError(f"{path}: expected {tp.__name__}, got {type(value).__name__}")
-    return float(value) if tp is float else value
+    if tp is not float:
+        return value
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {number}")
+    return number
 
 
 def _read_object(cls: type, raw: Any, path: str) -> Any:

@@ -15,13 +15,19 @@ A true covering net of the constraint set is exponentially large; candidate
 sets here are random nets or clouds around a solver solution. Every property
 asserted holds for arbitrary finite candidate sets, so the substitution is
 sound for testing.
+
+Candidate risks are taken over blocks of candidate rows of at most
+``_BLOCK_SCORES`` scores each, so the loss temporaries stay the size of one
+block whatever M is; each block's row means are written into the length-M
+result. The loss is elementwise and every row mean reduces one contiguous
+row, so the blocks change no number.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,6 +40,9 @@ from ermu.errors import InvalidArgumentError
 from ermu.seeds import rng_from
 
 CANDIDATE_KINDS = ("solution-cloud", "random-net")
+
+# Scores per block of candidate rows in ``_risks_from_scores``.
+_BLOCK_SCORES = 2**13
 
 
 @dataclass(frozen=True)
@@ -95,7 +104,8 @@ def candidate_risks(
 ) -> np.ndarray:
     """Empirical risk of every candidate, vectorized over the set."""
     X = np.asarray(X, dtype=np.float64)
-    return _risks_from_scores(candidates, problem, _candidate_scores(candidates, X), y)
+    scores = _candidate_scores(candidates, X)
+    return _risks_from_scores(candidates, problem, lambda rows: scores[rows], y)
 
 
 def _candidate_scores(candidates: CandidateSet, X: np.ndarray) -> np.ndarray:
@@ -104,14 +114,30 @@ def _candidate_scores(candidates: CandidateSet, X: np.ndarray) -> np.ndarray:
 
 
 def _risks_from_scores(
-    candidates: CandidateSet, problem: ErmProblem, scores: np.ndarray, y: np.ndarray
+    candidates: CandidateSet,
+    problem: ErmProblem,
+    block_scores: Callable[[slice], np.ndarray],
+    y: np.ndarray,
 ) -> np.ndarray:
-    """Mean loss of each row of ``scores`` against y, plus each candidate's regularizer."""
+    """Mean loss of each candidate's scores against y, plus its regularizer.
+
+    ``block_scores(rows)`` gives the scores of the candidate rows ``rows``
+    (a slice), a C-ordered block of the M x n score matrix. It is called
+    once per block of ``max(1, _BLOCK_SCORES // n)`` rows, and the block's
+    regularizers are taken from its rows of the candidate points.
+    """
     y = np.asarray(y, dtype=np.float64)
     pts = candidates.points
-    losses = problem.loss.value(scores, y[None, :]).mean(axis=1)
-    regs = problem.regularizer.lam * np.einsum("mp->m", pts * pts) if problem.regularizer.kind == "ridge" else np.zeros(len(pts))
-    return losses + regs
+    M, n = pts.shape[0], y.shape[0]
+    step = max(1, _BLOCK_SCORES // max(n, 1))
+    risks = np.empty(M)
+    for start in range(0, M, step):
+        rows = slice(start, start + step)
+        risks[rows] = problem.loss.value(block_scores(rows), y[None, :]).mean(axis=1)
+        if problem.regularizer.kind == "ridge":
+            block = pts[rows]
+            risks[rows] += problem.regularizer.lam * np.einsum("mp->m", block * block)
+    return risks
 
 
 def softmin_free_energy(values: np.ndarray, n: int, beta: float) -> float:
@@ -186,10 +212,13 @@ def free_energy_path(
 
     U_t is never formed: scores and labels are linear in U_t, so the
     candidate scores at t are sin t * (X theta) + cos t * (G theta) and the
-    target scores sin t * (X theta*) + cos t * (G theta*), from two score
-    matrices and two target vectors computed once. Both ends equal
-    ``candidate_risks`` on G and on X bit for bit; interior points match the
-    per-point products up to rounding.
+    target scores sin t * (X theta*) + cos t * (G theta*), from two M x n
+    score matrices and two target vectors computed once. The scores at t are
+    combined one block of candidate rows at a time (see
+    ``_risks_from_scores``), so beside X, G and the two score matrices a
+    call holds O(``_BLOCK_SCORES``) temporaries, not an M x n matrix per
+    term. Both ends equal ``candidate_risks`` on G and on X bit for bit;
+    interior points match the per-point products up to rounding.
     """
     SX = _candidate_scores(candidates, path.X)
     SG = _candidate_scores(candidates, path.G)
@@ -199,7 +228,9 @@ def free_energy_path(
     for t in path.grid:
         s, c = path.coefficients(t)
         y_t = problem.labeler.label(s * TX + c * TG, path.eps)
-        values = _risks_from_scores(candidates, problem, s * SX + c * SG, y_t)
+        values = _risks_from_scores(
+            candidates, problem, lambda rows: s * SX[rows] + c * SG[rows], y_t
+        )
         out.append((t, softmin_free_energy(values, n, beta)))
     return out
 

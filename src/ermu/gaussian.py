@@ -126,16 +126,26 @@ def factor_covariance(cov: np.ndarray, jitter_rel: float = 0.0) -> np.ndarray:
 
     A matrix that is not positive definite (singular, or indefinite at rounding
     level) is factored as U diag(sqrt(clip(lambda, 0))) from its eigenpairs.
+
+    The symmetry check and the symmetrization 0.5 (cov + cov^T) run over
+    ``_ROW_BLOCK`` rows at a time into one p x p output, so besides it and
+    the finiteness mask only block-sized temporaries are made.
     """
     cov = np.asarray(cov, dtype=np.float64)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise InvalidArgumentError(f"covariance must be square, got {cov.shape}")
     if not np.isfinite(cov).all():
         raise InvalidArgumentError("covariance has non-finite entries")
-    scale = max(1.0, float(np.abs(cov).max()))
-    if np.abs(cov - cov.T).max() > 1e-10 * scale:
-        raise InvalidArgumentError("covariance is not symmetric within 1e-10 relative")
-    sym = 0.5 * (cov + cov.T)
+    scale = max(1.0, float(cov.max()), -float(cov.min()))
+    sym = np.empty_like(cov)
+    for start in range(0, cov.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        out = sym[rows]
+        np.subtract(cov[rows], cov[:, rows].T, out=out)
+        if np.abs(out, out=out).max() > 1e-10 * scale:
+            raise InvalidArgumentError("covariance is not symmetric within 1e-10 relative")
+        np.add(cov[rows], cov[:, rows].T, out=out)
+        out *= 0.5
     if jitter_rel > 0.0:
         sym.flat[:: sym.shape[0] + 1] += jitter_rel * np.trace(sym) / sym.shape[0]
     try:

@@ -48,6 +48,9 @@ class SolverConfig:
 
     def __post_init__(self):
         check(self.max_iters >= 1, "max_iters must be >= 1")
+        # No gradient-map norm is below a negative tol: every solve would
+        # run to max_iters.
+        check(self.tol >= 0, "tol must be >= 0")
         # A shrink factor of 1 or more never ends the backtracking loop.
         check(0 < self.armijo_shrink < 1, "armijo_shrink must be in (0, 1)")
         # A slope of 1 or more fails every step, so every solve ends in

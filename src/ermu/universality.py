@@ -359,13 +359,17 @@ class TwinTestRisk:
         self._kept: tuple = ()
 
     def _overlaps(self, theta: np.ndarray):
-        """(w, L^T w, alpha, beta) at theta, kept for the last point evaluated."""
+        """(w, L^T w, alpha, beta, score grid) at theta, kept for the last point evaluated.
+
+        PGD asks for ``value`` and then ``grad`` at one point, so the grid
+        is built once for both.
+        """
         if self._theta is None or not np.array_equal(theta, self._theta):
             w = np.array(theta, dtype=np.float64)
             Lw = self.factor.T @ w
             alpha = float(w @ self.sigma_t) / self.root_vv
             beta = math.sqrt(max(float(Lw @ Lw) + self.iso2 * float(w @ w) - alpha * alpha, 0.0))
-            self._kept = (w, Lw, alpha, beta)
+            self._kept = (w, Lw, alpha, beta, self._scores(alpha, beta))
             self._theta = w
         return self._kept
 
@@ -373,12 +377,12 @@ class TwinTestRisk:
         return alpha * self.z1[:, None, None] + beta * self.z2[None, :, None]
 
     def value(self, theta: np.ndarray) -> float:
-        _, _, alpha, beta = self._overlaps(theta)
-        return float(np.vdot(self.weights, self.problem.loss.value(self._scores(alpha, beta), self.y)))
+        *_, scores = self._overlaps(theta)
+        return float(np.vdot(self.weights, self.problem.loss.value(scores, self.y)))
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
-        w, Lw, alpha, beta = self._overlaps(theta)
-        lw = self.weights * self.problem.loss.grad(self._scores(alpha, beta), self.y)
+        w, Lw, alpha, beta, scores = self._overlaps(theta)
+        lw = self.weights * self.problem.loss.grad(scores, self.y)
         d_alpha = lw.sum(axis=(1, 2)) @ self.z1
         d_beta = lw.sum(axis=(0, 2)) @ self.z2
         # grad alpha = Sigma t / sqrt(c_vv); grad beta = (Sigma w - alpha grad alpha) / beta.

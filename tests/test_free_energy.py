@@ -1,13 +1,24 @@
 """Softmin free energy: sandwich identities, monotonicity, paths."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ermu.erm import ConstraintSet, ErmProblem, Labeler, Loss, Regularizer, generate_labels
+from ermu import campaign, free_energy
+from ermu.config import config_from_dict
+from ermu.erm import (
+    ConstraintSet,
+    ErmProblem,
+    Labeler,
+    Loss,
+    Regularizer,
+    generate_labels,
+    labels_from_noise,
+)
 from ermu.errors import InvalidArgumentError
 from ermu.free_energy import (
     CandidateSet,
@@ -240,3 +251,100 @@ class TestEntropySandwich:
             entropy_sandwich_check(
                 random_net(problem, 4, seed=1), problem, X, np.zeros(4), [1.0, 0.1]
             )
+
+
+def unblocked_risks(candidates, problem, scores, y):
+    """Reference: the loss of the whole M x n score matrix at once."""
+    pts = candidates.points
+    losses = problem.loss.value(scores, y[None, :]).mean(axis=1)
+    if problem.regularizer.kind == "ridge":
+        return losses + problem.regularizer.lam * np.einsum("mp->m", pts * pts)
+    return losses + np.zeros(len(pts))
+
+
+def unblocked_path(path, candidates, problem, beta):
+    """Reference: free_energy_path with one M x n score matrix per grid point."""
+    SX = np.einsum("ip,mp->mi", path.X, candidates.points, optimize=True)
+    SG = np.einsum("ip,mp->mi", path.G, candidates.points, optimize=True)
+    TX, TG = problem.target_scores(path.X), problem.target_scores(path.G)
+    out = []
+    for t in path.grid:
+        s, c = path.coefficients(t)
+        y_t = problem.labeler.label(s * TX + c * TG, path.eps)
+        values = unblocked_risks(candidates, problem, s * SX + c * SG, y_t)
+        out.append((t, softmin_free_energy(values, path.X.shape[0], beta)))
+    return out
+
+
+class TestBlocks:
+    # n = 40 with a 200-score budget gives blocks of 5 candidate rows.
+    N, BUDGET, ROWS = 40, 200, 5
+
+    def case(self, monkeypatch, loss, reg, M, p=6):
+        monkeypatch.setattr(free_energy, "_BLOCK_SCORES", self.BUDGET)
+        rng = rng_from(21, "blocks", loss, reg, M)
+        problem = ErmProblem(
+            loss=Loss(loss),
+            labeler=Labeler(tau=0.4),
+            theta_star=rng.standard_normal(p) / math.sqrt(p),
+            regularizer=Regularizer(reg, 0.07),
+            constraint=ConstraintSet("l2-ball", R=2.0),
+        )
+        X = rng.standard_normal((self.N, p))
+        G = rng.standard_normal((self.N, p))
+        eps = problem.labeler.draw_noise(self.N, seed=3)
+        return problem, X, G, eps, random_net(problem, M, seed=4, scale=2.0)
+
+    @pytest.mark.parametrize("M", [1, 3, 6, 15], ids=["one", "below-block", "block+1", "3-blocks"])
+    @pytest.mark.parametrize("loss, reg", [
+        ("huber", "ridge"), ("logistic", "ridge"), ("squared", "none"), ("pseudo-huber", "none"),
+    ])
+    def test_blocked_equals_unblocked_bit_for_bit(self, monkeypatch, loss, reg, M):
+        problem, X, G, eps, net = self.case(monkeypatch, loss, reg, M)
+        y = labels_from_noise(problem, X, eps)
+        scores = np.einsum("ip,mp->mi", X, net.points, optimize=True)
+        assert np.array_equal(
+            candidate_risks(net, problem, X, y), unblocked_risks(net, problem, scores, y)
+        )
+        path = InterpolationPath(X=X, G=G, grid=tuple(np.linspace(0, math.pi / 2, 5)), eps=eps)
+        assert free_energy_path(path, net, problem, 2.0) == unblocked_path(path, net, problem, 2.0)
+
+    def test_loss_sees_one_block_at_a_time(self, monkeypatch):
+        problem, X, G, eps, net = self.case(monkeypatch, "huber", "ridge", 13)
+        seen = []
+        real_value = Loss.value
+
+        def value(self, u, y):
+            seen.append(u.shape)
+            return real_value(self, u, y)
+
+        monkeypatch.setattr(Loss, "value", value)
+        candidate_risks(net, problem, X, labels_from_noise(problem, X, eps))
+        assert seen == [(5, self.N), (5, self.N), (3, self.N)]
+
+
+class TestStageMemory:
+    def test_free_energy_task_holds_two_batches_and_two_score_matrices(self):
+        # X and G (n x p each) and the two candidate score matrices (M x n
+        # each) are held together; the loss runs on blocks of candidate
+        # rows, so the only other terms are the M x p candidate points and
+        # the loss temporaries of one block. Scoring all M candidates at once
+        # held about six more M x n matrices (9.2 MB here against 4.6 MB).
+        M = 256
+        config = config_from_dict({
+            "master_seed": 17, "trials": 1, "ladder": [400],
+            "families": [{"id": "rf", "kind": "random-features", "activation": "tanh-rf",
+                          "cov_mode": "hermite-exact", "hermite_order": 9}],
+            "problem": {"loss": "huber", "tau": 0.5, "lambda": 0.1},
+            "free_energy": {"enabled": True, "M": M, "path_points": 4},
+        })
+        (instance,) = campaign.build_instances(config)
+        n, p = instance.n, instance.p
+        tracemalloc.start()
+        try:
+            campaign._free_energy_task((config, instance))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 8 * free_energy._BLOCK_SCORES
+        assert peak <= 2 * n * p * 8 + 2 * M * n * 8 + M * p * 8 + 8 * block + 64 * 1024

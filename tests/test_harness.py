@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import subprocess
 import sys
 from dataclasses import astuple, fields
@@ -87,6 +88,17 @@ EVERY_KEY_CONFIG = {
                     "alpha": 0.25, "candidates": "random-net"},
     "perturbed": {"enabled": True, "s_values": [0.05], "n_test": 100},
 }
+
+
+# JSON floats that Python's json module reads but no float key accepts.
+NON_FINITE_CASES = [
+    (("problem", "lambda"), math.nan, "config.problem.lambda"),
+    (("solver", "tol"), math.inf, "config.solver.tol"),
+    (("free_energy", "beta_grid"), [0.1, math.inf], "config.free_energy.beta_grid[1]"),
+    (("perturbed", "s_values"), [math.inf], "config.perturbed.s_values[0]"),
+    (("families", 0, "radius"), math.inf, "config.families[0].radius"),
+    (("families", 0, "radius"), -math.inf, "config.families[0].radius"),
+]
 
 
 def base_config(**overrides) -> ExperimentConfig:
@@ -317,6 +329,9 @@ class TestConfig:
         (("problem", "clip_bound"), 0.0),
         (("families", 0, "sizes"), [{"d": 7}]),
         (("families", 0, "sizes"), [{"n": 50}]),
+        (("free_energy", "alpha"), 0.0),
+        (("free_energy", "alpha"), -0.5),
+        (("solver", "tol"), -1e-8),
     ])
     def test_out_of_range_value_rejected_at_parse_time(self, path, value):
         with pytest.raises(ConfigError, match=path[-1]):
@@ -356,6 +371,17 @@ class TestConfig:
     def test_wrong_json_type_rejected(self, path, value):
         with pytest.raises(ConfigError, match=r"\." + str(path[-1]) + ": expected"):
             config_from_dict(base_with(path, value))
+
+    @pytest.mark.parametrize("path, value, where", NON_FINITE_CASES)
+    def test_non_finite_float_rejected_at_parse_time(self, path, value, where):
+        with pytest.raises(ConfigError, match=re.escape(where) + ": expected a finite number"):
+            config_from_dict(base_with(path, value))
+
+    def test_float_literal_beyond_range_rejected(self):
+        text = json.dumps(base_with(("problem", "lambda"), 0.123456))
+        text = text.replace("0.123456", "1" + "0" * 400)  # an integer literal
+        with pytest.raises(ConfigError, match=r"config\.problem\.lambda: expected a finite"):
+            config_from_dict(json.loads(text))
 
     def test_missing_required_key_named(self):
         raw = json.loads(json.dumps(BASE))
@@ -824,6 +850,17 @@ class TestCli:
         cfg_path.write_text(json.dumps(base_with(("perturbed", "s_values"), ["x"])))
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert "config.perturbed.s_values[0]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("path, value, where", NON_FINITE_CASES + [
+        (("free_energy", "alpha"), 0.0, "config.free_energy: alpha"),
+        (("solver", "tol"), -1.0, "config.solver: tol"),
+    ])
+    def test_bad_float_exit_code(self, tmp_path, capsys, path, value, where):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_with(path, value)))  # NaN and Infinity as json writes them
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert where in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_family_setting_outside_its_kind_exit_code(self, tmp_path, capsys):

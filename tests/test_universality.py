@@ -423,6 +423,28 @@ class TestTwinTestRisk:
                 fd = central_differences(risk.value, theta)
                 assert np.abs(g - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max()), (name, theta, g, fd)
 
+    def test_grad_after_value_reuses_the_score_grid(self, monkeypatch):
+        # PGD evaluates value and then grad at one point: one grid build.
+        problem = twin_problem("huber", "clipped-linear", "rademacher", 6)
+        risk = TwinTestRisk(problem, twin_kinds(6)["square"])
+        builds = []
+        real_scores = TwinTestRisk._scores
+
+        def counted(self, alpha, beta):
+            builds.append((alpha, beta))
+            return real_scores(self, alpha, beta)
+
+        monkeypatch.setattr(TwinTestRisk, "_scores", counted)
+        theta = probe_point(problem)
+        value, grad = risk.value(theta), risk.grad(theta)
+        assert len(builds) == 1
+        fresh = TwinTestRisk(problem, twin_kinds(6)["square"])
+        assert value == fresh.value(theta)
+        fresh = TwinTestRisk(problem, twin_kinds(6)["square"])
+        assert np.array_equal(grad, fresh.grad(theta))
+        risk.grad(theta + 0.01)
+        assert len(builds) == 4
+
     def test_theta_along_theta_star_has_zero_beta(self):
         # With Rademacher noise u is a multiple of v at theta = c theta_star:
         # beta = 0, and value and gradient stay finite.
