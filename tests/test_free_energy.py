@@ -328,8 +328,9 @@ class TestStageMemory:
         # X and G (n x p each) and the two candidate score matrices (M x n
         # each) are held together; the loss runs on blocks of candidate
         # rows, so the only other terms are the M x p candidate points and
-        # the loss temporaries of one block. Scoring all M candidates at once
-        # held about six more M x n matrices (9.2 MB here against 4.6 MB).
+        # the loss temporaries of one block. A loss over the whole M x n
+        # matrix would hold about six more M x n matrices (9.2 MB here
+        # against 4.6 MB).
         M = 256
         config = config_from_dict({
             "master_seed": 17, "trials": 1, "ladder": [400],
