@@ -47,6 +47,7 @@ from ermu.free_energy import (
     solution_cloud,
 )
 from ermu.gaussian import sample_gaussian
+from ermu.matio import write_matrix
 from ermu.seeds import derive_seed
 from ermu.universality import (
     FamilyInstance,
@@ -60,10 +61,11 @@ from ermu.universality import (
 )
 
 
-def _atomic_write(path: Path, writer) -> None:
+def _atomic_write(path: Path, writer, binary: bool = False) -> None:
+    """``writer(fh)`` on a temporary file, which then replaces ``path``; text unless ``binary``."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", newline="") as fh:
+        with (open(tmp, "wb") if binary else open(tmp, "w", newline="")) as fh:
             writer(fh)
         os.replace(tmp, path)
     except BaseException:
@@ -178,16 +180,18 @@ def run_campaign(config: ExperimentConfig, out_dir: str | Path, threads: int = 0
 
 def _save_matrices(instances, out: Path) -> None:
     """Dump frozen weights and twin factors in the flat binary container."""
-    from ermu.matio import save_matrix
-
     mat_dir = out / "matrices"
     mat_dir.mkdir(exist_ok=True)
     for inst in instances:
         stem = f"{inst.spec.id}_n{inst.n}"
         if inst.model.W is not None:
-            save_matrix(mat_dir / f"{stem}_weights.ermumat", inst.model.W)
+            _save_matrix(mat_dir / f"{stem}_weights.ermumat", inst.model.W)
         if inst.equiv is not None:
-            save_matrix(mat_dir / f"{stem}_factor.ermumat", inst.equiv.factor)
+            _save_matrix(mat_dir / f"{stem}_factor.ermumat", inst.equiv.factor)
+
+
+def _save_matrix(path: Path, arr: np.ndarray) -> None:
+    _atomic_write(path, lambda fh: write_matrix(fh, arr), binary=True)
 
 
 def _free_energy_data(instance: FamilyInstance, master_seed: int):
@@ -211,9 +215,8 @@ def _free_energy_task(args):
     settings = config.free_energy
     seed, X, G, eps = _free_energy_data(instance, config.master_seed)
     problem = instance.problem
-    y = labels_from_noise(problem, X, eps)
     if settings.candidates == "solution-cloud":
-        sol = solve_erm(problem, X, y, config.solver, seed=derive_seed(seed, "solve"))
+        sol = solve_erm(problem, X, labels_from_noise(problem, X, eps), config.solver)
         candidates = solution_cloud(
             problem, sol.theta_hat, settings.M, settings.alpha, derive_seed(seed, "cloud")
         )
@@ -222,11 +225,10 @@ def _free_energy_task(args):
     grid = tuple(np.linspace(0.0, math.pi / 2.0, settings.path_points))
     path = InterpolationPath(X=X, G=G, grid=grid, eps=eps)
     beta_ref = settings.beta_grid[-1]
-    trace_rows = [
-        [t, f, instance.n, beta_ref, instance.spec.id, seed]
-        for t, f in free_energy_path(path, candidates, problem, beta_ref)
-    ]
-    report = entropy_sandwich_check(candidates, problem, X, y, settings.beta_grid)
+    trace, risks_x = free_energy_path(path, candidates, problem, beta_ref)
+    trace_rows = [[t, f, instance.n, beta_ref, instance.spec.id, seed] for t, f in trace]
+    # The grid ends at pi/2, so the path's last risks are the candidates' risks on X.
+    report = entropy_sandwich_check(risks_x, instance.n, settings.beta_grid)
     check = {
         "family": instance.spec.id,
         "n": instance.n,
@@ -271,15 +273,8 @@ def _perturbed_task(args):
     test_risk = TwinTestRisk(problem, instance.twin(X))
     eps = problem.labeler.draw_noise(instance.n, derive_seed(seed, "eps"))
     y = labels_from_noise(problem, X, eps)
-    sweep = perturbed_sweep(
-        problem,
-        X,
-        y,
-        test_risk,
-        settings.s_values + tuple(-s for s in settings.s_values),
-        cfg=config.solver,
-        seed=seed,
-    )
+    s_grid = settings.s_values + tuple(-s for s in settings.s_values)
+    sweep = perturbed_sweep(problem, X, y, test_risk, s_grid, cfg=config.solver)
     # An s whose solve diverged has no optimum: nan in opt_s and D_s.
     return [
         [instance.spec.id, instance.n, instance.p, seed, s,

@@ -319,16 +319,14 @@ def solve_erm(
     y: np.ndarray,
     cfg: SolverConfig = SolverConfig(),
     warm_start: Optional[np.ndarray] = None,
-    seed: int = 0,
     extra: Optional[tuple] = None,
 ) -> ErmSolution:
-    """Projected gradient descent over the constraint set, best of ``restarts``.
+    """Projected gradient descent over the constraint set from the projected warm start.
 
     ``extra = (s, term)`` adds ``s * term.value(theta)`` to the train risk,
     with gradient ``s * term.grad(theta)``; the perturbed risks are solved
-    this way. Restart 0 starts from the warm start (zero by default); later
-    restarts start from projected Gaussian draws. Ties are broken by restart
-    index.
+    this way. The solve starts from the warm start (zero by default),
+    projected onto the set, and never ends above the objective there.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -355,24 +353,15 @@ def solve_erm(
         return project_constraint(problem.constraint, theta)
 
     shape = (problem.p,)
-    best = None
-    for r in range(max(1, cfg.restarts)):
-        if r == 0:
-            x0 = np.zeros(shape) if warm_start is None else np.asarray(warm_start, dtype=np.float64).reshape(shape)
-            x0 = project(x0)
-        else:
-            rng = rng_from(seed, "restart", r)
-            x0 = project(rng.standard_normal(shape))
-        state = pgd_minimize(objective, gradient, project, x0, cfg)
-        if best is None or state.value < best.value:
-            best = state
+    x0 = np.zeros(shape) if warm_start is None else np.asarray(warm_start, dtype=np.float64).reshape(shape)
+    state = pgd_minimize(objective, gradient, project, project(x0), cfg)
     # Re-evaluate so the reported objective is exactly the objective at theta_hat.
     return ErmSolution(
-        theta_hat=best.x,
-        objective=objective(best.x),
-        grad_map_norm=best.grad_map_norm,
-        iterations=best.iterations,
-        flags=list(best.flags),
+        theta_hat=state.x,
+        objective=objective(state.x),
+        grad_map_norm=state.grad_map_norm,
+        iterations=state.iterations,
+        flags=state.flags,
     )
 
 

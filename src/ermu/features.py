@@ -161,8 +161,8 @@ def sample_sphere_weights(d: int, count: int, seed: int) -> np.ndarray:
 
 def sample_covariates(model: FeatureModel, n: int, seed: int) -> np.ndarray:
     """Draw the raw covariate batch the family consumes (z or xbar rows)."""
-    if model.family == "linear-independent":
-        return sample_linear_covariates(model.p, n, model.entry_law, seed)
+    if n < 1:
+        raise InvalidArgumentError(f"n must be positive, got n={n}")
     return _covariate_stream(model, seed)(n)
 
 
@@ -187,13 +187,6 @@ def _covariate_stream(model: FeatureModel, seed: int) -> Callable[[int], np.ndar
         return lambda rows: _entries(rng, model.entry_law, (rows, model.p))
     rng = rng_from(seed, "covariates")
     return lambda rows: rng.standard_normal((rows, model.d))
-
-
-def sample_linear_covariates(p: int, n: int, entry_law: str, seed: int) -> np.ndarray:
-    """n x p matrix of i.i.d. zero-mean unit-variance entries from the named law."""
-    if p < 1 or n < 1:
-        raise InvalidArgumentError(f"dimensions must be positive, got p={p}, n={n}")
-    return _entries(rng_from(seed, "entries", entry_law), entry_law, (n, p))
 
 
 def _entries(rng: np.random.Generator, entry_law: str, shape: tuple[int, int]) -> np.ndarray:

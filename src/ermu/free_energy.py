@@ -207,8 +207,10 @@ def free_energy_path(
     candidates: CandidateSet,
     problem: ErmProblem,
     beta: float,
-) -> list[tuple[float, float]]:
+) -> tuple[list[tuple[float, float]], np.ndarray]:
     """Free energy along the path, with labels regenerated at each t.
+
+    Returns the (t, f) trace and the candidate risks at the last grid point.
 
     U_t is never formed: scores and labels are linear in U_t, so the
     candidate scores at t are sin t * (X theta) + cos t * (G theta) and the
@@ -224,6 +226,7 @@ def free_energy_path(
     SG = _candidate_scores(candidates, path.G)
     TX, TG = problem.target_scores(path.X), problem.target_scores(path.G)
     out = []
+    values = None
     n = path.X.shape[0]
     for t in path.grid:
         s, c = path.coefficients(t)
@@ -232,7 +235,7 @@ def free_energy_path(
             candidates, problem, lambda rows: s * SX[rows] + c * SG[rows], y_t
         )
         out.append((t, softmin_free_energy(values, n, beta)))
-    return out
+    return out, values
 
 
 @dataclass
@@ -251,20 +254,19 @@ class SandwichReport:
 
 
 def entropy_sandwich_check(
-    candidates: CandidateSet,
-    problem: ErmProblem,
-    X: np.ndarray,
-    y: np.ndarray,
-    beta_grid: Sequence[float],
+    values: np.ndarray, n: int, beta_grid: Sequence[float]
 ) -> SandwichReport:
-    """Check min - log(M)/(n beta) <= f(beta) <= min and monotonicity in beta."""
+    """Check min - log(M)/(n beta) <= f(beta) <= min and monotonicity in beta.
+
+    ``values`` are the risks of the M candidates on an n-row batch, as
+    ``candidate_risks`` gives them.
+    """
     betas = [float(b) for b in beta_grid]
     if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
         raise InvalidArgumentError("beta grid must be ascending")
-    values = candidate_risks(candidates, problem, X, y)
-    n = np.asarray(X).shape[0]
+    values = np.asarray(values, dtype=np.float64)
     vmin = float(values.min())
-    logM = math.log(candidates.M)
+    logM = math.log(values.size)
     fs, lowers, offending = [], [], []
     for beta in betas:
         f = softmin_free_energy(values, n, beta)

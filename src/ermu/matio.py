@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -18,13 +19,13 @@ MAGIC = b"ERMUMAT1"
 _HEADER = struct.Struct("<8sQQ")
 
 
-def save_matrix(path: str | Path, arr: np.ndarray) -> None:
+def write_matrix(fh: BinaryIO, arr: np.ndarray) -> None:
+    """Write ``arr`` to the open binary file ``fh``: header, then payload."""
     a = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
     if a.ndim != 2:
         raise InvalidArgumentError(f"expected a 2-D array, got ndim={a.ndim}")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, a.shape[0], a.shape[1]))
-        fh.write(a.tobytes(order="C"))
+    fh.write(_HEADER.pack(MAGIC, a.shape[0], a.shape[1]))
+    fh.write(a.tobytes(order="C"))
 
 
 def load_matrix(path: str | Path) -> np.ndarray:

@@ -28,7 +28,7 @@ from ermu.erm import (
     train_risk_grad,
 )
 from ermu.features import Activation, FeatureModel, nt_theta_matrix, sample_sphere_weights
-from ermu.free_energy import entropy_sandwich_check, random_net
+from ermu.free_energy import candidate_risks, entropy_sandwich_check, random_net
 from ermu.gaussian import factor_covariance, mc_covariance, rf_covariance_hermite
 from ermu.quadrature import gaussian_expectation_pair
 from ermu.seeds import rng_from
@@ -146,7 +146,8 @@ def _free_energy_props():
     X = rng.standard_normal((64, 10))
     y = generate_labels(problem, X, seed=2)
     candidates = random_net(problem, 64, seed=23)
-    report = entropy_sandwich_check(candidates, problem, X, y, [0.1, 1.0, 10.0, 100.0])
+    risks = candidate_risks(candidates, problem, X, y)
+    report = entropy_sandwich_check(risks, X.shape[0], [0.1, 1.0, 10.0, 100.0])
     assert report.ok, f"offending betas {report.offending_betas}"
 
 

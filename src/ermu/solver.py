@@ -1,17 +1,20 @@
 """Nonmonotone spectral projected gradient, and its config.
 
-Each iteration tries a first step and shrinks it by ``armijo_shrink`` until
+Each iteration tries a first step and shrinks it by ``ARMIJO_SHRINK`` until
 the Armijo test holds. The first step of the first iteration is
-``init_step``; later ones are the Barzilai-Borwein step s's / s'y from the
+``INIT_STEP``; later ones are the Barzilai-Borwein step s's / s'y from the
 last change in point and gradient (Barzilai & Borwein, IMA J. Numer. Anal.
 1988; spectral projected gradient: Birgin, Martinez & Raydan, SIAM J. Optim.
-2000), or the last accepted step times ``step_growth`` when s'y <= 0 gives
+2000), or the last accepted step times ``STEP_GROWTH`` when s'y <= 0 gives
 no curvature estimate. The Armijo test is nonmonotone (Grippo, Lampariello
 & Lucidi, SIAM J. Numer. Anal. 1986): it measures descent from the largest
 of the last ``NONMONOTONE_WINDOW`` accepted objective values, so a
 Barzilai-Borwein step that rises a little above the current value is taken
 as it stands instead of being backtracked. That reference never exceeds the
 value at the start, so a solve never ends above its initial point.
+
+The line-search settings are constants; a config sets only the stop rule,
+``max_iters`` and ``tol``.
 
 Kept generic: the ERM layer (plain and perturbed solves) and the
 near-minimizer penalty objectives all funnel through ``pgd_minimize`` with
@@ -32,32 +35,28 @@ _MIN_STEP = 1e-18
 _MAX_STEP = 1e12
 # Accepted objective values the nonmonotone Armijo reference is the maximum of.
 NONMONOTONE_WINDOW = 10
+# Factor a rejected trial step is multiplied by.
+ARMIJO_SHRINK = 0.5
+# Sufficient-decrease slope of the Armijo test.
+ARMIJO_SLOPE = 1e-4
+# First trial step of a solve.
+INIT_STEP = 1.0
+# Growth of the last accepted step when s'y <= 0 gives no curvature estimate.
+STEP_GROWTH = 2.0
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """PGD settings; ``restarts`` is read by the ERM restart loop only."""
+    """PGD stop rule: at most ``max_iters`` iterations, or a gradient-mapping norm <= ``tol``."""
 
     max_iters: int = 5000
     tol: float = 1e-8
-    restarts: int = 1
-    armijo_shrink: float = 0.5
-    armijo_slope: float = 1e-4
-    init_step: float = 1.0
-    step_growth: float = 2.0
 
     def __post_init__(self):
         check(self.max_iters >= 1, "max_iters must be >= 1")
         # No gradient-map norm is below a negative tol: every solve would
         # run to max_iters.
         check(self.tol >= 0, "tol must be >= 0")
-        # A shrink factor of 1 or more never ends the backtracking loop.
-        check(0 < self.armijo_shrink < 1, "armijo_shrink must be in (0, 1)")
-        # A slope of 1 or more fails every step, so every solve ends in
-        # step-underflow; a negative one accepts uphill steps.
-        check(0 < self.armijo_slope < 1, "armijo_slope must be in (0, 1)")
-        check(self.init_step > 0, "init_step must be positive")
-        check(self.step_growth >= 1, "step_growth must be >= 1")
 
 
 @dataclass
@@ -78,12 +77,12 @@ def pgd_minimize(
 ) -> PgdState:
     """Minimize a smooth function over a convex set by projected gradient.
 
-    The first trial step is ``init_step``, then the Barzilai-Borwein step
+    The first trial step is ``INIT_STEP``, then the Barzilai-Borwein step
     s's / s'y with s = x_k - x_{k-1} and y = g_k - g_{k-1}, capped at 1e12;
-    when s'y <= 0 it is the last accepted step times ``step_growth``.
+    when s'y <= 0 it is the last accepted step times ``STEP_GROWTH``.
     Armijo backtracking from there measures descent from f_ref, the largest
     of the last ``NONMONOTONE_WINDOW`` accepted values (f(x0) first): a step
-    is accepted when f_new <= f_ref - armijo_slope * ||x - x_new||^2 / step.
+    is accepted when f_new <= f_ref - ARMIJO_SLOPE * ||x - x_new||^2 / step.
     The objective never rises above f_ref, so a solve never ends above
     f(x0); a step that does raises ``SolverDivergedError``. Convergence is
     declared on the gradient-mapping norm ||x - P(x - s g)|| / s at the
@@ -96,7 +95,7 @@ def pgd_minimize(
     fx = float(fun(x))
     if not np.isfinite(fx):
         raise SolverDivergedError("non-finite objective at the initial point", 0)
-    step = cfg.init_step
+    step = INIT_STEP
     grad_map_norm = np.inf
     flags: list[str] = []
     iterations = 0
@@ -109,7 +108,7 @@ def pgd_minimize(
         if x_prev is not None:
             s, dg = x - x_prev, g - g_prev
             sy = float(np.sum(s * dg))
-            step = float(np.sum(s * s)) / sy if sy > 0 else step * cfg.step_growth
+            step = float(np.sum(s * s)) / sy if sy > 0 else step * STEP_GROWTH
             step = min(step, _MAX_STEP)
         f_ref = max(window)
         accepted = False
@@ -120,10 +119,10 @@ def pgd_minimize(
             f_new = float(fun(x_new))
             if not np.isfinite(f_new):
                 raise SolverDivergedError("non-finite objective", it)
-            if f_new <= f_ref - cfg.armijo_slope * sq / step:
+            if f_new <= f_ref - ARMIJO_SLOPE * sq / step:
                 accepted = True
                 break
-            step *= cfg.armijo_shrink
+            step *= ARMIJO_SHRINK
         if not accepted:
             # Step underflow: no descent direction at numerical resolution.
             flags.append("step-underflow")

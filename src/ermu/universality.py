@@ -118,6 +118,12 @@ class FamilySpec:
                 f"{key} {value!r} applies to kind {' or '.join(kinds)} only; got {self.kind!r}",
             )
         self.build_activation()  # custom-hermite needs coefficients
+        # A random-features twin is zero-mean, so its features must be too.
+        check(
+            self.kind != "random-features" or self.activation != "custom-hermite"
+            or abs(self.hermite_coeffs[0]) <= 1e-10,
+            "hermite_coeffs[0] must be 0 for random features (a mean-zero activation)",
+        )
         for key in ("nu", "gamma_p", "gamma_d_over_p", "gamma_tilde", "radius"):
             check(getattr(self, key) > 0, f"{key} must be positive")
         for key in ("hermite_order", "cov_samples_per_dim"):
@@ -129,6 +135,10 @@ class FamilySpec:
                 "sizes entries must be objects with keys n and/or d and positive integer values",
             )
             check(self.kind != "neural-tangent" or "d" in size, "neural-tangent sizes need d")
+        # Each entry names one cell: by its d in a neural-tangent family, else by its n.
+        key = "d" if self.kind == "neural-tangent" else "n"
+        named = [size[key] for size in self.sizes if key in size]
+        check(len(set(named)) == len(named), f"sizes entries must name distinct {key} values")
 
     def build_activation(self) -> Optional[Activation]:
         if self.kind in ("linear-independent", "control-gaussian"):
@@ -434,9 +444,9 @@ def run_single_trial(
     The x arm is drawn and solved, the twin is built from X and X is dropped;
     then G is drawn and solved and dropped. So a trial holds at most two
     n x p arrays: X and an empirical twin's factor, or G and the normals it
-    is drawn from. Every draw and solve has its own derived seed, so this
-    order changes no number. The test rows are then drawn and scored in
-    blocks (``_test_losses``), unless no arm solved.
+    is drawn from. Every draw has its own derived seed and a solve draws
+    nothing, so this order changes no number. The test rows are then drawn
+    and scored in blocks (``_test_losses``), unless no arm solved.
     """
     spec, n, p = instance.spec, instance.n, instance.p
     problem = instance.problem
@@ -445,11 +455,11 @@ def run_single_trial(
     arms = ("x", "g")
 
     X = draw_features(instance.model, n, derive_seed(trial_seed, "covariates"))
-    sol_x = _solve_arm(problem, X, eps, solver_cfg, derive_seed(trial_seed, "solver", "x"))
+    sol_x = _solve_arm(problem, X, eps, solver_cfg)
     equiv = instance.twin(X)
     del X  # an empirical twin holds its own scaled copy
     G = sample_gaussian(equiv, n, derive_seed(trial_seed, "gaussian-arm"))
-    sol_g = _solve_arm(problem, G, eps, solver_cfg, derive_seed(trial_seed, "solver", "g"))
+    sol_g = _solve_arm(problem, G, eps, solver_cfg)
     del G  # the test rows need neither batch
     sols = (sol_x, sol_g)
 
@@ -494,14 +504,14 @@ def run_single_trial(
     return rows[0], rows[1]
 
 
-def _solve_arm(problem, data, eps, solver_cfg, seed):
+def _solve_arm(problem, data, eps, solver_cfg):
     """The arm's ERM solution, or the ``SolverDivergedError`` its solve raised.
 
     The error is returned without its traceback, whose frames hold the batch.
     """
     try:
         labels = labels_from_noise(problem, data, eps)
-        return solve_erm(problem, data, labels, solver_cfg, seed=seed)
+        return solve_erm(problem, data, labels, solver_cfg)
     except SolverDivergedError as exc:
         return exc.with_traceback(None)
 
@@ -739,7 +749,6 @@ def perturbed_sweep(
     test_risk,
     s_grid: Sequence[float],
     cfg: SolverConfig = SolverConfig(),
-    seed: int = 0,
 ) -> PerturbedRiskSweep:
     """Minimize train risk + s * test risk over a symmetric s grid.
 
@@ -751,7 +760,7 @@ def perturbed_sweep(
     tolerance.
     """
     s_values = _validate_s_grid(s_grid)
-    base = solve_erm(problem, X, y, cfg, seed=derive_seed(seed, "solve-base"))
+    base = solve_erm(problem, X, y, cfg)
     theta0 = base.theta_hat
     test_ref = test_risk.value(theta0)
     solver_gap = base.suboptimality_bound(problem.constraint)
@@ -760,10 +769,7 @@ def perturbed_sweep(
     flags: dict[float, list[str]] = {}
     for s in s_values:
         try:
-            sol = solve_erm(
-                problem, X, y, cfg, theta0, derive_seed(seed, "solve-s", repr(s)),
-                extra=(s, test_risk),
-            )
+            sol = solve_erm(problem, X, y, cfg, theta0, extra=(s, test_risk))
             opt_values[s] = sol.objective
             D[s] = (sol.objective - base.objective) / s
             flags[s] = list(dict.fromkeys(base.flags + sol.flags))
@@ -800,7 +806,6 @@ def min_test_over_near_minimizers(
     test_risk,
     t_levels: Sequence[float],
     cfg: SolverConfig = SolverConfig(),
-    seed: int = 0,
 ) -> list[NearMinimizerResult]:
     """Approximately minimize ``test_risk`` subject to train risk <= t.
 
@@ -811,7 +816,7 @@ def min_test_over_near_minimizers(
     reported minima monotone in t up to solver tolerance. A point counts as
     feasible when its train risk exceeds t by at most ``_RESIDUAL_TOL``.
     """
-    base = solve_erm(problem, X, y, cfg, seed=derive_seed(seed, "solve-base"))
+    base = solve_erm(problem, X, y, cfg)
     theta_hat = base.theta_hat
     train = EmpiricalRisk(problem, X, y, regularized=True)
     results: list[NearMinimizerResult] = []

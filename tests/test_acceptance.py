@@ -31,7 +31,12 @@ from ermu.erm import (
     train_risk_grad,
 )
 from ermu.features import Activation, FeatureModel, sample_sphere_weights
-from ermu.free_energy import entropy_sandwich_check, random_net, solution_cloud
+from ermu.free_energy import (
+    candidate_risks,
+    entropy_sandwich_check,
+    random_net,
+    solution_cloud,
+)
 from ermu.gaussian import GaussianEquivalent, mc_covariance, rf_covariance_hermite
 from ermu.quadrature import gaussian_expectation, gaussian_expectation_pair
 from ermu.report import build_report
@@ -202,7 +207,7 @@ def test_criterion_04_free_energy_sandwich():
         else:
             sol = solve_erm(problem, X, y, SolverConfig())
             candidates = solution_cloud(problem, sol.theta_hat, M, alpha=0.5, seed=inst_idx)
-        report = entropy_sandwich_check(candidates, problem, X, y, betas)
+        report = entropy_sandwich_check(candidate_risks(candidates, problem, X, y), n, betas)
         if not report.ok:
             all_ok = False
             worst = f"instance {inst_idx}: offending betas {report.offending_betas}"
@@ -383,7 +388,6 @@ def test_criterion_08_convex_sandwich():
             FrozenTestRisk(problem, equiv, 500, derive_seed(seed, "surrogate")),
             [0.01, -0.01, 0.1, -0.1],
             cfg=SolverConfig(tol=1e-10),
-            seed=seed,
         )
         slack = 2.0 * sweep.solver_gap
         if not sweep.sandwich_ok(slack):

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ermu import erm
+from ermu import erm, solver
 from ermu.erm import (
     ConstraintSet,
     ErmProblem,
@@ -280,21 +280,15 @@ class TestSolveErm:
         with pytest.raises(InvalidArgumentError):
             solve_erm(problem, np.zeros((0, 3)), np.zeros(0), SolverConfig())
 
-    def test_restart_ties_prefer_lowest_index(self):
-        # Constant-zero data: every restart reaches the same objective.
-        problem = make_problem(2, loss="huber", lam=0.5, constraint=ConstraintSet("l2-ball", R=1.0))
-        X, y = np.zeros((5, 2)), np.zeros(5)
-        sol = solve_erm(problem, X, y, SolverConfig(restarts=4), seed=21)
-        assert np.allclose(sol.theta_hat, 0.0, atol=1e-8)
-
-    def test_objective_increase_raises_diverged(self):
+    def test_objective_increase_raises_diverged(self, monkeypatch):
         # A negative Armijo slope accepts an uphill step; the monotonicity
         # check must raise a solver error, not an assert that -O strips.
-        # SolverConfig rejects such a slope, so it is set past that check.
-        cfg = SolverConfig(init_step=10.0)
-        object.__setattr__(cfg, "armijo_slope", -1e3)
+        monkeypatch.setattr(solver, "INIT_STEP", 10.0)
+        monkeypatch.setattr(solver, "ARMIJO_SLOPE", -1e3)
         with pytest.raises(SolverDivergedError, match="objective increased"):
-            pgd_minimize(lambda x: float(x @ x), lambda x: 2.0 * x, lambda x: x, np.ones(1), cfg)
+            pgd_minimize(
+                lambda x: float(x @ x), lambda x: 2.0 * x, lambda x: x, np.ones(1), SolverConfig()
+            )
 
     def test_nonmonotone_steps_rise_yet_end_below_the_start(self):
         # Barzilai-Borwein steps on an ill-conditioned quadratic overshoot;
@@ -359,7 +353,7 @@ class TestSolveErm:
 
     def test_no_curvature_falls_back_to_growing_the_step(self):
         # A linear objective has a constant gradient, so s'y = 0 at every
-        # iteration and the first trial step is the last one times step_growth.
+        # iteration and the first trial step is the last one times STEP_GROWTH.
         R = 5.0
         c = np.array([0.06, -0.08, 0.0])
         state = pgd_minimize(
@@ -369,7 +363,7 @@ class TestSolveErm:
         )
         assert np.abs(state.x - (-R * c / np.linalg.norm(c))).max() <= 1e-8
         assert state.flags == []
-        # Doubling from init_step 1 reaches the boundary, 50 gradient lengths
+        # Doubling from INIT_STEP 1 reaches the boundary, 50 gradient lengths
         # away, at iteration 6; iteration 7 stays put.
         assert state.iterations == 7
 

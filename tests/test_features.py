@@ -15,7 +15,6 @@ from ermu.features import (
     nt_theta_matrix,
     random_features_model,
     sample_covariates,
-    sample_linear_covariates,
     sample_sphere_weights,
 )
 from ermu.seeds import rng_from
@@ -138,19 +137,26 @@ class TestFeaturize:
 
 class TestLinearCovariates:
     def test_rademacher_entries(self):
-        X = sample_linear_covariates(10, 100, "rademacher", seed=1)
+        X = sample_covariates(linear_model(10, "rademacher"), 100, seed=1)
         assert set(np.unique(X)) <= {-1.0, 1.0}
 
     @pytest.mark.parametrize("law", ["rademacher", "uniform", "laplace", "gaussian"])
     def test_unit_variance(self, law):
-        X = sample_linear_covariates(100, 1200, law, seed=3)
+        X = sample_covariates(linear_model(100, law), 1200, seed=3)
         assert X.size >= 1e5
         assert abs(X.var() - 1.0) <= 0.02
         assert abs(X.mean()) <= 0.02
 
     def test_unknown_law_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            sample_linear_covariates(5, 5, "cauchy", seed=0)
+            sample_covariates(linear_model(5, "cauchy"), 5, seed=0)
+
+    @pytest.mark.parametrize("model", [
+        linear_model(4), random_features_model(3, 5, Activation("tanh-rf"), seed=1),
+    ], ids=["linear", "rf"])
+    def test_empty_batch_rejected(self, model):
+        with pytest.raises(InvalidArgumentError, match="n must be positive"):
+            sample_covariates(model, 0, seed=0)
 
 
 class TestSubgaussianProxy:

@@ -170,7 +170,7 @@ class TestPath:
         cloud = solution_cloud(problem, theta, M=12, alpha=0.4, seed=6)
         grid = tuple(np.linspace(0.0, math.pi / 2, 10))
         path = InterpolationPath(X=X, G=G, grid=grid, eps=eps)
-        fast = free_energy_path(path, cloud, problem, beta=3.0)
+        fast, _ = free_energy_path(path, cloud, problem, beta=3.0)
         slow = per_point_path(path, cloud, problem, beta=3.0)
         assert [t for t, _ in fast] == list(grid)
         for (_, f), (_, ref) in zip(fast, slow):
@@ -187,7 +187,7 @@ class TestPath:
         path = InterpolationPath(X=X, G=G, grid=(0.0, math.pi / 2), eps=eps)
         assert np.array_equal(path.matrix_at(0.0), G)
         assert np.array_equal(path.matrix_at(math.pi / 2), X)
-        (t0, f0), (t1, f1) = free_energy_path(path, net, problem, beta=4.0)
+        ((t0, f0), (t1, f1)), _ = free_energy_path(path, net, problem, beta=4.0)
         from ermu.erm import labels_from_noise
 
         y_g = labels_from_noise(problem, G, eps)
@@ -202,8 +202,32 @@ class TestPath:
         eps = problem.labeler.draw_noise(15, seed=4)
         net = random_net(problem, 8, seed=10)
         path = InterpolationPath(X=X, G=X.copy(), grid=(0.0, math.pi / 2), eps=eps)
-        (_, f0), (_, f1) = free_energy_path(path, net, problem, beta=2.0)
+        ((_, f0), (_, f1)), _ = free_energy_path(path, net, problem, beta=2.0)
         assert f0 == pytest.approx(f1, abs=1e-12)
+
+    @pytest.mark.parametrize("eta", ["linear", "clipped-linear", "sign-smooth"])
+    @pytest.mark.parametrize("path_points", [2, 10])
+    def test_last_risks_are_the_candidate_risks_on_x(self, eta, path_points):
+        # The campaign's grid ends at pi/2, so the entropy sandwich reads the
+        # path's last risk vector in place of a second candidate_risks pass.
+        p, n = 5, 30
+        rng = rng_from(7, "x-end", eta)
+        problem = ErmProblem(
+            loss=Loss("huber"),
+            labeler=Labeler(eta_kind=eta, tau=0.3),
+            theta_star=rng.standard_normal(p) / math.sqrt(p),
+            regularizer=Regularizer("ridge", 0.05),
+            constraint=ConstraintSet("l2-ball", R=2.0),
+        )
+        X = rng.standard_normal((n, p))
+        G = rng.standard_normal((n, p))
+        eps = problem.labeler.draw_noise(n, seed=2)
+        net = random_net(problem, 20, seed=3, scale=2.0)
+        grid = tuple(np.linspace(0.0, math.pi / 2.0, path_points))
+        path = InterpolationPath(X=X, G=G, grid=grid, eps=eps)
+        _, risks_x = free_energy_path(path, net, problem, beta=5.0)
+        y_x = labels_from_noise(problem, X, eps)
+        assert np.array_equal(risks_x, candidate_risks(net, problem, X, y_x))
 
     def test_unsorted_grid_rejected(self):
         problem = small_problem(3)
@@ -220,7 +244,7 @@ class TestEntropySandwich:
         X = rng.standard_normal((40, 5))
         y = generate_labels(problem, X, seed=2)
         net = random_net(problem, 32, seed=12)
-        report = entropy_sandwich_check(net, problem, X, y, [1e6])
+        report = entropy_sandwich_check(candidate_risks(net, problem, X, y), 40, [1e6])
         assert abs(report.values[0] - report.minimum) <= math.log(32) / (40 * 1e6)
 
     def test_tiny_beta_on_constant_set(self):
@@ -231,7 +255,7 @@ class TestEntropySandwich:
         y = generate_labels(problem, X, seed=6)
         theta = rng.standard_normal(4) * 0.1
         candidates = CandidateSet(points=np.repeat(theta[None], 8, axis=0))
-        report = entropy_sandwich_check(candidates, problem, X, y, [1e-6])
+        report = entropy_sandwich_check(candidate_risks(candidates, problem, X, y), 12, [1e-6])
         assert report.values[0] == pytest.approx(report.lower_bounds[0], abs=1e-9)
 
     def test_monotone_over_standard_grid(self):
@@ -240,17 +264,14 @@ class TestEntropySandwich:
         X = rng.standard_normal((50, 6))
         y = generate_labels(problem, X, seed=8)
         net = random_net(problem, 64, seed=13)
-        report = entropy_sandwich_check(net, problem, X, y, [0.1, 1.0, 10.0, 100.0])
+        values = candidate_risks(net, problem, X, y)
+        report = entropy_sandwich_check(values, 50, [0.1, 1.0, 10.0, 100.0])
         assert report.ok
         assert all(b >= a for a, b in zip(report.values, report.values[1:]))
 
     def test_unsorted_beta_grid_rejected(self):
-        problem = small_problem(3)
-        X = np.zeros((4, 3))
         with pytest.raises(InvalidArgumentError):
-            entropy_sandwich_check(
-                random_net(problem, 4, seed=1), problem, X, np.zeros(4), [1.0, 0.1]
-            )
+            entropy_sandwich_check(np.ones(4), 4, [1.0, 0.1])
 
 
 def unblocked_risks(candidates, problem, scores, y):
@@ -307,7 +328,8 @@ class TestBlocks:
             candidate_risks(net, problem, X, y), unblocked_risks(net, problem, scores, y)
         )
         path = InterpolationPath(X=X, G=G, grid=tuple(np.linspace(0, math.pi / 2, 5)), eps=eps)
-        assert free_energy_path(path, net, problem, 2.0) == unblocked_path(path, net, problem, 2.0)
+        trace, _ = free_energy_path(path, net, problem, 2.0)
+        assert trace == unblocked_path(path, net, problem, 2.0)
 
     def test_loss_sees_one_block_at_a_time(self, monkeypatch):
         problem, X, G, eps, net = self.case(monkeypatch, "huber", "ridge", 13)

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import pickle
 import re
+import struct
 import subprocess
 import sys
 from dataclasses import astuple, fields
@@ -22,7 +23,7 @@ from ermu.cli import main as cli_main
 from ermu.config import ExperimentConfig, config_from_dict, load_config
 from ermu.errors import ConfigError, InvalidArgumentError, SolverDivergedError
 from ermu.gaussian import empirical_equivalent
-from ermu.matio import load_matrix, save_matrix
+from ermu.matio import load_matrix
 from ermu.report import build_report, read_trials_csv, write_report
 from ermu.seeds import derive_seed
 from ermu.universality import TrialRow, WorkerPool, run_trials
@@ -80,8 +81,7 @@ EVERY_KEY_CONFIG = {
     "problem": {"loss": "pseudo-huber", "loss_delta": 0.5, "labeler": "clipped-linear",
                 "tau": 0.25, "noise_law": "rademacher", "clip_bound": 2.0, "smoothing": 0.2,
                 "regularizer": "none", "lambda": 0.3},
-    "solver": {"max_iters": 300, "tol": 1e-6, "restarts": 2, "armijo_shrink": 0.25,
-               "armijo_slope": 1e-3, "init_step": 0.5, "step_growth": 1.5},
+    "solver": {"max_iters": 300, "tol": 1e-6},
     "test_risk": {"n_test": 100},
     "bootstrap": {"resamples": 300, "level": 0.9},
     "free_energy": {"enabled": True, "M": 16, "beta_grid": [0.5, 5.0], "path_points": 4,
@@ -99,6 +99,11 @@ NON_FINITE_CASES = [
     (("families", 0, "radius"), math.inf, "config.families[0].radius"),
     (("families", 0, "radius"), -math.inf, "config.families[0].radius"),
 ]
+
+# Solver keys that no longer exist: a solve runs once from its warm start and
+# its line search is fixed by constants of ermu.solver, so the config sets
+# only the stop rule.
+REMOVED_SOLVER_KEYS = ("restarts", "armijo_shrink", "armijo_slope", "init_step", "step_growth")
 
 
 def base_config(**overrides) -> ExperimentConfig:
@@ -136,7 +141,9 @@ class TestMatio:
     def test_roundtrip(self, tmp_path):
         arr = np.arange(12, dtype=float).reshape(3, 4) / 7.0
         path = tmp_path / "m.ermumat"
-        save_matrix(path, arr)
+        campaign._save_matrix(path, arr)
+        header = b"ERMUMAT1" + struct.pack("<QQ", 3, 4)
+        assert path.read_bytes() == header + arr.astype("<f8").tobytes()
         assert np.array_equal(load_matrix(path), arr)
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -147,7 +154,7 @@ class TestMatio:
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "trunc.bin"
-        save_matrix(path, np.ones((2, 2)))
+        campaign._save_matrix(path, np.ones((2, 2)))
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(InvalidArgumentError):
@@ -155,7 +162,8 @@ class TestMatio:
 
     def test_vector_rejected(self, tmp_path):
         with pytest.raises(InvalidArgumentError):
-            save_matrix(tmp_path / "v.bin", np.ones(3))
+            campaign._save_matrix(tmp_path / "v.bin", np.ones(3))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfig:
@@ -243,10 +251,10 @@ class TestConfig:
     def test_golden_hashes(self):
         # Pinned: any edit that moves a config's hash must fail here.
         assert config_from_dict(README_CONFIG).canonical_hash() == (
-            "d21ad701797944e0b61ec6e94b765d260ad84dcbc527a25dbf1cf581bb114e82"
+            "cfdb97d05b48f3193f9c60112687c590a9d6d66282abab25ac840763f58dcd3b"
         )
         assert config_from_dict(EVERY_KEY_CONFIG).canonical_hash() == (
-            "74d745dfcb030976fd341b695d02dc6cfb682b9ed0c205d79f7b80d06535a111"
+            "4aef4cfb4680e2381401906cba61830fc1a2fe1b7420985e07b79a651db0af3d"
         )
 
     def test_every_key_config_sets_every_field(self):
@@ -262,7 +270,7 @@ class TestConfig:
     @pytest.mark.parametrize("path, int_value", [
         (("families", 0, "radius"), 3),
         (("problem", "lambda"), 0),
-        (("solver", "init_step"), 2),
+        (("solver", "tol"), 0),
         (("free_energy", "beta_grid"), [1, 10]),
     ])
     def test_float_fields_hash_int_literals_as_floats(self, path, int_value):
@@ -311,9 +319,6 @@ class TestConfig:
         (("bootstrap", "resamples"), 0),
         (("bootstrap", "level"), 1.5),
         (("solver", "max_iters"), 0),
-        (("solver", "armijo_shrink"), 1.5),
-        (("solver", "init_step"), 0.0),
-        (("solver", "step_growth"), 0.5),
         (("bootstrap", "resamples"), 1),
         (("threads",), -2),
         (("families", 0, "cov_mode"), "hermite-exact"),
@@ -323,12 +328,10 @@ class TestConfig:
         (("families", 0, "hermite_order"), 0),
         (("families", 0, "cov_samples_per_dim"), 0),
         (("families", 0, "jitter_rel"), -1e-3),
-        (("solver", "armijo_slope"), -1.0),
-        (("solver", "armijo_slope"), 0.0),
-        (("solver", "armijo_slope"), 2.0),
         (("problem", "clip_bound"), 0.0),
         (("families", 0, "sizes"), [{"d": 7}]),
         (("families", 0, "sizes"), [{"n": 50}]),
+        (("families", 0, "sizes"), [{"n": 40}, {"n": 40}]),  # one cell named twice
         (("free_energy", "alpha"), 0.0),
         (("free_energy", "alpha"), -0.5),
         (("solver", "tol"), -1e-8),
@@ -346,6 +349,16 @@ class TestConfig:
     def test_family_setting_outside_its_kind_rejected(self, family, key):
         with pytest.raises(ConfigError, match=rf"config\.families\[0\]: {key} "):
             base_config(families=[{"id": "f", **family}])
+
+    @pytest.mark.parametrize("cov_mode", ["hermite-exact", "monte-carlo", "empirical"])
+    def test_non_centred_random_features_activation_rejected(self, cov_mode):
+        # Every twin is zero-mean; features with mean c_0 would not match it.
+        rf = {"id": "rf", "kind": "random-features", "activation": "custom-hermite",
+              "hermite_coeffs": [0.5, 0.8], "cov_mode": cov_mode}
+        with pytest.raises(ConfigError, match=r"families\[0\]: hermite_coeffs\[0\] must be 0"):
+            base_config(families=[rf])
+        rf["hermite_coeffs"] = [0.0, 0.8]
+        assert base_config(families=[rf]).families[0].hermite_coeffs == (0.0, 0.8)
 
     def test_neural_tangent_sizes_need_d(self):
         nt = {"id": "nt", "kind": "neural-tangent", "sizes": [{"n": 60}]}
@@ -603,6 +616,17 @@ class TestCampaign:
             run_campaign(cfg, failed, threads=1)
         assert not (failed / "trials.csv").exists()
         assert not list(failed.glob("*.tmp"))
+        monkeypatch.undo()
+
+        def broken_matrix(fh, arr):
+            fh.write(b"ERMUMAT1")  # a header cut short
+            raise RuntimeError("matrix write failed")
+
+        monkeypatch.setattr("ermu.campaign.write_matrix", broken_matrix)
+        matrices = tmp_path / "matrices" / "matrices"
+        with pytest.raises(RuntimeError, match="matrix write failed"):
+            run_campaign(base_config(trials=1, ladder=[40], save_matrices=True), matrices.parent)
+        assert list(matrices.iterdir()) == []
 
     def test_no_worker_outlives_a_failed_run(self, tmp_path, monkeypatch):
         cfg = base_config(trials=1, ladder=[40])
@@ -859,6 +883,22 @@ class TestCli:
     def test_bad_float_exit_code(self, tmp_path, capsys, path, value, where):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_with(path, value)))  # NaN and Infinity as json writes them
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert where in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("path, value, where", [
+        *((("solver", key), 1, f"config.solver: unknown key '{key}'") for key in REMOVED_SOLVER_KEYS),
+        (("families", 0), {"id": "nt", "kind": "neural-tangent",
+                           "sizes": [{"d": 4, "n": 20}, {"d": 4, "n": 30}]},
+         "config.families[0]: sizes entries must name distinct d values"),
+        (("families", 0), {"id": "rf", "kind": "random-features", "activation": "custom-hermite",
+                           "hermite_coeffs": [0.5, 0.8], "cov_mode": "empirical"},
+         "config.families[0]: hermite_coeffs[0] must be 0"),
+    ], ids=[*REMOVED_SOLVER_KEYS, "repeated-sizes", "non-centred-hermite"])
+    def test_rejected_setting_exit_code(self, tmp_path, capsys, path, value, where):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_with(path, value)))
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert where in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

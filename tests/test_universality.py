@@ -514,7 +514,7 @@ class TestTwinTestRisk:
             y = generate_labels(problem, X, seed=inst_idx)
             sweep = perturbed_sweep(
                 problem, X, y, TwinTestRisk(problem, identity_equiv(p)), [0.01, -0.01, 0.1, -0.1],
-                cfg=SolverConfig(tol=1e-10), seed=20260809 + inst_idx,
+                cfg=SolverConfig(tol=1e-10),
             )
             slack = 2.0 * sweep.solver_gap
             assert sweep.sandwich_ok(slack), inst_idx
@@ -532,7 +532,7 @@ class TestPerturbedSweep:
         c = 0.8
         sweep = perturbed_sweep(
             problem, X, y, ConstantTestRisk(c), [0.1, -0.1, 0.01, -0.01],
-            cfg=SolverConfig(tol=1e-10), seed=3,
+            cfg=SolverConfig(tol=1e-10),
         )
         for s, D in sweep.D.items():
             assert D == pytest.approx(c, abs=1e-6)
@@ -546,7 +546,7 @@ class TestPerturbedSweep:
             y = generate_labels(problem, X, seed=seed)
             sweep = perturbed_sweep(
                 problem, X, y, twin_test_risk(problem, 300, seed), [0.01, -0.01, 0.1, -0.1],
-                cfg=SolverConfig(tol=1e-10), seed=seed,
+                cfg=SolverConfig(tol=1e-10),
             )
             slack = 2.0 * sweep.solver_gap
             assert sweep.sandwich_ok(slack)
@@ -561,7 +561,7 @@ class TestPerturbedSweep:
         y = generate_labels(problem, X, seed=5)
         sweep = perturbed_sweep(
             problem, X, y, twin_test_risk(problem, 300, 5), [0.01, -0.01, 0.1, -0.1],
-            cfg=SolverConfig(tol=1e-11), seed=5,
+            cfg=SolverConfig(tol=1e-11),
         )
         gap_small = sweep.D[-0.01] - sweep.D[0.01]
         gap_large = sweep.D[-0.1] - sweep.D[0.1]
@@ -584,7 +584,7 @@ class TestPerturbedSweep:
         y = generate_labels(problem, X, seed=4)
         sweep = perturbed_sweep(
             problem, X, y, twin_test_risk(problem, 100, 6), [0.1, -0.1, 0.01, -0.01],
-            cfg=SolverConfig(tol=1e-6), seed=6,
+            cfg=SolverConfig(tol=1e-6),
         )
         assert len(solutions) == 5
         bounds = [sol.suboptimality_bound(problem.constraint) for sol in solutions]
@@ -609,7 +609,7 @@ class TestNearMinimizers:
         y = generate_labels(problem, X, seed=1)
         surrogate = FrozenTestRisk(problem, identity_equiv(p), 200, seed=9)
         results = min_test_over_near_minimizers(
-            problem, X, y, surrogate, [float("inf")], cfg=SolverConfig(tol=1e-10), seed=2,
+            problem, X, y, surrogate, [float("inf")], cfg=SolverConfig(tol=1e-10),
         )
         # direct minimization of the surrogate over the constraint set
         from ermu.erm import project_constraint
@@ -631,9 +631,9 @@ class TestNearMinimizers:
         X = rng.standard_normal((40, p))
         y = generate_labels(problem, X, seed=2)
         surrogate = FrozenTestRisk(problem, identity_equiv(p), 200, seed=10)
-        base = solve_erm(problem, X, y, SolverConfig(tol=1e-10), seed=0)
+        base = solve_erm(problem, X, y, SolverConfig(tol=1e-10))
         results = min_test_over_near_minimizers(
-            problem, X, y, surrogate, [base.objective], cfg=SolverConfig(tol=1e-10), seed=3,
+            problem, X, y, surrogate, [base.objective], cfg=SolverConfig(tol=1e-10),
         )
         assert results[0].feasible
         assert results[0].achieved_test <= surrogate.value(base.theta_hat) + 1e-9
@@ -651,9 +651,9 @@ class TestNearMinimizers:
         X = rng.standard_normal((n, p))
         y = np.sign(generate_labels(problem, X, seed=4))
         surrogate = FrozenTestRisk(problem, identity_equiv(p), 200, seed=11)
-        base = solve_erm(problem, X, y, SolverConfig(), seed=1)
+        base = solve_erm(problem, X, y, SolverConfig())
         results = min_test_over_near_minimizers(
-            problem, X, y, surrogate, [base.objective + 0.05], cfg=SolverConfig(), seed=5,
+            problem, X, y, surrogate, [base.objective + 0.05], cfg=SolverConfig(),
         )
         assert results[0].achieved_test <= surrogate.value(base.theta_hat) + 1e-9
 
@@ -664,10 +664,10 @@ class TestNearMinimizers:
         X = rng.standard_normal((50, p))
         y = generate_labels(problem, X, seed=3)
         surrogate = FrozenTestRisk(problem, identity_equiv(p), 300, seed=12)
-        base = solve_erm(problem, X, y, SolverConfig(tol=1e-10), seed=0)
+        base = solve_erm(problem, X, y, SolverConfig(tol=1e-10))
         levels = [base.objective + delta for delta in (0.0, 0.02, 0.1, 0.5)]
         results = min_test_over_near_minimizers(
-            problem, X, y, surrogate, levels, cfg=SolverConfig(tol=1e-10), seed=4,
+            problem, X, y, surrogate, levels, cfg=SolverConfig(tol=1e-10),
         )
         vals = [r.achieved_test for r in results]
         assert all(b <= a + 1e-6 for a, b in zip(vals, vals[1:]))
@@ -679,7 +679,7 @@ class TestNearMinimizers:
         X = rng.standard_normal((30, p))
         y = generate_labels(problem, X, seed=5)
         results = min_test_over_near_minimizers(
-            problem, X, y, ConstantTestRisk(1.0), [0.0], seed=6,
+            problem, X, y, ConstantTestRisk(1.0), [0.0],
         )
         assert not results[0].feasible
         assert math.isnan(results[0].achieved_test)
