@@ -10,12 +10,12 @@ Artifacts written into the output directory:
 * ``manifest.json``   config hash, code version, wall time, quarantine count
 
 A campaign first builds its (family, size) cells, running any monte-carlo
-covariance chunks on a set-up pool of ``threads`` processes that is closed
-once the cells exist. It then opens its worker pool of ``threads``
-processes (see ``universality.WorkerPool``), whose workers receive the
-cells when they are forked. The pool runs the trial chunks and the per-cell
-stage tasks, each naming its cell by index, and is shut down when the
-campaign ends, also on an error. Results are assembled in chunk and
+covariance chunks on a set-up pool of ``config.threads`` processes that is
+closed once the cells exist. It then opens its worker pool of
+``config.threads`` processes (see ``universality.WorkerPool``), whose
+workers receive the cells when they are forked. The pool runs the trial
+chunks and the per-cell stage tasks, each naming its cell by index, and is
+shut down when the campaign ends, also on an error. Results are assembled in chunk and
 instance order, so every artifact is byte-identical for any thread count.
 Files are written to a temporary name and renamed on completion, so a run
 never leaves a partial file behind. Every CSV artifact, the report's too,
@@ -29,7 +29,6 @@ import json
 import math
 import os
 import time
-from contextlib import nullcontext
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
@@ -101,16 +100,14 @@ class CampaignSummary:
     wall_time_s: float
 
 
-def build_instances(
-    config: ExperimentConfig, pool: WorkerPool | None = None
-) -> list[FamilyInstance]:
+def build_instances(config: ExperimentConfig) -> list[FamilyInstance]:
     """Every (family, size) cell of the config, in config order.
 
-    Monte-carlo covariance chunks run on ``pool``; without one, a pool of
-    ``config.threads`` workers is opened for this call.
+    Monte-carlo covariance chunks run on a set-up pool of ``config.threads``
+    workers, opened for this call and closed before it returns.
     """
     instances = []
-    with (WorkerPool(config.threads) if pool is None else nullcontext(pool)) as pool:
+    with WorkerPool(config.threads) as pool:
         for spec in config.families:
             ladder = config.ladder
             if spec.kind == "neural-tangent" and spec.sizes:
@@ -122,17 +119,15 @@ def build_instances(
     return instances
 
 
-def run_campaign(config: ExperimentConfig, out_dir: str | Path, threads: int = 0) -> CampaignSummary:
+def run_campaign(config: ExperimentConfig, out_dir: str | Path) -> CampaignSummary:
     t0 = time.monotonic()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    threads = threads or config.threads
 
     # The cells are built before the campaign's pool, so that its workers
     # receive them at fork and no task pickles a cell.
-    with WorkerPool(threads) as setup_pool:
-        instances = build_instances(config, setup_pool)
-    with WorkerPool(threads, instances) as pool:
+    instances = build_instances(config)
+    with WorkerPool(config.threads, instances) as pool:
         rows = run_trials(
             instances,
             trials=config.trials,
@@ -158,7 +153,7 @@ def run_campaign(config: ExperimentConfig, out_dir: str | Path, threads: int = 0
         "wall_time_s": wall,
         "created_unix": time.time(),
         "trials": config.trials,
-        "threads": threads,
+        "threads": config.threads,
         "quarantined": quarantined,
         "families": {
             spec.id: {

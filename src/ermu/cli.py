@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from ermu import __version__
 from ermu.errors import ConfigError, ErmuError
@@ -32,12 +31,10 @@ def cmd_run(args) -> int:
         return 2
     if args.seed_override is not None:
         config = replace(config, master_seed=args.seed_override)
-    out_dir = args.out or config.output_dir
-    if out_dir is None:
-        print("error: no output directory (use --out or config output_dir)", file=sys.stderr)
-        return 2
+    if args.threads is not None:
+        config = replace(config, threads=args.threads)
     try:
-        summary = run_campaign(config, out_dir, threads=args.threads or 0)
+        summary = run_campaign(config, args.out)
     except ErmuError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
@@ -63,7 +60,7 @@ def cmd_report(args) -> int:
 def cmd_selftest(args) -> int:
     from ermu.selftest import run_selftest
 
-    ok = run_selftest(threads=args.threads or 1)
+    ok = run_selftest(threads=args.threads)
     return 0 if ok else 1
 
 
@@ -77,7 +74,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a campaign from a config file")
     p_run.add_argument("--config", required=True, help="path to the JSON experiment config")
-    p_run.add_argument("--out", default=None, help="output directory (overrides config)")
+    p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--threads", type=_thread_count, default=None, help="worker processes")
     p_run.add_argument("--seed-override", type=int, default=None, help="replace the master seed")
     p_run.set_defaults(fn=cmd_run)
@@ -88,16 +85,10 @@ def main(argv=None) -> int:
     p_rep.set_defaults(fn=cmd_report)
 
     p_self = sub.add_parser("selftest", help="run the fast property suite")
-    p_self.add_argument("--threads", type=_thread_count, default=None)
+    p_self.add_argument("--threads", type=_thread_count, default=1)
     p_self.set_defaults(fn=cmd_selftest)
 
     args = parser.parse_args(argv)
-    env = os.environ.get("ERMU_THREADS")
-    if env is not None and getattr(args, "threads", 1) is None:  # report has no --threads
-        try:
-            args.threads = _thread_count(env)
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"ERMU_THREADS: {exc}")
     return args.fn(args)
 
 

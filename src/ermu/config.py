@@ -11,7 +11,8 @@ values when it is built, so a bad value fails at parse time. The canonical
 hash is taken over the fully normalized config (defaults materialized, keys
 sorted, no whitespace), so formatting changes never alter it and any
 semantic change does; a float field written as an integer literal hashes
-as the float.
+as the float. ``threads`` is left out: the worker count changes no result,
+so one experiment has one hash on any machine.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ import dataclasses
 import hashlib
 import json
 import math
-import types
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any
 
 from ermu.errors import ConfigError, InvalidArgumentError, check, check_one_of
 from ermu.free_energy import CANDIDATE_KINDS
@@ -33,8 +33,9 @@ from ermu.universality import FamilySpec, ProblemSpec
 
 # Field names whose JSON key differs: ``lambda`` is a Python keyword.
 _JSON_KEYS = {"lam": "lambda"}
-# Fields left out of ``normalized()`` and the hash: a deployment path.
-_UNHASHED = {"output_dir"}
+# Fields left out of ``normalized()`` and the hash: the worker count is a
+# deployment setting, and no artifact but the manifest depends on it.
+_UNHASHED = {"threads"}
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,6 @@ class ExperimentConfig:
     problem: ProblemSpec
     solver: SolverConfig = SolverConfig()
     threads: int = 1
-    output_dir: Optional[str] = None
     save_matrices: bool = False
     test_risk: TestRiskSettings = TestRiskSettings()
     bootstrap: BootstrapSettings = BootstrapSettings()
@@ -124,7 +124,7 @@ class ExperimentConfig:
         ids = [f.id for f in self.families]
         for fid in ids:
             check(ids.count(fid) == 1, f"duplicate family id {fid!r}")
-        # A neural-tangent family's sizes replace the ladder; any other
+        # A neural-tangent family's sizes replace the ladder; a random-features
         # family's sizes override cells of the ladder, each named by its n.
         for spec in self.families:
             for size in spec.sizes:
@@ -167,7 +167,7 @@ def _read(tp: Any, value: Any, path: str) -> Any:
     ``float`` takes an int or a finite float (``json`` reads ``NaN`` and
     ``Infinity``, which no float key accepts); ``int``, ``str`` and ``bool`` are
     strict (a bool is never a number); ``tuple[X, ...]`` takes a list of X
-    and a dataclass takes an object. ``Optional[X]`` reads as X.
+    and a dataclass takes an object.
     """
     if dataclasses.is_dataclass(tp):
         return _read_object(tp, value, path)
@@ -176,8 +176,6 @@ def _read(tp: Any, value: Any, path: str) -> Any:
         if not isinstance(value, list):
             raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")
         return tuple(_read(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
-    if origin in (typing.Union, types.UnionType):
-        tp = args[0]
     accepted = (int, float) if tp is float else tp
     if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
         raise ConfigError(f"{path}: expected {tp.__name__}, got {type(value).__name__}")

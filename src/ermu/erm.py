@@ -189,6 +189,12 @@ class Regularizer:
             return np.zeros_like(theta)
         return 2.0 * self.lam * theta
 
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """``value`` of each row of the M x p array ``points``."""
+        if self.kind == "none" or self.lam == 0.0:
+            return np.zeros(points.shape[0])
+        return self.lam * np.einsum("mp->m", points * points)
+
 
 @dataclass(frozen=True)
 class ErmProblem:
@@ -355,10 +361,9 @@ def solve_erm(
     shape = (problem.p,)
     x0 = np.zeros(shape) if warm_start is None else np.asarray(warm_start, dtype=np.float64).reshape(shape)
     state = pgd_minimize(objective, gradient, project, project(x0), cfg)
-    # Re-evaluate so the reported objective is exactly the objective at theta_hat.
     return ErmSolution(
         theta_hat=state.x,
-        objective=objective(state.x),
+        objective=state.value,
         grad_map_norm=state.grad_map_norm,
         iterations=state.iterations,
         flags=state.flags,

@@ -134,9 +134,7 @@ def _risks_from_scores(
     for start in range(0, M, step):
         rows = slice(start, start + step)
         risks[rows] = problem.loss.value(block_scores(rows), y[None, :]).mean(axis=1)
-        if problem.regularizer.kind == "ridge":
-            block = pts[rows]
-            risks[rows] += problem.regularizer.lam * np.einsum("mp->m", block * block)
+        risks[rows] += problem.regularizer.values(pts[rows])
     return risks
 
 

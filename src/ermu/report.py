@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ermu.campaign import _atomic_write, write_csv
+from ermu.config import BootstrapSettings
 from ermu.errors import InvalidArgumentError
 from ermu.seeds import derive_seed
 from ermu.stats import bl_gap, bootstrap_mean_ci, ks_null_quantile, ks_statistic
@@ -236,13 +237,12 @@ def build_report(
     return report
 
 
-def write_report(
-    results_dir: str | Path,
-    out_dir: str | Path | None = None,
-    n_boot: int = 2000,
-    level: float = 0.95,
-) -> Path:
-    """Build report.json and plot-ready CSVs from a results directory."""
+def write_report(results_dir: str | Path, out_dir: str | Path | None = None) -> Path:
+    """Build report.json and plot-ready CSVs from a results directory.
+
+    The bootstrap settings are the run's, read from its manifest.json; a
+    directory without one is reported with the default ``BootstrapSettings``.
+    """
     results = Path(results_dir)
     out = Path(out_dir) if out_dir is not None else results
     out.mkdir(parents=True, exist_ok=True)
@@ -253,19 +253,22 @@ def write_report(
 
     family_kinds = {}
     warnings_list = []
+    bootstrap = BootstrapSettings()
     manifest_path = results / "manifest.json"
     if manifest_path.exists():
         with open(manifest_path) as fh:
             manifest = json.load(fh)
+        config = manifest.get("config", {})
         family_kinds = {k: v.get("kind", "") for k, v in manifest.get("families", {}).items()}
-        n_boot = manifest.get("config", {}).get("bootstrap", {}).get("resamples", n_boot)
-        level = manifest.get("config", {}).get("bootstrap", {}).get("level", level)
-        if manifest.get("config", {}).get("problem", {}).get("loss") == "squared":
+        bootstrap = BootstrapSettings(**config.get("bootstrap", {}))
+        if config.get("problem", {}).get("loss") == "squared":
             warnings_list.append(
                 "squared loss is not globally Lipschitz; results use the ridge baseline regime"
             )
 
-    report = build_report(rows, n_boot=n_boot, level=level, family_kinds=family_kinds)
+    report = build_report(
+        rows, n_boot=bootstrap.resamples, level=bootstrap.level, family_kinds=family_kinds
+    )
     warnings_list += [
         f"{family} n={s['n']}: {s['nonconverged']} non-converged pairs averaged into the gaps"
         for family in report["family_order"]

@@ -118,23 +118,40 @@ class FamilySpec:
                 f"{key} {value!r} applies to kind {' or '.join(kinds)} only; got {self.kind!r}",
             )
         self.build_activation()  # custom-hermite needs coefficients
+        check(
+            not self.hermite_coeffs or self.activation == "custom-hermite",
+            f"hermite_coeffs applies to activation 'custom-hermite' only; got {self.activation!r}",
+        )
+        coeffs = self.hermite_coeffs + (0.0,) * 3  # c_k past the list are 0
         # A random-features twin is zero-mean, so its features must be too.
         check(
-            self.kind != "random-features" or self.activation != "custom-hermite"
-            or abs(self.hermite_coeffs[0]) <= 1e-10,
+            self.kind != "random-features" or abs(coeffs[0]) <= 1e-10,
             "hermite_coeffs[0] must be 0 for random features (a mean-zero activation)",
+        )
+        # Neural tangents need E[sigma'(G)] = c_1 = 0 and E[G sigma'(G)] = sqrt(2) c_2 = 0;
+        # a nonzero c_2 also gives each feature block a mean no twin matches.
+        check(
+            self.kind != "neural-tangent" or max(abs(coeffs[1]), abs(coeffs[2])) <= 1e-10,
+            "hermite_coeffs[1] and hermite_coeffs[2] must be 0 for neural tangents "
+            "(E[sigma'(G)] = E[G sigma'(G)] = 0)",
         )
         for key in ("nu", "gamma_p", "gamma_d_over_p", "gamma_tilde", "radius"):
             check(getattr(self, key) > 0, f"{key} must be positive")
         for key in ("hermite_order", "cov_samples_per_dim"):
             check(getattr(self, key) >= 1, f"{key} must be >= 1")
         check(self.jitter_rel >= 0, "jitter_rel must be >= 0")
+        # A sizes entry sets an NT cell's d and n or an RF cell's d; the
+        # linear and control kinds have nothing it could set.
+        check(
+            not self.sizes or self.kind in ("random-features", "neural-tangent"),
+            f"sizes applies to kind random-features or neural-tangent only; got {self.kind!r}",
+        )
         for size in self.sizes:
             check(
                 set(size) <= {"n", "d"} and all(type(v) is int and v > 0 for v in size.values()),
                 "sizes entries must be objects with keys n and/or d and positive integer values",
             )
-            check(self.kind != "neural-tangent" or "d" in size, "neural-tangent sizes need d")
+            check("d" in size, f"{self.kind} sizes need d")
         # Each entry names one cell: by its d in a neural-tangent family, else by its n.
         key = "d" if self.kind == "neural-tangent" else "n"
         named = [size[key] for size in self.sizes if key in size]

@@ -296,7 +296,7 @@ def trend_campaign(tmp_path_factory):
     out = tmp_path_factory.mktemp("trend") / "run1"
     config = config_from_dict(json.loads(json.dumps(CAMPAIGN_RAW)))
     t0 = time.monotonic()
-    run_campaign(config, out, threads=THREADS)
+    run_campaign(config, out)
     elapsed = time.monotonic() - t0
     from ermu.report import read_trials_csv
 
@@ -346,7 +346,7 @@ def test_criterion_07_test_error_universality(trend_campaign):
 
 def test_criterion_10_determinism(trend_campaign, tmp_path_factory):
     out2 = tmp_path_factory.mktemp("trend") / "run2"
-    run_campaign(trend_campaign["config"], out2, threads=THREADS)
+    run_campaign(trend_campaign["config"], out2)
     b1 = (trend_campaign["out"] / "trials.csv").read_bytes()
     b2 = (out2 / "trials.csv").read_bytes()
     _verdict(

@@ -235,6 +235,15 @@ class TestProjection:
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
 
+class TestRegularizer:
+    @pytest.mark.parametrize("kind, lam", [("ridge", 0.3), ("ridge", 0.0), ("none", 0.3)])
+    def test_values_are_each_rows_value(self, kind, lam):
+        reg = Regularizer(kind, lam)
+        points = rng_from(40, "regularizer-values").standard_normal((5, 4))
+        expected = [reg.value(row) for row in points]
+        assert reg.values(points) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
 class TestSolveErm:
     def test_huge_ridge_sends_theta_to_zero(self):
         p = 4
@@ -274,6 +283,22 @@ class TestSolveErm:
         X, y = rng.standard_normal((25, 4)), rng.standard_normal(25)
         sol = solve_erm(problem, X, y, SolverConfig())
         assert sol.objective == pytest.approx(train_risk(problem, sol.theta_hat, X, y), abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["converged", "maxiter", "extra"])
+    def test_objective_is_a_fresh_evaluation_bit_for_bit(self, case):
+        # solve_erm reports PGD's own value at theta_hat, not a second evaluation.
+        problem, X, y = TestKeptScores.setup_problem()
+        cfg = SolverConfig(max_iters=3) if case == "maxiter" else SolverConfig()
+        extra = None
+        if case == "extra":
+            equiv = GaussianEquivalent(factor=np.eye(problem.p))
+            extra = (0.1, FrozenTestRisk(problem, equiv, 300, seed=5))
+        sol = solve_erm(problem, X, y, cfg, extra=extra)
+        assert sol.flags == (["maxiter"] if case == "maxiter" else [])
+        fresh = train_risk(problem, sol.theta_hat, X, y)
+        if extra is not None:
+            fresh = fresh + extra[0] * extra[1].value(sol.theta_hat)
+        assert sol.objective == fresh
 
     def test_empty_data_rejected(self):
         problem = make_problem(3)

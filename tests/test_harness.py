@@ -11,7 +11,7 @@ import re
 import struct
 import subprocess
 import sys
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +68,6 @@ EVERY_KEY_CONFIG = {
     "trials": 5,
     "ladder": [50, 100],
     "threads": 2,
-    "output_dir": "results",
     "save_matrices": True,
     "families": [
         {"id": "rf", "kind": "random-features", "activation": "custom-hermite",
@@ -235,6 +234,11 @@ class TestConfig:
         explicit["threads"] = 1  # the default
         assert config_from_dict(explicit).canonical_hash() == base_config().canonical_hash()
 
+    def test_hash_ignores_threads(self):
+        # The worker count changes no artifact byte, so it names no new experiment.
+        assert base_config(threads=4).canonical_hash() == base_config().canonical_hash()
+        assert "threads" not in base_config(threads=4).normalized()
+
     def test_hash_changes_on_semantic_change(self):
         assert base_config(trials=4).canonical_hash() != base_config().canonical_hash()
         raw = json.loads(json.dumps(BASE))
@@ -251,10 +255,10 @@ class TestConfig:
     def test_golden_hashes(self):
         # Pinned: any edit that moves a config's hash must fail here.
         assert config_from_dict(README_CONFIG).canonical_hash() == (
-            "cfdb97d05b48f3193f9c60112687c590a9d6d66282abab25ac840763f58dcd3b"
+            "0512bc4c58f1693bc2cca461ad281a0c6d6fde9ede0881e9208e7ce203ad816f"
         )
         assert config_from_dict(EVERY_KEY_CONFIG).canonical_hash() == (
-            "4aef4cfb4680e2381401906cba61830fc1a2fe1b7420985e07b79a651db0af3d"
+            "bfe1f23b628634f981e096aede4bbd482a5b5d009432c28290a31be30604a8ae"
         )
 
     def test_every_key_config_sets_every_field(self):
@@ -265,7 +269,7 @@ class TestConfig:
                 assert set(value) == set(EVERY_KEY_CONFIG[section]), section
                 assert all(value[k] != default[section][k] for k in value), section
         assert set(normalized["families"][0]) == set(EVERY_KEY_CONFIG["families"][0])
-        assert set(normalized) | {"output_dir"} == set(EVERY_KEY_CONFIG)
+        assert set(normalized) | {"threads"} == set(EVERY_KEY_CONFIG)
 
     @pytest.mark.parametrize("path, int_value", [
         (("families", 0, "radius"), 3),
@@ -311,10 +315,6 @@ class TestConfig:
         (("perturbed", "s_values"), [0.1, -0.1]),
         (("perturbed", "s_values"), [0.1, 0.1]),
         (("perturbed", "n_test"), 0),
-        (("families", 0, "sizes"), [{"n": 0}]),
-        (("families", 0, "sizes"), [{"n": 40.0}]),
-        (("families", 0, "sizes"), [{"d": True}]),
-        (("families", 0, "sizes"), [{"n": 40, "p": 30}]),
         (("test_risk", "n_test"), -5),
         (("bootstrap", "resamples"), 0),
         (("bootstrap", "level"), 1.5),
@@ -329,9 +329,6 @@ class TestConfig:
         (("families", 0, "cov_samples_per_dim"), 0),
         (("families", 0, "jitter_rel"), -1e-3),
         (("problem", "clip_bound"), 0.0),
-        (("families", 0, "sizes"), [{"d": 7}]),
-        (("families", 0, "sizes"), [{"n": 50}]),
-        (("families", 0, "sizes"), [{"n": 40}, {"n": 40}]),  # one cell named twice
         (("free_energy", "alpha"), 0.0),
         (("free_energy", "alpha"), -0.5),
         (("solver", "tol"), -1e-8),
@@ -345,6 +342,15 @@ class TestConfig:
         ({"kind": "random-features", "constraint": "nt-operator-ball"}, "constraint"),
         ({"kind": "neural-tangent", "cov_mode": "hermite-exact"}, "cov_mode"),
         ({"kind": "neural-tangent", "cov_mode": "linear-exact"}, "cov_mode"),
+        # A sizes entry sets an RF cell's d or an NT cell's d and n; nothing else.
+        ({"kind": "linear-independent", "sizes": [{"n": 40, "d": 7}]}, "sizes"),
+        ({"kind": "control-gaussian", "sizes": [{"n": 40, "d": 7}]}, "sizes"),
+        # Only a custom-hermite activation reads the coefficients.
+        ({"kind": "random-features", "activation": "tanh-rf", "hermite_coeffs": [0.0, 1.0]},
+         "hermite_coeffs"),
+        ({"kind": "neural-tangent", "hermite_coeffs": [0.0, 1.0], "sizes": [{"d": 6}]},
+         "hermite_coeffs"),
+        ({"kind": "linear-independent", "hermite_coeffs": [0.0, 1.0]}, "hermite_coeffs"),
     ])
     def test_family_setting_outside_its_kind_rejected(self, family, key):
         with pytest.raises(ConfigError, match=rf"config\.families\[0\]: {key} "):
@@ -359,6 +365,36 @@ class TestConfig:
             base_config(families=[rf])
         rf["hermite_coeffs"] = [0.0, 0.8]
         assert base_config(families=[rf]).families[0].hermite_coeffs == (0.0, 0.8)
+
+    @pytest.mark.parametrize("coeffs", [[0.0, 0.5, 0.5], [0.0, 0.5], [0.0, 0.0, 0.5]])
+    def test_neural_tangent_activation_breaking_moment_conditions_rejected(self, coeffs):
+        # NT features need E[sigma'(G)] = c_1 = 0 and E[G sigma'(G)] = sqrt(2) c_2 = 0.
+        nt = {"id": "nt", "kind": "neural-tangent", "activation": "custom-hermite",
+              "hermite_coeffs": coeffs, "cov_mode": "empirical", "sizes": [{"d": 6, "n": 40}]}
+        with pytest.raises(ConfigError, match=r"families\[0\]: hermite_coeffs\[1\] and"):
+            base_config(ladder=[6], families=[nt])
+        nt["hermite_coeffs"] = [0.3, 0.0, 0.0, 0.5]
+        spec = base_config(ladder=[6], families=[nt]).families[0]
+        checks = spec.build_activation().moment_checks()
+        assert abs(checks["mean_sigma_prime"]) <= 1e-10
+        assert abs(checks["mean_g_sigma_prime"]) <= 1e-10
+
+    @pytest.mark.parametrize("sizes, message", [
+        ([{"n": 0}], "positive integer values"),
+        ([{"n": 40.0}], "positive integer values"),
+        ([{"d": True}], "positive integer values"),
+        ([{"n": 40, "p": 30}], "keys n and/or d"),
+        ([{"n": 40}], "random-features sizes need d"),
+        ([{"d": 7}], "names no n on the ladder"),
+        ([{"n": 50, "d": 7}], "names no n on the ladder"),
+        ([{"n": 40, "d": 7}, {"n": 40, "d": 8}], "must name distinct n values"),  # one cell twice
+    ])
+    def test_random_features_sizes_rejected_at_parse_time(self, sizes, message):
+        rf = {"id": "rf", "kind": "random-features", "sizes": sizes}
+        with pytest.raises(ConfigError, match=message):
+            base_config(families=[rf])
+        rf["sizes"] = [{"n": 40, "d": 7}]
+        assert base_config(families=[rf]).families[0].resolve_size(40)["d"] == 7
 
     def test_neural_tangent_sizes_need_d(self):
         nt = {"id": "nt", "kind": "neural-tangent", "sizes": [{"n": 60}]}
@@ -410,8 +446,8 @@ class TestConfig:
 class TestCampaign:
     def test_rerun_byte_identical(self, tmp_path):
         cfg = base_config()
-        run_campaign(cfg, tmp_path / "a", threads=1)
-        run_campaign(cfg, tmp_path / "b", threads=1)
+        run_campaign(cfg, tmp_path / "a")
+        run_campaign(cfg, tmp_path / "b")
         assert (tmp_path / "a/trials.csv").read_bytes() == (tmp_path / "b/trials.csv").read_bytes()
 
     def test_thread_count_does_not_change_output(self, tmp_path):
@@ -426,8 +462,8 @@ class TestCampaign:
             free_energy={"enabled": True, "M": 16, "path_points": 4},
             perturbed={"enabled": True, "s_values": [0.1], "n_test": 50},
         )
-        run_campaign(cfg, tmp_path / "a", threads=1)
-        run_campaign(cfg, tmp_path / "b", threads=3)
+        run_campaign(cfg, tmp_path / "a")
+        run_campaign(replace(cfg, threads=3), tmp_path / "b")
         for name in ("trials.csv", "perturbed.csv", "free_energy_paths.csv",
                      "free_energy_checks.json"):
             a, b = (tmp_path / "a" / name).read_bytes(), (tmp_path / "b" / name).read_bytes()
@@ -550,14 +586,14 @@ class TestCampaign:
             free_energy={"enabled": True, "M": 8, "path_points": 3},
             perturbed={"enabled": True, "s_values": [0.1], "n_test": 20},
         )
-        run_campaign(cfg, tmp_path / "out", threads=1)
+        run_campaign(cfg, tmp_path / "out")
         assert (tmp_path / "out/free_energy_paths.csv").exists()
         assert len((tmp_path / "out/perturbed.csv").read_text().splitlines()) == 1 + 2
         assert calls == []
 
     def test_manifest_links_config_hash(self, tmp_path):
         cfg = base_config()
-        run_campaign(cfg, tmp_path / "out", threads=1)
+        run_campaign(cfg, tmp_path / "out")
         manifest = json.loads((tmp_path / "out/manifest.json").read_text())
         assert manifest["config_hash"] == cfg.canonical_hash()
         assert manifest["quarantined"] == 0
@@ -569,7 +605,7 @@ class TestCampaign:
             free_energy={"enabled": True, "M": 16, "path_points": 4},
             perturbed={"enabled": True, "s_values": [0.1], "n_test": 50},
         )
-        run_campaign(cfg, tmp_path / "out", threads=1)
+        run_campaign(cfg, tmp_path / "out")
         paths = (tmp_path / "out/free_energy_paths.csv").read_text().splitlines()
         assert paths[0] == "t,f,n,beta,family,seed"
         assert len(paths) == 1 + 4 * 2  # grid points x families
@@ -587,7 +623,7 @@ class TestCampaign:
             solver={"max_iters": 3},
             perturbed={"enabled": True, "s_values": [0.1], "n_test": 50},
         )
-        run_campaign(cfg, tmp_path / "out", threads=1)
+        run_campaign(cfg, tmp_path / "out")
         trials = (tmp_path / "out/trials.csv").read_text().splitlines()[1:]
         assert all(row.endswith("maxiter") for row in trials)
         with open(tmp_path / "out/perturbed.csv", newline="") as fh:
@@ -598,7 +634,7 @@ class TestCampaign:
     def test_no_partial_files_left_on_failure(self, tmp_path, monkeypatch):
         cfg = base_config(trials=1, ladder=[40])
         out = tmp_path / "out"
-        run_campaign(cfg, out, threads=1)
+        run_campaign(cfg, out)
         assert not list(out.glob("*.tmp"))
 
         def broken(*args):
@@ -613,7 +649,7 @@ class TestCampaign:
 
         failed = tmp_path / "failed"
         with pytest.raises(RuntimeError, match="writer failed"):
-            run_campaign(cfg, failed, threads=1)
+            run_campaign(cfg, failed)
         assert not (failed / "trials.csv").exists()
         assert not list(failed.glob("*.tmp"))
         monkeypatch.undo()
@@ -638,7 +674,7 @@ class TestCampaign:
 
         monkeypatch.setattr("ermu.campaign._fmt", broken)
         with pytest.raises(RuntimeError, match="writer failed"):
-            run_campaign(cfg, tmp_path / "failed", threads=2)
+            run_campaign(replace(cfg, threads=2), tmp_path / "failed")
         assert alive_at_failure == [2]  # the campaign's pool ran the two trial chunks
         assert multiprocessing.active_children() == []
 
@@ -657,7 +693,7 @@ class TestCampaign:
         monkeypatch.setattr("ermu.universality.solve_erm", diverging)
         cfg = base_config(perturbed={"enabled": True, "s_values": [0.1], "n_test": 50})
         with pytest.raises(SolverDivergedError, match=r"non-finite objective \(iteration 3\)") as info:
-            run_campaign(cfg, tmp_path / "out", threads=2)
+            run_campaign(replace(cfg, threads=2), tmp_path / "out")
         assert info.value.iteration == 3
         assert multiprocessing.active_children() == []
 
@@ -671,7 +707,7 @@ class TestCampaign:
         cfg = base_config(
             ladder=[40], perturbed={"enabled": True, "s_values": [0.1], "n_test": 50}
         )
-        run_campaign(cfg, tmp_path / "out", threads=1)
+        run_campaign(cfg, tmp_path / "out")
         with open(tmp_path / "out/perturbed.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 * 2
@@ -690,7 +726,7 @@ class TestCampaign:
 
         monkeypatch.setattr(campaign, "run_trials", recording)
         cfg = base_config(ladder=[40], test_risk={"n_test": n_test})
-        run_campaign(cfg, tmp_path / "out", threads=1)
+        run_campaign(cfg, tmp_path / "out")
         read = read_trials_csv(tmp_path / "out/trials.csv")
         assert len(read) == len(written) == 2 * 2 * 3
 
@@ -707,7 +743,7 @@ class TestCampaign:
         # reordered TrialRow field fails here, not first in the benchmark.
         from perfbench.checks import TRIALS_HEADER
 
-        run_campaign(base_config(trials=1, ladder=[40]), tmp_path / "out", threads=1)
+        run_campaign(base_config(trials=1, ladder=[40]), tmp_path / "out")
         with open(tmp_path / "out/trials.csv", newline="") as fh:
             assert fh.readline() == TRIALS_HEADER + "\r\n"
 
@@ -717,7 +753,7 @@ class TestCampaign:
             save_matrices=True,
             families=[{"id": "rf", "kind": "random-features", "gamma_d_over_p": 0.5}],
         )
-        run_campaign(cfg, tmp_path / "out", threads=1)
+        run_campaign(cfg, tmp_path / "out")
         (inst,) = campaign.build_instances(cfg)
         W = load_matrix(tmp_path / "out/matrices/rf_n40_weights.ermumat")
         assert np.array_equal(W, inst.model.W)
@@ -737,7 +773,7 @@ def trial_row(trial, arm, train_opt, flags=""):
 class TestReport:
     def test_report_structure(self, tmp_path):
         cfg = base_config()
-        run_campaign(cfg, tmp_path / "out", threads=1)
+        run_campaign(cfg, tmp_path / "out")
         report_path = write_report(tmp_path / "out")
         report = json.loads(report_path.read_text())
         assert report["family_order"] == ["lin", "control"]
@@ -752,7 +788,7 @@ class TestReport:
 
     def test_single_trial_degenerate_ci_flagged(self, tmp_path):
         cfg = base_config(trials=1, ladder=[40])
-        run_campaign(cfg, tmp_path / "out", threads=1)
+        run_campaign(cfg, tmp_path / "out")
         report = json.loads(write_report(tmp_path / "out").read_text())
         s = report["families"]["lin"]["sizes"][0]
         assert s["train_gap"]["degenerate_ci"]
@@ -795,7 +831,7 @@ class TestReport:
 
     def test_clean_run_has_no_warnings(self, tmp_path):
         cfg = base_config(trials=2, ladder=[40])
-        run_campaign(cfg, tmp_path / "out", threads=1)
+        run_campaign(cfg, tmp_path / "out")
         report = json.loads(write_report(tmp_path / "out").read_text())
         assert all(s["nonconverged"] == 0 for f in report["families"].values() for s in f["sizes"])
         assert "warnings" not in report
@@ -807,7 +843,7 @@ class TestReport:
             perturbed={"enabled": True, "s_values": [0.1], "n_test": 50},
         )
         results, out = tmp_path / "results", tmp_path / "report"
-        run_campaign(cfg, results, threads=1)
+        run_campaign(cfg, results)
         write_report(results, out)
         for name in ("free_energy_paths.csv", "perturbed.csv"):
             copied = (out / name).read_bytes()
@@ -821,7 +857,7 @@ class TestReport:
 
     def test_corrupt_row_reports_line(self, tmp_path):
         cfg = base_config(trials=1, ladder=[40])
-        run_campaign(cfg, tmp_path / "out", threads=1)
+        run_campaign(cfg, tmp_path / "out")
         path = tmp_path / "out/trials.csv"
         lines = path.read_text().splitlines()
         lines[1] = lines[1].replace(",", ";", 3)
@@ -889,13 +925,26 @@ class TestCli:
 
     @pytest.mark.parametrize("path, value, where", [
         *((("solver", key), 1, f"config.solver: unknown key '{key}'") for key in REMOVED_SOLVER_KEYS),
+        (("output_dir",), "results", "config: unknown key 'output_dir'"),
         (("families", 0), {"id": "nt", "kind": "neural-tangent",
                            "sizes": [{"d": 4, "n": 20}, {"d": 4, "n": 30}]},
          "config.families[0]: sizes entries must name distinct d values"),
         (("families", 0), {"id": "rf", "kind": "random-features", "activation": "custom-hermite",
                            "hermite_coeffs": [0.5, 0.8], "cov_mode": "empirical"},
          "config.families[0]: hermite_coeffs[0] must be 0"),
-    ], ids=[*REMOVED_SOLVER_KEYS, "repeated-sizes", "non-centred-hermite"])
+        (("families", 0), {"id": "nt", "kind": "neural-tangent", "activation": "custom-hermite",
+                           "hermite_coeffs": [0.0, 0.5, 0.5], "cov_mode": "empirical",
+                           "sizes": [{"d": 6, "n": 40}]},
+         "config.families[0]: hermite_coeffs[1] and hermite_coeffs[2] must be 0"),
+        (("families", 0), {"id": "rf", "kind": "random-features", "activation": "tanh-rf",
+                           "hermite_coeffs": [0.0, 1.0]},
+         "config.families[0]: hermite_coeffs applies to activation 'custom-hermite' only"),
+        (("families", 0, "sizes"), [{"n": 40, "d": 7}],
+         "config.families[0]: sizes applies to kind random-features or neural-tangent only"),
+        (("families", 0), {"id": "rf", "kind": "random-features", "sizes": [{"n": 40}]},
+         "config.families[0]: random-features sizes need d"),
+    ], ids=[*REMOVED_SOLVER_KEYS, "output_dir", "repeated-sizes", "non-centred-hermite", "nt-hermite-c2",
+            "unused-hermite-coeffs", "linear-sizes", "rf-sizes-without-d"])
     def test_rejected_setting_exit_code(self, tmp_path, capsys, path, value, where):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_with(path, value)))
@@ -910,6 +959,25 @@ class TestCli:
         assert "config.families[0]: constraint 'nt-operator-ball'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_run_needs_out(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(BASE))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--config", str(cfg_path)])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+
+    def test_threads_flag_sets_the_pool_not_the_hash(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**BASE, "ladder": [40]}))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(a)]) == 0
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(b), "--threads", "3"]) == 0
+        ma, mb = (json.loads((out / "manifest.json").read_text()) for out in (a, b))
+        assert (ma["threads"], mb["threads"]) == (1, 3)
+        assert ma["config_hash"] == mb["config_hash"]
+        assert ma["config"] == mb["config"] and "threads" not in mb["config"]
+
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({**BASE, "ladder": [40]}))
@@ -920,20 +988,9 @@ class TestCli:
         ) == 0
         assert (a / "trials.csv").read_bytes() != (b / "trials.csv").read_bytes()
 
-    def test_env_threads_fallback(self, tmp_path, monkeypatch):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({**BASE, "ladder": [40]}))
-        monkeypatch.setenv("ERMU_THREADS", "2")
-        out = tmp_path / "env"
-        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["threads"] == 2
-
     @pytest.mark.parametrize("command", ["run", "selftest"])
     @pytest.mark.parametrize("threads", ["-3", "0", "two"])
-    def test_threads_below_one_rejected_at_parse_time(
-        self, tmp_path, capsys, monkeypatch, command, threads
-    ):
+    def test_threads_below_one_rejected_at_parse_time(self, tmp_path, capsys, command, threads):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({**BASE, "ladder": [40]}))
         out = tmp_path / "o"
@@ -942,12 +999,6 @@ class TestCli:
             cli_main([command, *extra, "--threads", threads])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
-        # The environment fallback is held to the same rule and named.
-        monkeypatch.setenv("ERMU_THREADS", threads)
-        with pytest.raises(SystemExit) as exc:
-            cli_main([command, *extra])
-        assert exc.value.code == 2
-        assert "ERMU_THREADS" in capsys.readouterr().err
         assert not out.exists()
 
 
