@@ -9,14 +9,16 @@ Artifacts written into the output directory:
   when enabled
 * ``manifest.json``   config hash, code version, wall time, quarantine count
 
-A campaign first builds its (family, size) cells, running any monte-carlo
-covariance chunks on a set-up pool of ``config.threads`` processes that is
-closed once the cells exist. It then opens its worker pool of
-``config.threads`` processes (see ``universality.WorkerPool``), whose
-workers receive the cells when they are forked. The pool runs the trial
-chunks and the per-cell stage tasks, each naming its cell by index, and is
-shut down when the campaign ends, also on an error. Results are assembled in chunk and
-instance order, so every artifact is byte-identical for any thread count.
+A run first deletes the files of a disabled stage and the saved matrices
+that an earlier run left in the output directory. It then builds the (family, size) cells that each
+``FamilySpec`` names, running any monte-carlo covariance chunks on a set-up
+pool of ``config.threads`` processes that is closed once the cells exist.
+It then opens its worker pool of ``config.threads`` processes (see
+``universality.WorkerPool``), whose workers receive the cells when they are
+forked. The pool runs the trial chunks and the per-cell stage tasks, each
+naming its cell by index, largest n·p cell first, and is shut down when the
+campaign ends, also on an error. Results are assembled in chunk and cell
+order, so every artifact is byte-identical for any thread count.
 Files are written to a temporary name and renamed on completion, so a run
 never leaves a partial file behind. Every CSV artifact, the report's too,
 goes through ``write_csv``, the one place that formats numbers.
@@ -106,35 +108,26 @@ def build_instances(config: ExperimentConfig) -> list[FamilyInstance]:
     Monte-carlo covariance chunks run on a set-up pool of ``config.threads``
     workers, opened for this call and closed before it returns.
     """
-    instances = []
     with WorkerPool(config.threads) as pool:
-        for spec in config.families:
-            ladder = config.ladder
-            if spec.kind == "neural-tangent" and spec.sizes:
-                ladder = tuple(int(s["d"]) for s in spec.sizes)
-            for base in ladder:
-                instances.append(
-                    build_instance(spec, config.problem, base, config.master_seed, pool.map)
-                )
-    return instances
+        return [
+            build_instance(spec, config.problem, base, config.master_seed, pool.map)
+            for spec in config.families
+            for base in spec.bases(config.ladder)
+        ]
 
 
 def run_campaign(config: ExperimentConfig, out_dir: str | Path) -> CampaignSummary:
     t0 = time.monotonic()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _remove_stale_artifacts(config, out)
 
     # The cells are built before the campaign's pool, so that its workers
     # receive them at fork and no task pickles a cell.
     instances = build_instances(config)
     with WorkerPool(config.threads, instances) as pool:
         rows = run_trials(
-            instances,
-            trials=config.trials,
-            master_seed=config.master_seed,
-            solver_cfg=config.solver,
-            n_test=config.test_risk.n_test,
-            pool=pool,
+            pool, config.trials, config.master_seed, config.solver, config.test_risk.n_test
         )
         quarantined = sum(1 for r in rows if r.quarantined)
         write_csv(out / "trials.csv", [f.name for f in fields(TrialRow)], map(astuple, rows))
@@ -142,9 +135,9 @@ def run_campaign(config: ExperimentConfig, out_dir: str | Path) -> CampaignSumma
         if config.save_matrices:
             _save_matrices(instances, out)
         if config.free_energy.enabled:
-            _run_free_energy_stage(config, instances, out, pool)
+            _run_free_energy_stage(config, out, pool)
         if config.perturbed.enabled:
-            _run_perturbed_stage(config, instances, out, pool)
+            _run_perturbed_stage(config, out, pool)
 
     wall = time.monotonic() - t0
     manifest = {
@@ -171,6 +164,21 @@ def run_campaign(config: ExperimentConfig, out_dir: str | Path) -> CampaignSumma
         quarantined=quarantined,
         wall_time_s=wall,
     )
+
+
+def _remove_stale_artifacts(config: ExperimentConfig, out: Path) -> None:
+    """Delete the stage files and matrices an earlier run left in ``out``.
+
+    A stage file goes when this run's stage is disabled, and every matrix
+    goes: this run saves its own cells' matrices anew, or none.
+    """
+    stale = list((out / "matrices").glob("*.ermumat"))
+    if not config.free_energy.enabled:
+        stale += [out / "free_energy_paths.csv", out / "free_energy_checks.json"]
+    if not config.perturbed.enabled:
+        stale.append(out / "perturbed.csv")
+    for path in stale:
+        path.unlink(missing_ok=True)
 
 
 def _save_matrices(instances, out: Path) -> None:
@@ -203,9 +211,9 @@ def _free_energy_data(instance: FamilyInstance, master_seed: int):
 def _free_energy_task(args):
     """Interpolation trace rows and sandwich checks of one (family, n) cell.
 
-    ``args`` is (config, cell), the cell as its pool index or the instance.
+    ``args`` is (cell, config), the cell as its index among the pool's cells.
     """
-    config, cell = args
+    cell, config = args
     instance = served_cell(cell)
     settings = config.free_energy
     seed, X, G, eps = _free_energy_data(instance, config.master_seed)
@@ -237,12 +245,8 @@ def _free_energy_task(args):
     return trace_rows, check
 
 
-def _run_free_energy_stage(
-    config: ExperimentConfig, instances, out: Path, pool: WorkerPool
-) -> None:
-    tasks = [(config, pool.index(inst)) for inst in instances]
-    costs = [inst.n * inst.p for inst in instances]
-    results = list(pool.map(_free_energy_task, tasks, costs))
+def _run_free_energy_stage(config: ExperimentConfig, out: Path, pool: WorkerPool) -> None:
+    results = list(pool.map(_free_energy_task, [(i, config) for i in range(len(pool.cells))]))
     write_csv(
         out / "free_energy_paths.csv",
         ["t", "f", "n", "beta", "family", "seed"],
@@ -257,9 +261,9 @@ def _run_free_energy_stage(
 def _perturbed_task(args):
     """perturbed.csv rows of one (family, n) cell: one per s, negative s included.
 
-    ``args`` is (config, cell), the cell as its pool index or the instance.
+    ``args`` is (cell, config), the cell as its index among the pool's cells.
     """
-    config, cell = args
+    cell, config = args
     instance = served_cell(cell)
     settings = config.perturbed
     seed = derive_seed(config.master_seed, instance.spec.id, instance.n, "perturbed")
@@ -279,12 +283,8 @@ def _perturbed_task(args):
     ]
 
 
-def _run_perturbed_stage(
-    config: ExperimentConfig, instances, out: Path, pool: WorkerPool
-) -> None:
-    tasks = [(config, pool.index(inst)) for inst in instances]
-    costs = [inst.n * inst.p for inst in instances]
-    results = list(pool.map(_perturbed_task, tasks, costs))
+def _run_perturbed_stage(config: ExperimentConfig, out: Path, pool: WorkerPool) -> None:
+    results = list(pool.map(_perturbed_task, [(i, config) for i in range(len(pool.cells))]))
     write_csv(
         out / "perturbed.csv",
         ["family", "n", "p", "seed", "s", "opt_s", "D_s", "test_at_theta0", "solver_gap", "flags"],

@@ -114,7 +114,7 @@ class ExperimentConfig:
     def __post_init__(self):
         check(self.trials >= 1, "trials must be >= 1")
         check(self.threads >= 1, "threads must be >= 1")
-        check(bool(self.ladder), "ladder must be a nonempty list of sizes")
+        check(bool(self.ladder), "ladder must be a nonempty list")
         check(all(v >= 1 for v in self.ladder), "ladder entries must be positive integers")
         check(
             all(a < b for a, b in zip(self.ladder, self.ladder[1:])),
@@ -124,14 +124,6 @@ class ExperimentConfig:
         ids = [f.id for f in self.families]
         for fid in ids:
             check(ids.count(fid) == 1, f"duplicate family id {fid!r}")
-        # A neural-tangent family's sizes replace the ladder; a random-features
-        # family's sizes override cells of the ladder, each named by its n.
-        for spec in self.families:
-            for size in spec.sizes:
-                check(
-                    spec.kind == "neural-tangent" or size.get("n") in self.ladder,
-                    f"family {spec.id!r}: sizes entry {size} names no n on the ladder",
-                )
 
     def normalized(self) -> dict:
         """Fully materialized dict used for hashing and the manifest."""

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from ermu.campaign import _atomic_write, write_csv
-from ermu.config import BootstrapSettings
-from ermu.errors import InvalidArgumentError
+from ermu.config import BootstrapSettings, config_from_dict
+from ermu.errors import ConfigError, InvalidArgumentError
 from ermu.seeds import derive_seed
 from ermu.stats import bl_gap, bootstrap_mean_ci, ks_null_quantile, ks_statistic
 from ermu.universality import TrialRow
@@ -240,8 +240,10 @@ def build_report(
 def write_report(results_dir: str | Path, out_dir: str | Path | None = None) -> Path:
     """Build report.json and plot-ready CSVs from a results directory.
 
-    The bootstrap settings are the run's, read from its manifest.json; a
-    directory without one is reported with the default ``BootstrapSettings``.
+    The bootstrap settings and family kinds are the run's, parsed from the
+    config in its manifest.json like any config, so a config that does not
+    parse raises ``ConfigError``; a directory without a manifest is reported
+    with the default ``BootstrapSettings``.
     """
     results = Path(results_dir)
     out = Path(out_dir) if out_dir is not None else results
@@ -257,11 +259,14 @@ def write_report(results_dir: str | Path, out_dir: str | Path | None = None) -> 
     manifest_path = results / "manifest.json"
     if manifest_path.exists():
         with open(manifest_path) as fh:
-            manifest = json.load(fh)
-        config = manifest.get("config", {})
-        family_kinds = {k: v.get("kind", "") for k, v in manifest.get("families", {}).items()}
-        bootstrap = BootstrapSettings(**config.get("bootstrap", {}))
-        if config.get("problem", {}).get("loss") == "squared":
+            raw = json.load(fh).get("config")
+        try:
+            config = config_from_dict(raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{manifest_path}: {exc}") from exc
+        family_kinds = {spec.id: spec.kind for spec in config.families}
+        bootstrap = config.bootstrap
+        if config.problem.loss == "squared":
             warnings_list.append(
                 "squared loss is not globally Lipschitz; results use the ridge baseline regime"
             )

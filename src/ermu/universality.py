@@ -15,7 +15,7 @@ import math
 import multiprocessing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -65,6 +65,21 @@ from ermu.seeds import derive_seed, rng_from
 from ermu.solver import SolverConfig, pgd_minimize
 
 FAMILY_KINDS = ("random-features", "neural-tangent", "linear-independent", "control-gaussian")
+
+# The family keys that only some families read, each with the kinds and cov
+# modes that read it; every family reads the keys not listed here, except
+# hermite_coeffs, which only a custom-hermite activation reads (checked apart).
+_READ_BY = {
+    "activation": ("random-features", "neural-tangent"),
+    "entry_law": ("linear-independent",),
+    "nu": ("linear-independent",),
+    "gamma_d_over_p": ("random-features",),
+    "gamma_tilde": ("neural-tangent",),
+    "sizes": ("neural-tangent",),
+    "hermite_order": ("hermite-exact",),
+    "cov_samples_per_dim": ("monte-carlo",),
+    "jitter_rel": ("hermite-exact", "monte-carlo", "empirical"),
+}
 
 
 @dataclass(frozen=True)
@@ -140,22 +155,25 @@ class FamilySpec:
         for key in ("hermite_order", "cov_samples_per_dim"):
             check(getattr(self, key) >= 1, f"{key} must be >= 1")
         check(self.jitter_rel >= 0, "jitter_rel must be >= 0")
-        # A sizes entry sets an NT cell's d and n or an RF cell's d; the
-        # linear and control kinds have nothing it could set.
-        check(
-            not self.sizes or self.kind in ("random-features", "neural-tangent"),
-            f"sizes applies to kind random-features or neural-tangent only; got {self.kind!r}",
-        )
+        # A key the family never reads must keep its default, so that one
+        # experiment has one config hash.
+        for f in fields(self):
+            readers = _READ_BY.get(f.name, FAMILY_KINDS)
+            check(
+                self.kind in readers or self.cov_mode in readers
+                or getattr(self, f.name) == f.default,
+                f"{f.name} applies to {' or '.join(readers)} only; "
+                f"got kind {self.kind!r} with cov_mode {self.cov_mode!r}",
+            )
+        # A sizes entry names a neural-tangent cell by its d and may set its n.
         for size in self.sizes:
             check(
                 set(size) <= {"n", "d"} and all(type(v) is int and v > 0 for v in size.values()),
                 "sizes entries must be objects with keys n and/or d and positive integer values",
             )
-            check("d" in size, f"{self.kind} sizes need d")
-        # Each entry names one cell: by its d in a neural-tangent family, else by its n.
-        key = "d" if self.kind == "neural-tangent" else "n"
-        named = [size[key] for size in self.sizes if key in size]
-        check(len(set(named)) == len(named), f"sizes entries must name distinct {key} values")
+            check("d" in size, "neural-tangent sizes need d")
+        named = [size["d"] for size in self.sizes]
+        check(len(set(named)) == len(named), "sizes entries must name distinct d values")
 
     def build_activation(self) -> Optional[Activation]:
         if self.kind in ("linear-independent", "control-gaussian"):
@@ -164,33 +182,27 @@ class FamilySpec:
             return Activation(kind="custom-hermite", hermite_coeffs=self.hermite_coeffs)
         return Activation(kind=self.activation)
 
+    def bases(self, ladder: Sequence[int]) -> tuple[int, ...]:
+        """The ladder entries of the family's cells: its ``sizes`` d values, if it sets any."""
+        return tuple(size["d"] for size in self.sizes) or tuple(ladder)
+
     def resolve_size(self, base: int) -> dict:
         """Resolve (n, p, d, m) from a ladder entry.
 
         RF and linear ladders are in n; the neural-tangent ladder is in d
-        (m = round(gamma_tilde d), p = m d, n = round(p / gamma_p)). Explicit
-        ``sizes`` entries override the derived n.
+        (m = round(gamma_tilde d), p = m d, n = round(p / gamma_p)), and a
+        ``sizes`` entry naming that d may set n instead.
         """
-        if self.kind == "neural-tangent":
-            d = int(base)
-            m = max(1, round(self.gamma_tilde * d))
-            p = m * d
-            n = max(1, round(p / self.gamma_p))
-        else:
+        if self.kind != "neural-tangent":
             n = int(base)
             p = max(1, round(self.gamma_p * n))
             d = max(2, round(self.gamma_d_over_p * p)) if self.kind == "random-features" else p
-            m = 0
-        for override in self.sizes:
-            if (self.kind == "neural-tangent" and override.get("d") == base) or (
-                self.kind != "neural-tangent" and override.get("n") == base
-            ):
-                n = int(override.get("n", n))
-                d = int(override.get("d", d))
-                if self.kind == "neural-tangent":
-                    m = max(1, round(self.gamma_tilde * d))
-                    p = m * d
-        return {"n": n, "p": p, "d": d, "m": m}
+            return {"n": n, "p": p, "d": d, "m": 0}
+        d = int(base)
+        m = max(1, round(self.gamma_tilde * d))
+        p = m * d
+        n = next((s["n"] for s in self.sizes if s["d"] == d and "n" in s), round(p / self.gamma_p))
+        return {"n": max(1, n), "p": p, "d": d, "m": m}
 
 
 @dataclass(frozen=True)
@@ -587,18 +599,15 @@ def _run_serving(cells: Sequence[FamilyInstance], fn, task):
         _serve_cells(saved)
 
 
-def served_cell(ref) -> FamilyInstance:
-    """The cell a task names: an index into the serving pool's cells, or the cell itself."""
-    return _cells[ref] if isinstance(ref, int) else ref
+def served_cell(index: int) -> FamilyInstance:
+    """The cell a task names by its index among the serving pool's cells."""
+    return _cells[index]
 
 
 def _trial_chunk(args):
     cell, trials, master_seed, solver_cfg, n_test = args
     instance = served_cell(cell)
-    out = []
-    for t in trials:
-        out.append((t, run_single_trial(instance, t, master_seed, solver_cfg, n_test)))
-    return out
+    return [run_single_trial(instance, t, master_seed, solver_cfg, n_test) for t in trials]
 
 
 class WorkerPool:
@@ -613,9 +622,10 @@ class WorkerPool:
 
     ``cells`` are the (family, size) cells the tasks work on. Each worker
     receives them once, at fork, through the executor's initializer (a
-    forked worker inherits them, nothing is pickled), and a task names its
-    cell by its ``index``, so a task stays a few bytes whatever the cell's
-    size. A task run in the calling process finds the same cells.
+    forked worker inherits them, nothing is pickled). A task names its cell
+    by its index in ``cells``, in the task's first element, so a task stays
+    a few bytes whatever the cell's size, and the pool prices each task by
+    its cell's n·p. A task run in the calling process finds the same cells.
     """
 
     def __init__(self, threads: int, cells: Sequence[FamilyInstance] = ()):
@@ -623,22 +633,13 @@ class WorkerPool:
         self.cells = cells
         self._executor: Optional[ProcessPoolExecutor] = None
 
-    def index(self, instance: FamilyInstance) -> int:
-        """Position of ``instance`` among the pool's cells, the name a task gives it."""
-        for i, cell in enumerate(self.cells):
-            if cell is instance:
-                return i
-        raise InvalidArgumentError(
-            f"cell {instance.spec.id} n={instance.n} is not one of this pool's cells"
-        )
-
-    def map(self, fn, tasks: Sequence, costs: Optional[Sequence[float]] = None) -> Iterator:
+    def map(self, fn, tasks: Sequence) -> Iterator:
         """``fn(task)`` for each task, yielded in task order.
 
-        Workers take the tasks with the largest ``costs`` first (in task order
-        when no costs are given), so the longest task does not start last.
-        Each result is released once yielded. ``fn`` and the tasks must be
-        picklable.
+        A pool with cells submits the tasks of its largest-n·p cells first
+        (ties in task order), so the longest task does not start last; a
+        pool without cells submits them in task order. Each result is
+        released once yielded. ``fn`` and the tasks must be picklable.
         """
         if self.threads <= 1 or len(tasks) <= 1:
             for task in tasks:
@@ -652,8 +653,9 @@ class WorkerPool:
                 initargs=(self.cells,),
             )
         order = range(len(tasks))
-        if costs is not None:
-            order = sorted(order, key=lambda i: -costs[i])
+        if self.cells:
+            cells = [self.cells[task[0]] for task in tasks]
+            order = sorted(order, key=lambda i: -cells[i].n * cells[i].p)
         futures = {i: self._executor.submit(fn, tasks[i]) for i in order}
         for i in range(len(tasks)):
             yield futures.pop(i).result()
@@ -671,36 +673,27 @@ class WorkerPool:
 
 
 def run_trials(
-    instances: Sequence[FamilyInstance],
+    pool: WorkerPool,
     trials: int,
     master_seed: int,
     solver_cfg: SolverConfig = SolverConfig(),
     n_test: int = 2000,
-    pool: Optional[WorkerPool] = None,
 ) -> list[TrialRow]:
-    """All trials for all instances, deterministically ordered.
+    """All trials of every cell of ``pool``, deterministically ordered.
 
-    Work is split into per-instance trial chunks, one per worker of ``pool``
-    (in this process when there is no pool), each naming its instance by
-    its index among the pool's cells, which must hold every instance; rows
-    come out in (instance order, trial, arm) order, so the output stream
-    does not depend on scheduling.
+    Each cell's trials are split into chunks, one per worker of the pool;
+    rows come out in (cell, trial, arm) order, so the output stream does
+    not depend on scheduling.
     """
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
-    pool = pool or WorkerPool(1, instances)
     chunk = max(1, math.ceil(trials / max(1, pool.threads)))
-    tasks, costs = [], []
-    for inst in instances:
-        for start in range(0, trials, chunk):
-            tasks.append((pool.index(inst), list(range(start, min(trials, start + chunk))),
-                          master_seed, solver_cfg, n_test))
-            costs.append(inst.n * inst.p)
-    rows: list[TrialRow] = []
-    for chunk_result in pool.map(_trial_chunk, tasks, costs):
-        for _, pair in chunk_result:
-            rows.extend(pair)
-    return rows
+    tasks = [
+        (i, list(range(start, min(trials, start + chunk))), master_seed, solver_cfg, n_test)
+        for i in range(len(pool.cells))
+        for start in range(0, trials, chunk)
+    ]
+    return [row for pairs in pool.map(_trial_chunk, tasks) for pair in pairs for row in pair]
 
 
 # ---------------------------------------------------------------------------

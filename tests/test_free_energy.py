@@ -31,6 +31,7 @@ from ermu.free_energy import (
     solution_cloud,
 )
 from ermu.seeds import rng_from
+from ermu.universality import WorkerPool
 
 
 def small_problem(p, seed=0, lam=0.1, tau=0.5):
@@ -365,7 +366,7 @@ class TestStageMemory:
         n, p = instance.n, instance.p
         tracemalloc.start()
         try:
-            campaign._free_energy_task((config, instance))
+            list(WorkerPool(1, [instance]).map(campaign._free_energy_task, [(0, config)]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

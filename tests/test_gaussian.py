@@ -280,8 +280,9 @@ class TestEquivalentBuilders:
         ids=["hermite-exact", "monte-carlo"],
     )
     def test_set_up_calls_no_eigh(self, family, eigh_calls):
-        spec = FamilySpec(id="rf", kind="random-features", sizes=({"n": 40, "d": 12},), **family)
+        spec = FamilySpec(id="rf", kind="random-features", gamma_d_over_p=0.4, **family)
         inst = build_instance(spec, ProblemSpec(loss="huber", tau=0.5, lam=0.1), 40, 5)
+        assert (inst.p, inst.d) == (30, 12)
         assert inst.equiv.factor.shape == (inst.p, inst.p)
         assert eigh_calls == []
 

@@ -11,8 +11,10 @@ import re
 import struct
 import subprocess
 import sys
+from concurrent.futures import Future
 from dataclasses import astuple, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +28,8 @@ from ermu.gaussian import empirical_equivalent
 from ermu.matio import load_matrix
 from ermu.report import build_report, read_trials_csv, write_report
 from ermu.seeds import derive_seed
-from ermu.universality import TrialRow, WorkerPool, run_trials
+from ermu.solver import SolverConfig
+from ermu.universality import FamilySpec, TrialRow, WorkerPool, run_single_trial, run_trials
 
 BASE = {
     "master_seed": 31,
@@ -62,7 +65,8 @@ README_CONFIG = {
     "perturbed": {"enabled": True, "s_values": [0.01, 0.1]},
 }
 
-# Every key of every section, each set to a value other than its default.
+# Every key of every section, each set to a value other than its default;
+# each family sets only keys that its kind and cov_mode read.
 EVERY_KEY_CONFIG = {
     "master_seed": 11,
     "trials": 5,
@@ -71,10 +75,13 @@ EVERY_KEY_CONFIG = {
     "save_matrices": True,
     "families": [
         {"id": "rf", "kind": "random-features", "activation": "custom-hermite",
-         "hermite_coeffs": [0.0, 1.0, 0.25], "entry_law": "uniform", "nu": 2.0,
-         "gamma_p": 0.5, "gamma_d_over_p": 0.25, "gamma_tilde": 2.0, "radius": 4.0,
-         "constraint": "l2-ball", "cov_mode": "monte-carlo", "hermite_order": 31,
-         "cov_samples_per_dim": 20, "jitter_rel": 1e-8, "theta_star_scale": 0.5,
+         "hermite_coeffs": [0.0, 1.0, 0.25], "gamma_p": 0.5, "gamma_d_over_p": 0.25,
+         "radius": 4.0, "constraint": "l2-ball", "cov_mode": "monte-carlo",
+         "cov_samples_per_dim": 20, "jitter_rel": 1e-8, "theta_star_scale": 0.5},
+        {"id": "rf-hermite", "kind": "random-features", "cov_mode": "hermite-exact",
+         "hermite_order": 31},
+        {"id": "lin", "kind": "linear-independent", "entry_law": "uniform", "nu": 2.0},
+        {"id": "nt", "kind": "neural-tangent", "gamma_tilde": 2.0,
          "sizes": [{"n": 100, "d": 30}]},
     ],
     "problem": {"loss": "pseudo-huber", "loss_delta": 0.5, "labeler": "clipped-linear",
@@ -258,7 +265,7 @@ class TestConfig:
             "0512bc4c58f1693bc2cca461ad281a0c6d6fde9ede0881e9208e7ce203ad816f"
         )
         assert config_from_dict(EVERY_KEY_CONFIG).canonical_hash() == (
-            "bfe1f23b628634f981e096aede4bbd482a5b5d009432c28290a31be30604a8ae"
+            "588121897509800ee703a12f1fc381aeaee13a949816be48d82537b5e1e00213"
         )
 
     def test_every_key_config_sets_every_field(self):
@@ -268,7 +275,12 @@ class TestConfig:
             if isinstance(value, dict):
                 assert set(value) == set(EVERY_KEY_CONFIG[section]), section
                 assert all(value[k] != default[section][k] for k in value), section
-        assert set(normalized["families"][0]) == set(EVERY_KEY_CONFIG["families"][0])
+        specs = config_from_dict(EVERY_KEY_CONFIG).families
+        set_keys = {k for family in EVERY_KEY_CONFIG["families"] for k in family}
+        assert set_keys == {f.name for f in fields(FamilySpec)}
+        for spec, family in zip(specs, EVERY_KEY_CONFIG["families"]):
+            for f in fields(FamilySpec):
+                assert f.name not in family or getattr(spec, f.name) != f.default, f.name
         assert set(normalized) | {"threads"} == set(EVERY_KEY_CONFIG)
 
     @pytest.mark.parametrize("path, int_value", [
@@ -342,7 +354,8 @@ class TestConfig:
         ({"kind": "random-features", "constraint": "nt-operator-ball"}, "constraint"),
         ({"kind": "neural-tangent", "cov_mode": "hermite-exact"}, "cov_mode"),
         ({"kind": "neural-tangent", "cov_mode": "linear-exact"}, "cov_mode"),
-        # A sizes entry sets an RF cell's d or an NT cell's d and n; nothing else.
+        # A sizes entry names an NT cell by its d and may set its n; nothing else.
+        ({"kind": "random-features", "sizes": [{"n": 40, "d": 7}]}, "sizes"),
         ({"kind": "linear-independent", "sizes": [{"n": 40, "d": 7}]}, "sizes"),
         ({"kind": "control-gaussian", "sizes": [{"n": 40, "d": 7}]}, "sizes"),
         # Only a custom-hermite activation reads the coefficients.
@@ -351,6 +364,20 @@ class TestConfig:
         ({"kind": "neural-tangent", "hermite_coeffs": [0.0, 1.0], "sizes": [{"d": 6}]},
          "hermite_coeffs"),
         ({"kind": "linear-independent", "hermite_coeffs": [0.0, 1.0]}, "hermite_coeffs"),
+        # A key the family never reads, at a value other than its default,
+        # would change the config hash and nothing that the run writes.
+        *(({"kind": "control-gaussian", key: value}, key) for key, value in (
+            ("nu", 4.0), ("entry_law", "laplace"), ("activation", "tanh-rf"),
+            ("gamma_d_over_p", 0.3), ("gamma_tilde", 2.0), ("hermite_order", 9))),
+        *(({"kind": "linear-independent", key: value}, key) for key, value in (
+            ("activation", "tanh-rf"), ("gamma_d_over_p", 0.3), ("gamma_tilde", 2.0),
+            ("hermite_order", 9), ("jitter_rel", 1e-3))),
+        *(({"kind": "random-features", "cov_mode": "hermite-exact", key: value}, key)
+          for key, value in (("entry_law", "laplace"), ("nu", 4.0), ("gamma_tilde", 2.0),
+                             ("cov_samples_per_dim", 9))),
+        *(({"kind": "neural-tangent", "cov_mode": "empirical", key: value}, key)
+          for key, value in (("entry_law", "laplace"), ("nu", 4.0), ("gamma_d_over_p", 0.3),
+                             ("hermite_order", 9), ("cov_samples_per_dim", 9))),
     ])
     def test_family_setting_outside_its_kind_rejected(self, family, key):
         with pytest.raises(ConfigError, match=rf"config\.families\[0\]: {key} "):
@@ -379,27 +406,43 @@ class TestConfig:
         assert abs(checks["mean_sigma_prime"]) <= 1e-10
         assert abs(checks["mean_g_sigma_prime"]) <= 1e-10
 
-    @pytest.mark.parametrize("sizes, message", [
-        ([{"n": 0}], "positive integer values"),
-        ([{"n": 40.0}], "positive integer values"),
-        ([{"d": True}], "positive integer values"),
-        ([{"n": 40, "p": 30}], "keys n and/or d"),
-        ([{"n": 40}], "random-features sizes need d"),
-        ([{"d": 7}], "names no n on the ladder"),
-        ([{"n": 50, "d": 7}], "names no n on the ladder"),
-        ([{"n": 40, "d": 7}, {"n": 40, "d": 8}], "must name distinct n values"),  # one cell twice
-    ])
-    def test_random_features_sizes_rejected_at_parse_time(self, sizes, message):
+    @pytest.mark.parametrize("sizes", [[{"n": 40, "d": 7}], [{"n": 40}], [{"d": 0}]])
+    def test_random_features_sizes_rejected_at_parse_time(self, sizes):
+        # gamma_d_over_p sets an RF cell's d; sizes lists neural-tangent cells only.
         rf = {"id": "rf", "kind": "random-features", "sizes": sizes}
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=r"families\[0\]: sizes applies to neural-tangent only"):
             base_config(families=[rf])
-        rf["sizes"] = [{"n": 40, "d": 7}]
-        assert base_config(families=[rf]).families[0].resolve_size(40)["d"] == 7
+        rf["sizes"] = []
+        assert base_config(families=[rf]) == base_config(families=[{"id": "rf", "kind": rf["kind"]}])
 
-    def test_neural_tangent_sizes_need_d(self):
-        nt = {"id": "nt", "kind": "neural-tangent", "sizes": [{"n": 60}]}
-        with pytest.raises(ConfigError, match="sizes need d"):
+    @pytest.mark.parametrize("sizes, message", [
+        ([{"d": 0}], "positive integer values"),
+        ([{"d": 6.0}], "positive integer values"),
+        ([{"d": True}], "positive integer values"),
+        ([{"d": 6, "p": 30}], "keys n and/or d"),
+        ([{"n": 40}], "neural-tangent sizes need d"),
+        ([{"d": 6, "n": 40}, {"d": 6, "n": 50}], "must name distinct d values"),  # one cell twice
+    ])
+    def test_neural_tangent_sizes_entries_checked_at_parse_time(self, sizes, message):
+        nt = {"id": "nt", "kind": "neural-tangent", "sizes": sizes}
+        with pytest.raises(ConfigError, match=message):
             base_config(ladder=[6], families=[nt])
+        nt["sizes"] = [{"d": 6, "n": 40}]
+        spec = base_config(ladder=[6], families=[nt]).families[0]
+        assert spec.bases((40, 60)) == (6,)
+        assert spec.resolve_size(6) == {"n": 40, "p": 36, "d": 6, "m": 6}
+
+    @pytest.mark.parametrize("family, key", [
+        ({"kind": "control-gaussian", "nu": 1.0}, "nu"),
+        ({"kind": "linear-independent", "jitter_rel": 1e-10}, "jitter_rel"),
+        ({"kind": "random-features", "cov_mode": "hermite-exact", "cov_samples_per_dim": 50},
+         "cov_samples_per_dim"),
+        ({"kind": "neural-tangent", "cov_mode": "empirical", "hermite_order": 41}, "hermite_order"),
+    ])
+    def test_unread_family_key_at_its_default_keeps_the_hash(self, family, key):
+        with_key = base_config(families=[{"id": "f", **family}])
+        without = base_config(families=[{"id": "f", **{k: family[k] for k in family if k != key}}])
+        assert with_key.canonical_hash() == without.canonical_hash()
 
     @pytest.mark.parametrize("path, where", [
         (("perturbed", "s_values"), r"config\.perturbed\.s_values\[0\]"),
@@ -484,7 +527,7 @@ class TestCampaign:
         mapped = []
 
         class RecordingPool(WorkerPool):
-            def map(self, fn, tasks, costs=None):
+            def map(self, fn, tasks):
                 mapped.append((fn.__name__, list(tasks)))
                 return iter(())
 
@@ -499,9 +542,9 @@ class TestCampaign:
             return len(buf.getvalue())
 
         pool = RecordingPool(1, instances)
-        run_trials(instances, cfg.trials, cfg.master_seed, pool=pool)
-        campaign._run_free_energy_stage(cfg, instances, tmp_path, pool)
-        campaign._run_perturbed_stage(cfg, instances, tmp_path, pool)
+        run_trials(pool, cfg.trials, cfg.master_seed)
+        campaign._run_free_energy_stage(cfg, tmp_path, pool)
+        campaign._run_perturbed_stage(cfg, tmp_path, pool)
         assert [name for name, _ in mapped] == [
             "_trial_chunk", "_free_energy_task", "_perturbed_task"
         ]
@@ -513,12 +556,43 @@ class TestCampaign:
     def test_tasks_find_the_pools_cells(self):
         cfg = base_config(ladder=[40])
         instances = campaign.build_instances(cfg)
-        pool = WorkerPool(1, instances)
-        assert [pool.index(inst) for inst in instances] == [0, 1]
-        with pytest.raises(InvalidArgumentError, match="not one of this pool's cells"):
-            pool.index(campaign.build_instances(cfg)[0])
-        rows = run_trials(instances, 2, cfg.master_seed, n_test=10, pool=pool)
-        assert rows == run_trials(instances, 2, cfg.master_seed, n_test=10)
+        direct = [
+            row
+            for inst in instances
+            for t in range(2)
+            for row in run_single_trial(inst, t, cfg.master_seed, SolverConfig(), 10)
+        ]
+        assert run_trials(WorkerPool(1, instances), 2, cfg.master_seed, n_test=10) == direct
+        with WorkerPool(2, instances) as pool:
+            assert run_trials(pool, 2, cfg.master_seed, n_test=10) == direct
+
+    def test_pool_submits_the_largest_cells_tasks_first(self):
+        # Each task names its cell by index in its first element; the pool
+        # prices it by that cell's n·p, with ties in task order.
+        submitted = []
+
+        class RecordingExecutor:
+            def submit(self, fn, task):
+                submitted.append(task)
+                future = Future()
+                future.set_result(fn(task))
+                return future
+
+            def shutdown(self, **kwargs):
+                pass
+
+        small, large = SimpleNamespace(n=40, p=30), SimpleNamespace(n=800, p=600)
+        pool = WorkerPool(2, [small, large, small])
+        pool._executor = RecordingExecutor()
+        tasks = [(0, "a"), (1, "b"), (2, "c"), (1, "d")]
+        assert list(pool.map(str, tasks)) == list(map(str, tasks))
+        assert submitted == [(1, "b"), (1, "d"), (0, "a"), (2, "c")]
+
+        submitted.clear()
+        setup = WorkerPool(2)  # no cells: task order
+        setup._executor = RecordingExecutor()
+        assert list(setup.map(str, ["b", "a"])) == ["b", "a"]
+        assert submitted == ["b", "a"]
 
     def test_stage_twins_use_family_jitter(self, monkeypatch):
         # An empirical-twin cell builds each draw's twin with the family's
@@ -563,7 +637,7 @@ class TestCampaign:
 
         monkeypatch.setattr(campaign, "TwinTestRisk", recording_twin_risk)
         monkeypatch.setattr(campaign, "perturbed_sweep", recording_sweep)
-        campaign._perturbed_task((cfg, inst))
+        list(WorkerPool(1, [inst]).map(campaign._perturbed_task, [(0, cfg)]))
         equiv, X = seen
         assert_family_twin(equiv, X)
 
@@ -747,6 +821,29 @@ class TestCampaign:
         with open(tmp_path / "out/trials.csv", newline="") as fh:
             assert fh.readline() == TRIALS_HEADER + "\r\n"
 
+    def test_rerun_removes_the_earlier_runs_stage_files(self, tmp_path):
+        # A rerun into a used directory with both stages and the matrices off
+        # leaves only its own files, so the report passes no stale file on.
+        out, report = tmp_path / "out", tmp_path / "report"
+        stages = {"free_energy": {"enabled": True, "M": 8, "path_points": 3},
+                  "perturbed": {"enabled": True, "s_values": [0.1]}}
+        run_campaign(base_config(ladder=[40], save_matrices=True, **stages), out)
+        assert (out / "perturbed.csv").exists() and list((out / "matrices").iterdir())
+        (out / "notes.txt").write_text("kept")  # not an artifact name
+        run_campaign(base_config(ladder=[40], master_seed=32), out)
+        assert sorted(f.name for f in out.iterdir()) == [
+            "manifest.json", "matrices", "notes.txt", "trials.csv"
+        ]
+        assert list((out / "matrices").iterdir()) == []
+        write_report(out, report)
+        assert sorted(f.name for f in report.iterdir()) == ["gap_vs_n.csv", "report.json"]
+
+    def test_rerun_saves_only_its_own_cells_matrices(self, tmp_path):
+        run_campaign(base_config(trials=1, ladder=[40], save_matrices=True), tmp_path)
+        run_campaign(base_config(trials=1, ladder=[60], save_matrices=True), tmp_path)
+        names = sorted(f.name for f in (tmp_path / "matrices").iterdir())
+        assert names and all("_n60_" in name for name in names)
+
     def test_save_matrices_roundtrip(self, tmp_path):
         cfg = base_config(
             ladder=[40],
@@ -892,6 +989,23 @@ class TestCli:
         assert cli_main(["report", "--results", str(out)]) == 0
         assert (out / "report.json").exists()
 
+    def test_report_of_a_manifest_config_that_does_not_parse(self, tmp_path, capsys):
+        # The report reads the run's config through the config reader: an
+        # unknown key is a report failure naming it, not a traceback.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**BASE, "ladder": [40]}))
+        out = tmp_path / "results"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"]["bootstrap"]["margin_rel"] = 0.1
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert cli_main(["report", "--results", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("report failed: ")
+        assert "config.bootstrap: unknown key 'margin_rel'" in err
+        assert not (out / "report.json").exists()
+
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({**BASE, "ladder": []}))
@@ -940,11 +1054,13 @@ class TestCli:
                            "hermite_coeffs": [0.0, 1.0]},
          "config.families[0]: hermite_coeffs applies to activation 'custom-hermite' only"),
         (("families", 0, "sizes"), [{"n": 40, "d": 7}],
-         "config.families[0]: sizes applies to kind random-features or neural-tangent only"),
-        (("families", 0), {"id": "rf", "kind": "random-features", "sizes": [{"n": 40}]},
-         "config.families[0]: random-features sizes need d"),
+         "config.families[0]: sizes applies to neural-tangent only"),
+        (("families", 0), {"id": "rf", "kind": "random-features", "sizes": [{"n": 40, "d": 7}]},
+         "config.families[0]: sizes applies to neural-tangent only"),
+        (("families", 1, "nu"), 4,
+         "config.families[1]: nu applies to linear-independent only; got kind 'control-gaussian'"),
     ], ids=[*REMOVED_SOLVER_KEYS, "output_dir", "repeated-sizes", "non-centred-hermite", "nt-hermite-c2",
-            "unused-hermite-coeffs", "linear-sizes", "rf-sizes-without-d"])
+            "unused-hermite-coeffs", "linear-sizes", "rf-sizes", "control-nu"])
     def test_rejected_setting_exit_code(self, tmp_path, capsys, path, value, where):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_with(path, value)))

@@ -36,6 +36,7 @@ from ermu.universality import (
     FrozenTestRisk,
     ProblemSpec,
     TwinTestRisk,
+    WorkerPool,
     _TEST_BLOCK,
     _risk_on,
     build_instance,
@@ -99,7 +100,7 @@ def ridge_problem(p, lam=0.2, seed=0):
 class TestRunTrials:
     def test_accounting_one_trial(self):
         inst = build_instance(FamilySpec(id="lin", kind="linear-independent"), PROBLEM, 60, 5)
-        rows = run_trials([inst], trials=1, master_seed=5, n_test=40)
+        rows = run_trials(WorkerPool(1, [inst]), trials=1, master_seed=5, n_test=40)
         assert len(rows) == 2
         assert {r.arm for r in rows} == {"x", "g"}
         assert rows[0].family == "lin" and rows[0].n == 60
@@ -117,8 +118,8 @@ class TestRunTrials:
 
     def test_determinism_bitwise(self):
         inst = build_instance(FamilySpec(id="lin", kind="linear-independent"), PROBLEM, 50, 7)
-        r1 = run_trials([inst], trials=3, master_seed=7, n_test=30)
-        r2 = run_trials([inst], trials=3, master_seed=7, n_test=30)
+        r1 = run_trials(WorkerPool(1, [inst]), trials=3, master_seed=7, n_test=30)
+        r2 = run_trials(WorkerPool(1, [inst]), trials=3, master_seed=7, n_test=30)
         assert [(a.train_opt, a.test_x, a.seed) for a in r1] == [
             (b.train_opt, b.test_x, b.seed) for b in r2
         ]
@@ -134,7 +135,7 @@ class TestRunTrials:
         eps = inst.problem.labeler.draw_noise(inst.n, derive_seed(trial_seed, "eps"))
         eps_again = inst.problem.labeler.draw_noise(inst.n, derive_seed(trial_seed, "eps"))
         assert np.array_equal(eps, eps_again)
-        rows = run_trials([inst], trials=1, master_seed=11, n_test=10)
+        rows = run_trials(WorkerPool(1, [inst]), trials=1, master_seed=11, n_test=10)
         assert rows[0].seed == trial_seed == rows[1].seed
 
     def test_control_family_null_calibration(self):
@@ -151,7 +152,7 @@ class TestRunTrials:
     def test_invalid_trial_count(self):
         inst = build_instance(FamilySpec(id="lin", kind="linear-independent"), PROBLEM, 30, 1)
         with pytest.raises(InvalidArgumentError):
-            run_trials([inst], trials=0, master_seed=1)
+            run_trials(WorkerPool(1, [inst]), trials=0, master_seed=1)
 
     def test_rows_carry_feasible_solutions(self):
         inst = build_instance(FamilySpec(id="lin", kind="linear-independent"), PROBLEM, 40, 3)
@@ -690,7 +691,7 @@ class TestReportSymmetry:
         from ermu.report import _pair_rows
 
         inst = build_instance(FamilySpec(id="lin", kind="linear-independent"), PROBLEM, 60, 21)
-        rows = run_trials([inst], trials=5, master_seed=21, n_test=30)
+        rows = run_trials(WorkerPool(1, [inst]), trials=5, master_seed=21, n_test=30)
         paired = _pair_rows(rows)["lin"][0]
         gap = (paired.train_x - paired.train_g).mean()
         swapped = []
