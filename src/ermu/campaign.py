@@ -9,8 +9,9 @@ Artifacts written into the output directory:
   when enabled
 * ``manifest.json``   config hash, code version, wall time, quarantine count
 
-A run first deletes the files of a disabled stage and the saved matrices
-that an earlier run left in the output directory. It then builds the (family, size) cells that each
+A run first deletes the files of a disabled stage, the saved matrices and
+the ``ermu report`` output that an earlier run left in the output
+directory. It then builds the (family, size) cells that each
 ``FamilySpec`` names, running any monte-carlo covariance chunks on a set-up
 pool of ``config.threads`` processes that is closed once the cells exist.
 It then opens its worker pool of ``config.threads`` processes (see
@@ -167,12 +168,14 @@ def run_campaign(config: ExperimentConfig, out_dir: str | Path) -> CampaignSumma
 
 
 def _remove_stale_artifacts(config: ExperimentConfig, out: Path) -> None:
-    """Delete the stage files and matrices an earlier run left in ``out``.
+    """Delete the stage files, matrices and report an earlier run left in ``out``.
 
     A stage file goes when this run's stage is disabled, and every matrix
-    goes: this run saves its own cells' matrices anew, or none.
+    goes: this run saves its own cells' matrices anew, or none. So does an
+    ``ermu report`` of the earlier run, which would describe its trials.
     """
     stale = list((out / "matrices").glob("*.ermumat"))
+    stale += [out / "report.json", out / "gap_vs_n.csv"]
     if not config.free_energy.enabled:
         stale += [out / "free_energy_paths.csv", out / "free_energy_checks.json"]
     if not config.perturbed.enabled:

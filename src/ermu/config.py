@@ -56,6 +56,21 @@ class BootstrapSettings:
         check(0 < self.level < 1, "level must be in (0, 1)")
 
 
+def _check_disabled_stage(settings) -> None:
+    """A disabled stage reads none of its settings, so each must keep its default.
+
+    Otherwise a setting that changes nothing the run writes would still
+    change the config hash.
+    """
+    if settings.enabled:
+        return
+    for f in dataclasses.fields(settings):
+        check(
+            getattr(settings, f.name) == f.default,
+            f"{f.name} applies to an enabled stage only; set enabled to true or leave {f.name} out",
+        )
+
+
 @dataclass(frozen=True)
 class FreeEnergySettings:
     enabled: bool = False
@@ -77,6 +92,7 @@ class FreeEnergySettings:
         # is the solution, below 0 the radii are negative.
         check(self.alpha > 0, "alpha must be positive")
         check_one_of("candidates", self.candidates, CANDIDATE_KINDS)
+        _check_disabled_stage(self)
 
 
 @dataclass(frozen=True)
@@ -94,6 +110,7 @@ class PerturbedSettings:
             "s_values must be nonempty, positive and distinct (each s also runs as -s)",
         )
         check(self.n_test >= 1, "n_test must be >= 1")
+        _check_disabled_stage(self)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ Three families are supported:
   zero-mean unit-variance subgaussian entries, so E[x x^T] = nu I.
 
 Weight matrices are sampled once per configuration and reused across
-trials; all sampling takes explicit seeds.
+trials; all sampling takes explicit seeds. ``featurize`` and the activations
+keep a float32 batch in float32 (the Monte Carlo twin covariance builds its
+chunks that way) and compute anything else in float64.
 """
 
 from __future__ import annotations
@@ -32,6 +34,12 @@ _INV_SQRT_E = math.exp(-0.5)
 
 ENTRY_LAWS = ("rademacher", "uniform", "laplace", "gaussian")
 ACTIVATION_KINDS = ("tanh-rf", "shifted-sine-nt", "custom-hermite")
+
+
+def _as_float(a) -> np.ndarray:
+    """``a`` as an array: float32 if it is float32 already, float64 otherwise."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -55,7 +63,7 @@ class Activation:
             object.__setattr__(self, "hermite_coeffs", tuple(float(c) for c in self.hermite_coeffs))
 
     def value(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
+        t = _as_float(t)
         if self.kind == "tanh-rf":
             return np.tanh(t)
         if self.kind == "shifted-sine-nt":
@@ -63,7 +71,7 @@ class Activation:
         return self._hermite_eval(t, derivative=False)
 
     def derivative(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
+        t = _as_float(t)
         if self.kind == "tanh-rf":
             return 1.0 - np.tanh(t) ** 2
         if self.kind == "shifted-sine-nt":
@@ -77,9 +85,9 @@ class Activation:
         if derivative:
             if len(scaled) == 1:
                 return np.zeros_like(t)
-            deriv = scaled[1:] * np.arange(1, len(scaled))
-            return hermeval(t, deriv)
-        return hermeval(t, scaled)
+            scaled = scaled[1:] * np.arange(1, len(scaled))
+        # In t's precision: float64 coefficients would promote a float32 t.
+        return hermeval(t, scaled.astype(t.dtype, copy=False))
 
     def coefficients(self, order: int, n_nodes: int = 200) -> np.ndarray:
         """Orthonormal-Hermite coefficients of the activation up to ``order``."""
@@ -203,22 +211,29 @@ def _entries(rng: np.random.Generator, entry_law: str, shape: tuple[int, int]) -
 
 
 def featurize(model: FeatureModel, Z: np.ndarray) -> np.ndarray:
-    """Map covariate rows through the family's featurization, one row per sample."""
-    Z = np.asarray(Z, dtype=np.float64)
+    """Map covariate rows through the family's featurization, one row per sample.
+
+    A float32 batch is featurized in float32, with the weights cast to
+    float32 unless they are already; this is how ``gaussian.mc_covariance``
+    runs its chunks at single-precision BLAS speed. Any other batch is
+    computed in float64.
+    """
+    Z = _as_float(Z)
     if Z.ndim != 2 or Z.shape[1] != model.covariate_dim:
         raise InvalidArgumentError(
             f"covariates have {Z.shape[1] if Z.ndim == 2 else '?'} columns, "
             f"model expects {model.covariate_dim}"
         )
+    W = None if model.W is None else model.W.astype(Z.dtype, copy=False)
     if model.family == "random-features":
-        A = Z @ model.W
+        A = Z @ W
         if model.activation.kind == "tanh-rf":  # in place: no second n x p array
             return np.tanh(A, out=A)
         return model.activation.value(A)
     if model.family == "neural-tangent":
         # Block j of each row is z * sigma'(w_j^T z); reshape(m, d).T recovers
         # the d x m T-matrix layout used by the operator-norm projection.
-        S = model.activation.derivative(Z @ model.W)  # n x m
+        S = model.activation.derivative(Z @ W)  # n x m
         n = Z.shape[0]
         return (S[:, :, None] * Z[:, None, :]).reshape(n, model.p)
     return math.sqrt(model.nu) * Z

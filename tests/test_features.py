@@ -1,7 +1,10 @@
 """Feature-family construction and featurization maps."""
 
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermeval
 
 from ermu.errors import InvalidArgumentError
 from ermu.features import (
@@ -232,3 +235,64 @@ class TestFeaturizeInPlace:
         Z = sample_covariates(model, 50, seed=3)
         assert np.array_equal(featurize(model, Z), np.tanh(Z @ model.W))
         assert np.array_equal(Z, sample_covariates(model, 50, seed=3))  # input untouched
+
+
+PRECISION_MODELS = {
+    "rf-tanh": lambda: random_features_model(6, 9, Activation("tanh-rf"), seed=2),
+    "rf-custom-hermite": lambda: random_features_model(
+        6, 9, Activation("custom-hermite", hermite_coeffs=(0.0, 0.6, 0.3, 0.1)), seed=2
+    ),
+    "nt": lambda: neural_tangent_model(5, 3, Activation("shifted-sine-nt"), seed=2),
+    "nt-custom-hermite": lambda: neural_tangent_model(
+        5, 3, Activation("custom-hermite", hermite_coeffs=(0.3, 0.0, 0.0, 0.5)), seed=2
+    ),
+    "linear": lambda: linear_model(7, entry_law="uniform", nu=2.0),
+    "control": lambda: linear_model(7, entry_law="gaussian"),
+}
+
+
+def _featurize_reference(model, Z):
+    """The float64 feature map spelled out, one formula per family and activation."""
+    if model.family == "linear-independent":
+        return np.sqrt(model.nu) * Z
+    A = Z @ model.W
+    act = model.activation
+    if act.kind == "custom-hermite":
+        coeffs = np.asarray(act.hermite_coeffs)
+        scaled = coeffs / np.sqrt([math.factorial(k) for k in range(len(coeffs))])
+    if model.family == "random-features":
+        return np.tanh(A) if act.kind == "tanh-rf" else hermeval(A, scaled)
+    if act.kind == "shifted-sine-nt":
+        S = np.cos(A) - math.exp(-0.5)
+    else:
+        S = hermeval(A, scaled[1:] * np.arange(1, len(scaled)))
+    return np.concatenate([Z * S[:, [j]] for j in range(model.m)], axis=1)
+
+
+class TestFeaturizePrecision:
+    @pytest.mark.parametrize("name", list(PRECISION_MODELS))
+    def test_float32_batch_is_featurized_in_float32(self, name):
+        model = PRECISION_MODELS[name]()
+        Z = sample_covariates(model, 50, seed=3)
+        X32 = featurize(model, Z.astype(np.float32))
+        assert X32.dtype == np.float32
+        X64 = featurize(model, Z)
+        assert np.abs(X32 - X64).max() <= 1e-5 * np.abs(X64).max()
+
+    @pytest.mark.parametrize("name", list(PRECISION_MODELS))
+    def test_float64_batch_keeps_its_bits(self, name):
+        model = PRECISION_MODELS[name]()
+        Z = sample_covariates(model, 50, seed=3)
+        X = featurize(model, Z)
+        assert X.dtype == np.float64
+        assert np.array_equal(X, _featurize_reference(model, Z))
+
+    @pytest.mark.parametrize("kind", ["tanh-rf", "shifted-sine-nt", "custom-hermite"])
+    def test_activation_keeps_float32(self, kind):
+        coeffs = (0.0, 0.6, 0.3, 0.1) if kind == "custom-hermite" else None
+        act = Activation(kind, hermite_coeffs=coeffs)
+        t = np.linspace(-3.0, 3.0, 13)
+        for fn in (act.value, act.derivative):
+            assert fn(t.astype(np.float32)).dtype == np.float32
+            assert fn(t).dtype == np.float64
+            assert np.abs(fn(t.astype(np.float32)) - fn(t)).max() <= 1e-5 * np.abs(fn(t)).max()

@@ -8,7 +8,17 @@ import pytest
 from numpy.polynomial.hermite_e import hermeval
 
 from ermu.errors import InvalidArgumentError
-from ermu.features import Activation, FeatureModel, linear_model, sample_sphere_weights
+from ermu import gaussian
+from ermu.features import (
+    Activation,
+    FeatureModel,
+    featurize,
+    linear_model,
+    neural_tangent_model,
+    random_features_model,
+    sample_covariates,
+    sample_sphere_weights,
+)
 from ermu.gaussian import (
     _ROW_BLOCK,
     GaussianEquivalent,
@@ -22,7 +32,7 @@ from ermu.gaussian import (
     sample_gaussian,
 )
 from ermu.quadrature import gaussian_expectation_pair, gaussian_nodes, hermite_coefficients
-from ermu.seeds import rng_from
+from ermu.seeds import derive_seed, rng_from
 from ermu.universality import FamilySpec, ProblemSpec, WorkerPool, build_instance
 
 
@@ -120,7 +130,11 @@ class TestMcCovariance:
         model = linear_model(5, entry_law="gaussian")
         with pytest.warns(UserWarning):
             sigma = mc_covariance(model, 1, seed=2)
-        assert np.linalg.matrix_rank(sigma) == 1
+        # numpy's default rank tolerance, at the float32 precision the chunk
+        # Gram matrices are formed in: rounding them leaves singular values
+        # of up to 2^-24 of the first.
+        tol = np.linalg.norm(sigma, 2) * sigma.shape[0] * np.finfo(np.float32).eps
+        assert np.linalg.matrix_rank(sigma, tol=tol) == 1
 
     def test_disjoint_seeds_agree_within_standard_errors(self):
         act = Activation("tanh-rf")
@@ -160,6 +174,38 @@ class TestMcCovariance:
         with WorkerPool(2) as pool:
             pooled = mc_covariance(model, 5000, seed=9, chunk=512, mapper=pool.map)
         assert np.array_equal(pooled, serial)
+
+
+    @pytest.mark.parametrize("name", ["rf", "nt", "linear"])
+    def test_float32_chunks_match_a_float64_reference(self, name):
+        # Each chunk is featurized and its Gram matrix formed in float32
+        # against a float32 copy of the weights, then summed in float64.
+        # The reference sums float64 Gram matrices of the same chunk
+        # streams; measured error (max-abs over max) 1.1e-7 to 1.3e-7.
+        model = {
+            "rf": lambda: random_features_model(24, 40, Activation("tanh-rf"), seed=4),
+            "nt": lambda: neural_tangent_model(8, 5, Activation("shifted-sine-nt"), seed=4),
+            "linear": lambda: linear_model(40, entry_law="uniform"),
+        }[name]()
+        n_cov, seed, tasks, grams = 10_000, 9, [], []
+
+        def recording_map(fn, items):
+            for task in items:
+                tasks.append(task)
+                grams.append(fn(task))
+                yield grams[-1]
+
+        got = mc_covariance(model, n_cov, seed, mapper=recording_map)
+        assert len(grams) == 3 and all(gram.dtype == np.float32 for gram in grams)
+        assert all(task[0].W is None or task[0].W.dtype == np.float32 for task in tasks)
+        ref = np.zeros((model.p, model.p))
+        for index, start in enumerate(range(0, n_cov, gaussian._COV_CHUNK)):
+            rows = min(gaussian._COV_CHUNK, n_cov - start)
+            Z = sample_covariates(model, rows, derive_seed(seed, "cov-chunk", index))
+            Phi = featurize(model, Z)
+            ref += Phi.T @ Phi
+        ref /= n_cov
+        assert np.abs(got - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
 class TestFactorCovariance:

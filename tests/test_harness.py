@@ -239,6 +239,10 @@ class TestConfig:
     def test_hash_ignores_explicit_defaults(self):
         explicit = json.loads(json.dumps(BASE))
         explicit["threads"] = 1  # the default
+        # A disabled stage accepts its settings at their defaults.
+        explicit["free_energy"] = {"enabled": False, "M": 256, "beta_grid": [0.1, 1, 10, 100],
+                                   "path_points": 10, "alpha": 0.5, "candidates": "solution-cloud"}
+        explicit["perturbed"] = {"enabled": False, "s_values": [0.01, 0.1], "n_test": 2000}
         assert config_from_dict(explicit).canonical_hash() == base_config().canonical_hash()
 
     def test_hash_ignores_threads(self):
@@ -291,8 +295,11 @@ class TestConfig:
     ])
     def test_float_fields_hash_int_literals_as_floats(self, path, int_value):
         as_float = json.loads(json.dumps(int_value), parse_int=float)
-        a = config_from_dict(base_with(path, int_value))
-        b = config_from_dict(base_with(path, as_float))
+        raw_int, raw_float = base_with(path, int_value), base_with(path, as_float)
+        for raw in (raw_int, raw_float):  # a disabled stage must keep its defaults
+            raw["free_energy"]["enabled"] = True
+        a = config_from_dict(raw_int)
+        b = config_from_dict(raw_float)
         assert a == b
         assert a.canonical_hash() == b.canonical_hash()
 
@@ -378,6 +385,10 @@ class TestConfig:
         *(({"kind": "neural-tangent", "cov_mode": "empirical", key: value}, key)
           for key, value in (("entry_law", "laplace"), ("nu", 4.0), ("gamma_d_over_p", 0.3),
                              ("hermite_order", 9), ("cov_samples_per_dim", 9))),
+        # Every sizes entry sets n, so no cell takes its n from gamma_p.
+        ({"kind": "neural-tangent", "gamma_p": 0.5, "sizes": [{"d": 6, "n": 40}]}, "gamma_p"),
+        ({"kind": "neural-tangent", "gamma_p": 0.5,
+          "sizes": [{"d": 6, "n": 40}, {"d": 8, "n": 70}]}, "gamma_p"),
     ])
     def test_family_setting_outside_its_kind_rejected(self, family, key):
         with pytest.raises(ConfigError, match=rf"config\.families\[0\]: {key} "):
@@ -438,11 +449,36 @@ class TestConfig:
         ({"kind": "random-features", "cov_mode": "hermite-exact", "cov_samples_per_dim": 50},
          "cov_samples_per_dim"),
         ({"kind": "neural-tangent", "cov_mode": "empirical", "hermite_order": 41}, "hermite_order"),
+        ({"kind": "neural-tangent", "gamma_p": 0.75, "sizes": [{"d": 6, "n": 40}]}, "gamma_p"),
     ])
     def test_unread_family_key_at_its_default_keeps_the_hash(self, family, key):
         with_key = base_config(families=[{"id": "f", **family}])
         without = base_config(families=[{"id": "f", **{k: family[k] for k in family if k != key}}])
         assert with_key.canonical_hash() == without.canonical_hash()
+
+    def test_neural_tangent_gamma_p_read_while_a_sizes_entry_sets_no_n(self):
+        nt = {"id": "nt", "kind": "neural-tangent", "gamma_p": 0.5,
+              "sizes": [{"d": 6, "n": 40}, {"d": 8}]}
+        spec = base_config(families=[nt]).families[0]
+        assert spec.resolve_size(8)["n"] == 128  # round(m d / gamma_p), m = d = 8
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("free_energy", "M", 8),
+        ("free_energy", "beta_grid", [1, 10]),
+        ("free_energy", "path_points", 4),
+        ("free_energy", "alpha", 0.25),
+        ("free_energy", "candidates", "random-net"),
+        ("perturbed", "s_values", [0.3]),
+        ("perturbed", "n_test", 50),
+    ])
+    def test_disabled_stage_setting_rejected(self, section, key, value):
+        # A disabled stage reads none of its settings; one set to another
+        # value than its default would change the hash and nothing else.
+        with pytest.raises(ConfigError, match=rf"config\.{section}: {key} applies to an enabled"):
+            config_from_dict(base_with((section, key), value))
+        enabled = base_with((section, key), value)
+        enabled[section]["enabled"] = True
+        config_from_dict(enabled)  # the same setting parses once its stage runs
 
     @pytest.mark.parametrize("path, where", [
         (("perturbed", "s_values"), r"config\.perturbed\.s_values\[0\]"),
@@ -823,12 +859,15 @@ class TestCampaign:
 
     def test_rerun_removes_the_earlier_runs_stage_files(self, tmp_path):
         # A rerun into a used directory with both stages and the matrices off
-        # leaves only its own files, so the report passes no stale file on.
+        # leaves only its own files, so the report passes no stale file on,
+        # and no report of the earlier run's trials is left beside its own.
         out, report = tmp_path / "out", tmp_path / "report"
         stages = {"free_energy": {"enabled": True, "M": 8, "path_points": 3},
                   "perturbed": {"enabled": True, "s_values": [0.1]}}
         run_campaign(base_config(ladder=[40], save_matrices=True, **stages), out)
+        write_report(out)  # into the results directory, as `ermu report` does by default
         assert (out / "perturbed.csv").exists() and list((out / "matrices").iterdir())
+        assert (out / "report.json").exists() and (out / "gap_vs_n.csv").exists()
         (out / "notes.txt").write_text("kept")  # not an artifact name
         run_campaign(base_config(ladder=[40], master_seed=32), out)
         assert sorted(f.name for f in out.iterdir()) == [
@@ -1059,8 +1098,17 @@ class TestCli:
          "config.families[0]: sizes applies to neural-tangent only"),
         (("families", 1, "nu"), 4,
          "config.families[1]: nu applies to linear-independent only; got kind 'control-gaussian'"),
+        (("free_energy", "M"), 8, "config.free_energy: M applies to an enabled stage only"),
+        (("perturbed", "s_values"), [0.3],
+         "config.perturbed: s_values applies to an enabled stage only"),
+        (("perturbed", "n_test"), 50, "config.perturbed: n_test applies to an enabled stage only"),
+        (("families", 0), {"id": "nt", "kind": "neural-tangent", "gamma_p": 0.5,
+                           "sizes": [{"d": 6, "n": 40}]},
+         "config.families[0]: gamma_p applies to a neural-tangent cell whose sizes entry sets no n"),
     ], ids=[*REMOVED_SOLVER_KEYS, "output_dir", "repeated-sizes", "non-centred-hermite", "nt-hermite-c2",
-            "unused-hermite-coeffs", "linear-sizes", "rf-sizes", "control-nu"])
+            "unused-hermite-coeffs", "linear-sizes", "rf-sizes", "control-nu",
+            "disabled-free-energy-M", "disabled-perturbed-s-values", "disabled-perturbed-n-test",
+            "nt-gamma-p-every-n-set"])
     def test_rejected_setting_exit_code(self, tmp_path, capsys, path, value, where):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_with(path, value)))
