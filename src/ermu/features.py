@@ -34,6 +34,10 @@ _INV_SQRT_E = math.exp(-0.5)
 
 ENTRY_LAWS = ("rademacher", "uniform", "laplace", "gaussian")
 ACTIVATION_KINDS = ("tanh-rf", "shifted-sine-nt", "custom-hermite")
+# Nodes of the Gauss-Hermite rule behind ``Activation.coefficients``. It
+# integrates polynomials of degree up to 2 * COEFFICIENT_NODES - 1 exactly,
+# so he_j he_k stays orthonormal under it only for j, k < COEFFICIENT_NODES.
+COEFFICIENT_NODES = 200
 
 
 def _as_float(a) -> np.ndarray:
@@ -89,7 +93,7 @@ class Activation:
         # In t's precision: float64 coefficients would promote a float32 t.
         return hermeval(t, scaled.astype(t.dtype, copy=False))
 
-    def coefficients(self, order: int, n_nodes: int = 200) -> np.ndarray:
+    def coefficients(self, order: int) -> np.ndarray:
         """Orthonormal-Hermite coefficients of the activation up to ``order``."""
         if self.kind == "custom-hermite":
             stored = np.asarray(self.hermite_coeffs, dtype=np.float64)
@@ -97,7 +101,7 @@ class Activation:
             upto = min(order + 1, len(stored))
             out[:upto] = stored[:upto]
             return out
-        return hermite_coefficients(self.value, order, n_nodes=n_nodes)
+        return hermite_coefficients(self.value, order, n_nodes=COEFFICIENT_NODES)
 
     def moment_checks(self, n_nodes: int = 100) -> dict[str, float]:
         """Quadrature values of the moment conditions each family relies on."""

@@ -41,7 +41,9 @@ from ermu.seeds import derive_seed, rng_from
 COV_MODES = ("hermite-exact", "monte-carlo", "empirical", "linear-exact")
 
 _COV_CHUNK = 4096
-# Rows per block when ``sample_gaussian`` draws a batch in pieces.
+# Rows per block of the loops that work a p-wide matrix in pieces: the Hermite
+# series, the symmetrization before a Cholesky factor and the batches of
+# ``sample_gaussian``.
 _ROW_BLOCK = 128
 
 
@@ -65,8 +67,19 @@ class GaussianEquivalent:
 def rf_covariance_hermite(W: np.ndarray, coeffs: np.ndarray, order: int) -> np.ndarray:
     """Random-features covariance from an orthonormal-Hermite expansion.
 
-    Entry (i, j) is sum_{k=1..order} c_k^2 rho^k, rho = w_i^T w_j, by Horner's rule
-    in place. Valid for unit-norm columns and mean-zero activations (c_0 = 0).
+    Entry (i, j) is sum_{k=1..order} c_k^2 rho^k, rho = clip(w_i^T w_j, -1, 1),
+    by Horner's rule from the last nonzero c_k^2 down, so zeros past it cost
+    nothing. Valid for unit-norm columns and mean-zero activations (c_0 = 0).
+
+    Horner's rule runs over ``_ROW_BLOCK`` rows of the upper triangle at a
+    time: the block rho[start:stop, start:] is copied into a contiguous buffer
+    small enough to stay in cache while every term passes over it, then
+    written into sigma[start:stop, start:] and, transposed, into
+    sigma[start:, start:stop]. One sweep per term over the whole p x p matrix
+    would stream it from memory twice per term. numpy forms W^T W with a
+    symmetric rank-k update, so rho is exactly symmetric and every entry gets
+    the same operations in the same order as in a full-matrix sweep: the
+    result is the same to the last bit.
     """
     W = np.asarray(W, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
@@ -77,12 +90,22 @@ def rf_covariance_hermite(W: np.ndarray, coeffs: np.ndarray, order: int) -> np.n
         raise InvalidArgumentError("columns of W must have unit norm")
     if len(coeffs) > 0 and abs(coeffs[0]) > 1e-10:
         raise InvalidArgumentError("activation must be mean-zero (c_0 = 0)")
-    upto = min(order, len(coeffs) - 1)
+    squares = coeffs[1 : order + 1] ** 2
+    nonzero = np.flatnonzero(squares)
     rho = np.clip(W.T @ W, -1.0, 1.0)
     sigma = np.zeros_like(rho)
-    for a in coeffs[upto:0:-1] ** 2:
-        sigma += a
-        sigma *= rho
+    if nonzero.size == 0:
+        return sigma
+    terms = squares[nonzero[-1] :: -1]  # c_K^2, ..., c_1^2
+    for start in range(0, rho.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        block = rho[rows, start:].copy()
+        acc = block * terms[0]
+        for a in terms[1:]:
+            acc += a
+            acc *= block
+        sigma[rows, start:] = acc
+        sigma[start:, rows] = acc.T
     return sigma
 
 

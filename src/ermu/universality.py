@@ -41,6 +41,7 @@ from ermu.erm import (
 from ermu.errors import InvalidArgumentError, SolverDivergedError, check, check_one_of
 from ermu.features import (
     ACTIVATION_KINDS,
+    COEFFICIENT_NODES,
     ENTRY_LAWS,
     Activation,
     FeatureModel,
@@ -154,6 +155,18 @@ class FamilySpec:
             check(getattr(self, key) > 0, f"{key} must be positive")
         for key in ("hermite_order", "cov_samples_per_dim"):
             check(getattr(self, key) >= 1, f"{key} must be >= 1")
+        check(
+            self.hermite_order < COEFFICIENT_NODES,
+            f"hermite_order must be <= {COEFFICIENT_NODES - 1}: the activation's coefficients "
+            f"come from a {COEFFICIENT_NODES}-node Gauss-Hermite rule, exact to that order only",
+        )
+        # The twin's series stops at hermite_order; the features carry every term.
+        last = max((k for k, c in enumerate(self.hermite_coeffs) if c != 0.0), default=0)
+        check(
+            self.cov_mode != "hermite-exact" or self.hermite_order >= last,
+            f"hermite_order must be >= {last}, the index of the last nonzero hermite_coeffs "
+            "entry, or the hermite-exact twin misses terms of the features' covariance",
+        )
         check(self.jitter_rel >= 0, "jitter_rel must be >= 0")
         # A key the family never reads must keep its default, so that one
         # experiment has one config hash.

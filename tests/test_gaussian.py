@@ -9,6 +9,8 @@ from numpy.polynomial.hermite_e import hermeval
 
 from ermu.errors import InvalidArgumentError
 from ermu import gaussian
+from ermu.campaign import build_instances
+from ermu.config import config_from_dict
 from ermu.features import (
     Activation,
     FeatureModel,
@@ -50,6 +52,16 @@ def covariance(equiv):
     return equiv.factor @ equiv.factor.T + equiv.iso_scale**2 * np.eye(equiv.p)
 
 
+def one_pass_horner(W, coeffs, order):
+    """Reference Hermite series: Horner's rule over the whole p x p matrix, one pass per term."""
+    rho = np.clip(W.T @ W, -1.0, 1.0)
+    sigma = np.zeros_like(rho)
+    for a in np.asarray(coeffs, dtype=np.float64)[min(order, len(coeffs) - 1) : 0 : -1] ** 2:
+        sigma += a
+        sigma *= rho
+    return sigma
+
+
 class TestRfCovarianceHermite:
     def test_identity_activation_gives_gram(self):
         W = sample_sphere_weights(6, 4, seed=1)
@@ -85,6 +97,36 @@ class TestRfCovarianceHermite:
         oracle = sum(coeffs[k] ** 2 * rho**k for k in range(1, order + 1))
         sigma = rf_covariance_hermite(W, coeffs, order)
         assert np.abs(sigma - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("p", [1, 300, 601])  # one row; several blocks, the last one ragged
+    @pytest.mark.parametrize("coeffs", [
+        hermite_coefficients(np.tanh, 41), np.array([0.0, 0.5, 0.0, 0.6, 0.5]),
+    ], ids=["tanh", "short-custom"])
+    def test_row_blocks_match_one_pass_horner_bit_for_bit(self, p, coeffs):
+        assert p == 1 or p > 2 * _ROW_BLOCK and p % _ROW_BLOCK
+        W = sample_sphere_weights(max(1, p // 2), p, seed=p)
+        sigma = rf_covariance_hermite(W, coeffs, order=41)
+        assert np.array_equal(sigma, one_pass_horner(W, coeffs, 41))
+        assert np.array_equal(sigma, sigma.T)
+
+    def test_trailing_zero_coefficients_change_nothing(self):
+        W = sample_sphere_weights(40, 200, seed=4)
+        coeffs = np.array([0.0, 0.5, 0.0, 0.6, 0.5])
+        padded = np.concatenate([coeffs, np.zeros(37)])
+        sigma = rf_covariance_hermite(W, coeffs, order=4)
+        assert np.array_equal(rf_covariance_hermite(W, padded, order=41), sigma)
+        assert np.array_equal(one_pass_horner(W, padded, 41), sigma)
+
+    def test_readme_config_twin_factors_the_reference_series(self):
+        from test_harness import README_CONFIG
+
+        config = config_from_dict(README_CONFIG)
+        cells = [cell for cell in build_instances(config) if cell.spec.id == "rf"]
+        assert [cell.p for cell in cells] == [150, 300, 600]
+        for cell in cells:
+            order = cell.spec.hermite_order
+            cov = one_pass_horner(cell.model.W, cell.model.activation.coefficients(order), order)
+            assert np.array_equal(cell.equiv.factor, factor_covariance(cov, cell.spec.jitter_rel))
 
     def test_constant_only_series_gives_zeros(self):
         sigma = rf_covariance_hermite(sample_sphere_weights(4, 3, seed=1), np.zeros(1), order=5)

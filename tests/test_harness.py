@@ -456,6 +456,22 @@ class TestConfig:
         without = base_config(families=[{"id": "f", **{k: family[k] for k in family if k != key}}])
         assert with_key.canonical_hash() == without.canonical_hash()
 
+    @pytest.mark.parametrize("family, accepted_order", [
+        # The features carry c_3 and c_4; a twin cut at order 2 would miss them.
+        ({"activation": "custom-hermite", "hermite_coeffs": [0.0, 0.5, 0.0, 0.6, 0.5],
+          "hermite_order": 2}, 4),
+        ({"activation": "custom-hermite", "hermite_coeffs": [0.0, 0.5] + [0.0] * 40 + [0.1]},
+         42),
+        # The coefficients' 200-node quadrature rule is exact up to order 199.
+        ({"hermite_order": 200}, 199),
+    ], ids=["below-last-coeff", "default-below-last-coeff", "above-quadrature-rule"])
+    def test_hermite_order_outside_the_series_rejected(self, family, accepted_order):
+        rf = {"id": "rf", "kind": "random-features", "cov_mode": "hermite-exact", **family}
+        with pytest.raises(ConfigError, match=r"config\.families\[0\]: hermite_order must be"):
+            base_config(families=[rf])
+        rf["hermite_order"] = accepted_order
+        assert base_config(families=[rf]).families[0].hermite_order == accepted_order
+
     def test_neural_tangent_gamma_p_read_while_a_sizes_entry_sets_no_n(self):
         nt = {"id": "nt", "kind": "neural-tangent", "gamma_p": 0.5,
               "sizes": [{"d": 6, "n": 40}, {"d": 8}]}
@@ -1105,10 +1121,18 @@ class TestCli:
         (("families", 0), {"id": "nt", "kind": "neural-tangent", "gamma_p": 0.5,
                            "sizes": [{"d": 6, "n": 40}]},
          "config.families[0]: gamma_p applies to a neural-tangent cell whose sizes entry sets no n"),
+        (("families", 0), {"id": "rf", "kind": "random-features", "activation": "custom-hermite",
+                           "hermite_coeffs": [0.0, 0.5, 0.0, 0.6, 0.5],
+                           "cov_mode": "hermite-exact", "hermite_order": 2},
+         "config.families[0]: hermite_order must be >= 4"),
+        (("families", 0), {"id": "rf", "kind": "random-features", "cov_mode": "hermite-exact",
+                           "hermite_order": 200},
+         "config.families[0]: hermite_order must be <= 199"),
     ], ids=[*REMOVED_SOLVER_KEYS, "output_dir", "repeated-sizes", "non-centred-hermite", "nt-hermite-c2",
             "unused-hermite-coeffs", "linear-sizes", "rf-sizes", "control-nu",
             "disabled-free-energy-M", "disabled-perturbed-s-values", "disabled-perturbed-n-test",
-            "nt-gamma-p-every-n-set"])
+            "nt-gamma-p-every-n-set", "hermite-order-below-last-coeff",
+            "hermite-order-above-quadrature-rule"])
     def test_rejected_setting_exit_code(self, tmp_path, capsys, path, value, where):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_with(path, value)))
