@@ -13,13 +13,14 @@ A run first deletes the files of a disabled stage, the saved matrices and
 the ``ermu report`` output that an earlier run left in the output
 directory. It then builds the (family, size) cells that each
 ``FamilySpec`` names, running any monte-carlo covariance chunks on a set-up
-pool of ``config.threads`` processes that is closed once the cells exist.
-It then opens its worker pool of ``config.threads`` processes (see
-``universality.WorkerPool``), whose workers receive the cells when they are
-forked. The pool runs the trial chunks and the per-cell stage tasks, each
-naming its cell by index, largest n·p cell first, and is shut down when the
-campaign ends, also on an error. Results are assembled in chunk and cell
-order, so every artifact is byte-identical for any thread count.
+pool that is closed once the cells exist. It then opens its worker pool
+(see ``universality.WorkerPool``), whose workers receive the cells when
+they are forked. Each pool has ``config.threads`` processes, or one per
+usable core if there are fewer cores. The worker pool runs the trial
+chunks and the per-cell stage tasks, each naming its cell by index,
+largest n·p cell first, and is shut down when the campaign ends, also on
+an error. Results are assembled in chunk and cell order, so every artifact
+is byte-identical for any thread count.
 Files are written to a temporary name and renamed on completion, so a run
 never leaves a partial file behind. Every CSV artifact, the report's too,
 goes through ``write_csv``, the one place that formats numbers.
@@ -106,8 +107,9 @@ class CampaignSummary:
 def build_instances(config: ExperimentConfig) -> list[FamilyInstance]:
     """Every (family, size) cell of the config, in config order.
 
-    Monte-carlo covariance chunks run on a set-up pool of ``config.threads``
-    workers, opened for this call and closed before it returns.
+    Monte-carlo covariance chunks run on a set-up pool of up to
+    ``config.threads`` workers, opened for this call and closed before it
+    returns.
     """
     with WorkerPool(config.threads) as pool:
         return [

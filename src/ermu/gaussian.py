@@ -15,16 +15,18 @@ conditional on the frozen weights. Sigma is obtained in one of four modes:
   about 1e-7 relative, far below its own sampling error.
 * ``empirical``: Sigma = X^T X / n of the batch X under study.
 
-A twin is a p x r factor L plus an isotropic scale s, and its rows are
-L xi + s zeta with xi ~ N(0, I_r), zeta ~ N(0, I_p), so that
-Sigma = L L^T + s^2 I. The linear-exact twin has r = 0 and s = sqrt(nu),
-so its rows are sqrt(nu) zeta. Hermite-exact and monte-carlo twins factor
-their jittered p x p covariance by Cholesky (any L with L L^T = Sigma draws
-the same law). The empirical twin factors nothing: its factor is
-X^T / sqrt(n), so a batch is Z X / sqrt(n) + s Xi with Z an n_rows x n
-standard normal matrix, and the jitter enters as the isotropic scale. When
-n > p that Z is larger than the batch, so it is drawn a block of rows at a
-time (see ``sample_gaussian``).
+A twin is a p x r factor L, so that Sigma = L L^T, except the linear-exact
+twin, which has r = 0 and an isotropic scale s = sqrt(nu): its rows are
+s zeta with zeta ~ N(0, I_p). The other twins' rows are L xi with
+xi ~ N(0, I_r). Hermite-exact and monte-carlo twins factor their jittered
+p x p covariance by Cholesky (any L with L L^T = Sigma draws the same law).
+The empirical twin factors nothing and adds no jitter: its factor is
+X^T / sqrt(n), held in float32, so a batch is Z X / sqrt(n) with Z an
+n_rows x n standard normal matrix. When n > p that Z is larger than the
+batch, so it is drawn a block of rows at a time, and each block's product
+runs in float32 (see ``sample_gaussian``). The draw is then exact for the
+covariance of the float32 factor, which differs from X^T X / n by about
+1e-7 relative, up to the float32 rounding of the product.
 """
 
 from __future__ import annotations
@@ -51,13 +53,18 @@ _ROW_BLOCK = 128
 class GaussianEquivalent:
     """Sampler state for the Gaussian twin: Sigma = L L^T + iso_scale^2 I.
 
-    ``factor`` is the p x r matrix L; ``iso_scale`` is nonzero for linear
-    twins (with r = 0) and for empirical twins, whose factor is
-    X^T / sqrt(n).
+    ``factor`` is the p x r matrix L: float64 for a Cholesky factor, float32
+    for an empirical twin, whose factor is X^T / sqrt(n). ``iso_scale`` is
+    nonzero only for the linear twin, whose factor has r = 0.
     """
 
     factor: np.ndarray
     iso_scale: float = 0.0
+
+    def __post_init__(self):
+        # sample_gaussian draws s zeta only for an empty factor.
+        if self.iso_scale != 0.0 and self.factor.shape[1] != 0:
+            raise InvalidArgumentError("iso_scale applies to a twin with a p x 0 factor only")
 
     @property
     def p(self) -> int:
@@ -198,21 +205,24 @@ def factor_covariance(cov: np.ndarray, jitter_rel: float = 0.0) -> np.ndarray:
 
 
 def sample_gaussian(equiv: GaussianEquivalent, n: int, seed: int) -> np.ndarray:
-    """n x p batch with rows L xi + s zeta, xi ~ N(0, I_r), zeta ~ N(0, I_p).
+    """n x p float64 batch with rows L xi, xi ~ N(0, I_r), or s zeta when r = 0.
 
-    The isotropic term is drawn only when s > 0, after xi from the same
-    stream, so a twin with s = 0 draws exactly n x r normals. A twin with
-    r = 0 (the linear family's) is drawn as s zeta directly.
+    A twin with r = 0 (the linear family's) is drawn as s zeta directly;
+    every other twin has s = 0 and draws exactly n x r normals.
 
     A factor with more columns than rows (an empirical twin of a batch with
     more rows than features) would need an n x r normal matrix larger than
-    the batch, so its xi rows are drawn ``_ROW_BLOCK`` at a time, each block
-    multiplied straight into the preallocated batch. The s zeta term is
-    added in place, one block at a time. Both read the one stream in the
-    same order as a single draw, so the blocks change no number drawn.
+    the batch, so its xi rows are drawn ``_ROW_BLOCK`` at a time from the
+    float64 stream, in the order of a single draw, so the blocks change no
+    number drawn. Each block is cast to float32 and multiplied by the
+    float32 factor, and the float32 product is written into the
+    preallocated float64 batch. Single precision about halves the time of
+    the product, and it rounds each entry of the batch to about 1e-7
+    relative of its row's scale.
 
-    A factor with r <= p (a Cholesky factor) is applied in one n x r by
-    r x p product, so its n x r normals and the batch are held together
+    A factor with r <= p (a Cholesky factor, or the float32 factor of a
+    batch with no more rows than features) is applied in one float64 n x r
+    by r x p product, so its n x r normals and the batch are held together
     while it runs. Splitting that product into row blocks would not change
     the numbers drawn, but it does change the rounding of the result: the
     BLAS picks another kernel for a product with few rows, and row-blocking
@@ -228,18 +238,13 @@ def sample_gaussian(equiv: GaussianEquivalent, n: int, seed: int) -> np.ndarray:
         G *= equiv.iso_scale
         return G
     if r <= p:
-        G = rng.standard_normal((n, r)) @ equiv.factor.T
-    else:
-        G = np.empty((n, p))
-        for start in range(0, n, _ROW_BLOCK):
-            block = G[start : start + _ROW_BLOCK]
-            np.matmul(rng.standard_normal((block.shape[0], r)), equiv.factor.T, out=block)
-    if equiv.iso_scale > 0.0:
-        for start in range(0, n, _ROW_BLOCK):
-            block = G[start : start + _ROW_BLOCK]
-            zeta = rng.standard_normal(block.shape)
-            zeta *= equiv.iso_scale
-            block += zeta
+        return rng.standard_normal((n, r)) @ equiv.factor.T
+    G = np.empty((n, p))
+    for start in range(0, n, _ROW_BLOCK):
+        block = G[start : start + _ROW_BLOCK]
+        xi = rng.standard_normal((block.shape[0], r)).astype(np.float32)
+        np.matmul(xi, equiv.factor.T, out=block)
+        del xi  # before the next block's float64 normals are drawn
     return G
 
 
@@ -268,13 +273,16 @@ def monte_carlo_equivalent(
     return GaussianEquivalent(factor=factor_covariance(cov, jitter_rel))
 
 
-def empirical_equivalent(X: np.ndarray, jitter_rel: float = 1e-10) -> GaussianEquivalent:
-    """Twin of the batch X: Sigma = X^T X / n + jitter_rel * (trace / p) * I.
+def empirical_equivalent(X: np.ndarray) -> GaussianEquivalent:
+    """Twin of the batch X: Sigma = F F^T with the float32 factor F = X^T / sqrt(n).
 
-    The factor is X^T / sqrt(n), so no p x p matrix is formed or factored.
+    X is cast to float32 once and scaled in place, so no p x p matrix is
+    formed or factored and the twin holds half the bytes of X. The scaled
+    n x p copy is C-contiguous, so ``factor.T`` is too. F F^T differs from
+    X^T X / n by the float32 rounding of F, about 1e-7 relative. The twin
+    adds no isotropic term: X^T X / n is a covariance as it is, of full
+    rank when n >= p and the rows of X span R^p.
     """
-    X = np.asarray(X, dtype=np.float64)
-    n, p = X.shape
-    factor = (X / np.sqrt(n)).T
-    trace = float(np.vdot(X, X)) / n
-    return GaussianEquivalent(factor=factor, iso_scale=float(np.sqrt(jitter_rel * trace / p)))
+    scaled = np.array(X, dtype=np.float32, order="C")
+    scaled /= np.float32(math.sqrt(scaled.shape[0]))
+    return GaussianEquivalent(factor=scaled.T)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -79,7 +80,7 @@ _READ_BY = {
     "sizes": ("neural-tangent",),
     "hermite_order": ("hermite-exact",),
     "cov_samples_per_dim": ("monte-carlo",),
-    "jitter_rel": ("hermite-exact", "monte-carlo", "empirical"),
+    "jitter_rel": ("hermite-exact", "monte-carlo"),
 }
 
 
@@ -168,6 +169,10 @@ class FamilySpec:
             "entry, or the hermite-exact twin misses terms of the features' covariance",
         )
         check(self.jitter_rel >= 0, "jitter_rel must be >= 0")
+        # theta* is drawn from a sign-symmetric law, so a negative scale would
+        # draw the law of its absolute value under a second config hash.
+        # Zero is a pure-noise teacher, which TwinTestRisk handles.
+        check(self.theta_star_scale >= 0, "theta_star_scale must be >= 0")
         # A key the family never reads must keep its default, so that one
         # experiment has one config hash.
         for f in fields(self):
@@ -277,7 +282,7 @@ class FamilyInstance:
         """The cell's Gaussian twin; an empirical cell builds it from the batch ``X``."""
         if self.equiv is not None:
             return self.equiv
-        return empirical_equivalent(X, self.spec.jitter_rel)
+        return empirical_equivalent(X)
 
 
 def _theta_star(cset: ConstraintSet, p: int, scale: float, seed: int) -> np.ndarray:
@@ -388,7 +393,9 @@ class TwinTestRisk:
 
     def __init__(self, problem: ErmProblem, equiv: GaussianEquivalent):
         self.problem = problem
-        self.factor = equiv.factor
+        # An empirical twin's float32 factor is cast once, so the risk is
+        # that of the rounded factor its batches are drawn from.
+        self.factor = np.asarray(equiv.factor, dtype=np.float64)
         self.iso2 = equiv.iso_scale**2
         t = problem.theta_star
         self.sigma_t = self.factor @ (self.factor.T @ t) + self.iso2 * t
@@ -632,14 +639,17 @@ def _trial_chunk(args):
 
 
 class WorkerPool:
-    """``threads`` worker processes, shared by every batch of tasks it is given.
+    """Up to ``threads`` worker processes, shared by every batch of tasks it is given.
 
-    All workers are forked at the first batch of two or more tasks, before
-    the pool starts its own manager thread; with ``threads`` <= 1, or with
-    only one-task batches, nothing is forked and ``map`` runs the tasks in
-    the calling process. Forked workers see the caller's module state as it
-    was at that first batch. ``close``, or leaving the ``with`` block (also
-    on an exception), stops and joins the workers.
+    The pool has ``workers`` = min(``threads``, usable cores) workers: a
+    fork executor starts all of its workers at the first submit, and more
+    workers than cores would only share them. All workers are forked at the
+    first batch of two or more tasks, before the pool starts its own manager
+    thread; with one worker, or with only one-task batches, nothing is
+    forked and ``map`` runs the tasks in the calling process. Forked
+    workers see the caller's module state as it was at that first batch.
+    ``close``, or leaving the ``with`` block (also on an exception), stops
+    and joins the workers.
 
     ``cells`` are the (family, size) cells the tasks work on. Each worker
     receives them once, at fork, through the executor's initializer (a
@@ -650,7 +660,7 @@ class WorkerPool:
     """
 
     def __init__(self, threads: int, cells: Sequence[FamilyInstance] = ()):
-        self.threads = threads
+        self.workers = min(threads, len(os.sched_getaffinity(0)))
         self.cells = cells
         self._executor: Optional[ProcessPoolExecutor] = None
 
@@ -662,13 +672,13 @@ class WorkerPool:
         pool without cells submits them in task order. Each result is
         released once yielded. ``fn`` and the tasks must be picklable.
         """
-        if self.threads <= 1 or len(tasks) <= 1:
+        if self.workers <= 1 or len(tasks) <= 1:
             for task in tasks:
                 yield _run_serving(self.cells, fn, task)
             return
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
-                max_workers=self.threads,
+                max_workers=self.workers,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_serve_cells,
                 initargs=(self.cells,),
@@ -708,7 +718,7 @@ def run_trials(
     """
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
-    chunk = max(1, math.ceil(trials / max(1, pool.threads)))
+    chunk = max(1, math.ceil(trials / max(1, pool.workers)))
     tasks = [
         (i, list(range(start, min(trials, start + chunk))), master_seed, solver_cfg, n_test)
         for i in range(len(pool.cells))

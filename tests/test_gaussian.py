@@ -48,8 +48,9 @@ def eigh_calls(monkeypatch):
 
 
 def covariance(equiv):
-    """The twin's law: Sigma = L L^T + iso_scale^2 I."""
-    return equiv.factor @ equiv.factor.T + equiv.iso_scale**2 * np.eye(equiv.p)
+    """The twin's law: Sigma = L L^T + iso_scale^2 I, in float64."""
+    factor = equiv.factor.astype(np.float64)
+    return factor @ factor.T + equiv.iso_scale**2 * np.eye(equiv.p)
 
 
 def one_pass_horner(W, coeffs, order):
@@ -330,6 +331,12 @@ class TestSampleGaussian:
         xi = rng_from(13, "gaussian-rows").standard_normal((40, 3))
         assert np.array_equal(sample_gaussian(equiv, 40, seed=13), xi @ factor.T)
 
+    def test_isotropic_scale_needs_an_empty_factor(self):
+        # Only the linear twin's rows are s zeta; a factor's rows have no such term.
+        with pytest.raises(InvalidArgumentError, match="iso_scale"):
+            GaussianEquivalent(factor=np.eye(3), iso_scale=0.5)
+        assert GaussianEquivalent(factor=np.zeros((3, 0)), iso_scale=0.5).p == 3
+
     @pytest.mark.parametrize("r", [2, 7])
     def test_non_square_factor_rows_match_covariance(self, r):
         # A p x r factor draws r normals per row and returns p columns.
@@ -381,45 +388,71 @@ class TestEquivalentBuilders:
         assert eig.min() >= -1e-12
 
 
+# float32 unit roundoff.
+U32 = 2.0**-24
+
+
 class TestEmpiricalTwin:
     @pytest.mark.parametrize("n, p", [(30, 50), (80, 20)])
-    def test_covariance_is_batch_second_moment_plus_jitter(self, n, p):
+    def test_factor_is_the_float32_scaled_batch(self, n, p):
         X = rng_from(5, "batch", n).standard_normal((n, p)) + 0.3
-        equiv = empirical_equivalent(X, jitter_rel=1e-3)
-        second = X.T @ X / n
-        expected = second + 1e-3 * (np.trace(second) / p) * np.eye(p)
-        got = covariance(equiv)
-        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
-        assert equiv.factor.shape == (p, n)
+        equiv = empirical_equivalent(X)
+        want = X.astype(np.float32) / np.float32(np.sqrt(n))
+        assert equiv.factor.dtype == np.float32
+        assert np.array_equal(equiv.factor.T, want)
+        assert equiv.factor.T.flags.c_contiguous
+        assert equiv.iso_scale == 0.0
 
-    def test_rows_match_covariance_with_isotropic_term(self):
-        # A large jitter makes the isotropic draw visible in the sample.
-        X = rng_from(6, "batch").standard_normal((3, 4)) * [1.0, 2.0, 0.5, 1.5]
-        equiv = empirical_equivalent(X, jitter_rel=0.5)
+    @pytest.mark.parametrize("n, p", [(30, 50), (80, 20)])
+    def test_covariance_is_batch_second_moment_within_float32_rounding(self, n, p):
+        # Each entry of F carries three float32 roundings (the cast, sqrt(n)
+        # and the division), so it is within 3u of its exact value and a
+        # product of two entries within 6u; the float64 sums add far less.
+        X = rng_from(5, "batch", n).standard_normal((n, p)) + 0.3
+        got = covariance(empirical_equivalent(X))
+        bound = 6.01 * U32 * (np.abs(X).T @ np.abs(X)) / n
+        assert np.all(np.abs(got - X.T @ X / n) <= bound)
+
+    def test_rows_match_covariance(self):
+        # More rows than features: the float32 row-block draw has the law
+        # of its factor.
+        X = rng_from(6, "batch").standard_normal((6, 4)) * [1.0, 2.0, 0.5, 1.5]
+        equiv = empirical_equivalent(X)
         draws = sample_gaussian(equiv, 200_000, seed=9)
         cov = covariance(equiv)
         emp = draws.T @ draws / draws.shape[0]
         assert np.abs(emp - cov).max() <= 5.0 * np.sqrt(2.0 / 200_000) * cov.diagonal().max()
 
-    def test_zero_jitter_draws_no_isotropic_term(self):
+    def test_narrow_factor_draws_one_float64_product(self):
+        # A batch with fewer rows than features gives a factor with r <= p:
+        # the draw is the n x r normals times the factor in float64, and
+        # nothing else is drawn.
         X = rng_from(7, "batch").standard_normal((5, 8))
-        equiv = empirical_equivalent(X, jitter_rel=0.0)
-        assert equiv.iso_scale == 0.0
+        equiv = empirical_equivalent(X)
         G = sample_gaussian(equiv, 10, seed=3)
         z = rng_from(3, "gaussian-rows").standard_normal((10, 5))
-        assert np.array_equal(G, z @ (X / np.sqrt(5)))
+        assert G.dtype == np.float64
+        assert np.array_equal(G, z @ equiv.factor.T.astype(np.float64))
 
     @pytest.mark.parametrize("n", [1, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 3])
-    def test_blocked_draw_matches_one_batch(self, n):
-        # A factor with more columns than rows is drawn in row blocks; the
-        # batch is the one-batch xi L^T + s zeta of the same stream.
+    def test_blocked_draw_is_float32_products_of_one_stream(self, n):
+        # A factor with more columns than rows is drawn in row blocks: each
+        # block of the float64 stream is cast to float32 and multiplied by
+        # the float32 factor. The blocks read the stream as one n x r draw,
+        # so the batch is its float64 product up to float32 rounding: u for
+        # the cast of xi and r u for the float32 sum of r products.
         X = rng_from(8, "batch").standard_normal((300, 12))
-        equiv = empirical_equivalent(X, jitter_rel=1e-3)
-        rng = rng_from(21, "gaussian-rows")
-        xi = rng.standard_normal((n, 300))
-        want = xi @ equiv.factor.T + equiv.iso_scale * rng.standard_normal((n, 12))
+        equiv = empirical_equivalent(X)
         got = sample_gaussian(equiv, n, seed=21)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        rng = rng_from(21, "gaussian-rows")
+        blocks = [rng.standard_normal((len(rows), 300)).astype(np.float32)
+                  for rows in np.array_split(np.arange(n), range(_ROW_BLOCK, n, _ROW_BLOCK))]
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.vstack([xi @ equiv.factor.T for xi in blocks]))
+        xi = rng_from(21, "gaussian-rows").standard_normal((n, 300))
+        factor = equiv.factor.astype(np.float64)
+        bound = (300 + 1) * U32 * (np.abs(xi) @ np.abs(factor).T)
+        assert np.all(np.abs(got - xi @ factor.T) <= bound)
 
     def test_wide_factor_allocates_no_n_by_n_matrix(self):
         n, p = 2000, 20
@@ -430,5 +463,6 @@ class TestEmpiricalTwin:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The batch plus one block of xi; a one-batch draw needs n x n normals.
+        # The batch plus one block of xi and its float32 copy; a one-batch draw
+        # needs n x n normals.
         assert peak <= G.nbytes + 2 * _ROW_BLOCK * n * 8 < n * n * 8

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ermu import campaign, erm, gaussian
+from ermu import campaign, erm, features, gaussian, universality
 from ermu.campaign import run_campaign
 from ermu.cli import main as cli_main
 from ermu.config import ExperimentConfig, config_from_dict, load_config
@@ -347,6 +347,7 @@ class TestConfig:
         (("families", 0, "hermite_order"), 0),
         (("families", 0, "cov_samples_per_dim"), 0),
         (("families", 0, "jitter_rel"), -1e-3),
+        (("families", 0, "theta_star_scale"), -0.5),
         (("problem", "clip_bound"), 0.0),
         (("free_energy", "alpha"), 0.0),
         (("free_energy", "alpha"), -0.5),
@@ -384,7 +385,8 @@ class TestConfig:
                              ("cov_samples_per_dim", 9))),
         *(({"kind": "neural-tangent", "cov_mode": "empirical", key: value}, key)
           for key, value in (("entry_law", "laplace"), ("nu", 4.0), ("gamma_d_over_p", 0.3),
-                             ("hermite_order", 9), ("cov_samples_per_dim", 9))),
+                             ("hermite_order", 9), ("cov_samples_per_dim", 9),
+                             ("jitter_rel", 1e-3))),
         # Every sizes entry sets n, so no cell takes its n from gamma_p.
         ({"kind": "neural-tangent", "gamma_p": 0.5, "sizes": [{"d": 6, "n": 40}]}, "gamma_p"),
         ({"kind": "neural-tangent", "gamma_p": 0.5,
@@ -646,52 +648,86 @@ class TestCampaign:
         assert list(setup.map(str, ["b", "a"])) == ["b", "a"]
         assert submitted == ["b", "a"]
 
-    def test_stage_twins_use_family_jitter(self, monkeypatch):
-        # An empirical-twin cell builds each draw's twin with the family's
-        # jitter_rel in the free-energy and perturbed stages, as in its trials.
-        # The jitter lives in the isotropic scale, so the whole twin is compared.
+    def test_pool_forks_no_more_workers_than_cores(self, monkeypatch):
+        # A fork executor starts all of its max_workers at the first submit,
+        # so a pool asks for at most one worker per usable core, and
+        # run_trials splits each cell's trials into that many chunks. The
+        # recording executor runs nothing and starts no process.
+        started, submitted = [], []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+
+            def submit(self, fn, task):
+                submitted.append(task)
+                future = Future()
+                future.set_result([])
+                return future
+
+            def shutdown(self, **kwargs):
+                pass
+
+        monkeypatch.setattr(universality, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert [WorkerPool(threads).workers for threads in (1, 2, 3, 500)] == [1, 2, 2, 2]
+        cell = SimpleNamespace(n=40, p=30)
+        with WorkerPool(500, [cell, cell]) as pool:
+            assert run_trials(pool, 5, master_seed=1) == []
+        assert started == [2]
+        assert [task[:2] for task in submitted] == [
+            (0, [0, 1, 2]), (0, [3, 4]), (1, [0, 1, 2]), (1, [3, 4])
+        ]
+
+    def test_stage_twins_have_the_trials_factor(self, monkeypatch):
+        # An empirical-twin cell builds every twin from its batch alone: the
+        # trials, the free-energy and the perturbed stages all hold the
+        # float32 factor of X / sqrt(n), with no isotropic term.
         cfg = base_config(
             ladder=[40],
-            families=[{"id": "lin", "kind": "linear-independent", "cov_mode": "empirical",
-                       "jitter_rel": 1e-3}],
+            families=[{"id": "lin", "kind": "linear-independent", "cov_mode": "empirical"}],
             perturbed={"enabled": True, "s_values": [0.1], "n_test": 50},
         )
 
-        def assert_family_twin(equiv, X):
-            twin = empirical_equivalent(X, 1e-3)
-            assert np.array_equal(equiv.factor, twin.factor)
-            assert equiv.iso_scale == twin.iso_scale
-            assert equiv.iso_scale != empirical_equivalent(X).iso_scale
+        def assert_batch_twin(equiv, X):
+            assert equiv.factor.dtype == np.float32
+            assert np.array_equal(equiv.factor, empirical_equivalent(X).factor)
+            assert equiv.iso_scale == 0.0
 
+        def draw_features(*args):
+            X = features.draw_features(*args)
+            seen.append(X)
+            return X
+
+        def sample_gaussian(equiv, *args):
+            seen.append(equiv)
+            return gaussian.sample_gaussian(equiv, *args)
+
+        for module in (campaign, universality):
+            monkeypatch.setattr(module, "draw_features", draw_features)
+            monkeypatch.setattr(module, "sample_gaussian", sample_gaussian)
         (inst,) = campaign.build_instances(cfg)
         seen = []
-        sample = campaign.sample_gaussian
-
-        def recording_sample(equiv, *args):
-            seen.append(equiv)
-            return sample(equiv, *args)
-
-        monkeypatch.setattr(campaign, "sample_gaussian", recording_sample)
-        _, X, _, _ = campaign._free_energy_data(inst, cfg.master_seed)
-        (equiv,) = seen
-        assert_family_twin(equiv, X)
+        run_single_trial(inst, 0, cfg.master_seed, SolverConfig(), 0)
+        X, equiv = seen
+        assert_batch_twin(equiv, X)
 
         seen = []
-        twin_risk, sweep = campaign.TwinTestRisk, campaign.perturbed_sweep
+        campaign._free_energy_data(inst, cfg.master_seed)
+        X, equiv = seen
+        assert_batch_twin(equiv, X)
+
+        seen = []
+        twin_risk = campaign.TwinTestRisk
 
         def recording_twin_risk(problem, equiv, *args):
             seen.append(equiv)
             return twin_risk(problem, equiv, *args)
 
-        def recording_sweep(problem, X, *args, **kwargs):
-            seen.append(X)
-            return sweep(problem, X, *args, **kwargs)
-
         monkeypatch.setattr(campaign, "TwinTestRisk", recording_twin_risk)
-        monkeypatch.setattr(campaign, "perturbed_sweep", recording_sweep)
         list(WorkerPool(1, [inst]).map(campaign._perturbed_task, [(0, cfg)]))
-        equiv, X = seen
-        assert_family_twin(equiv, X)
+        X, equiv = seen
+        assert_batch_twin(equiv, X)
 
     def test_empirical_twins_never_factor_a_covariance(self, tmp_path, monkeypatch):
         # An empirical twin samples Z X / sqrt(n) directly: neither the trials

@@ -58,12 +58,12 @@ PINS = {
     'free_energy_checks.json:rf-mc': 'c43a1bbeb5b585498b4db31d511f39e7b0ed8deb774ddbcfac57469d91385749',
     'free_energy_paths.csv:control': 'e0520cca2848e8344edeac7b245dfdc410081e19c8ba7c0ddfcd3cb0dbebedda',
     'free_energy_paths.csv:lin': '62461b0fa62834d92a7ec6cf575c0344fc37ec192bddbd0a9ca5f4454fb0d248',
-    'free_energy_paths.csv:nt': '4e98e01cadb1bb20e0bc73e8fef9d665b593c0164ebedc2d618d203d2c4f3bb7',
+    'free_energy_paths.csv:nt': 'cb6a1b253239bec9ff2e629513c4181d89b6de2c2a1f35717c70116ea733be13',
     'free_energy_paths.csv:rf-hermite': '92fc09f1ba2c0c5d222593985f79f7fb0bf9c32a080caaf49931c14f1bf4423b',
     'free_energy_paths.csv:rf-mc': 'c9099c38ec19bbf498a8ba2b138bb60b4d3dc46c94df310ac719ace35b688a30',
     'gap_vs_n.csv:control': '317cf47079609fc051bdc65b85cd490af03bc871cccb396b4b82329bd4a4a802',
     'gap_vs_n.csv:lin': '0b75e141dafe7ba95517061f0ae26630a5c0c24c3a0a08c1559a8a4b4e7de2e1',
-    'gap_vs_n.csv:nt': '271c769a8cbed3253dc42e3743f42f8b7201eddc508b9c55384b318b22caf556',
+    'gap_vs_n.csv:nt': '8aa698e413b0e6bdaaefdc18f0e20a31ac6d1320cd86d2acfc5cbb4f47b68248',
     'gap_vs_n.csv:rf-hermite': '6ff22b5f9b29571c2fe760e2062aa86b3ba703d23ebe1483302d28ec33199d83',
     'gap_vs_n.csv:rf-mc': 'd6cd885d947779de028d8a57946fea60d97c48918041b177f48669ef8390b627',
     'manifest.json:*': '895f4a7e49b5875c76f694357eca8ddb5cb7288f80c3b5d52933c0963603f5ef',
@@ -74,18 +74,18 @@ PINS = {
     'matrices:rf-mc': '868ddade4f9e7908fe5fe0a2d18114091c19177b4e52b6ed46b849777cb57716',
     'perturbed.csv:control': 'f8a708864269de636788a24dbe29aef20d465bbb100afe3e15ba408fffe13ffe',
     'perturbed.csv:lin': 'fc7d7f378fd7c7e01f6489b9a9390492242854a4d9f6979d78e9597520c821a2',
-    'perturbed.csv:nt': '29f087c505ebffb3d3ee59f67f65299ff0d06bf203ae9af778e6bd20e64c9cf1',
+    'perturbed.csv:nt': 'bcf968fd0f181993ea4c431bcd7761f8cf3b33f78f1644113ad86c3ef2bc296b',
     'perturbed.csv:rf-hermite': '78ff8572da1695ab419e62a07b47277e4af61d3ce8443b9c6e126335592fb587',
     'perturbed.csv:rf-mc': '60565c14eef18f97d00f5676d76524afc642f7b8437dbd9dedd476c9dd34f019',
     'report.json:*': '6cea7f773c2e2d2dcf59eb959253ba07162001794dbaee02203556aa59a8b5cd',
     'report.json:control': 'd6c8cd40c5de9d70572e5b26291c90f83e92101cce4782fe02bba348158aed69',
     'report.json:lin': '17f22b3e63a6c835ef55cf997291af5acaa96c0c4fcbd30a1c6d2e8e556aa435',
-    'report.json:nt': 'e3d53bb9574d5c0b0895d5e8f078b1521c62a975833f10fb1fe5fbbc260e48c7',
+    'report.json:nt': '5ececd0a851d68842c3f07f5d4624bb8f05b146fc42ba8c4479c01ba09062904',
     'report.json:rf-hermite': '47b71145c74224615a5f671d873f991d5df9b19adcda2c105ead092cb12174e5',
     'report.json:rf-mc': '47b24ef10ba1784cbc455f56f8bb37fb4c55f40a5f2555cba9992b572cca9161',
     'trials.csv:control': '1f551a27184a822b288d54062f0fb658bee2e32c875c1a5e04b276480dafd183',
     'trials.csv:lin': '5221a01f242c5dec435712a97bf24fe6f62b563fc2460544d92f394c47b97893',
-    'trials.csv:nt': 'dab7aa81b3c9ec3d6c451bcaad941e499f98f29072659ad6afa06156f4bbb9ab',
+    'trials.csv:nt': '73067861f58c93a6f998cfafac964a62eada7a4743995e40147e95ffe36d6c20',
     'trials.csv:rf-hermite': 'aa00bf3a1ce6b8e7f855f8ed62744ea7e03c59836f91fa4128936d4da9400ac3',
     'trials.csv:rf-mc': '30fb7859abeaee614da8e84df86c9284cb07ec0d2ec0205d6164b747270e7cd0',
 }

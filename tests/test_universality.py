@@ -368,7 +368,7 @@ def twin_kinds(p):
     return {
         "square": GaussianEquivalent(factor=rng.standard_normal((p, p)) / math.sqrt(p)),
         "linear": GaussianEquivalent(factor=np.zeros((p, 0)), iso_scale=math.sqrt(2.0)),
-        "empirical": empirical_equivalent(rng.standard_normal((p // 2, p)), 0.05),
+        "empirical": empirical_equivalent(rng.standard_normal((p // 2, p))),
     }
 
 
