@@ -17,10 +17,11 @@ pool that is closed once the cells exist. It then opens its worker pool
 (see ``universality.WorkerPool``), whose workers receive the cells when
 they are forked. Each pool has ``config.threads`` processes, or one per
 usable core if there are fewer cores. The worker pool runs the trial
-chunks and the per-cell stage tasks, each naming its cell by index,
-largest n·p cell first, and is shut down when the campaign ends, also on
-an error. Results are assembled in chunk and cell order, so every artifact
-is byte-identical for any thread count.
+chunks, each naming its cell by index, largest n·p cell first, and is shut
+down when the campaign ends, also on an error. Each cell's trial 0 also
+runs the enabled stages on its own draws and x-arm solution, and its chunk
+brings their rows back. Results are assembled in chunk and cell order, so
+every artifact is byte-identical for any worker count.
 Files are written to a temporary name and renamed on completion, so a run
 never leaves a partial file behind. Every CSV artifact, the report's too,
 goes through ``write_csv``, the one place that formats numbers.
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import time
 from dataclasses import astuple, dataclass, fields
@@ -40,27 +40,17 @@ import numpy as np
 
 from ermu import __version__
 from ermu.config import ExperimentConfig
-from ermu.erm import labels_from_noise, solve_erm
-from ermu.features import draw_features
-from ermu.free_energy import (
-    InterpolationPath,
-    entropy_sandwich_check,
-    free_energy_path,
-    random_net,
-    solution_cloud,
-)
-from ermu.gaussian import sample_gaussian
+from ermu.erm import labels_from_noise, solve_erm  # rebound by perfbench/spans.py
+from ermu.features import draw_features  # rebound by perfbench/spans.py
+from ermu.gaussian import sample_gaussian  # rebound by perfbench/spans.py
 from ermu.matio import write_matrix
-from ermu.seeds import derive_seed
 from ermu.universality import (
     FamilyInstance,
+    StageRows,
     TrialRow,
-    TwinTestRisk,
     WorkerPool,
     build_instance,
-    perturbed_sweep,
     run_trials,
-    served_cell,
 )
 
 
@@ -129,8 +119,9 @@ def run_campaign(config: ExperimentConfig, out_dir: str | Path) -> CampaignSumma
     # receive them at fork and no task pickles a cell.
     instances = build_instances(config)
     with WorkerPool(config.threads, instances) as pool:
-        rows = run_trials(
-            pool, config.trials, config.master_seed, config.solver, config.test_risk.n_test
+        rows, cell_stages = run_trials(
+            pool, config.trials, config.master_seed, config.solver, config.test_risk.n_test,
+            (config.free_energy, config.perturbed),
         )
         quarantined = sum(1 for r in rows if r.quarantined)
         write_csv(out / "trials.csv", [f.name for f in fields(TrialRow)], map(astuple, rows))
@@ -138,9 +129,9 @@ def run_campaign(config: ExperimentConfig, out_dir: str | Path) -> CampaignSumma
         if config.save_matrices:
             _save_matrices(instances, out)
         if config.free_energy.enabled:
-            _run_free_energy_stage(config, out, pool)
+            _run_free_energy_stage(out, cell_stages)
         if config.perturbed.enabled:
-            _run_perturbed_stage(config, out, pool)
+            _run_perturbed_stage(out, cell_stages)
 
     wall = time.monotonic() - t0
     manifest = {
@@ -202,96 +193,21 @@ def _save_matrix(path: Path, arr: np.ndarray) -> None:
     _atomic_write(path, lambda fh: write_matrix(fh, arr), binary=True)
 
 
-def _free_energy_data(instance: FamilyInstance, master_seed: int):
-    """One coupled (X, G, eps) draw dedicated to free-energy diagnostics."""
-    seed = derive_seed(master_seed, instance.spec.id, instance.n, "free-energy")
-    problem = instance.problem
-    X = draw_features(instance.model, instance.n, derive_seed(seed, "covariates"))
-    equiv = instance.twin(X)
-    G = sample_gaussian(equiv, instance.n, derive_seed(seed, "gaussian-arm"))
-    eps = problem.labeler.draw_noise(instance.n, derive_seed(seed, "eps"))
-    return seed, X, G, eps
-
-
-def _free_energy_task(args):
-    """Interpolation trace rows and sandwich checks of one (family, n) cell.
-
-    ``args`` is (cell, config), the cell as its index among the pool's cells.
-    """
-    cell, config = args
-    instance = served_cell(cell)
-    settings = config.free_energy
-    seed, X, G, eps = _free_energy_data(instance, config.master_seed)
-    problem = instance.problem
-    if settings.candidates == "solution-cloud":
-        sol = solve_erm(problem, X, labels_from_noise(problem, X, eps), config.solver)
-        candidates = solution_cloud(
-            problem, sol.theta_hat, settings.M, settings.alpha, derive_seed(seed, "cloud")
-        )
-    else:
-        candidates = random_net(problem, settings.M, derive_seed(seed, "net"))
-    grid = tuple(np.linspace(0.0, math.pi / 2.0, settings.path_points))
-    path = InterpolationPath(X=X, G=G, grid=grid, eps=eps)
-    beta_ref = settings.beta_grid[-1]
-    trace, risks_x = free_energy_path(path, candidates, problem, beta_ref)
-    trace_rows = [[t, f, instance.n, beta_ref, instance.spec.id, seed] for t, f in trace]
-    # The grid ends at pi/2, so the path's last risks are the candidates' risks on X.
-    report = entropy_sandwich_check(risks_x, instance.n, settings.beta_grid)
-    check = {
-        "family": instance.spec.id,
-        "n": instance.n,
-        "betas": report.betas,
-        "free_energies": report.values,
-        "minimum": report.minimum,
-        "sandwich_ok": report.sandwich_ok,
-        "monotone_ok": report.monotone_ok,
-        "offending_betas": report.offending_betas,
-    }
-    return trace_rows, check
-
-
-def _run_free_energy_stage(config: ExperimentConfig, out: Path, pool: WorkerPool) -> None:
-    results = list(pool.map(_free_energy_task, [(i, config) for i in range(len(pool.cells))]))
+def _run_free_energy_stage(out: Path, cell_stages: list[StageRows]) -> None:
     write_csv(
         out / "free_energy_paths.csv",
         ["t", "f", "n", "beta", "family", "seed"],
-        (row for trace_rows, _ in results for row in trace_rows),
+        (row for stages in cell_stages for row in stages.trace),
     )
-    checks = [check for _, check in results]
+    checks = [stages.check for stages in cell_stages]
     _atomic_write(
         out / "free_energy_checks.json", lambda fh: json.dump(checks, fh, indent=2, sort_keys=True)
     )
 
 
-def _perturbed_task(args):
-    """perturbed.csv rows of one (family, n) cell: one per s, negative s included.
-
-    ``args`` is (cell, config), the cell as its index among the pool's cells.
-    """
-    cell, config = args
-    instance = served_cell(cell)
-    settings = config.perturbed
-    seed = derive_seed(config.master_seed, instance.spec.id, instance.n, "perturbed")
-    problem = instance.problem
-    X = draw_features(instance.model, instance.n, derive_seed(seed, "covariates"))
-    test_risk = TwinTestRisk(problem, instance.twin(X))
-    eps = problem.labeler.draw_noise(instance.n, derive_seed(seed, "eps"))
-    y = labels_from_noise(problem, X, eps)
-    s_grid = settings.s_values + tuple(-s for s in settings.s_values)
-    sweep = perturbed_sweep(problem, X, y, test_risk, s_grid, cfg=config.solver)
-    # An s whose solve diverged has no optimum: nan in opt_s and D_s.
-    return [
-        [instance.spec.id, instance.n, instance.p, seed, s,
-         sweep.opt_values.get(s, math.nan), sweep.D.get(s, math.nan), sweep.test_at_theta0,
-         sweep.solver_gap, ";".join(sweep.flags.get(s, ["quarantined"]))]
-        for s in sweep.s_values
-    ]
-
-
-def _run_perturbed_stage(config: ExperimentConfig, out: Path, pool: WorkerPool) -> None:
-    results = list(pool.map(_perturbed_task, [(i, config) for i in range(len(pool.cells))]))
+def _run_perturbed_stage(out: Path, cell_stages: list[StageRows]) -> None:
     write_csv(
         out / "perturbed.csv",
         ["family", "n", "p", "seed", "s", "opt_s", "D_s", "test_at_theta0", "solver_gap", "flags"],
-        (row for rows in results for row in rows),
+        (row for stages in cell_stages for row in stages.perturbed),
     )

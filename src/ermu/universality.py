@@ -30,6 +30,7 @@ from ermu.erm import (
     ConstraintSet,
     EmpiricalRisk,
     ErmProblem,
+    ErmSolution,
     Labeler,
     Loss,
     Regularizer,
@@ -52,6 +53,13 @@ from ermu.features import (
     linear_model,
     neural_tangent_model,
     random_features_model,
+)
+from ermu.free_energy import (
+    InterpolationPath,
+    entropy_sandwich_check,
+    free_energy_path,
+    random_net,
+    solution_cloud,
 )
 from ermu.gaussian import (
     COV_MODES,
@@ -489,21 +497,38 @@ class TrialRow:
         return "quarantined" in self.flags.split(";")
 
 
+@dataclass
+class StageRows:
+    """A cell's stage output, from its trial 0; None for a disabled stage."""
+
+    trace: Optional[list] = None  # free_energy_paths.csv rows
+    check: Optional[dict] = None  # the free_energy_checks.json entry
+    perturbed: Optional[list] = None  # perturbed.csv rows
+
+
 def run_single_trial(
     instance: FamilyInstance,
     trial: int,
     master_seed: int,
     solver_cfg: SolverConfig,
     n_test: int,
-) -> tuple[TrialRow, TrialRow]:
+    stages: Optional[tuple] = None,
+) -> tuple:
     """Run the coupled X/G pair for one trial; never raises on solver failure.
 
-    The x arm is drawn and solved, the twin is built from X and X is dropped;
-    then G is drawn and solved and dropped. So a trial holds at most two
-    n x p arrays: X and an empirical twin's factor, or G and the normals it
-    is drawn from. Every draw has its own derived seed and a solve draws
-    nothing, so this order changes no number. The test rows are then drawn
-    and scored in blocks (``_test_losses``), unless no arm solved.
+    Returns the x and g rows. The x arm is drawn and solved, the twin is
+    built from X and X is dropped; then G is drawn and solved and dropped.
+    So a trial holds at most two n x p arrays: X and an empirical twin's
+    factor, or G and the normals it is drawn from. Every draw has its own
+    derived seed and a solve draws nothing, so this order changes no number.
+    The test rows are then drawn and scored in blocks (``_test_losses``),
+    unless no arm solved.
+
+    ``stages`` is the config's (``FreeEnergySettings``, ``PerturbedSettings``)
+    pair. With it, the trial also returns the ``StageRows`` of the enabled
+    stages, run on its own X, G, eps and x-arm solution; X is then kept until
+    they have run. They draw from streams of their own, so the rows are the
+    same as without ``stages``.
     """
     spec, n, p = instance.spec, instance.n, instance.p
     problem = instance.problem
@@ -511,13 +536,26 @@ def run_single_trial(
     eps = problem.labeler.draw_noise(n, derive_seed(trial_seed, "eps"))
     arms = ("x", "g")
 
+    stage_rows = None if stages is None else StageRows()
     X = draw_features(instance.model, n, derive_seed(trial_seed, "covariates"))
     sol_x = _solve_arm(problem, X, eps, solver_cfg)
     equiv = instance.twin(X)
-    del X  # an empirical twin holds its own scaled copy
+    if stage_rows is None or not any(stage.enabled for stage in stages):
+        X = None  # an empirical twin holds its own scaled copy
     G = sample_gaussian(equiv, n, derive_seed(trial_seed, "gaussian-arm"))
     sol_g = _solve_arm(problem, G, eps, solver_cfg)
-    del G  # the test rows need neither batch
+    if X is not None:  # the enabled stages run on this trial's batches
+        free_energy, perturbed = stages
+        if free_energy.enabled:
+            stage_rows.trace, stage_rows.check = _free_energy_rows(
+                instance, trial_seed, X, G, eps, sol_x, free_energy
+            )
+        G = None  # the sweep needs X only
+        if perturbed.enabled:
+            stage_rows.perturbed = _perturbed_rows(
+                instance, trial_seed, X, eps, sol_x, equiv, perturbed.s_values, solver_cfg
+            )
+    X = G = None  # the test rows need neither batch
     sols = (sol_x, sol_g)
 
     solved = [sol.theta_hat for sol in sols if not isinstance(sol, SolverDivergedError)]
@@ -542,23 +580,9 @@ def run_single_trial(
             else:
                 tx = tx_se = tg = tg_se = float("nan")
                 flags.append("no-test")
-        rows.append(
-            TrialRow(
-                family=spec.id,
-                n=n,
-                p=p,
-                trial=trial,
-                seed=trial_seed,
-                train_opt=train_opt,
-                test_x=tx,
-                test_x_se=tx_se,
-                test_g=tg,
-                test_g_se=tg_se,
-                iters=iters,
-                flags=";".join(flags),
-            )
-        )
-    return rows[0], rows[1]
+        rows.append(TrialRow(spec.id, n, p, trial, trial_seed, train_opt, tx, tx_se, tg, tg_se,
+                             iters, ";".join(flags)))
+    return (rows[0], rows[1]) if stage_rows is None else (rows[0], rows[1], stage_rows)
 
 
 def _solve_arm(problem, data, eps, solver_cfg):
@@ -571,6 +595,55 @@ def _solve_arm(problem, data, eps, solver_cfg):
         return solve_erm(problem, data, labels, solver_cfg)
     except SolverDivergedError as exc:
         return exc.with_traceback(None)
+
+
+def _free_energy_rows(instance, seed, X, G, eps, sol_x, settings) -> tuple[list, dict]:
+    """The cell's free_energy_paths.csv rows and free_energy_checks.json entry.
+
+    A diverged x arm has no solution to build candidates around: its entry
+    is marked quarantined, with no trace rows.
+    """
+    check = {"family": instance.spec.id, "n": instance.n,
+             "quarantined": isinstance(sol_x, SolverDivergedError)}
+    if check["quarantined"]:
+        return [], check
+    problem = instance.problem
+    if settings.candidates == "solution-cloud":
+        candidates = solution_cloud(
+            problem, sol_x.theta_hat, settings.M, settings.alpha, derive_seed(seed, "cloud")
+        )
+    else:
+        candidates = random_net(problem, settings.M, derive_seed(seed, "net"))
+    grid = tuple(np.linspace(0.0, math.pi / 2.0, settings.path_points))
+    beta = settings.beta_grid[-1]
+    trace, risks_x = free_energy_path(InterpolationPath(X, G, grid, eps), candidates, problem, beta)
+    # The grid ends at pi/2, so the path's last risks are the candidates' risks on X.
+    report = entropy_sandwich_check(risks_x, instance.n, settings.beta_grid)
+    check.update(betas=report.betas, free_energies=report.values, minimum=report.minimum,
+                 sandwich_ok=report.sandwich_ok, monotone_ok=report.monotone_ok,
+                 offending_betas=report.offending_betas)
+    return [[t, f, instance.n, beta, instance.spec.id, seed] for t, f in trace], check
+
+
+def _perturbed_rows(instance, seed, X, eps, sol_x, equiv, s_values, solver_cfg) -> list[list]:
+    """The cell's perturbed.csv rows, one per s and -s, swept from the x arm's solution.
+
+    A row whose s-solve diverged has no optimum: nan in opt_s and D_s, and
+    flag quarantined. So reads every row of a cell whose x arm diverged.
+    """
+    problem = instance.problem
+    s_grid = s_values + tuple(-s for s in s_values)
+    if isinstance(sol_x, SolverDivergedError):
+        sweep = PerturbedRiskSweep(_validate_s_grid(s_grid), {}, {}, math.nan, math.nan)
+    else:
+        y, test_risk = labels_from_noise(problem, X, eps), TwinTestRisk(problem, equiv)
+        sweep = perturbed_sweep(problem, X, y, sol_x, test_risk, s_grid, solver_cfg)
+    return [
+        [instance.spec.id, instance.n, instance.p, seed, s,
+         sweep.opt_values.get(s, math.nan), sweep.D.get(s, math.nan), sweep.test_at_theta0,
+         sweep.solver_gap, ";".join(sweep.flags.get(s, ["quarantined"]))]
+        for s in sweep.s_values
+    ]
 
 
 # Rows of a trial's test batch that are drawn, featurized, labelled and scored together.
@@ -627,15 +700,14 @@ def _run_serving(cells: Sequence[FamilyInstance], fn, task):
         _serve_cells(saved)
 
 
-def served_cell(index: int) -> FamilyInstance:
-    """The cell a task names by its index among the serving pool's cells."""
-    return _cells[index]
-
-
 def _trial_chunk(args):
-    cell, trials, master_seed, solver_cfg, n_test = args
-    instance = served_cell(cell)
-    return [run_single_trial(instance, t, master_seed, solver_cfg, n_test) for t in trials]
+    """The results of one chunk of a cell's trials, a list; trial 0 runs the stages."""
+    cell, trials, master_seed, solver_cfg, n_test, stages = args
+    instance = _cells[cell]
+    return [
+        run_single_trial(instance, t, master_seed, solver_cfg, n_test, stages if t == 0 else None)
+        for t in trials
+    ]
 
 
 class WorkerPool:
@@ -709,22 +781,29 @@ def run_trials(
     master_seed: int,
     solver_cfg: SolverConfig = SolverConfig(),
     n_test: int = 2000,
-) -> list[TrialRow]:
+    stages: Optional[tuple] = None,
+):
     """All trials of every cell of ``pool``, deterministically ordered.
 
     Each cell's trials are split into chunks, one per worker of the pool;
     rows come out in (cell, trial, arm) order, so the output stream does
-    not depend on scheduling.
+    not depend on scheduling. With ``stages`` (see ``run_single_trial``),
+    returns the rows and each cell's ``StageRows``, in cell order.
     """
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
     chunk = max(1, math.ceil(trials / max(1, pool.workers)))
     tasks = [
-        (i, list(range(start, min(trials, start + chunk))), master_seed, solver_cfg, n_test)
+        (i, list(range(start, min(trials, start + chunk))), master_seed, solver_cfg, n_test, stages)
         for i in range(len(pool.cells))
         for start in range(0, trials, chunk)
     ]
-    return [row for pairs in pool.map(_trial_chunk, tasks) for pair in pairs for row in pair]
+    rows, cell_stages = [], []
+    for results in pool.map(_trial_chunk, tasks):
+        for row_x, row_g, *stage_rows in results:
+            rows += (row_x, row_g)
+            cell_stages += stage_rows
+    return rows if stages is None else (rows, cell_stages)
 
 
 # ---------------------------------------------------------------------------
@@ -787,12 +866,14 @@ def perturbed_sweep(
     problem: ErmProblem,
     X: np.ndarray,
     y: np.ndarray,
+    base: ErmSolution,
     test_risk,
     s_grid: Sequence[float],
     cfg: SolverConfig = SolverConfig(),
 ) -> PerturbedRiskSweep:
     """Minimize train risk + s * test risk over a symmetric s grid.
 
+    ``base`` is the solution of the unperturbed problem on (X, y).
     ``test_risk`` is any term with ``value(theta)`` and ``grad(theta)``, such
     as the twin's ``TwinTestRisk``. D(s) = (opt_s - opt_0) / s.
     Every perturbed solve is warm-started at the base solution, and a solve
@@ -801,7 +882,6 @@ def perturbed_sweep(
     tolerance.
     """
     s_values = _validate_s_grid(s_grid)
-    base = solve_erm(problem, X, y, cfg)
     theta0 = base.theta_hat
     test_ref = test_risk.value(theta0)
     solver_gap = base.suboptimality_bound(problem.constraint)
@@ -817,14 +897,7 @@ def perturbed_sweep(
             solver_gap = max(solver_gap, sol.suboptimality_bound(problem.constraint))
         except SolverDivergedError:
             continue  # no optimum: s stays out of opt_values, D and flags
-    return PerturbedRiskSweep(
-        s_values=s_values,
-        opt_values=opt_values,
-        D=D,
-        test_at_theta0=test_ref,
-        solver_gap=solver_gap,
-        flags=flags,
-    )
+    return PerturbedRiskSweep(s_values, opt_values, D, test_ref, solver_gap, flags)
 
 
 _PENALTY_WEIGHTS = (10.0, 100.0, 1000.0, 10000.0)

@@ -381,13 +381,15 @@ def test_criterion_08_convex_sandwich():
         y = generate_labels(problem, X, seed=inst_idx)
         equiv = GaussianEquivalent(factor=np.eye(p))
         seed = MASTER_SEED + inst_idx
+        cfg = SolverConfig(tol=1e-10)
         sweep = perturbed_sweep(
             problem,
             X,
             y,
+            solve_erm(problem, X, y, cfg),
             FrozenTestRisk(problem, equiv, 500, derive_seed(seed, "surrogate")),
             [0.01, -0.01, 0.1, -0.1],
-            cfg=SolverConfig(tol=1e-10),
+            cfg=cfg,
         )
         slack = 2.0 * sweep.solver_gap
         if not sweep.sandwich_ok(slack):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ermu import campaign, free_energy
+from ermu import campaign, free_energy, universality
 from ermu.config import config_from_dict
 from ermu.erm import (
     ConstraintSet,
@@ -347,28 +347,32 @@ class TestBlocks:
 
 
 class TestStageMemory:
-    def test_free_energy_task_holds_two_batches_and_two_score_matrices(self):
-        # X and G (n x p each) and the two candidate score matrices (M x n
-        # each) are held together; the loss runs on blocks of candidate
-        # rows, so the only other terms are the M x p candidate points and
-        # the loss temporaries of one block. A loss over the whole M x n
-        # matrix would hold about six more M x n matrices (9.2 MB here
-        # against 4.6 MB).
+    def test_trial_zero_holds_two_batches_and_two_score_matrices(self):
+        # Trial 0 keeps X for its free-energy stage, so X and G (n x p each)
+        # and the two candidate score matrices (M x n each) are held
+        # together; the loss runs on blocks of candidate rows, so the only
+        # other terms are the M x p candidate points and the loss
+        # temporaries of one block. A loss over the whole M x n matrix would
+        # hold about six more M x n matrices (9.2 MB here against 4.6 MB).
         M = 256
         config = config_from_dict({
             "master_seed": 17, "trials": 1, "ladder": [400],
             "families": [{"id": "rf", "kind": "random-features", "activation": "tanh-rf",
                           "cov_mode": "hermite-exact", "hermite_order": 9}],
             "problem": {"loss": "huber", "tau": 0.5, "lambda": 0.1},
+            "test_risk": {"n_test": 0},
             "free_energy": {"enabled": True, "M": M, "path_points": 4},
         })
         (instance,) = campaign.build_instances(config)
         n, p = instance.n, instance.p
+        chunk = (0, [0], config.master_seed, config.solver, 0, (config.free_energy, config.perturbed))
         tracemalloc.start()
         try:
-            list(WorkerPool(1, [instance]).map(campaign._free_energy_task, [(0, config)]))
+            (results,) = WorkerPool(1, [instance]).map(universality._trial_chunk, [chunk])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        ((_, _, stages),) = results
+        assert len(stages.trace) == 4 and stages.check["sandwich_ok"]
         block = 8 * free_energy._BLOCK_SCORES
         assert peak <= 2 * n * p * 8 + 2 * M * n * 8 + M * p * 8 + 8 * block + 64 * 1024

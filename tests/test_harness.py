@@ -548,9 +548,9 @@ class TestCampaign:
         assert (tmp_path / "a/trials.csv").read_bytes() == (tmp_path / "b/trials.csv").read_bytes()
 
     def test_thread_count_does_not_change_output(self, tmp_path):
-        # Three families x two sizes: each stage runs six tasks on the pool.
-        # The monte-carlo RF twin needs 420 p rows, four or more 4096-row
-        # covariance chunks at p = 30, so the set-up runs on the pool too.
+        # Three families x two sizes: six cells, whose trial 0 runs both
+        # stages. The monte-carlo RF twin needs 420 p rows, four or more
+        # 4096-row covariance chunks at p = 30, so the set-up runs on the pool too.
         cfg = base_config(
             families=BASE["families"] + [
                 {"id": "rf", "kind": "random-features", "cov_mode": "monte-carlo",
@@ -566,10 +566,10 @@ class TestCampaign:
             a, b = (tmp_path / "a" / name).read_bytes(), (tmp_path / "b" / name).read_bytes()
             assert a == b, name
 
-    def test_pool_tasks_carry_no_array(self, tmp_path):
-        # Trial, free-energy and perturbed tasks name their cell by index:
-        # none holds an ndarray, and a p = 600 cell's task pickles to the same
-        # size as a p = 30 cell's.
+    def test_pool_tasks_carry_no_array(self):
+        # Trial chunks name their cell by index and carry the stage settings:
+        # none holds an ndarray, and a p = 600 cell's chunk pickles to the same
+        # size as a p = 30 cell's. The stages need no pool tasks of their own.
         cfg = base_config(
             ladder=[40, 800],
             families=[{"id": "lin", "kind": "linear-independent"}],
@@ -596,16 +596,12 @@ class TestCampaign:
             return len(buf.getvalue())
 
         pool = RecordingPool(1, instances)
-        run_trials(pool, cfg.trials, cfg.master_seed)
-        campaign._run_free_energy_stage(cfg, tmp_path, pool)
-        campaign._run_perturbed_stage(cfg, tmp_path, pool)
-        assert [name for name, _ in mapped] == [
-            "_trial_chunk", "_free_energy_task", "_perturbed_task"
-        ]
-        for name, tasks in mapped:
-            assert len(tasks) == 2, name
-            small, large = map(pickled_size, tasks)
-            assert small == large, name
+        run_trials(pool, cfg.trials, cfg.master_seed, cfg.solver, 10,
+                   (cfg.free_energy, cfg.perturbed))
+        ((name, tasks),) = mapped
+        assert name == "_trial_chunk" and len(tasks) == 2
+        small, large = map(pickled_size, tasks)
+        assert small == large
 
     def test_tasks_find_the_pools_cells(self):
         cfg = base_config(ladder=[40])
@@ -679,55 +675,46 @@ class TestCampaign:
             (0, [0, 1, 2]), (0, [3, 4]), (1, [0, 1, 2]), (1, [3, 4])
         ]
 
-    def test_stage_twins_have_the_trials_factor(self, monkeypatch):
-        # An empirical-twin cell builds every twin from its batch alone: the
-        # trials, the free-energy and the perturbed stages all hold the
-        # float32 factor of X / sqrt(n), with no isotropic term.
+    def test_stages_run_on_the_trials_own_batches(self, monkeypatch):
+        # An empirical-twin cell builds its twin from its batch alone, the
+        # float32 factor of X / sqrt(n) with no isotropic term. Trial 0's
+        # stages draw nothing: the free-energy path runs on the trial's X and
+        # G, and the perturbed sweep's test risk is that of the trial's twin.
         cfg = base_config(
             ladder=[40],
             families=[{"id": "lin", "kind": "linear-independent", "cov_mode": "empirical"}],
+            free_energy={"enabled": True, "M": 8, "path_points": 3},
             perturbed={"enabled": True, "s_values": [0.1], "n_test": 50},
         )
+        seen = {"X": [], "twin": [], "G": [], "path": [], "risk": []}
 
-        def assert_batch_twin(equiv, X):
-            assert equiv.factor.dtype == np.float32
-            assert np.array_equal(equiv.factor, empirical_equivalent(X).factor)
-            assert equiv.iso_scale == 0.0
+        def record(key, fn):
+            def recording(*args):
+                result = fn(*args)
+                seen[key].append((args, result))
+                return result
+            return recording
 
-        def draw_features(*args):
-            X = features.draw_features(*args)
-            seen.append(X)
-            return X
-
-        def sample_gaussian(equiv, *args):
-            seen.append(equiv)
-            return gaussian.sample_gaussian(equiv, *args)
-
-        for module in (campaign, universality):
-            monkeypatch.setattr(module, "draw_features", draw_features)
-            monkeypatch.setattr(module, "sample_gaussian", sample_gaussian)
+        monkeypatch.setattr(universality, "draw_features", record("X", features.draw_features))
+        monkeypatch.setattr(universality, "sample_gaussian", record("G", gaussian.sample_gaussian))
+        monkeypatch.setattr(universality, "free_energy_path",
+                            record("path", universality.free_energy_path))
+        monkeypatch.setattr(universality, "TwinTestRisk", record("risk", universality.TwinTestRisk))
+        monkeypatch.setattr(universality, "empirical_equivalent",
+                            record("twin", gaussian.empirical_equivalent))
         (inst,) = campaign.build_instances(cfg)
-        seen = []
-        run_single_trial(inst, 0, cfg.master_seed, SolverConfig(), 0)
-        X, equiv = seen
-        assert_batch_twin(equiv, X)
-
-        seen = []
-        campaign._free_energy_data(inst, cfg.master_seed)
-        X, equiv = seen
-        assert_batch_twin(equiv, X)
-
-        seen = []
-        twin_risk = campaign.TwinTestRisk
-
-        def recording_twin_risk(problem, equiv, *args):
-            seen.append(equiv)
-            return twin_risk(problem, equiv, *args)
-
-        monkeypatch.setattr(campaign, "TwinTestRisk", recording_twin_risk)
-        list(WorkerPool(1, [inst]).map(campaign._perturbed_task, [(0, cfg)]))
-        X, equiv = seen
-        assert_batch_twin(equiv, X)
+        run_single_trial(inst, 0, cfg.master_seed, SolverConfig(), 0,
+                         (cfg.free_energy, cfg.perturbed))
+        (_, X), = seen["X"]
+        ((batch,), equiv), = seen["twin"]
+        ((twin, *_), G), = seen["G"]
+        ((path, *_), _), = seen["path"]
+        ((_, risk_twin), _), = seen["risk"]
+        assert batch is X and twin is equiv and risk_twin is equiv
+        assert path.X is X and path.G is G
+        assert equiv.factor.dtype == np.float32
+        assert np.array_equal(equiv.factor, empirical_equivalent(X).factor)
+        assert equiv.iso_scale == 0.0
 
     def test_empirical_twins_never_factor_a_covariance(self, tmp_path, monkeypatch):
         # An empirical twin samples Z X / sqrt(n) directly: neither the trials
@@ -776,6 +763,30 @@ class TestCampaign:
         assert len(pert) == 1 + 2 * 2  # +/- s for each family
         checks = json.loads((tmp_path / "out/free_energy_checks.json").read_text())
         assert all(c["sandwich_ok"] and c["monotone_ok"] for c in checks)
+
+    def test_stages_read_trial_zero(self, tmp_path):
+        # The stages run on each cell's trial 0: its seed, its x-arm solution
+        # and so its exact twin test risk; more trials change no stage byte.
+        stages = {"free_energy": {"enabled": True, "M": 8, "path_points": 3},
+                  "perturbed": {"enabled": True, "s_values": [0.1]}}
+        run_campaign(base_config(trials=1, **stages), tmp_path / "one")
+        run_campaign(base_config(threads=2, **stages), tmp_path / "three")
+        for name in ("free_energy_paths.csv", "free_energy_checks.json", "perturbed.csv"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "three" / name).read_bytes()
+        with open(tmp_path / "three/trials.csv", newline="") as fh:
+            x_rows = {(row["family"], row["n"]): row for row in csv.DictReader(fh)
+                      if row["trial"] == "0" and "arm:x" in row["flags"].split(";")}
+        with open(tmp_path / "three/perturbed.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * len(x_rows) == 2 * 2 * 2
+        for row in rows:
+            trial = x_rows[(row["family"], row["n"])]
+            assert row["seed"] == trial["seed"]
+            assert row["test_at_theta0"] == trial["test_g"]  # 17 digits: bit for bit
+        with open(tmp_path / "three/free_energy_paths.csv", newline="") as fh:
+            assert {(row["family"], row["n"], row["seed"]) for row in csv.DictReader(fh)} == {
+                (*cell, trial["seed"]) for cell, trial in x_rows.items()
+            }
 
     def test_perturbed_rows_show_nonconverged_solves(self, tmp_path):
         # Three iterations stop every solve short; D(s) depends on the base
@@ -845,19 +856,39 @@ class TestCampaign:
         assert str(exc) == "objective increased (iteration 7)"
         assert exc.iteration == 7
 
-    def test_divergence_in_a_worker_reaches_the_caller(self, tmp_path, monkeypatch):
-        # Every plain solve diverges: the trials quarantine their rows, and
-        # the perturbed stage's base solve raises in a worker. The error must
-        # come back through the pool as itself, not as a broken pool.
+    def test_diverged_x_arm_quarantines_its_stages(self, tmp_path, monkeypatch):
+        # Every plain solve diverges in the workers: the trials quarantine
+        # their rows, and so do the stages that start from trial 0's x arm.
+        # The run finishes and writes every artifact.
         def diverging(*args, **kwargs):
             raise SolverDivergedError("non-finite objective", 3)
 
         monkeypatch.setattr("ermu.universality.solve_erm", diverging)
-        cfg = base_config(perturbed={"enabled": True, "s_values": [0.1], "n_test": 50})
-        with pytest.raises(SolverDivergedError, match=r"non-finite objective \(iteration 3\)") as info:
-            run_campaign(replace(cfg, threads=2), tmp_path / "out")
-        assert info.value.iteration == 3
+        cfg = base_config(
+            free_energy={"enabled": True, "M": 8, "path_points": 3},
+            perturbed={"enabled": True, "s_values": [0.1], "n_test": 50},
+        )
+        out = tmp_path / "out"
+        run_campaign(replace(cfg, threads=2), out)
+        write_report(out)
         assert multiprocessing.active_children() == []
+        assert sorted(f.name for f in out.iterdir()) == [
+            "free_energy_checks.json", "free_energy_paths.csv", "gap_vs_n.csv",
+            "manifest.json", "perturbed.csv", "report.json", "trials.csv",
+        ]
+        assert all(row.quarantined for row in read_trials_csv(out / "trials.csv"))
+        cells = [(family, n) for family in ("lin", "control") for n in cfg.ladder]
+        checks = json.loads((out / "free_energy_checks.json").read_text())
+        assert checks == [{"family": f, "n": n, "quarantined": True} for f, n in cells]
+        assert (out / "free_energy_paths.csv").read_bytes() == b"t,f,n,beta,family,seed\r\n"
+        with open(out / "perturbed.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["family"], int(row["n"])) for row in rows] == [c for c in cells for _ in "+-"]
+        for row in rows:
+            assert [row[k] for k in ("opt_s", "D_s", "test_at_theta0", "solver_gap", "flags")] == [
+                "nan", "nan", "nan", "nan", "quarantined"
+            ]
+        assert json.loads((out / "manifest.json").read_text())["quarantined"] == 2 * 2 * 3 * 2
 
     def test_perturbed_row_of_a_diverged_s_solve(self, tmp_path, monkeypatch):
         def diverging_s_solves(*args, extra=None, **kwargs):
@@ -883,8 +914,9 @@ class TestCampaign:
         run_trials = campaign.run_trials
 
         def recording(*args, **kwargs):
-            written.extend(run_trials(*args, **kwargs))
-            return written
+            rows, cell_stages = run_trials(*args, **kwargs)
+            written.extend(rows)
+            return rows, cell_stages
 
         monkeypatch.setattr(campaign, "run_trials", recording)
         cfg = base_config(ladder=[40], test_risk={"n_test": n_test})

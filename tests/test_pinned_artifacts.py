@@ -51,16 +51,16 @@ CLOCK_FIELDS = ("wall_time_s", "created_unix")
 CAMPAIGN = "*"
 
 PINS = {
-    'free_energy_checks.json:control': 'ce92183279e9ea1a7b787631d21514764e29f7125c4174c9b2abcfda9d9270cd',
-    'free_energy_checks.json:lin': 'aee1c889da58e3e3ff67b4d1ce2dc3e627a81eab91c2315402c78562fd693930',
-    'free_energy_checks.json:nt': '9ffd7b9d89f8878a2aa58cc7012780fda25ffaae71fc55db3d70ec64f8c083ff',
-    'free_energy_checks.json:rf-hermite': '9841b386d7e94addc8ae1ce950400bc0503b654004bc25b6dbfb977b7886273c',
-    'free_energy_checks.json:rf-mc': 'c43a1bbeb5b585498b4db31d511f39e7b0ed8deb774ddbcfac57469d91385749',
-    'free_energy_paths.csv:control': 'e0520cca2848e8344edeac7b245dfdc410081e19c8ba7c0ddfcd3cb0dbebedda',
-    'free_energy_paths.csv:lin': '62461b0fa62834d92a7ec6cf575c0344fc37ec192bddbd0a9ca5f4454fb0d248',
-    'free_energy_paths.csv:nt': 'cb6a1b253239bec9ff2e629513c4181d89b6de2c2a1f35717c70116ea733be13',
-    'free_energy_paths.csv:rf-hermite': '92fc09f1ba2c0c5d222593985f79f7fb0bf9c32a080caaf49931c14f1bf4423b',
-    'free_energy_paths.csv:rf-mc': 'c9099c38ec19bbf498a8ba2b138bb60b4d3dc46c94df310ac719ace35b688a30',
+    'free_energy_checks.json:control': 'f8cb4de15608d70d9a1503ef0607dd9b947ac10c70b9e2cd77f43622c32c9c32',
+    'free_energy_checks.json:lin': '67823cdcfbde4319255d5e93ed33d6cf39b8474e22edd72468d36312c378cb67',
+    'free_energy_checks.json:nt': 'aa42ceb0caf67e3f4b767ffa066298a86ff90dd0eb30aee7acf14e1dfeb2a14e',
+    'free_energy_checks.json:rf-hermite': '822b475e423d2cefbe21e28b0444c86474abc523cef86a4b77b9b66aa60b5340',
+    'free_energy_checks.json:rf-mc': 'a8f8d72fa057cde9d84b3b6179775f087f497b9c7b082e0b612614aa47b26310',
+    'free_energy_paths.csv:control': 'bbc3b05b829dbbbee07c70d3156a1042a20804086be1c6579d5c0ab622bebc1a',
+    'free_energy_paths.csv:lin': 'a81af3a1c18f5bf89e359abdef602f5d65c7295773452f8649430e6f938eaa8a',
+    'free_energy_paths.csv:nt': '4205dcac403f5537e89318bc0239286a9a8a4c65f166881f745fd4453b13edc0',
+    'free_energy_paths.csv:rf-hermite': '49a0b6415683919a873c88baf3beec01d5c9891df2c6fb0b932f61cb77112625',
+    'free_energy_paths.csv:rf-mc': '98160f44ccac08d30cfef35cbd24f1fc6eacea071641743cbe71ecfd9db6ded2',
     'gap_vs_n.csv:control': '317cf47079609fc051bdc65b85cd490af03bc871cccb396b4b82329bd4a4a802',
     'gap_vs_n.csv:lin': '0b75e141dafe7ba95517061f0ae26630a5c0c24c3a0a08c1559a8a4b4e7de2e1',
     'gap_vs_n.csv:nt': '8aa698e413b0e6bdaaefdc18f0e20a31ac6d1320cd86d2acfc5cbb4f47b68248',
@@ -72,11 +72,11 @@ PINS = {
     'matrices:nt': 'f387609c8edc0b4fc8f69954b5e13818bec45439a30f6810007c1eb1c8dfd1e9',
     'matrices:rf-hermite': '6728a8f52d272f607224fde826b4a8cdd0cfad634803a8a200208340bdf1bbd0',
     'matrices:rf-mc': '868ddade4f9e7908fe5fe0a2d18114091c19177b4e52b6ed46b849777cb57716',
-    'perturbed.csv:control': 'f8a708864269de636788a24dbe29aef20d465bbb100afe3e15ba408fffe13ffe',
-    'perturbed.csv:lin': 'fc7d7f378fd7c7e01f6489b9a9390492242854a4d9f6979d78e9597520c821a2',
-    'perturbed.csv:nt': 'bcf968fd0f181993ea4c431bcd7761f8cf3b33f78f1644113ad86c3ef2bc296b',
-    'perturbed.csv:rf-hermite': '78ff8572da1695ab419e62a07b47277e4af61d3ce8443b9c6e126335592fb587',
-    'perturbed.csv:rf-mc': '60565c14eef18f97d00f5676d76524afc642f7b8437dbd9dedd476c9dd34f019',
+    'perturbed.csv:control': '1d79160b4643b2e325b8d64f061a8309686996d58b52fafd6ccad058cf620465',
+    'perturbed.csv:lin': '77b6e9b7c7bd98c81bd5ad6acf8a60e6e4993192f62b7973a22c7ad89d29df2e',
+    'perturbed.csv:nt': 'd00fa446723779362954a57c63571f86ad31634cd857c133c6a06dc4e9761f06',
+    'perturbed.csv:rf-hermite': 'e0ea2801666463f0e257613a4adb9071b15e8f5915192a65753194aa34132bfd',
+    'perturbed.csv:rf-mc': '347f4a16c0b8f1625f7a9456134a8ce243113461f3dc17ed6c5f330c33921ebb',
     'report.json:*': '6cea7f773c2e2d2dcf59eb959253ba07162001794dbaee02203556aa59a8b5cd',
     'report.json:control': 'd6c8cd40c5de9d70572e5b26291c90f83e92101cce4782fe02bba348158aed69',
     'report.json:lin': '17f22b3e63a6c835ef55cf997291af5acaa96c0c4fcbd30a1c6d2e8e556aa435',

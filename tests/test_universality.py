@@ -513,9 +513,10 @@ class TestTwinTestRisk:
             )
             X = rng.standard_normal((n, p))
             y = generate_labels(problem, X, seed=inst_idx)
+            cfg = SolverConfig(tol=1e-10)
             sweep = perturbed_sweep(
-                problem, X, y, TwinTestRisk(problem, identity_equiv(p)), [0.01, -0.01, 0.1, -0.1],
-                cfg=SolverConfig(tol=1e-10),
+                problem, X, y, solve_erm(problem, X, y, cfg),
+                TwinTestRisk(problem, identity_equiv(p)), [0.01, -0.01, 0.1, -0.1], cfg=cfg,
             )
             slack = 2.0 * sweep.solver_gap
             assert sweep.sandwich_ok(slack), inst_idx
@@ -531,9 +532,10 @@ class TestPerturbedSweep:
         X = rng.standard_normal((50, p))
         y = generate_labels(problem, X, seed=2)
         c = 0.8
+        cfg = SolverConfig(tol=1e-10)
         sweep = perturbed_sweep(
-            problem, X, y, ConstantTestRisk(c), [0.1, -0.1, 0.01, -0.01],
-            cfg=SolverConfig(tol=1e-10),
+            problem, X, y, solve_erm(problem, X, y, cfg), ConstantTestRisk(c),
+            [0.1, -0.1, 0.01, -0.01], cfg=cfg,
         )
         for s, D in sweep.D.items():
             assert D == pytest.approx(c, abs=1e-6)
@@ -545,9 +547,10 @@ class TestPerturbedSweep:
             rng = rng_from(10, "sand", seed)
             X = rng.standard_normal((60, p))
             y = generate_labels(problem, X, seed=seed)
+            cfg = SolverConfig(tol=1e-10)
             sweep = perturbed_sweep(
-                problem, X, y, twin_test_risk(problem, 300, seed), [0.01, -0.01, 0.1, -0.1],
-                cfg=SolverConfig(tol=1e-10),
+                problem, X, y, solve_erm(problem, X, y, cfg), twin_test_risk(problem, 300, seed),
+                [0.01, -0.01, 0.1, -0.1], cfg=cfg,
             )
             slack = 2.0 * sweep.solver_gap
             assert sweep.sandwich_ok(slack)
@@ -560,32 +563,33 @@ class TestPerturbedSweep:
         rng = rng_from(11, "shrink")
         X = rng.standard_normal((60, p))
         y = generate_labels(problem, X, seed=5)
+        cfg = SolverConfig(tol=1e-11)
         sweep = perturbed_sweep(
-            problem, X, y, twin_test_risk(problem, 300, 5), [0.01, -0.01, 0.1, -0.1],
-            cfg=SolverConfig(tol=1e-11),
+            problem, X, y, solve_erm(problem, X, y, cfg), twin_test_risk(problem, 300, 5),
+            [0.01, -0.01, 0.1, -0.1], cfg=cfg,
         )
         gap_small = sweep.D[-0.01] - sweep.D[0.01]
         gap_large = sweep.D[-0.1] - sweep.D[0.1]
         assert gap_small <= gap_large + 2.0 * sweep.solver_gap
 
     def test_solver_gap_is_max_of_every_solve_bound(self, monkeypatch):
-        # The base solve and each s-solve enter solver_gap through one
+        # The base solution and each s-solve enter solver_gap through one
         # definition, the solution's suboptimality bound.
-        solutions = []
-
         def recording_solve(*args, **kwargs):
             sol = solve_erm(*args, **kwargs)
             solutions.append(sol)
             return sol
 
-        monkeypatch.setattr(universality, "solve_erm", recording_solve)
         p = 6
         problem = ridge_problem(p, seed=3)
         X = rng_from(12, "gap").standard_normal((40, p))
         y = generate_labels(problem, X, seed=4)
+        cfg = SolverConfig(tol=1e-6)
+        solutions = [solve_erm(problem, X, y, cfg)]
+        monkeypatch.setattr(universality, "solve_erm", recording_solve)
         sweep = perturbed_sweep(
-            problem, X, y, twin_test_risk(problem, 100, 6), [0.1, -0.1, 0.01, -0.01],
-            cfg=SolverConfig(tol=1e-6),
+            problem, X, y, solutions[0], twin_test_risk(problem, 100, 6),
+            [0.1, -0.1, 0.01, -0.01], cfg=cfg,
         )
         assert len(solutions) == 5
         bounds = [sol.suboptimality_bound(problem.constraint) for sol in solutions]
@@ -593,12 +597,12 @@ class TestPerturbedSweep:
 
     def test_asymmetric_grid_rejected(self):
         problem = ridge_problem(4)
+        X, y = np.zeros((5, 4)), np.zeros(5)
+        base = solve_erm(problem, X, y)
         with pytest.raises(InvalidArgumentError):
-            perturbed_sweep(problem, np.zeros((5, 4)), np.zeros(5), ConstantTestRisk(1.0),
-                            [0.1, -0.2])
+            perturbed_sweep(problem, X, y, base, ConstantTestRisk(1.0), [0.1, -0.2])
         with pytest.raises(InvalidArgumentError):
-            perturbed_sweep(problem, np.zeros((5, 4)), np.zeros(5), ConstantTestRisk(1.0),
-                            [0.0, 0.1, -0.1])
+            perturbed_sweep(problem, X, y, base, ConstantTestRisk(1.0), [0.0, 0.1, -0.1])
 
 
 class TestNearMinimizers:
