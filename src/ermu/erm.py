@@ -66,7 +66,7 @@ class Loss:
             return -y * _sigmoid(-y * u)
         t = u - y
         if self.kind == "huber":
-            return np.clip(t, -self.delta, self.delta)
+            return np.maximum(np.minimum(t, self.delta, out=t), -self.delta, out=t)
         return t / np.sqrt(1.0 + (t / self.delta) ** 2)
 
 
@@ -142,7 +142,7 @@ class ConstraintSet:
             return theta * (self.R / norm) if norm > 0 else theta
         if self.kind == "linf-ball":
             bound = self.R / math.sqrt(self.p)
-            return np.clip(theta, -bound, bound)
+            return np.maximum(np.minimum(theta, bound), -bound)
         bound = self.R / math.sqrt(self.d)
         # ||T||_2 <= ||T||_F = ||theta||: inside that bound no SVD is needed.
         if float(np.linalg.norm(theta)) <= bound:
@@ -182,7 +182,7 @@ class Regularizer:
     def value(self, theta: np.ndarray) -> float:
         if self.kind == "none" or self.lam == 0.0:
             return 0.0
-        return self.lam * float(np.sum(theta * theta))
+        return self.lam * float(np.add.reduce(theta * theta))
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         if self.kind == "none" or self.lam == 0.0:
@@ -301,13 +301,15 @@ class EmpiricalRisk:
         self._scores: Optional[np.ndarray] = None
 
     def _scores_at(self, theta: np.ndarray) -> np.ndarray:
-        if self._theta is None or not np.array_equal(theta, self._theta):
+        kept = self._theta
+        if kept is None or theta.shape != kept.shape or not (theta == kept).all():
             self._scores = self.problem.scores(theta, self.X)
             self._theta = np.array(theta, dtype=np.float64)
         return self._scores
 
     def value(self, theta: np.ndarray) -> float:
-        value = float(np.mean(self.problem.loss.value(self._scores_at(theta), self.y)))
+        losses = self.problem.loss.value(self._scores_at(theta), self.y)
+        value = float(np.add.reduce(losses) / losses.size)
         if self.regularized:
             value = value + self.problem.regularizer.value(np.asarray(theta))
         return value

@@ -107,15 +107,15 @@ def pgd_minimize(
         g = grad(x)
         if x_prev is not None:
             s, dg = x - x_prev, g - g_prev
-            sy = float(np.sum(s * dg))
-            step = float(np.sum(s * s)) / sy if sy > 0 else step * STEP_GROWTH
+            sy = float(np.add.reduce(s * dg))
+            step = float(np.add.reduce(s * s)) / sy if sy > 0 else step * STEP_GROWTH
             step = min(step, _MAX_STEP)
         f_ref = max(window)
         accepted = False
         while step >= _MIN_STEP:
             x_new = project(x - step * g)
             delta = x - x_new
-            sq = float(np.sum(delta * delta))
+            sq = float(np.add.reduce(delta * delta))
             f_new = float(fun(x_new))
             if not np.isfinite(f_new):
                 raise SolverDivergedError("non-finite objective", it)
