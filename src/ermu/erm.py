@@ -282,6 +282,11 @@ def train_risk_grad(
     return EmpiricalRisk(problem, X, y, regularized=True).grad(theta)
 
 
+def same_point(theta: np.ndarray, kept: Optional[np.ndarray]) -> bool:
+    """Whether the array theta equals ``kept`` (None when nothing is kept) in shape and value."""
+    return kept is not None and theta.shape == kept.shape and bool((theta == kept).all())
+
+
 class EmpiricalRisk:
     """Mean loss over a fixed batch, plus the regularizer when ``regularized``.
 
@@ -301,8 +306,7 @@ class EmpiricalRisk:
         self._scores: Optional[np.ndarray] = None
 
     def _scores_at(self, theta: np.ndarray) -> np.ndarray:
-        kept = self._theta
-        if kept is None or theta.shape != kept.shape or not (theta == kept).all():
+        if not same_point(theta, self._theta):
             self._scores = self.problem.scores(theta, self.X)
             self._theta = np.array(theta, dtype=np.float64)
         return self._scores

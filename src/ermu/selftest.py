@@ -30,11 +30,22 @@ from ermu.erm import (
 )
 from ermu.features import Activation, FeatureModel, nt_theta_matrix, sample_sphere_weights
 from ermu.free_energy import candidate_risks, entropy_sandwich_check, random_net
-from ermu.gaussian import factor_covariance, mc_covariance, rf_covariance_hermite
+from ermu.gaussian import (
+    GaussianEquivalent,
+    factor_covariance,
+    mc_covariance,
+    rf_covariance_hermite,
+)
 from ermu.quadrature import gaussian_expectation_pair
 from ermu.seeds import rng_from
 from ermu.stats import ks_statistic
-from ermu.universality import FamilySpec, ProblemSpec, build_instance, run_single_trial
+from ermu.universality import (
+    FamilySpec,
+    ProblemSpec,
+    TwinTestRisk,
+    build_instance,
+    run_single_trial,
+)
 
 
 def _check(name: str, fn) -> bool:
@@ -152,6 +163,26 @@ def _free_energy_props():
     assert report.ok, f"offending betas {report.offending_betas}"
 
 
+def _twin_risk_paths():
+    # Huber loss with linear labels takes the twin test risk in closed form;
+    # the node grid every other case takes must agree within its 2e-4.
+    rng = rng_from(19, "selftest-twin-risk")
+    p = 12
+    problem = ErmProblem(
+        loss=Loss("huber"),
+        labeler=Labeler(tau=0.5),
+        theta_star=rng.standard_normal(p) / math.sqrt(p),
+        regularizer=Regularizer("ridge", 0.1),
+        constraint=ConstraintSet("l2-ball", R=3.0),
+    )
+    risk = TwinTestRisk(problem, GaussianEquivalent(factor=rng.standard_normal((p, p)) / math.sqrt(p)))
+    assert risk.closed_form
+    for scale in (0.3, 1.5, 4.0):
+        theta = 0.7 * problem.theta_star + scale * rng.standard_normal(p) / math.sqrt(p)
+        exact, grid = risk.value(theta), risk._grid_value(theta)
+        assert abs(exact - grid) <= 2e-4 * exact, f"closed form {exact!r}, grid {grid!r}"
+
+
 def _null_trial_gap():
     spec = FamilySpec(id="control", kind="control-gaussian", radius=3.0)
     prob = ProblemSpec(loss="huber", tau=0.5, lam=0.1)
@@ -201,6 +232,7 @@ def run_selftest(threads: int = 1) -> bool:
         ("gradient-finite-differences", _gradient_check),
         ("projections", _projections),
         ("free-energy-sandwich", _free_energy_props),
+        ("twin-risk-closed-form", _twin_risk_paths),
         ("null-trial-gap", _null_trial_gap),
         ("ks-statistic", _ks_sanity),
         ("determinism", lambda: _determinism(max(1, threads))),

@@ -37,6 +37,7 @@ from ermu.erm import (
     data_risk_grad,  # rebound by perfbench/spans.py
     labels_from_noise,
     project_constraint,
+    same_point,
     solve_erm,
     mean_with_jackknife_se,
 )
@@ -378,6 +379,50 @@ _TWIN_RISK_RANGE = 9.0
 # turns within a few smoothing widths of 0, and uniform panels leave a
 # doubling error of up to 9e-4 relative there.
 _SIGN_SMOOTH_EDGES = np.arange(-4.0, 4.5, 1.0)
+# Losses of the residual u - y alone, whose twin risk under a linear eta
+# TwinTestRisk takes in closed form (``_residual_risk``).
+_RESIDUAL_LOSSES = ("huber", "squared")
+
+
+def _normal_cdf(x: float) -> float:
+    # erfc keeps the digits of the lower tail, and so of 1 - Phi(x) = Phi(-x).
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _normal_pdf(x: float) -> float:
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def _residual_risk(loss: Loss, mu: float, sigma: float) -> tuple[float, float]:
+    """E[loss(r)] for r = mu + sigma Z, Z ~ N(0, 1), mu >= 0, and its derivative in sigma^2.
+
+    The derivative is E[loss''(r)] / 2 (Stein's lemma twice): 1 for squared
+    loss, and for huber half the probability that |r| < delta.
+    """
+    if loss.kind == "squared":
+        return mu * mu + sigma * sigma, 1.0
+    delta = loss.delta
+    if sigma == 0.0:
+        inside = mu < delta
+        return (0.5 * mu * mu if inside else delta * (mu - 0.5 * delta)), 0.5 * inside
+    # r < -delta for Z < a, |r| <= delta for a <= Z <= b, r > delta for Z > b.
+    a, b = (-delta - mu) / sigma, (delta - mu) / sigma
+    cdf_a, cdf_b, sf_b = _normal_cdf(a), _normal_cdf(b), _normal_cdf(-b)
+    pdf_a, pdf_b = _normal_pdf(a), _normal_pdf(b)
+    # P(a <= Z <= b) meets sigma^2 in the quadratic term, which cancels to
+    # O(delta^3 / sigma) at large sigma: erf keeps its digits near 0, the
+    # lower tails (mu >= 0 puts a below 0) below b = -1.
+    if b < -1.0:
+        inner = cdf_b - cdf_a
+    else:
+        inner = 0.5 * (math.erf(b / math.sqrt(2.0)) - math.erf(a / math.sqrt(2.0)))
+    var = sigma * sigma
+    quadratic = 0.5 * (
+        (mu * mu + var) * inner + 2.0 * mu * sigma * (pdf_a - pdf_b) + var * (a * pdf_a - b * pdf_b)
+    )
+    upper = delta * (mu * sf_b + sigma * pdf_b) - 0.5 * delta * delta * sf_b
+    lower = delta * (sigma * pdf_a - mu * cdf_a) - 0.5 * delta * delta * cdf_a
+    return quadratic + upper + lower, 0.5 * inner
 
 
 class TwinTestRisk:
@@ -385,8 +430,19 @@ class TwinTestRisk:
 
     For g ~ N(0, Sigma) with Sigma = L L^T + s^2 I, the student score
     u = w^T g (w = theta) and the teacher score v = t^T g (t = theta_star)
-    are jointly Gaussian. Their covariances c_uu, c_uv and c_vv cost one
-    product L^T w per theta. The label is y = eta(v) + tau eps. With a
+    are jointly Gaussian. The label is y = eta(v) + tau eps.
+
+    Huber and squared loss with a linear eta see only the residual
+    r = u - y = (w - t)^T g - tau eps, which is mu + sigma Z with
+    sigma^2 = (w - t)^T Sigma (w - t), plus tau^2 for Gaussian noise, and
+    mu = 0, or tau for Rademacher noise (-tau gives the same risk, since the
+    loss is even in r). Its risk and derivative in sigma^2 are closed forms
+    in one variable (``_residual_risk``), and the gradient is that
+    derivative times 2 Sigma (w - t). A point costs one product
+    L^T (w - t), and its gradient one more, L (L^T (w - t)).
+
+    Every other loss and eta integrates over fixed nodes. The covariances
+    c_uu, c_uv and c_vv cost one product L^T w per theta. With a
     linear eta and Gaussian noise, eps folds into v, whose variance becomes
     c_vv + tau^2. Rademacher noise is the mean of the eps = -1 and +1
     integrals, and Gaussian noise with a nonlinear eta is a third node axis.
@@ -394,9 +450,10 @@ class TwinTestRisk:
     at the kinks of a clipped eta and at v = 0, +-smoothing, ...,
     +-4 smoothing for a sign-smooth eta, and u = alpha z1 + beta z2 with
     alpha = c_uv / sqrt(c_vv) and beta = sqrt(c_uu - alpha^2). So the labels
-    do not depend on theta, and ``grad`` is the exact gradient of ``value``,
-    the quadrature sum. For a convex loss that sum is convex in theta, since
-    the z2 nodes come in +- pairs.
+    do not depend on theta, and the grid gradient is the exact gradient of
+    the grid value, the quadrature sum. For a convex loss that sum is convex
+    in theta, since the z2 nodes come in +- pairs. ``_grid_value`` and
+    ``_grid_grad`` take the grid on any loss and eta.
     """
 
     def __init__(self, problem: ErmProblem, equiv: GaussianEquivalent):
@@ -409,7 +466,11 @@ class TwinTestRisk:
         self.sigma_t = self.factor @ (self.factor.T @ t) + self.iso2 * t
         labeler = problem.labeler
         fold = labeler.eta_kind == "linear" and labeler.noise_law == "gaussian"
-        c_vv = float(t @ self.sigma_t) + (labeler.tau**2 if fold else 0.0)
+        self.closed_form = problem.loss.kind in _RESIDUAL_LOSSES and labeler.eta_kind == "linear"
+        # The residual's mean and the variance its noise adds.
+        self.noise_mean = 0.0 if fold else labeler.tau
+        self.noise_var = labeler.tau**2 if fold else 0.0
+        c_vv = float(t @ self.sigma_t) + self.noise_var
         self.root_vv = math.sqrt(c_vv) or 1.0  # t = 0 has c_uv = 0, so alpha = 0
         edges = np.linspace(-_TWIN_RISK_RANGE, _TWIN_RISK_RANGE, TWIN_RISK_PANELS + 1)
         z1_edges = edges
@@ -430,8 +491,37 @@ class TwinTestRisk:
         # Axes (z1, z2, eps): the label depends on z1 and eps, the score on z1 and z2.
         self.y = labeler.label(math.sqrt(c_vv) * self.z1[:, None], eps[None, :])[:, None, :]
         self.weights = w1[:, None, None] * w2[None, :, None] * w_eps[None, None, :]
-        self._theta: Optional[np.ndarray] = None
-        self._kept: tuple = ()
+        self._grid_point: Optional[np.ndarray] = None
+        self._grid_kept: tuple = ()
+        self._residual_point: Optional[np.ndarray] = None
+        self._residual_kept: tuple = ()
+
+    def value(self, theta: np.ndarray) -> float:
+        if self.closed_form:
+            return self._residual(theta)[2]
+        return self._grid_value(theta)
+
+    def grad(self, theta: np.ndarray) -> np.ndarray:
+        if self.closed_form:
+            d, Ld, _, slope = self._residual(theta)
+            return (2.0 * slope) * (self.factor @ Ld + self.iso2 * d)
+        return self._grid_grad(theta)
+
+    def _residual(self, theta: np.ndarray):
+        """(w - t, L^T (w - t), risk, its derivative in sigma^2) at theta, kept for the last point.
+
+        PGD asks for ``value`` and then ``grad`` at one point, so the
+        product L^T (w - t) is taken once for both.
+        """
+        if not same_point(theta, self._residual_point):
+            w = np.array(theta, dtype=np.float64)
+            d = w - self.problem.theta_star
+            Ld = self.factor.T @ d
+            var = float(Ld @ Ld) + self.iso2 * float(d @ d) + self.noise_var
+            risk, slope = _residual_risk(self.problem.loss, self.noise_mean, math.sqrt(var))
+            self._residual_kept = (d, Ld, risk, slope)
+            self._residual_point = w
+        return self._residual_kept
 
     def _overlaps(self, theta: np.ndarray):
         """(w, L^T w, alpha, beta, score grid) at theta, kept for the last point evaluated.
@@ -439,23 +529,23 @@ class TwinTestRisk:
         PGD asks for ``value`` and then ``grad`` at one point, so the grid
         is built once for both.
         """
-        if self._theta is None or not np.array_equal(theta, self._theta):
+        if not same_point(theta, self._grid_point):
             w = np.array(theta, dtype=np.float64)
             Lw = self.factor.T @ w
             alpha = float(w @ self.sigma_t) / self.root_vv
             beta = math.sqrt(max(float(Lw @ Lw) + self.iso2 * float(w @ w) - alpha * alpha, 0.0))
-            self._kept = (w, Lw, alpha, beta, self._scores(alpha, beta))
-            self._theta = w
-        return self._kept
+            self._grid_kept = (w, Lw, alpha, beta, self._scores(alpha, beta))
+            self._grid_point = w
+        return self._grid_kept
 
     def _scores(self, alpha: float, beta: float) -> np.ndarray:
         return alpha * self.z1[:, None, None] + beta * self.z2[None, :, None]
 
-    def value(self, theta: np.ndarray) -> float:
+    def _grid_value(self, theta: np.ndarray) -> float:
         *_, scores = self._overlaps(theta)
         return float(np.vdot(self.weights, self.problem.loss.value(scores, self.y)))
 
-    def grad(self, theta: np.ndarray) -> np.ndarray:
+    def _grid_grad(self, theta: np.ndarray) -> np.ndarray:
         w, Lw, alpha, beta, scores = self._overlaps(theta)
         lw = self.weights * self.problem.loss.grad(scores, self.y)
         d_alpha = lw.sum(axis=(1, 2)) @ self.z1
@@ -544,6 +634,8 @@ def run_single_trial(
         X = None  # an empirical twin holds its own scaled copy
     G = sample_gaussian(equiv, n, derive_seed(trial_seed, "gaussian-arm"))
     sol_g = _solve_arm(problem, G, eps, solver_cfg)
+    # One exact twin test risk serves the sweep and test_g, built when the first needs it.
+    twin_risk = None
     if X is not None:  # the enabled stages run on this trial's batches
         free_energy, perturbed = stages
         if free_energy.enabled:
@@ -552,8 +644,9 @@ def run_single_trial(
             )
         G = None  # the sweep needs X only
         if perturbed.enabled:
+            twin_risk = TwinTestRisk(problem, equiv)
             stage_rows.perturbed = _perturbed_rows(
-                instance, trial_seed, X, eps, sol_x, equiv, perturbed.s_values, solver_cfg
+                instance, trial_seed, X, eps, sol_x, twin_risk, perturbed.s_values, solver_cfg
             )
     X = G = None  # the test rows need neither batch
     sols = (sol_x, sol_g)
@@ -561,7 +654,8 @@ def run_single_trial(
     solved = [sol.theta_hat for sol in sols if not isinstance(sol, SolverDivergedError)]
     if n_test > 0 and solved:
         losses = iter(_test_losses(instance, solved, n_test, derive_seed(trial_seed, "test")))
-        twin_risk = TwinTestRisk(problem, equiv)
+        if twin_risk is None:
+            twin_risk = TwinTestRisk(problem, equiv)
 
     rows = []
     for arm, sol in zip(arms, sols):
@@ -625,8 +719,10 @@ def _free_energy_rows(instance, seed, X, G, eps, sol_x, settings) -> tuple[list,
     return [[t, f, instance.n, beta, instance.spec.id, seed] for t, f in trace], check
 
 
-def _perturbed_rows(instance, seed, X, eps, sol_x, equiv, s_values, solver_cfg) -> list[list]:
+def _perturbed_rows(instance, seed, X, eps, sol_x, test_risk, s_values, solver_cfg) -> list[list]:
     """The cell's perturbed.csv rows, one per s and -s, swept from the x arm's solution.
+
+    ``test_risk`` is the twin's ``TwinTestRisk``, the s-solves' perturbation.
 
     A row whose s-solve diverged has no optimum: nan in opt_s and D_s, and
     flag quarantined. So reads every row of a cell whose x arm diverged.
@@ -636,7 +732,7 @@ def _perturbed_rows(instance, seed, X, eps, sol_x, equiv, s_values, solver_cfg) 
     if isinstance(sol_x, SolverDivergedError):
         sweep = PerturbedRiskSweep(_validate_s_grid(s_grid), {}, {}, math.nan, math.nan)
     else:
-        y, test_risk = labels_from_noise(problem, X, eps), TwinTestRisk(problem, equiv)
+        y = labels_from_noise(problem, X, eps)
         sweep = perturbed_sweep(problem, X, y, sol_x, test_risk, s_grid, solver_cfg)
     return [
         [instance.spec.id, instance.n, instance.p, seed, s,

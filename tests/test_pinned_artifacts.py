@@ -72,22 +72,22 @@ PINS = {
     'matrices:nt': 'f387609c8edc0b4fc8f69954b5e13818bec45439a30f6810007c1eb1c8dfd1e9',
     'matrices:rf-hermite': '6728a8f52d272f607224fde826b4a8cdd0cfad634803a8a200208340bdf1bbd0',
     'matrices:rf-mc': '868ddade4f9e7908fe5fe0a2d18114091c19177b4e52b6ed46b849777cb57716',
-    'perturbed.csv:control': '1d79160b4643b2e325b8d64f061a8309686996d58b52fafd6ccad058cf620465',
-    'perturbed.csv:lin': '77b6e9b7c7bd98c81bd5ad6acf8a60e6e4993192f62b7973a22c7ad89d29df2e',
-    'perturbed.csv:nt': 'd00fa446723779362954a57c63571f86ad31634cd857c133c6a06dc4e9761f06',
-    'perturbed.csv:rf-hermite': 'e0ea2801666463f0e257613a4adb9071b15e8f5915192a65753194aa34132bfd',
-    'perturbed.csv:rf-mc': '347f4a16c0b8f1625f7a9456134a8ce243113461f3dc17ed6c5f330c33921ebb',
+    'perturbed.csv:control': 'b226541aaaa0973fd1e8b4b5609c3b24c3e8747de6d6112821bff024fc25dbdb',
+    'perturbed.csv:lin': 'cc5dddb2a64905459249b1939b7ae567db26e2fd98ba1932a01f804167dbcbaf',
+    'perturbed.csv:nt': '389f21a77eae690c2c3bd2386302e2193237ba3cf8a461e75f797332363cca93',
+    'perturbed.csv:rf-hermite': 'bdcdbe8fd6be5540d0e0068c2d391b332ebcb8c5e5f8b1160f807102548dbc84',
+    'perturbed.csv:rf-mc': 'a977346dcaec429bfd5150f90f23e7f24610ef8827bf6393de5c00fcac2a4fb4',
     'report.json:*': '6cea7f773c2e2d2dcf59eb959253ba07162001794dbaee02203556aa59a8b5cd',
-    'report.json:control': 'd6c8cd40c5de9d70572e5b26291c90f83e92101cce4782fe02bba348158aed69',
-    'report.json:lin': '17f22b3e63a6c835ef55cf997291af5acaa96c0c4fcbd30a1c6d2e8e556aa435',
-    'report.json:nt': '5ececd0a851d68842c3f07f5d4624bb8f05b146fc42ba8c4479c01ba09062904',
-    'report.json:rf-hermite': '47b71145c74224615a5f671d873f991d5df9b19adcda2c105ead092cb12174e5',
-    'report.json:rf-mc': '47b24ef10ba1784cbc455f56f8bb37fb4c55f40a5f2555cba9992b572cca9161',
-    'trials.csv:control': '1f551a27184a822b288d54062f0fb658bee2e32c875c1a5e04b276480dafd183',
-    'trials.csv:lin': '5221a01f242c5dec435712a97bf24fe6f62b563fc2460544d92f394c47b97893',
-    'trials.csv:nt': '73067861f58c93a6f998cfafac964a62eada7a4743995e40147e95ffe36d6c20',
-    'trials.csv:rf-hermite': 'aa00bf3a1ce6b8e7f855f8ed62744ea7e03c59836f91fa4128936d4da9400ac3',
-    'trials.csv:rf-mc': '30fb7859abeaee614da8e84df86c9284cb07ec0d2ec0205d6164b747270e7cd0',
+    'report.json:control': '6f72dd9c7cd033ccf2dd27b5c9351c2962187210f2f08bcdc93c97297ff6c1b4',
+    'report.json:lin': 'e2bfb60b499a7360876f78d03fb98283b35942b658c733f1f7246156e299d725',
+    'report.json:nt': 'ba68877d113c10d47958a290706c15acf221ed0c1a836b1ca9476d7fc5589a7d',
+    'report.json:rf-hermite': '21b5496d2cb2037c3a41d88d2d5a6cf1e46f112a0bc25593a560799094b84d55',
+    'report.json:rf-mc': 'f1e9ab4a0f1fbd6d3b7e8940f306cb7f9b8af5b29c3eeab90a861ec29a687c9c',
+    'trials.csv:control': '07f865a43cefb7cfe40ffcb58805acb0720191ea8e1ec759f3a6505acc0908e1',
+    'trials.csv:lin': '214206643d2710743953d9371be50e76b43565546144b84a4077de1bdfebf85b',
+    'trials.csv:nt': '466be0fc3abad625b469cf4ea0abfdf7255bde5a64b7137222c729922473d966',
+    'trials.csv:rf-hermite': '967fa84be6ac5cb964536aa965c21648edca4ce3ceb3a8d43b4a7c3d1b0f665e',
+    'trials.csv:rf-mc': 'fdcf1440048a5c63542330d0704e69acda3909231f2d18ef09e6b7536f743b14',
 }
 
 

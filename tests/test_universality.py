@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -387,6 +388,56 @@ def central_differences(fn, theta, h=1e-6):
     return out
 
 
+def residual_law_risk(problem, equiv, theta):
+    """E[loss(u - y)] by scipy's quad over the residual's law, with Sigma formed densely.
+
+    The residual is Gaussian with variance (theta - theta*)^T Sigma (theta - theta*),
+    plus tau^2 for Gaussian noise; Rademacher noise is the mean of its two shifts.
+    """
+    integrate = pytest.importorskip("scipy.integrate")
+    factor = np.asarray(equiv.factor, dtype=np.float64)
+    cov = factor @ factor.T + equiv.iso_scale**2 * np.eye(problem.p)
+    d = theta - problem.theta_star
+    loss, labeler = problem.loss, problem.labeler
+    var = float(d @ cov @ d)
+    shifts = (0.0,)
+    if labeler.noise_law == "gaussian":
+        var += labeler.tau**2
+    else:
+        shifts = (-labeler.tau, labeler.tau)
+    sd = math.sqrt(var)
+
+    def shifted(mu):
+        if sd == 0.0:
+            return float(loss.value(np.array(mu), np.array(0.0)))
+
+        def integrand(z):
+            density = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+            return float(loss.value(np.array(mu + sd * z), np.array(0.0))) * density
+
+        kinks = {0.0, (-loss.delta - mu) / sd, (loss.delta - mu) / sd}
+        edges = [-np.inf, *sorted(k for k in kinks if abs(k) < 40.0), np.inf]
+        return sum(
+            integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            for lo, hi in zip(edges[:-1], edges[1:])
+        )
+
+    return sum(shifted(mu) for mu in shifts) / len(shifts)
+
+
+def counted_score_grids(monkeypatch):
+    """A list that gains one entry per score grid any TwinTestRisk builds."""
+    builds = []
+    real_scores = TwinTestRisk._scores
+
+    def counted(self, alpha, beta):
+        builds.append((alpha, beta))
+        return real_scores(self, alpha, beta)
+
+    monkeypatch.setattr(TwinTestRisk, "_scores", counted)
+    return builds
+
+
 class TestTwinTestRisk:
     @pytest.mark.parametrize("loss", ["huber", "logistic", "squared", "pseudo-huber"])
     @pytest.mark.parametrize("labeler", ["linear", "clipped-linear", "sign-smooth"])
@@ -407,6 +458,8 @@ class TestTwinTestRisk:
         "loss, labeler, noise_law",
         [
             ("huber", "linear", "gaussian"),
+            ("huber", "linear", "rademacher"),
+            ("squared", "linear", "rademacher"),
             ("huber", "clipped-linear", "rademacher"),
             ("logistic", "sign-smooth", "gaussian"),
             ("pseudo-huber", "linear", "rademacher"),
@@ -428,14 +481,7 @@ class TestTwinTestRisk:
         # PGD evaluates value and then grad at one point: one grid build.
         problem = twin_problem("huber", "clipped-linear", "rademacher", 6)
         risk = TwinTestRisk(problem, twin_kinds(6)["square"])
-        builds = []
-        real_scores = TwinTestRisk._scores
-
-        def counted(self, alpha, beta):
-            builds.append((alpha, beta))
-            return real_scores(self, alpha, beta)
-
-        monkeypatch.setattr(TwinTestRisk, "_scores", counted)
+        builds = counted_score_grids(monkeypatch)
         theta = probe_point(problem)
         value, grad = risk.value(theta), risk.grad(theta)
         assert len(builds) == 1
@@ -449,7 +495,7 @@ class TestTwinTestRisk:
     def test_theta_along_theta_star_has_zero_beta(self):
         # With Rademacher noise u is a multiple of v at theta = c theta_star:
         # beta = 0, and value and gradient stay finite.
-        problem = twin_problem("huber", "linear", "rademacher", 6)
+        problem = twin_problem("pseudo-huber", "linear", "rademacher", 6)
         risk = TwinTestRisk(problem, twin_kinds(6)["square"])
         theta = -0.4 * problem.theta_star
         assert risk._overlaps(theta)[3] < 1e-7
@@ -457,19 +503,19 @@ class TestTwinTestRisk:
 
     @pytest.mark.parametrize(
         "loss, labeler",
-        [("huber", "linear"), ("huber", "clipped-linear"), ("logistic", "clipped-linear"),
+        [("pseudo-huber", "linear"), ("huber", "clipped-linear"), ("logistic", "clipped-linear"),
          ("squared", "clipped-linear"), ("pseudo-huber", "clipped-linear"),
          ("squared", "sign-smooth")],
     )
     @pytest.mark.parametrize("noise_law", ["gaussian", "rademacher"])
     def test_doubling_the_panels_moves_kinked_integrands_little(self, monkeypatch, loss, labeler, noise_law):
         # Measured: doubling TWIN_RISK_PANELS from 16 to 32 moved the value by
-        # at most 1.1e-4 relative over these cases, twins and points: huber,
-        # linear labels, Gaussian noise, the empirical twin at scale 4, where
-        # the loss kink crosses the panels near the centre. At scales 0.3 and
-        # 1.5 the largest move was 1.8e-5. Sign-smooth labels, whose steep
-        # region gets its own panel edges, moved by at most 1.8e-6 (8.9e-4
-        # with uniform panels alone). The bound is 2e-4 relative.
+        # at most 3.8e-5 relative over these cases, twins and points: logistic
+        # loss, clipped-linear labels, Gaussian noise, the linear twin at
+        # scale 4. At scales 0.3 and 1.5 the largest move was 1.8e-5.
+        # Sign-smooth labels, whose steep region gets its own panel edges,
+        # moved by at most 1.8e-6 (8.9e-4 with uniform panels alone). The
+        # bound is 2e-4 relative.
         p = 12
         problem = twin_problem(loss, labeler, noise_law, p)
         for equiv in twin_kinds(p).values():
@@ -522,6 +568,73 @@ class TestTwinTestRisk:
             assert sweep.sandwich_ok(slack), inst_idx
             for s in (0.01, 0.1):
                 assert sweep.D[-s] - sweep.D[s] >= -slack, (inst_idx, s)
+
+
+class TestTwinTestRiskClosedForm:
+    """Huber and squared loss with linear labels: the residual's law in closed form."""
+
+    @pytest.mark.parametrize("loss", ["huber", "squared"])
+    @pytest.mark.parametrize("noise_law, tau", [("gaussian", 0.5), ("rademacher", 0.5), ("gaussian", 0.0)])
+    def test_matches_quad_over_the_residual_law(self, loss, noise_law, tau):
+        # Points: a generic one; theta = theta*, where sigma = 0 without
+        # Gaussian noise; a pure-noise teacher theta* = 0; and sigma near 3e5,
+        # where huber's quadratic part cancels to O(1 / sigma) from O(sigma).
+        p = 12
+        base = twin_problem(loss, "linear", noise_law, p)
+        problem = replace(base, labeler=replace(base.labeler, tau=tau))
+        pure_noise = replace(problem, theta_star=np.zeros(p))
+        point = probe_point(problem)
+        cases = ((problem, point), (problem, problem.theta_star), (pure_noise, point),
+                 (problem, probe_point(problem, 3e5)))
+        for name, equiv in twin_kinds(p).items():
+            for prob, theta in cases:
+                risk = TwinTestRisk(prob, equiv)
+                assert risk.closed_form
+                got, want = risk.value(theta), residual_law_risk(prob, equiv, theta)
+                assert abs(got - want) <= 1e-12 * abs(want), (name, got, want)
+
+    @pytest.mark.parametrize("loss", ["huber", "squared"])
+    @pytest.mark.parametrize("noise_law", ["gaussian", "rademacher"])
+    def test_agrees_with_the_grid_within_its_error(self, loss, noise_law):
+        # The grid's documented error is 2e-4 relative; measured against the
+        # closed form over these twins and points it was at most 2.8e-5.
+        p = 12
+        problem = twin_problem(loss, "linear", noise_law, p)
+        for name, equiv in twin_kinds(p).items():
+            risk = TwinTestRisk(problem, equiv)
+            for scale in (0.3, 1.5, 4.0):
+                theta = probe_point(problem, scale)
+                exact, grid = risk.value(theta), risk._grid_value(theta)
+                assert abs(exact - grid) <= 2e-4 * exact, (name, scale, exact, grid)
+
+    def test_perturbed_sweep_builds_no_score_grid(self, monkeypatch):
+        builds = counted_score_grids(monkeypatch)
+        p = 8
+        problem = ridge_problem(p, seed=3)  # huber loss, linear labels, Gaussian noise
+        X = rng_from(11, "no-grid").standard_normal((50, p))
+        y = generate_labels(problem, X, seed=4)
+        cfg = SolverConfig(tol=1e-10)
+        sweep = perturbed_sweep(
+            problem, X, y, solve_erm(problem, X, y, cfg),
+            TwinTestRisk(problem, twin_kinds(p)["square"]), [0.1, -0.1], cfg=cfg,
+        )
+        assert len(sweep.D) == 2 and sweep.sandwich_ok(2.0 * sweep.solver_gap)
+        assert builds == []
+
+    @pytest.mark.parametrize(
+        "loss, labeler",
+        [("pseudo-huber", "linear"), ("logistic", "linear"), ("huber", "clipped-linear"),
+         ("squared", "clipped-linear"), ("huber", "sign-smooth"), ("squared", "sign-smooth")],
+    )
+    def test_other_losses_and_labelers_take_the_grid(self, monkeypatch, loss, labeler):
+        builds = counted_score_grids(monkeypatch)
+        problem = twin_problem(loss, labeler, "gaussian", 6)
+        risk = TwinTestRisk(problem, twin_kinds(6)["square"])
+        theta = probe_point(problem)
+        assert not risk.closed_form
+        assert risk.value(theta) == risk._grid_value(theta)
+        assert np.array_equal(risk.grad(theta), risk._grid_grad(theta))
+        assert len(builds) == 1
 
 
 class TestPerturbedSweep:
