@@ -396,7 +396,7 @@ def _normal_pdf(x: float) -> float:
 def _residual_risk(loss: Loss, mu: float, sigma: float) -> tuple[float, float]:
     """E[loss(r)] for r = mu + sigma Z, Z ~ N(0, 1), mu >= 0, and its derivative in sigma^2.
 
-    The derivative is E[loss''(r)] / 2 (Stein's lemma twice): 1 for squared
+    The derivative is E[loss''(r)] / 2 (the heat equation): 1 for squared
     loss, and for huber half the probability that |r| < delta.
     """
     if loss.kind == "squared":
@@ -433,13 +433,13 @@ class TwinTestRisk:
     are jointly Gaussian. The label is y = eta(v) + tau eps.
 
     Huber and squared loss with a linear eta see only the residual
-    r = u - y = (w - t)^T g - tau eps, which is mu + sigma Z with
-    sigma^2 = (w - t)^T Sigma (w - t), plus tau^2 for Gaussian noise, and
-    mu = 0, or tau for Rademacher noise (-tau gives the same risk, since the
-    loss is even in r). Its risk and derivative in sigma^2 are closed forms
-    in one variable (``_residual_risk``), and the gradient is that
-    derivative times 2 Sigma (w - t). A point costs one product
-    L^T (w - t), and its gradient one more, L (L^T (w - t)).
+    r = u - y = (w - t)^T g - tau eps, whose risk is that of mu + sigma Z
+    with sigma^2 = (w - t)^T Sigma (w - t), plus tau^2 for Gaussian noise,
+    and mu = 0, or tau for Rademacher noise (its -tau half has the same
+    risk, since the loss is even in r). Its risk and derivative in
+    sigma^2 are closed forms in one variable (``_residual_risk``), and the
+    gradient is that derivative times 2 Sigma (w - t). A point costs one
+    product L^T (w - t), and its gradient one more, L (L^T (w - t)).
 
     Every other loss and eta integrates over fixed nodes. The covariances
     c_uu, c_uv and c_vv cost one product L^T w per theta. With a
