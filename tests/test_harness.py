@@ -1,6 +1,7 @@
 """Config validation and hashing, campaign artifacts, report, CLI."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -990,7 +991,68 @@ def trial_row(trial, arm, train_opt, flags=""):
     )
 
 
+def edge_case_rows():
+    """Crafted trials.csv rows that reach the report's edge cases.
+
+    Family ``zeta`` comes first, so first-row order is not alphabetical. Its
+    n=40 cell lists its trials and arms out of order and holds a quarantined
+    arm, a missing arm, ``maxiter``/``step-underflow`` pairs and tied train
+    values; its n=20 cell has one kept pair (T = 1) and its n=10 cell none
+    (T = 0). Family ``alpha`` has NaN test columns flagged ``no-test``, and
+    family ``mid`` one cell without a kept pair.
+    """
+    nan = float("nan")
+
+    def row(family, n, trial, arm, train, test=(0.5, 0.01), flags=()):
+        test_value, test_se = test
+        return TrialRow(
+            family=family, n=n, p=n // 2 + 7, trial=trial, seed=100 * n + trial,
+            train_opt=train, test_x=test_value + 0.01 * trial, test_x_se=test_se,
+            test_g=test_value - 0.02 * trial, test_g_se=2 * test_se, iters=12,
+            flags=";".join([f"arm:{arm}", *flags]),
+        )
+
+    no_test = dict(test=(nan, nan), flags=("no-test",))
+    return [
+        row("zeta", 40, 5, "g", 0.75), row("zeta", 40, 5, "x", 0.8),
+        row("zeta", 40, 0, "x", 1.0), row("zeta", 40, 0, "g", 0.9),
+        row("zeta", 40, 1, "x", 1.2, flags=("maxiter",)), row("zeta", 40, 1, "g", 1.0),
+        row("zeta", 40, 2, "x", 0.8, flags=("maxiter",)),
+        row("zeta", 40, 2, "g", 0.9, flags=("step-underflow",)),
+        row("zeta", 40, 3, "x", nan, flags=("quarantined",)), row("zeta", 40, 3, "g", 1.1),
+        row("zeta", 40, 4, "x", 0.9),  # its g arm is missing
+        row("zeta", 40, 6, "x", 0.9), row("zeta", 40, 6, "g", 0.9),
+        row("zeta", 20, 0, "g", 0.65, flags=("step-underflow",)), row("zeta", 20, 0, "x", 0.68),
+        row("zeta", 20, 1, "x", nan, flags=("quarantined",)),
+        row("zeta", 10, 0, "x", 0.4), row("zeta", 10, 0, "g", nan, flags=("quarantined",)),
+        *(row("alpha", 60, t, arm, value, **no_test)
+          for t, (vx, vg) in enumerate([(0.3, 0.35), (0.32, 0.3), (0.3, 0.3), (0.41, 0.28)])
+          for arm, value in (("x", vx), ("g", vg))),
+        row("alpha", 30, 0, "x", 0.5, **no_test), row("alpha", 30, 0, "g", 0.45, **no_test),
+        row("alpha", 30, 1, "x", 0.55, **no_test), row("alpha", 30, 1, "g", 0.5, **no_test),
+        row("mid", 50, 0, "g", 0.3), row("mid", 50, 0, "x", nan, flags=("quarantined",)),
+    ]
+
+
+# SHA-256 of the report of edge_case_rows() with 300 resamples, dumped with
+# sorted keys, without and with family kinds.
+EDGE_CASE_REPORT_PINS = {
+    "no-kinds": "aca3b6321e0959e82a414e4bbc35f8027870ad7f90055dafa050c9670865d633",
+    "kinds": "12bbe885fbddd7447eab4e5006502feefc13299d96d046b73e032c51db60eefe",
+}
+
+
 class TestReport:
+    @pytest.mark.parametrize("kinds", sorted(EDGE_CASE_REPORT_PINS))
+    def test_edge_case_report_matches_its_pin(self, kinds):
+        family_kinds = {"alpha": "control-gaussian", "mid": "control-gaussian",
+                        "zeta": "random-features"}
+        report = build_report(
+            edge_case_rows(), n_boot=300, family_kinds=family_kinds if kinds == "kinds" else None
+        )
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == EDGE_CASE_REPORT_PINS[kinds]
+
     def test_report_structure(self, tmp_path):
         cfg = base_config()
         run_campaign(cfg, tmp_path / "out")
