@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -58,73 +58,26 @@ def read_trials_csv(path: str | Path) -> list[TrialRow]:
     return rows
 
 
-@dataclass
-class PairedSize:
-    n: int
-    p: int
-    train_x: np.ndarray
-    train_g: np.ndarray
-    test_x_at_x: np.ndarray
-    test_x_se: np.ndarray
-    test_g_at_g: np.ndarray
-    test_g_se: np.ndarray
-    quarantined: int
-    nonconverged: int
+def _paired_table(trials: dict[int, dict[str, TrialRow]]) -> tuple[np.ndarray, int, int]:
+    """A cell's kept trial pairs, in trial order, as a T×6 table.
 
-
-def _pair_rows(rows: list[TrialRow]) -> dict[str, list[PairedSize]]:
-    by_family: dict[str, dict[int, dict[int, dict[str, TrialRow]]]] = {}
-    family_order: list[str] = []
-    for row in rows:
-        if row.family not in by_family:
-            by_family[row.family] = {}
-            family_order.append(row.family)
-        by_family[row.family].setdefault(row.n, {}).setdefault(row.trial, {})[row.arm] = row
-    out: dict[str, list[PairedSize]] = {}
-    for family in family_order:
-        sizes = []
-        for n in sorted(by_family[family]):
-            trials = by_family[family][n]
-            tx, tg, xx, xs, gg, gs = [], [], [], [], [], []
-            quarantined = nonconverged = 0
-            # Any row of the size carries its p, kept or quarantined.
-            p = next(row.p for pair in trials.values() for row in pair.values())
-            for t in sorted(trials):
-                pair = trials[t]
-                if "x" not in pair or "g" not in pair:
-                    quarantined += 1
-                    continue
-                if pair["x"].quarantined or pair["g"].quarantined:
-                    quarantined += 1
-                    continue
-                if any(
-                    flag in _NONCONVERGED
-                    for row in (pair["x"], pair["g"])
-                    for flag in row.flags.split(";")
-                ):
-                    nonconverged += 1
-                tx.append(pair["x"].train_opt)
-                tg.append(pair["g"].train_opt)
-                xx.append(pair["x"].test_x)
-                xs.append(pair["x"].test_x_se)
-                gg.append(pair["g"].test_g)
-                gs.append(pair["g"].test_g_se)
-            sizes.append(
-                PairedSize(
-                    n=n,
-                    p=p,
-                    train_x=np.array(tx),
-                    train_g=np.array(tg),
-                    test_x_at_x=np.array(xx),
-                    test_x_se=np.array(xs),
-                    test_g_at_g=np.array(gg),
-                    test_g_se=np.array(gs),
-                    quarantined=quarantined,
-                    nonconverged=nonconverged,
-                )
-            )
-        out[family] = sizes
-    return out
+    Its columns are ``train_x``, ``train_g``, the x row's ``test_x`` and
+    ``test_x_se`` and the g row's ``test_g`` and ``test_g_se``. A pair with
+    a missing or quarantined arm is left out and counted as quarantined; a
+    kept pair with a ``maxiter`` or ``step-underflow`` arm is counted as
+    non-converged.
+    """
+    table, quarantined, nonconverged = [], 0, 0
+    for t in sorted(trials):
+        x, g = trials[t].get("x"), trials[t].get("g")
+        if x is None or g is None or x.quarantined or g.quarantined:
+            quarantined += 1
+            continue
+        nonconverged += any(
+            flag in _NONCONVERGED for row in (x, g) for flag in row.flags.split(";")
+        )
+        table.append((x.train_opt, g.train_opt, x.test_x, x.test_x_se, g.test_g, g.test_g_se))
+    return np.array(table, dtype=np.float64).reshape(-1, 6), quarantined, nonconverged
 
 
 def _trend_verdict(abs_gaps: list[float], ses: list[float]) -> dict:
@@ -139,93 +92,108 @@ def _trend_verdict(abs_gaps: list[float], ses: list[float]) -> dict:
     return {"non_increasing_ok": ok, "inversions": inversions}
 
 
+def _cell_statistics(
+    table: np.ndarray, seed: int, n_boot: int, level: float, null_quantiles: dict[int, float]
+) -> dict:
+    """The gap statistics of a cell's paired table with T >= 1 rows."""
+    train_x, train_g, test_x, test_x_se, test_g, test_g_se = table.T
+    T = len(table)
+    mean, lo, hi, se = bootstrap_mean_ci(train_x - train_g, n_boot=n_boot, seed=seed, level=level)
+    entry: dict = {
+        "train_gap": {
+            "mean": mean,
+            "ci_lo": lo,
+            "ci_hi": hi,
+            "se": se,
+            "covers_zero": lo <= 0.0 <= hi,
+            "degenerate_ci": T < 2 or hi == lo,
+        }
+    }
+    if T >= 2:
+        bl = bl_gap(train_x, train_g, n_boot=n_boot, seed=derive_seed(seed, "bl"), level=level)
+        entry["bl_gap"] = {
+            "max": bl.max_gap,
+            "argmax": bl.argmax,
+            "ci_lo": bl.ci_lo,
+            "ci_hi": bl.ci_hi,
+            "per_psi": bl.per_psi,
+        }
+        if T not in null_quantiles:
+            null_quantiles[T] = ks_null_quantile(
+                T, T, level=0.99, seed=derive_seed(_REPORT_SEED, "ks-null")
+            )
+        ks = ks_statistic(train_x, train_g)
+        entry["ks"] = {
+            "statistic": ks,
+            "null_q99": null_quantiles[T],
+            "below_null": ks < null_quantiles[T],
+        }
+    test_gaps = test_x - test_g
+    if np.all(np.isfinite(test_gaps)):
+        tmean, tlo, thi, tse = bootstrap_mean_ci(
+            test_gaps, n_boot=n_boot, seed=derive_seed(seed, "test"), level=level
+        )
+        mc_var = float(np.sum(test_x_se**2) + np.sum(test_g_se**2)) / T**2
+        entry["test_gap"] = {
+            "mean": tmean,
+            "ci_lo": tlo,
+            "ci_hi": thi,
+            "se": tse,
+            "combined_se": math.sqrt(tse**2 + mc_var),
+            "covers_zero": tlo <= 0.0 <= thi,
+            "degenerate_ci": T < 2 or thi == tlo,
+        }
+    return entry
+
+
 def build_report(
     rows: list[TrialRow],
     n_boot: int = 2000,
     level: float = 0.95,
     family_kinds: dict[str, str] | None = None,
 ) -> dict:
-    """Aggregate trial rows into the universality report structure."""
-    paired = _pair_rows(rows)
+    """Aggregate trial rows into the universality report structure.
+
+    Families keep the order of their first rows and sizes ascend. A family
+    is a null calibration when ``family_kinds`` names it ``control-gaussian``.
+    """
+    cells: dict[str, dict[int, dict[int, dict[str, TrialRow]]]] = {}
+    for row in rows:
+        cells.setdefault(row.family, {}).setdefault(row.n, {}).setdefault(row.trial, {})[
+            row.arm
+        ] = row
     family_kinds = family_kinds or {}
-    report: dict = {"families": {}, "family_order": list(paired)}
-    null_quantiles: dict[tuple[int, int], float] = {}
-    for family, sizes in paired.items():
+    report: dict = {"families": {}, "family_order": list(cells)}
+    null_quantiles: dict[int, float] = {}
+    for family, sizes in cells.items():
         fam_entry: dict = {"kind": family_kinds.get(family, ""), "sizes": []}
         abs_gaps, gap_ses = [], []
-        for ps in sizes:
-            T = ps.train_x.size
+        for n in sorted(sizes):
+            table, quarantined, nonconverged = _paired_table(sizes[n])
             entry: dict = {
-                "n": ps.n,
-                "p": ps.p,
-                "trials": T,
-                "quarantined": ps.quarantined,
-                "nonconverged": ps.nonconverged,
+                "n": n,
+                # Any row of the size carries its p, kept or quarantined.
+                "p": next(row.p for pair in sizes[n].values() for row in pair.values()),
+                "trials": len(table),
+                "quarantined": quarantined,
+                "nonconverged": nonconverged,
             }
-            if T == 0:
+            if len(table) == 0:
                 entry["empty"] = True
-                fam_entry["sizes"].append(entry)
-                continue
-            gaps = ps.train_x - ps.train_g
-            seed = derive_seed(_REPORT_SEED, family, ps.n)
-            mean, lo, hi, se = bootstrap_mean_ci(gaps, n_boot=n_boot, seed=seed, level=level)
-            entry["train_gap"] = {
-                "mean": mean,
-                "ci_lo": lo,
-                "ci_hi": hi,
-                "se": se,
-                "covers_zero": lo <= 0.0 <= hi,
-                "degenerate_ci": T < 2 or hi == lo,
-            }
-            if T >= 2:
-                bl = bl_gap(
-                    ps.train_x, ps.train_g, n_boot=n_boot, seed=derive_seed(seed, "bl"), level=level
-                )
-                entry["bl_gap"] = {
-                    "max": bl.max_gap,
-                    "argmax": bl.argmax,
-                    "ci_lo": bl.ci_lo,
-                    "ci_hi": bl.ci_hi,
-                    "per_psi": bl.per_psi,
-                }
-                key = (T, T)
-                if key not in null_quantiles:
-                    null_quantiles[key] = ks_null_quantile(
-                        T, T, level=0.99, seed=derive_seed(_REPORT_SEED, "ks-null")
-                    )
-                ks = ks_statistic(ps.train_x, ps.train_g)
-                entry["ks"] = {
-                    "statistic": ks,
-                    "null_q99": null_quantiles[key],
-                    "below_null": ks < null_quantiles[key],
-                }
-            test_gaps = ps.test_x_at_x - ps.test_g_at_g
-            if np.all(np.isfinite(test_gaps)) and T >= 1:
-                tmean, tlo, thi, tse = bootstrap_mean_ci(
-                    test_gaps, n_boot=n_boot, seed=derive_seed(seed, "test"), level=level
-                )
-                mc_var = float(np.sum(ps.test_x_se**2) + np.sum(ps.test_g_se**2)) / max(T, 1) ** 2
-                entry["test_gap"] = {
-                    "mean": tmean,
-                    "ci_lo": tlo,
-                    "ci_hi": thi,
-                    "se": tse,
-                    "combined_se": math.sqrt(tse**2 + mc_var),
-                    "covers_zero": tlo <= 0.0 <= thi,
-                    "degenerate_ci": T < 2 or thi == tlo,
-                }
+            else:
+                seed = derive_seed(_REPORT_SEED, family, n)
+                entry.update(_cell_statistics(table, seed, n_boot, level, null_quantiles))
+                abs_gaps.append(abs(entry["train_gap"]["mean"]))
+                gap_ses.append(entry["train_gap"]["se"])
             fam_entry["sizes"].append(entry)
-            abs_gaps.append(abs(mean))
-            gap_ses.append(se)
         fam_entry["trend"] = _trend_verdict(abs_gaps, gap_ses)
-        if fam_entry["sizes"] and "train_gap" in fam_entry["sizes"][-1]:
+        if "train_gap" in fam_entry["sizes"][-1]:
             last = fam_entry["sizes"][-1]["train_gap"]
             fam_entry["universality_pass"] = bool(
                 last["covers_zero"] and fam_entry["trend"]["non_increasing_ok"]
             )
             fam_entry["largest_n_covers_zero"] = bool(last["covers_zero"])
-        kind = fam_entry["kind"] or ("control-gaussian" if family.startswith("control") else "")
-        if kind == "control-gaussian" and fam_entry["sizes"]:
+        if fam_entry["kind"] == "control-gaussian":
             covered = [
                 s["train_gap"]["covers_zero"] for s in fam_entry["sizes"] if "train_gap" in s
             ]
@@ -241,9 +209,11 @@ def write_report(results_dir: str | Path, out_dir: str | Path | None = None) -> 
     """Build report.json and plot-ready CSVs from a results directory.
 
     The bootstrap settings and family kinds are the run's, parsed from the
-    config in its manifest.json like any config, so a config that does not
-    parse raises ``ConfigError``; a directory without a manifest is reported
-    with the default ``BootstrapSettings``.
+    config in its manifest.json like any config, so a manifest or config
+    that does not parse raises ``ConfigError``; a directory without a
+    manifest is reported with the default ``BootstrapSettings`` and no
+    family kinds. ``out_dir`` ends up holding the stage files of this run
+    only.
     """
     results = Path(results_dir)
     out = Path(out_dir) if out_dir is not None else results
@@ -258,10 +228,17 @@ def write_report(results_dir: str | Path, out_dir: str | Path | None = None) -> 
     bootstrap = BootstrapSettings()
     manifest_path = results / "manifest.json"
     if manifest_path.exists():
-        with open(manifest_path) as fh:
-            raw = json.load(fh).get("config")
         try:
-            config = config_from_dict(raw)
+            manifest = json.loads(manifest_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"{manifest_path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from exc
+        if not isinstance(manifest, dict):
+            got = type(manifest).__name__
+            raise ConfigError(f"{manifest_path}: expected an object, got {got}")
+        try:
+            config = config_from_dict(manifest.get("config"))
         except ConfigError as exc:
             raise ConfigError(f"{manifest_path}: {exc}") from exc
         family_kinds = {spec.id: spec.kind for spec in config.families}
@@ -297,11 +274,14 @@ def write_report(results_dir: str | Path, out_dir: str | Path | None = None) -> 
         ),
     )
 
-    # Pass through plot-ready stage outputs when the run produced them.
+    # Pass through plot-ready stage outputs when the run produced them, and
+    # delete those of another run that an earlier report left in ``out``.
     # newline="" on both sides keeps write_csv's \r\n line ends byte for byte.
     for name in ("free_energy_paths.csv", "perturbed.csv"):
         src = results / name
-        if src.exists() and out != results:
+        if not src.exists():
+            (out / name).unlink(missing_ok=True)
+        elif out != results:
             with open(src, newline="") as fh:
                 text = fh.read()
             _atomic_write(out / name, lambda fh: fh.write(text))

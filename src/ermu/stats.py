@@ -11,7 +11,6 @@ identity and a clipped quadratic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -70,26 +69,16 @@ def ks_null_quantile(
     return float(np.quantile(np.abs(gaps).max(axis=1), level))
 
 
-@dataclass(frozen=True)
-class PsiFunction:
-    name: str
-    fn: Callable[[np.ndarray], np.ndarray]
+def bl_dictionary(pooled: np.ndarray, t: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The names of the dictionary built from ``pooled`` and its K×T values at ``t``.
 
-
-def ramp(delta: float, rho: float) -> PsiFunction:
-    """The ramp 0 below rho, linear on [rho, rho + delta), 1 above."""
-    if delta <= 0:
-        raise InvalidArgumentError("delta must be positive")
-
-    def fn(t: np.ndarray) -> np.ndarray:
-        return np.clip((np.asarray(t, dtype=np.float64) - rho) / delta, 0.0, 1.0)
-
-    return PsiFunction(name=f"ramp(d={delta:.6g},r={rho:.6g})", fn=fn)
-
-
-def default_psi_dictionary(pooled: np.ndarray) -> list[PsiFunction]:
-    """Ramps on a quantile grid of the pooled samples plus clipped polynomials."""
+    Rows 0-14 are the ramps on the (delta, rho) grid, delta-major: rho runs
+    over the 0.1, 0.25, 0.5, 0.75 and 0.9 quantiles of the pooled samples
+    and delta over 0.5, 1 and 2 times their spread. Rows 15 and 16 are the
+    clipped identity and the clipped quadratic.
+    """
     pooled = np.asarray(pooled, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
     if pooled.size == 0:
         raise InvalidArgumentError("empty pooled sample")
     center = float(np.median(pooled))
@@ -97,20 +86,13 @@ def default_psi_dictionary(pooled: np.ndarray) -> list[PsiFunction]:
     if spread <= 0:
         spread = max(1e-8, abs(center) * 1e-3 + 1e-8)
     rhos = np.quantile(pooled, [0.1, 0.25, 0.5, 0.75, 0.9])
-    deltas = [0.5 * spread, spread, 2.0 * spread]
-    psis = [ramp(d, float(r)) for d in deltas for r in rhos]
+    deltas = np.array([0.5 * spread, spread, 2.0 * spread])
+    names = [f"ramp(d={d:.6g},r={r:.6g})" for d in deltas for r in rhos]
+    names += ["clipped-identity", "clipped-quadratic"]
+    ramps = np.clip((t - np.tile(rhos, 3)[:, None]) / np.repeat(deltas, 5)[:, None], 0.0, 1.0)
     bound = abs(center) + 4.0 * spread
-
-    def clipped_identity(t):
-        return np.clip(t, -bound, bound)
-
-    def clipped_quadratic(t):
-        c = np.clip(t - center, -bound, bound)
-        return c * c / (2.0 * bound)
-
-    psis.append(PsiFunction("clipped-identity", clipped_identity))
-    psis.append(PsiFunction("clipped-quadratic", clipped_quadratic))
-    return psis
+    c = np.clip(t - center, -bound, bound)
+    return names, np.vstack([ramps, np.clip(t, -bound, bound), c * c / (2.0 * bound)])
 
 
 @dataclass
@@ -126,7 +108,6 @@ class BlGapResult:
 def bl_gap(
     a: np.ndarray,
     b: np.ndarray,
-    psi_dictionary: Sequence[PsiFunction] | None = None,
     n_boot: int = 2000,
     seed: int = 0,
     level: float = 0.95,
@@ -144,15 +125,9 @@ def bl_gap(
         raise InvalidArgumentError("samples must be nonempty")
     if a.size != b.size:
         raise InvalidArgumentError(f"samples must have the same size, got {a.size} and {b.size}")
-    if psi_dictionary is None:
-        psi_dictionary = default_psi_dictionary(np.concatenate([a, b]))
-    per_psi: dict[str, float] = {}
-    psi_a = np.empty((len(psi_dictionary), a.size))
-    psi_b = np.empty((len(psi_dictionary), b.size))
-    for i, psi in enumerate(psi_dictionary):
-        psi_a[i] = psi.fn(a)
-        psi_b[i] = psi.fn(b)
-        per_psi[psi.name] = float(abs(psi_a[i].mean() - psi_b[i].mean()))
+    pooled = np.concatenate([a, b])
+    names, psi = bl_dictionary(pooled, pooled)
+    psi_a, psi_b = psi[:, : a.size], psi[:, a.size :]
     gaps = np.abs(psi_a.mean(axis=1) - psi_b.mean(axis=1))
     best = int(np.argmax(gaps))
     idx = rng_from(seed, "bl-bootstrap").integers(0, a.size, size=(n_boot, 2, a.size))
@@ -168,9 +143,9 @@ def bl_gap(
     alpha = 0.5 * (1.0 - level)
     lo, hi = np.quantile(boot, [alpha, 1.0 - alpha])
     return BlGapResult(
-        per_psi=per_psi,
+        per_psi={name: float(gap) for name, gap in zip(names, gaps)},
         max_gap=float(gaps[best]),
-        argmax=psi_dictionary[best].name,
+        argmax=names[best],
         ci_lo=float(lo),
         ci_hi=float(hi),
         se=float(boot.std(ddof=1)) if n_boot > 1 else 0.0,

@@ -1133,6 +1133,31 @@ class TestReport:
             assert copied == (results / name).read_bytes(), name
         assert not list(out.glob("*.tmp"))
 
+    def test_report_elsewhere_removes_stage_files_of_another_run(self, tmp_path):
+        stages = {"free_energy": {"enabled": True, "M": 8, "path_points": 3},
+                  "perturbed": {"enabled": True, "s_values": [0.1]}}
+        with_stages, without, out = tmp_path / "a", tmp_path / "b", tmp_path / "report"
+        run_campaign(base_config(trials=1, ladder=[40], **stages), with_stages)
+        run_campaign(base_config(trials=1, ladder=[40]), without)
+        write_report(with_stages, out)
+        assert (out / "perturbed.csv").exists() and (out / "free_energy_paths.csv").exists()
+        (out / "notes.txt").write_text("kept")  # not an artifact name
+        write_report(without, out)
+        assert sorted(f.name for f in out.iterdir()) == ["gap_vs_n.csv", "notes.txt", "report.json"]
+
+    def test_null_calibration_comes_from_the_family_kind_only(self):
+        rows = [replace(row, family=family) for family in ("control-rf", "null")
+                for row in (trial_row(0, "x", 1.0), trial_row(0, "g", 0.9),
+                            trial_row(1, "x", 1.2), trial_row(1, "g", 1.0))]
+        families = build_report(rows, n_boot=50)["families"]
+        assert not any("null_calibration" in entry for entry in families.values())
+        kinds = {"control-rf": "random-features", "null": "control-gaussian"}
+        families = build_report(rows, n_boot=50, family_kinds=kinds)["families"]
+        assert "null_calibration" not in families["control-rf"]
+        assert families["null"]["null_calibration"]["covers_zero_per_size"] == [
+            families["null"]["sizes"][0]["train_gap"]["covers_zero"]
+        ]
+
     def test_missing_csv_reports_filename(self, tmp_path):
         with pytest.raises(InvalidArgumentError, match="trials.csv"):
             write_report(tmp_path)
@@ -1189,6 +1214,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("report failed: ")
         assert "config.bootstrap: unknown key 'margin_rel'" in err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"config": ', "manifest.json: line 1, column 12: Expecting value"),
+        ("[1, 2]", "manifest.json: expected an object, got list"),
+    ])
+    def test_report_of_a_manifest_that_does_not_parse(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**BASE, "ladder": [40]}))
+        out = tmp_path / "results"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        (out / "manifest.json").write_text(text)
+        capsys.readouterr()
+        assert cli_main(["report", "--results", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("report failed: ")
+        assert message in err
         assert not (out / "report.json").exists()
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):

@@ -24,14 +24,7 @@ from ermu.errors import InvalidArgumentError, SolverDivergedError
 from ermu.features import draw_features
 from ermu.gaussian import GaussianEquivalent, empirical_equivalent, sample_gaussian
 from ermu.seeds import derive_seed, rng_from
-from ermu.stats import (
-    bl_gap,
-    bootstrap_mean_ci,
-    default_psi_dictionary,
-    ks_null_quantile,
-    ks_statistic,
-    ramp,
-)
+from ermu.stats import bl_dictionary, bl_gap, bootstrap_mean_ci, ks_null_quantile, ks_statistic
 from ermu.universality import (
     FamilySpec,
     FrozenTestRisk,
@@ -61,10 +54,10 @@ def twin_test_risk(problem, n_test, seed):
     return FrozenTestRisk(problem, equiv, n_test, derive_seed(seed, "surrogate"))
 
 
-def bl_gap_loop(a, b, psis, n_boot, seed):
+def bl_gap_loop(a, b, n_boot, seed):
     """bl_gap's bootstrap statistics, one resample of a and then of b at a time."""
-    psi_a = np.array([p.fn(a) for p in psis])
-    psi_b = np.array([p.fn(b) for p in psis])
+    pooled = np.concatenate([a, b])
+    psi_a, psi_b = bl_dictionary(pooled, a)[1], bl_dictionary(pooled, b)[1]
     rng = rng_from(seed, "bl-bootstrap")
     boot = np.empty(n_boot)
     for r in range(n_boot):
@@ -249,19 +242,31 @@ class TestBlGap:
         assert all(v == 0.0 for v in result.per_psi.values())
 
     def test_unit_ramp_hand_values(self):
+        # The pooled sample 0..10 has quantiles 1, 2.5, 5, 7.5, 9 and spread
+        # sqrt(10), so row 5 is the ramp of delta sqrt(10) from rho 1.
+        pooled = np.arange(11.0)
+        t = np.array([-1.0, 1.0, 1.0 + 0.5 * math.sqrt(10), 1.0 + math.sqrt(10), 20.0])
+        names, values = bl_dictionary(pooled, t)
+        assert values.shape == (17, 5) and len(names) == 17
+        assert names[5] == "ramp(d=3.16228,r=1)"
+        assert values[5].tolist() == pytest.approx([0.0, 0.0, 0.5, 1.0, 1.0], abs=1e-15)
+        assert names[15:] == ["clipped-identity", "clipped-quadratic"]
+
+    def test_ramp_separates_point_masses(self):
         a, b = np.zeros(50), np.ones(50)
-        result = bl_gap(a, b, psi_dictionary=[ramp(1.0, 0.0)], n_boot=50, seed=1)
+        result = bl_gap(a, b, n_boot=50, seed=1)
         assert result.max_gap == pytest.approx(1.0)
 
     def test_shifted_gaussians_match_oversampled_oracle(self):
         rng = rng_from(2, "bl")
         a = rng.standard_normal(10_000)
         b = rng.standard_normal(10_000) + 0.5
-        psis = default_psi_dictionary(np.concatenate([a, b]))
-        res = bl_gap(a, b, psi_dictionary=psis, n_boot=400, seed=3)
+        res = bl_gap(a, b, n_boot=400, seed=3)
         big_a = rng.standard_normal(1_000_000)
         big_b = rng.standard_normal(1_000_000) + 0.5
-        oracle = max(abs(p.fn(big_a).mean() - p.fn(big_b).mean()) for p in psis)
+        pooled = np.concatenate([a, b])
+        (_, psi_a), (_, psi_b) = bl_dictionary(pooled, big_a), bl_dictionary(pooled, big_b)
+        oracle = np.abs(psi_a.mean(axis=1) - psi_b.mean(axis=1)).max()
         assert abs(res.max_gap - oracle) <= 3.0 * max(res.se, 1e-6)
 
     def test_empty_rejected(self):
@@ -276,9 +281,8 @@ class TestBlGap:
     def test_matches_per_resample_loop_bit_for_bit(self, T):
         rng = rng_from(21, "bl-oracle", T)
         a, b = rng.standard_normal(T), rng.standard_normal(T) + 0.3
-        psis = default_psi_dictionary(np.concatenate([a, b]))
-        res = bl_gap(a, b, psi_dictionary=psis, n_boot=500, seed=T)
-        boot = bl_gap_loop(a, b, psis, n_boot=500, seed=T)
+        res = bl_gap(a, b, n_boot=500, seed=T)
+        boot = bl_gap_loop(a, b, n_boot=500, seed=T)
         alpha = 0.5 * (1.0 - 0.95)
         lo, hi = np.quantile(boot, [alpha, 1.0 - alpha])
         assert (res.ci_lo, res.ci_hi, res.se) == (lo, hi, boot.std(ddof=1))
@@ -288,11 +292,10 @@ class TestBlGap:
         # (1 - 0.8) / 2 is 0.1 only up to rounding, hence the relative 1e-12.
         rng = rng_from(22, "bl-level")
         a, b = rng.standard_normal(30), rng.standard_normal(30) + 0.3
-        psis = default_psi_dictionary(np.concatenate([a, b]))
-        res = bl_gap(a, b, psi_dictionary=psis, n_boot=500, seed=5, level=0.8)
-        lo, hi = np.quantile(bl_gap_loop(a, b, psis, n_boot=500, seed=5), [0.1, 0.9])
+        res = bl_gap(a, b, n_boot=500, seed=5, level=0.8)
+        lo, hi = np.quantile(bl_gap_loop(a, b, n_boot=500, seed=5), [0.1, 0.9])
         assert (res.ci_lo, res.ci_hi) == (pytest.approx(lo, rel=1e-12), pytest.approx(hi, rel=1e-12))
-        wide = bl_gap(a, b, psi_dictionary=psis, n_boot=500, seed=5)
+        wide = bl_gap(a, b, n_boot=500, seed=5)
         assert wide.ci_lo < res.ci_lo < res.ci_hi < wide.ci_hi
 
 
@@ -805,12 +808,11 @@ class TestNearMinimizers:
 
 class TestReportSymmetry:
     def test_swapping_arms_negates_gap(self):
-        from ermu.report import _pair_rows
+        from ermu.report import build_report
 
         inst = build_instance(FamilySpec(id="lin", kind="linear-independent"), PROBLEM, 60, 21)
         rows = run_trials(WorkerPool(1, [inst]), trials=5, master_seed=21, n_test=30)
-        paired = _pair_rows(rows)["lin"][0]
-        gap = (paired.train_x - paired.train_g).mean()
+        gap = build_report(rows, n_boot=50)["families"]["lin"]["sizes"][0]["train_gap"]["mean"]
         swapped = []
         for r in rows:
             s = r
@@ -818,5 +820,5 @@ class TestReportSymmetry:
                 "arm:tmp", "arm:g"
             )
             swapped.append(s)
-        paired_swapped = _pair_rows(swapped)["lin"][0]
-        assert (paired_swapped.train_x - paired_swapped.train_g).mean() == pytest.approx(-gap)
+        (entry,) = build_report(swapped, n_boot=50)["families"]["lin"]["sizes"]
+        assert entry["train_gap"]["mean"] == pytest.approx(-gap)
