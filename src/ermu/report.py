@@ -159,9 +159,8 @@ def build_report(
     """
     cells: dict[str, dict[int, dict[int, dict[str, TrialRow]]]] = {}
     for row in rows:
-        cells.setdefault(row.family, {}).setdefault(row.n, {}).setdefault(row.trial, {})[
-            row.arm
-        ] = row
+        trials = cells.setdefault(row.family, {}).setdefault(row.n, {})
+        trials.setdefault(row.trial, {})[row.arm] = row
     family_kinds = family_kinds or {}
     report: dict = {"families": {}, "family_order": list(cells)}
     null_quantiles: dict[int, float] = {}
