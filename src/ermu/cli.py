@@ -1,4 +1,4 @@
-"""Command line interface: run, report, selftest."""
+"""Command line interface: run, report, diff, selftest."""
 
 from __future__ import annotations
 
@@ -57,6 +57,25 @@ def cmd_report(args) -> int:
     return 0
 
 
+def cmd_diff(args) -> int:
+    from pathlib import Path
+
+    from ermu.diff import diff_dirs
+
+    a, b = Path(args.a), Path(args.b)
+    for path in (a, b):
+        if not path.is_dir():
+            print(f"diff failed: {path} is not a directory", file=sys.stderr)
+            return 2
+    try:
+        lines, differ = diff_dirs(a, b)
+    except (OSError, ValueError, ErmuError) as exc:
+        print(f"diff failed: {exc}", file=sys.stderr)
+        return 2
+    print("\n".join(lines))
+    return 1 if differ else 0
+
+
 def cmd_selftest(args) -> int:
     from ermu.selftest import run_selftest
 
@@ -83,6 +102,13 @@ def main(argv=None) -> int:
     p_rep.add_argument("--results", required=True, help="directory holding trials.csv")
     p_rep.add_argument("--out", default=None, help="where to write report artifacts")
     p_rep.set_defaults(fn=cmd_report)
+
+    p_diff = sub.add_parser(
+        "diff", help="compare two results directories artifact by artifact (exit 1 if they differ)"
+    )
+    p_diff.add_argument("a", help="first results directory")
+    p_diff.add_argument("b", help="second results directory")
+    p_diff.set_defaults(fn=cmd_diff)
 
     p_self = sub.add_parser("selftest", help="run the fast property suite")
     p_self.add_argument("--threads", type=_thread_count, default=1)

@@ -54,8 +54,12 @@ class Loss:
             return np.logaddexp(0.0, -y * u)
         t = u - y
         if self.kind == "huber":
-            a = np.abs(t)
-            return np.where(a <= self.delta, 0.5 * t * t, self.delta * (a - 0.5 * self.delta))
+            # r (t - r/2) with r = clip(t, -delta, delta): t^2/2 inside and
+            # delta (|t| - delta/2) outside, to the bit (t = -0 gives -0).
+            r = np.clip(t, -self.delta, self.delta)
+            t -= 0.5 * r
+            t *= r
+            return t
         return self.delta**2 * (np.sqrt(1.0 + (t / self.delta) ** 2) - 1.0)
 
     def grad(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -141,8 +145,7 @@ class ConstraintSet:
                 return theta
             return theta * (self.R / norm) if norm > 0 else theta
         if self.kind == "linf-ball":
-            bound = self.R / math.sqrt(self.p)
-            return np.maximum(np.minimum(theta, bound), -bound)
+            return np.maximum(np.minimum(theta, self.linf_bound), -self.linf_bound)
         bound = self.R / math.sqrt(self.d)
         # ||T||_2 <= ||T||_F = ||theta||: inside that bound no SVD is needed.
         if float(np.linalg.norm(theta)) <= bound:
@@ -153,6 +156,11 @@ class ConstraintSet:
             return theta
         T_clipped = (U * np.clip(s, None, bound)) @ Vt
         return T_clipped.T.reshape(-1)
+
+    @property
+    def linf_bound(self) -> float:
+        """The coordinate bound R / sqrt(p) of a ``linf-ball``."""
+        return self.R / math.sqrt(self.p)
 
     def diameter(self) -> float:
         """Euclidean diameter of the set, used for suboptimality bounds."""

@@ -80,7 +80,10 @@ def solution_cloud(
     """The solution plus M-1 perturbations at radii alpha, alpha/2, alpha/4, ...
 
     The radius schedule cycles so the cloud probes several resolutions around
-    the solver solution; every point is projected back into the set.
+    the solver solution; every point is projected back into the set. The M-1
+    directions are drawn into the cloud's last M-1 rows at once, which reads
+    the stream in the order of M-1 draws of p; each is scaled by its own row
+    norm, shifted by the solution and projected in place.
     """
     if M < 1:
         raise InvalidArgumentError("M must be >= 1")
@@ -89,13 +92,18 @@ def solution_cloud(
     pts = np.empty((M, theta_hat.shape[0]))
     pts[0] = project_constraint(problem.constraint, theta_hat)
     n_levels = 8
-    for i in range(1, M):
-        radius = alpha / (2.0 ** ((i - 1) % n_levels))
-        direction = rng.standard_normal(theta_hat.shape)
+    cloud = rng.standard_normal(out=pts[1:])  # the directions, then the points
+    for i, direction in enumerate(cloud):
         norm = np.linalg.norm(direction)
         if norm > 0:
-            direction *= radius / norm
-        pts[i] = project_constraint(problem.constraint, theta_hat + direction)
+            direction *= (alpha / (2.0 ** (i % n_levels))) / norm
+    cloud += theta_hat
+    cset = problem.constraint
+    if cset.kind == "linf-ball":  # one elementwise clip projects every point
+        np.maximum(np.minimum(cloud, cset.linf_bound, out=cloud), -cset.linf_bound, out=cloud)
+    else:
+        for point in cloud:
+            point[:] = project_constraint(cset, point)
     return CandidateSet(points=pts)
 
 

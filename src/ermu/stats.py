@@ -117,7 +117,9 @@ def bl_gap(
 
     ``a`` and ``b`` have the same size T. All resample indices are drawn at
     once as an (n_boot, 2, T) array: row r holds resample r of a, then of b.
-    Each resample mean adds its T values in index order.
+    Each arm's K×T dictionary values are gathered once into a K×T×n_boot
+    array, and each resample mean adds its T values in index order, one
+    T-slice at a time.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -132,14 +134,14 @@ def bl_gap(
     best = int(np.argmax(gaps))
     idx = rng_from(seed, "bl-bootstrap").integers(0, a.size, size=(n_boot, 2, a.size))
 
-    def resample_means(values, rows):  # each mean sums its T values in index order
-        return values[rows].cumsum(axis=1)[:, -1] / a.size
+    def resample_means(values, rows):
+        picked = values[:, rows.T]
+        total = picked[:, 0].copy()
+        for column in range(1, a.size):
+            total += picked[:, column]
+        return total / a.size
 
-    boot = np.max(
-        [np.abs(resample_means(fa, idx[:, 0]) - resample_means(fb, idx[:, 1]))
-         for fa, fb in zip(psi_a, psi_b)],
-        axis=0,
-    )
+    boot = np.abs(resample_means(psi_a, idx[:, 0]) - resample_means(psi_b, idx[:, 1])).max(axis=0)
     alpha = 0.5 * (1.0 - level)
     lo, hi = np.quantile(boot, [alpha, 1.0 - alpha])
     return BlGapResult(

@@ -134,6 +134,20 @@ class TestTrainRisk:
         value = train_risk(problem, np.array([1.0, 0.0]), np.array([[1.0, 0.0]]), np.array([2.0]))
         assert value == pytest.approx(1.5, abs=1e-15)
 
+    @pytest.mark.parametrize("delta", [1.0, 0.3, 2.5e-8, 7e5])
+    def test_huber_closed_form_matches_the_two_branches_to_the_bit(self, delta):
+        # The two-branch form the closed form r (t - r/2) replaced.
+        def two_branch(t):
+            a = np.abs(t)
+            with np.errstate(over="ignore"):
+                return np.where(a <= delta, 0.5 * t * t, delta * (a - 0.5 * delta))
+
+        edge = [np.nextafter(delta, -np.inf), delta, np.nextafter(delta, np.inf)]
+        t = np.array(edge + [-x for x in edge] + [0.0, 1e300, -1e300, np.inf, -np.inf, np.nan])
+        t = np.concatenate([t, rng_from(33, "huber").standard_normal(200) * 3 * delta])
+        got = Loss("huber", delta=delta).value(t, np.zeros_like(t))
+        assert np.array_equal(got.view(np.uint64), two_branch(t).view(np.uint64))
+
 
 class TestGradients:
     @pytest.mark.parametrize("loss", ["logistic", "huber", "squared", "pseudo-huber"])

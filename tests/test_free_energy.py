@@ -18,6 +18,7 @@ from ermu.erm import (
     Regularizer,
     generate_labels,
     labels_from_noise,
+    project_constraint,
 )
 from ermu.errors import InvalidArgumentError
 from ermu.free_energy import (
@@ -125,6 +126,26 @@ class TestCandidates:
         assert np.allclose(cloud.points[0], theta)
         radii = [np.linalg.norm(cloud.points[i] - theta) for i in range(1, 9)]
         assert max(radii) <= 0.5 + 1e-9
+
+    @pytest.mark.parametrize("cset", [
+        ConstraintSet("l2-ball", R=0.3),
+        ConstraintSet("linf-ball", R=0.3, p=12),
+        ConstraintSet("nt-operator-ball", R=0.3, d=3, m=4),
+    ])
+    @pytest.mark.parametrize("M", [1, 2, 19])
+    def test_solution_cloud_matches_one_draw_per_point(self, cset, M):
+        # The cloud as M-1 draws of p normals, each scaled and projected alone.
+        problem = ErmProblem(Loss("huber"), Labeler(tau=0.5), np.zeros(12),
+                             Regularizer("ridge", 0.1), cset)
+        theta = rng_from(12, "cloud-center").standard_normal(12) * 0.2
+        rng = rng_from(8, "solution-cloud")
+        ref = [project_constraint(cset, theta)]
+        for i in range(1, M):
+            direction = rng.standard_normal(12)
+            direction *= (0.5 / (2.0 ** ((i - 1) % 8))) / np.linalg.norm(direction)
+            ref.append(project_constraint(cset, theta + direction))
+        cloud = solution_cloud(problem, theta, M, alpha=0.5, seed=8)
+        assert np.array_equal(cloud.points, np.array(ref))
 
     def test_free_energy_consistency_with_risks(self):
         problem = small_problem(5)

@@ -1362,6 +1362,96 @@ class TestCli:
         assert not out.exists()
 
 
+class TestDiff:
+    HEADER = [f.name for f in fields(TrialRow)]
+    ROWS = [
+        ["rf", "40", "30", "0", "11", "0.25", "0.5", "0.01", "0.75", "0", "40", "arm:x"],
+        ["rf", "40", "30", "0", "11", "0.125", "nan", "nan", "nan", "nan", "7", "arm:g;no-test"],
+        ["lin", "80", "60", "1", "12", "2", "3", "0.5", "4", "0", "9", "arm:x"],
+    ]
+    REPORT = {"families": {"rf": {"sizes": [
+        {"n": 40, "train_gap": {"mean": 0.5, "ci_contains_zero": True},
+         "per_psi": {"ramp0": 0.1}},
+        {"n": 80, "train_gap": {"mean": -0.25, "ci_contains_zero": True},
+         "per_psi": {"ramp0": 0.2}},
+    ]}}}
+
+    def write(self, root: Path, rows, report, matrix):
+        root.mkdir()
+        campaign.write_csv(root / "trials.csv", self.HEADER, rows)
+        (root / "report.json").write_text(json.dumps(report, indent=2))
+        (root / "gap_vs_n.csv").write_text("family,n\nrf,40\n")
+        (root / "matrices").mkdir()
+        campaign._save_matrix(root / "matrices" / "rf_n40_factor.ermumat", matrix)
+
+    def crafted(self, tmp_path):
+        matrix = np.arange(6.0).reshape(2, 3)
+        self.write(tmp_path / "a", self.ROWS, self.REPORT, matrix)
+        rows = [list(r) for r in self.ROWS]
+        rows[0][5] = "0.2500000001"  # train_opt: abs 1e-10
+        rows[2][5] = "2.5"  # train_opt: abs 0.5, rel 0.2
+        rows[0][10] = "44"  # iters 40 -> 44
+        rows[2][11] = "arm:x;maxiter"
+        report = json.loads(json.dumps(self.REPORT))
+        sizes = report["families"]["rf"]["sizes"]
+        sizes[1]["train_gap"]["mean"] = -0.5
+        sizes[1]["train_gap"]["ci_contains_zero"] = False
+        sizes[0]["per_psi"] = {"ramp1": 0.1}
+        matrix = matrix.copy()
+        matrix[1, 2] = 5.5
+        self.write(tmp_path / "b", rows, report, matrix)
+        (tmp_path / "b" / "perturbed.csv").write_text("s\n0.1\n")
+        return tmp_path / "a", tmp_path / "b"
+
+    def test_identical_directories(self, tmp_path, capsys):
+        a, _ = self.crafted(tmp_path)
+        assert cli_main(["diff", str(a), str(a)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "gap_vs_n.csv: identical",
+            "matrices/rf_n40_factor.ermumat: identical",
+            "report.json: identical",
+            "trials.csv: identical",
+        ]
+
+    def test_changes_by_column_leaf_and_cell(self, tmp_path, capsys):
+        a, b = self.crafted(tmp_path)
+        assert cli_main(["diff", str(a), str(b)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "gap_vs_n.csv: identical"
+        matrix = out.index("matrices/rf_n40_factor.ermumat: differs")
+        assert out[matrix + 1] == "  entries: 1 of 6 changed, max abs 0.5, max rel 0.0909, sum 15 -> 15.5"
+        assert "perturbed.csv: only in B" in out
+        report = out[out.index("report.json: differs") + 1 : out.index("trials.csv: differs")]
+        assert sorted(report) == sorted([
+            "  only in A: families.rf.sizes[n=40].per_psi.ramp0",
+            "  only in B: families.rf.sizes[n=40].per_psi.ramp1",
+            "  families.rf.sizes[n=80].train_gap.ci_contains_zero: true -> false",
+            "  families.rf.sizes[].train_gap.mean: 1 of 2 changed, max abs 0.25, max rel 0.5, "
+            "sum 0.25 -> 0",
+        ])
+        trials = out[out.index("trials.csv: differs") + 1 :]
+        assert trials[0].startswith("  train_opt: 2 of 3 changed, max abs 0.5, max rel 0.2, sum ")
+        assert "  iters: 1 of 3 changed, max abs 4, max rel 0.0909, sum 56 -> 60" in trials
+        assert "  flags [family=lin n=80 trial=1 arm:x]: arm:x -> arm:x;maxiter" in trials
+        # NaN against NaN is no change: the no-test columns are not listed.
+        assert not any(line.startswith(("  test_", "  family", "  seed")) for line in trials)
+        assert len(trials) == 3
+
+    def test_a_value_that_turns_nan_is_an_infinite_change(self, tmp_path, capsys):
+        a, _ = self.crafted(tmp_path)
+        rows = [list(r) for r in self.ROWS]
+        rows[0][6] = "nan"
+        self.write(tmp_path / "c", rows, self.REPORT, np.arange(6.0).reshape(2, 3))
+        assert cli_main(["diff", str(a), str(tmp_path / "c")]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "  test_x: 1 of 3 changed, max abs inf, max rel inf, sum nan -> nan"
+
+    def test_missing_directory_exit_code(self, tmp_path, capsys):
+        a, _ = self.crafted(tmp_path)
+        assert cli_main(["diff", str(a), str(tmp_path / "nowhere")]) == 2
+        assert "is not a directory" in capsys.readouterr().err
+
+
 class TestBenchmarkHooks:
     @pytest.mark.parametrize("smoke", [False, True])
     def test_perfbench_workload_configs_parse(self, smoke):
