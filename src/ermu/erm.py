@@ -8,12 +8,12 @@ length-p vectors, so the loss sees the scalar score theta^T x per sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from ermu.errors import InvalidArgumentError, LinearSolveError
+from ermu.errors import InvalidArgumentError, LinearSolveError, SolverDivergedError
 from ermu.features import nt_theta_matrix
 from ermu.seeds import rng_from
 from ermu.solver import SolverConfig, pgd_minimize
@@ -275,8 +275,13 @@ def data_risk(problem: ErmProblem, theta: np.ndarray, X: np.ndarray, y: np.ndarr
 def data_risk_grad(
     problem: ErmProblem, theta: np.ndarray, X: np.ndarray, y: np.ndarray, scores: np.ndarray
 ) -> np.ndarray:
-    """Gradient of ``data_risk`` at theta, given its scores ``problem.scores(theta, X)``."""
-    return (X.T @ problem.loss.grad(scores, y)) * (1.0 / X.shape[0])
+    """Gradient of ``data_risk`` at theta, given its scores ``problem.scores(theta, X)``.
+
+    The loss derivatives are computed in float64 and multiplied by X^T in
+    the precision of X; a float32 product is cast to float64 before scaling.
+    """
+    derivs = problem.loss.grad(scores, y).astype(X.dtype, copy=False)
+    return (X.T @ derivs).astype(np.float64, copy=False) * (1.0 / X.shape[0])
 
 
 def train_risk(problem: ErmProblem, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
@@ -303,6 +308,11 @@ class EmpiricalRisk:
     evaluated, so that gradient costs one pass over X (X^T l') instead of
     two. A call at any other point, or at one changed in place since (points
     are compared by value), recomputes the scores and keeps them.
+
+    A float32 X runs both passes in single precision: theta is rounded to
+    float32 for X theta, and the loss derivatives for X^T l'. The scores
+    are cast to float64, so the losses, their mean and the regularizer are
+    computed in float64 as for a float64 X.
     """
 
     def __init__(self, problem: ErmProblem, X: np.ndarray, y: np.ndarray, regularized: bool = False):
@@ -315,8 +325,9 @@ class EmpiricalRisk:
 
     def _scores_at(self, theta: np.ndarray) -> np.ndarray:
         if not same_point(theta, self._theta):
-            self._scores = self.problem.scores(theta, self.X)
             self._theta = np.array(theta, dtype=np.float64)
+            scores = self.problem.scores(self._theta.astype(self.X.dtype, copy=False), self.X)
+            self._scores = scores.astype(np.float64, copy=False)
         return self._scores
 
     def value(self, theta: np.ndarray) -> float:
@@ -333,6 +344,10 @@ class EmpiricalRisk:
         return g
 
 
+# Gradient-mapping norm at which the float32 phase of ``solve_erm`` stops.
+SINGLE_TOL = 1e-6
+
+
 def solve_erm(
     problem: ErmProblem,
     X: np.ndarray,
@@ -347,6 +362,18 @@ def solve_erm(
     with gradient ``s * term.grad(theta)``; the perturbed risks are solved
     this way. The solve starts from the warm start (zero by default),
     projected onto the set, and never ends above the objective there.
+
+    It runs in two phases (mixed precision: Higham & Mary, Acta Numer.
+    2022). Phase 1 runs PGD on a float32 copy of X, made once per solve
+    (see ``EmpiricalRisk``), for at most half of ``cfg.max_iters``, until
+    its gradient-mapping norm is at most ``max(cfg.tol, SINGLE_TOL)``.
+    Phase 2 runs PGD on X in float64 to ``cfg.tol`` with the iterations
+    left. It starts where phase 1 ended if the float64 objective there is
+    at most the one at the projected warm start, and at the warm start
+    otherwise; phase 1 diverging also sends it to the warm start. Phase 2
+    alone decides the point, the objective (float64, at that point), the
+    gradient-mapping norm and the flags; ``iterations`` counts both phases
+    and never exceeds ``cfg.max_iters``.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -355,31 +382,53 @@ def solve_erm(
     if X.shape[0] != y.shape[0]:
         raise InvalidArgumentError("X and y row counts differ")
 
-    train = EmpiricalRisk(problem, X, y, regularized=True)
+    def closures(batch):
+        train = EmpiricalRisk(problem, batch, y, regularized=True)
 
-    def objective(theta):
-        value = train.value(theta)
-        if extra is not None:
-            value = value + extra[0] * extra[1].value(theta)
-        return value
+        def objective(theta):
+            value = train.value(theta)
+            if extra is not None:
+                value = value + extra[0] * extra[1].value(theta)
+            return value
 
-    def gradient(theta):
-        g = train.grad(theta)
-        if extra is not None:
-            g = g + extra[0] * extra[1].grad(theta)
-        return g
+        def gradient(theta):
+            g = train.grad(theta)
+            if extra is not None:
+                g = g + extra[0] * extra[1].grad(theta)
+            return g
+
+        return objective, gradient
 
     def project(theta):
         return project_constraint(problem.constraint, theta)
 
     shape = (problem.p,)
     x0 = np.zeros(shape) if warm_start is None else np.asarray(warm_start, dtype=np.float64).reshape(shape)
-    state = pgd_minimize(objective, gradient, project, project(x0), cfg)
+    start = project(x0)
+    objective, gradient = closures(X)
+    used = 0
+    if cfg.max_iters >= 2:
+        single = SolverConfig(max_iters=cfg.max_iters // 2, tol=max(cfg.tol, SINGLE_TOL))
+        try:
+            coarse = pgd_minimize(*closures(X.astype(np.float32)), project, start, single)
+        except SolverDivergedError as exc:
+            used = exc.iteration
+        else:
+            used = coarse.iterations
+            at_start = objective(start)
+            # Evaluated last, so phase 2's first value reuses its kept scores.
+            if objective(coarse.x) <= at_start:
+                start = coarse.x
+    try:
+        state = pgd_minimize(objective, gradient, project, start,
+                             replace(cfg, max_iters=cfg.max_iters - used))
+    except SolverDivergedError as exc:
+        raise SolverDivergedError(exc.args[0], used + exc.iteration) from None
     return ErmSolution(
         theta_hat=state.x,
         objective=state.value,
         grad_map_norm=state.grad_map_norm,
-        iterations=state.iterations,
+        iterations=used + state.iterations,
         flags=state.flags,
     )
 

@@ -19,14 +19,15 @@ A twin is a p x r factor L, so that Sigma = L L^T, except the linear-exact
 twin, which has r = 0 and an isotropic scale s = sqrt(nu): its rows are
 s zeta with zeta ~ N(0, I_p). The other twins' rows are L xi with
 xi ~ N(0, I_r). Hermite-exact and monte-carlo twins factor their jittered
-p x p covariance by Cholesky (any L with L L^T = Sigma draws the same law).
-The empirical twin factors nothing and adds no jitter: its factor is
-X^T / sqrt(n), held in float32, so a batch is Z X / sqrt(n) with Z an
-n_rows x n standard normal matrix. When n > p that Z is larger than the
-batch, so it is drawn a block of rows at a time, and each block's product
-runs in float32 (see ``sample_gaussian``). The draw is then exact for the
-covariance of the float32 factor, which differs from X^T X / n by about
-1e-7 relative, up to the float32 rounding of the product.
+p x p covariance by Cholesky in float64 (any L with L L^T = Sigma draws the
+same law) and hold the factor rounded to float32. The empirical twin
+factors nothing and adds no jitter: its factor is X^T / sqrt(n), held in
+float32, so a batch is Z X / sqrt(n) with Z an n_rows x n standard normal
+matrix. Every factor is applied in float32 (see ``sample_gaussian``), which
+about halves the time of the product. The draw is then exact for the
+covariance of the float32 factor, which differs from Sigma by about 1e-7
+relative, up to the float32 rounding of the product; the twin's exact test
+risk (``universality.TwinTestRisk``) is that of the float32 factor too.
 """
 
 from __future__ import annotations
@@ -53,15 +54,17 @@ _ROW_BLOCK = 128
 class GaussianEquivalent:
     """Sampler state for the Gaussian twin: Sigma = L L^T + iso_scale^2 I.
 
-    ``factor`` is the p x r matrix L: float64 for a Cholesky factor, float32
-    for an empirical twin, whose factor is X^T / sqrt(n). ``iso_scale`` is
-    nonzero only for the linear twin, whose factor has r = 0.
+    ``factor`` is the p x r matrix L, held in float32 whatever the
+    precision it is given in: a Cholesky factor, or an empirical twin's
+    X^T / sqrt(n). ``iso_scale`` is nonzero only for the linear twin, whose
+    factor has r = 0.
     """
 
     factor: np.ndarray
     iso_scale: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "factor", np.asarray(self.factor, dtype=np.float32))
         # sample_gaussian draws s zeta only for an empty factor.
         if self.iso_scale != 0.0 and self.factor.shape[1] != 0:
             raise InvalidArgumentError("iso_scale applies to a twin with a p x 0 factor only")
@@ -210,24 +213,24 @@ def sample_gaussian(equiv: GaussianEquivalent, n: int, seed: int) -> np.ndarray:
     A twin with r = 0 (the linear family's) is drawn as s zeta directly;
     every other twin has s = 0 and draws exactly n x r normals.
 
+    Every factor is float32 (see ``GaussianEquivalent``). The xi are drawn
+    from the float64 stream and cast to float32, multiplied by the factor
+    in single precision, and the float32 product is written into the
+    float64 batch. Single precision about halves the time of the product,
+    and it rounds each entry of the batch to about 1e-7 relative of its
+    row's scale.
+
     A factor with more columns than rows (an empirical twin of a batch with
     more rows than features) would need an n x r normal matrix larger than
-    the batch, so its xi rows are drawn ``_ROW_BLOCK`` at a time from the
-    float64 stream, in the order of a single draw, so the blocks change no
-    number drawn. Each block is cast to float32 and multiplied by the
-    float32 factor, and the float32 product is written into the
-    preallocated float64 batch. Single precision about halves the time of
-    the product, and it rounds each entry of the batch to about 1e-7
-    relative of its row's scale.
+    the batch, so its xi rows are drawn ``_ROW_BLOCK`` at a time, in the
+    order of a single draw, so the blocks change no number drawn.
 
-    A factor with r <= p (a Cholesky factor, or the float32 factor of a
-    batch with no more rows than features) is applied in one float64 n x r
-    by r x p product, so its n x r normals and the batch are held together
-    while it runs. Splitting that product into row blocks would not change
-    the numbers drawn, but it does change the rounding of the result: the
-    BLAS picks another kernel for a product with few rows, and row-blocking
-    it moved the last digits of the g arm's results (campaign-mixed
-    ``trials.csv`` changed).
+    A factor with r <= p (a Cholesky factor, or the factor of a batch with
+    no more rows than features) is applied in one n x r by r x p product,
+    so its n x r normals and the batch are held together while it runs.
+    Splitting that product into row blocks would not change the numbers
+    drawn, but it does change the rounding of the result: the BLAS picks
+    another kernel for a product with few rows.
     """
     if n < 1:
         raise InvalidArgumentError(f"n must be positive, got {n}")
@@ -238,7 +241,8 @@ def sample_gaussian(equiv: GaussianEquivalent, n: int, seed: int) -> np.ndarray:
         G *= equiv.iso_scale
         return G
     if r <= p:
-        return rng.standard_normal((n, r)) @ equiv.factor.T
+        xi = rng.standard_normal((n, r)).astype(np.float32)
+        return np.matmul(xi, equiv.factor.T, out=np.empty((n, p)))
     G = np.empty((n, p))
     for start in range(0, n, _ROW_BLOCK):
         block = G[start : start + _ROW_BLOCK]

@@ -18,7 +18,10 @@ The line-search settings are constants; a config sets only the stop rule,
 
 Kept generic: the ERM layer (plain and perturbed solves) and the
 near-minimizer penalty objectives all funnel through ``pgd_minimize`` with
-their own closures.
+their own closures. ``erm.solve_erm`` calls it twice per solve: on a
+float32 copy of its batch to a gradient-mapping norm of 1e-6, then in
+float64 to ``tol`` with the iterations left. The solver itself sees only
+float64 points and values, whatever precision the closures compute in.
 """
 
 from __future__ import annotations

@@ -74,8 +74,10 @@ def bl_dictionary(pooled: np.ndarray, t: np.ndarray) -> tuple[list[str], np.ndar
 
     Rows 0-14 are the ramps on the (delta, rho) grid, delta-major: rho runs
     over the 0.1, 0.25, 0.5, 0.75 and 0.9 quantiles of the pooled samples
-    and delta over 0.5, 1 and 2 times their spread. Rows 15 and 16 are the
-    clipped identity and the clipped quadratic.
+    and delta over 0.5, 1 and 2 times their spread. Ramp k is named
+    ``ramp<k>(d=<delta>,r=<rho>)``, so two ramps whose (delta, rho) agree
+    to the 6 printed digits keep two names. Rows 15 and 16 are the clipped
+    identity and the clipped quadratic.
     """
     pooled = np.asarray(pooled, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
@@ -87,7 +89,7 @@ def bl_dictionary(pooled: np.ndarray, t: np.ndarray) -> tuple[list[str], np.ndar
         spread = max(1e-8, abs(center) * 1e-3 + 1e-8)
     rhos = np.quantile(pooled, [0.1, 0.25, 0.5, 0.75, 0.9])
     deltas = np.array([0.5 * spread, spread, 2.0 * spread])
-    names = [f"ramp(d={d:.6g},r={r:.6g})" for d in deltas for r in rhos]
+    names = [f"ramp{k}(d={deltas[k // 5]:.6g},r={rhos[k % 5]:.6g})" for k in range(15)]
     names += ["clipped-identity", "clipped-quadratic"]
     ramps = np.clip((t - np.tile(rhos, 3)[:, None]) / np.repeat(deltas, 5)[:, None], 0.0, 1.0)
     bound = abs(center) + 4.0 * spread

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -412,15 +413,24 @@ class TestKeptScores:
 
     @staticmethod
     def instrumented_solve(monkeypatch, problem, X, y, **kwargs):
-        """Run ``solve_erm`` and count ``ErmProblem.scores`` calls per batch and phase."""
+        """Run ``solve_erm`` and count ``ErmProblem.scores`` calls per batch and phase.
+
+        A pass over the solve's float32 copy of X counts as a pass over X:
+        the key names the batch ``"X"`` for either copy. ``copies`` holds
+        the ids of the float32 copies made.
+        """
         passes: Counter = Counter()
         calls: Counter = Counter()
+        copies = set()
         captured = {}
         phase = ["solve"]
         real_scores, real_pgd = ErmProblem.scores, erm.pgd_minimize
 
         def scores(self, theta, batch):
-            passes[(phase[0], id(batch))] += 1
+            if batch.dtype == np.float32 and batch.shape == X.shape:
+                copies.add(id(batch))
+            same = batch is X or id(batch) in copies
+            passes[(phase[0], "X" if same else id(batch))] += 1
             return real_scores(self, theta, batch)
 
         def in_phase(name, fn):
@@ -441,7 +451,7 @@ class TestKeptScores:
         monkeypatch.setattr(ErmProblem, "scores", scores)
         monkeypatch.setattr(erm, "pgd_minimize", pgd)
         sol = solve_erm(problem, X, y, **kwargs)
-        return sol, passes, calls, captured["grad"]
+        return sol, passes, calls, captured["grad"], copies
 
     @staticmethod
     def setup_problem(p=6, n=40):
@@ -453,33 +463,159 @@ class TestKeptScores:
         return problem, X, generate_labels(problem, X, seed=4)
 
     def test_one_scores_pass_per_objective_evaluation(self, monkeypatch):
+        # Each objective evaluation in either phase passes once over X or its
+        # float32 copy, and no gradient does. Between the phases the solve
+        # evaluates the float64 objective at the warm start and at phase 1's
+        # end; phase 2's first evaluation, at that end, reuses its scores.
+        # So the solve makes one pass more than PGD's objective evaluations.
         problem, X, y = self.setup_problem()
-        sol, passes, calls, _ = self.instrumented_solve(monkeypatch, problem, X, y)
+        sol, passes, calls, _, copies = self.instrumented_solve(monkeypatch, problem, X, y)
         assert sol.iterations > 3 and calls["grad"] == sol.iterations
-        assert passes[("fun", id(X))] == calls["fun"]
-        assert passes[("grad", id(X))] == 0
+        assert len(copies) == 1
+        assert passes[("fun", "X")] == calls["fun"] - 1
+        assert passes[("solve", "X")] == 2
+        assert passes[("grad", "X")] == 0
+        assert set(passes) == {("fun", "X"), ("solve", "X")}
 
     def test_perturbed_solve_passes_each_batch_once(self, monkeypatch):
         problem, X, y = self.setup_problem()
         equiv = GaussianEquivalent(factor=np.eye(problem.p))
         surrogate = FrozenTestRisk(problem, equiv, 300, seed=5)
-        sol, passes, calls, _ = self.instrumented_solve(
+        sol, passes, calls, _, copies = self.instrumented_solve(
             monkeypatch, problem, X, y, extra=(0.1, surrogate)
         )
-        assert sol.iterations > 3
-        for batch in (X, surrogate.X):
-            assert passes[("fun", id(batch))] == calls["fun"]
-            assert passes[("grad", id(batch))] == 0
+        assert sol.iterations > 3 and len(copies) == 1
+        for batch in ("X", id(surrogate.X)):
+            assert passes[("fun", batch)] == calls["fun"] - 1
+            assert passes[("solve", batch)] == 2
+            assert passes[("grad", batch)] == 0
+        assert len(passes) == 4
 
     def test_gradient_away_from_the_kept_point_recomputes(self, monkeypatch):
         problem, X, y = self.setup_problem()
-        _, _, _, gradient = self.instrumented_solve(monkeypatch, problem, X, y)
+        _, _, _, gradient, _ = self.instrumented_solve(monkeypatch, problem, X, y)
         rng = rng_from(32, "fresh")
         theta = rng.standard_normal(problem.p)
         assert np.array_equal(gradient(theta), train_risk_grad(problem, theta, X, y))
         # A point changed in place after it was evaluated is a new point.
         theta += rng.standard_normal(theta.shape)
         assert np.array_equal(gradient(theta), train_risk_grad(problem, theta, X, y))
+
+
+class TestTwoPhaseSolve:
+    """solve_erm: PGD on a float32 copy of X, then a float64 polish to cfg.tol."""
+
+    setup_problem = staticmethod(TestKeptScores.setup_problem)
+
+    @staticmethod
+    def phases(monkeypatch, phase_one=None):
+        """Record each PGD call's start point, config and end state; ``phase_one(state)``
+        replaces the state the first call returns."""
+        runs = []
+        real_pgd = erm.pgd_minimize
+
+        def pgd(fun, grad, project, x0, cfg):
+            run = {"x0": np.array(x0), "cfg": cfg}
+            runs.append(run)
+            run["state"] = real_pgd(fun, grad, project, x0, cfg)
+            if len(runs) == 1 and phase_one is not None:
+                run["state"] = phase_one(run["state"])
+            return run["state"]
+
+        monkeypatch.setattr(erm, "pgd_minimize", pgd)
+        return runs
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_objective_is_the_float64_objective_at_theta_hat(self, perturbed):
+        problem, X, y = self.setup_problem()
+        surrogate = FrozenTestRisk(problem, GaussianEquivalent(factor=np.eye(problem.p)), 300, 5)
+        extra = (0.1, surrogate) if perturbed else None
+        sol = solve_erm(problem, X, y, extra=extra)
+        expected = train_risk(problem, sol.theta_hat, X, y)
+        if perturbed:
+            expected = expected + 0.1 * surrogate.value(sol.theta_hat)
+        assert sol.objective == expected
+
+    def test_phases_and_their_tolerances(self, monkeypatch):
+        problem, X, y = self.setup_problem()
+        runs = self.phases(monkeypatch)
+        warm = np.full(problem.p, 0.9)
+        sol = solve_erm(problem, X, y, SolverConfig(max_iters=301, tol=1e-10), warm_start=warm)
+        first, second = runs
+        assert first["cfg"] == SolverConfig(max_iters=150, tol=erm.SINGLE_TOL)
+        assert second["cfg"] == SolverConfig(max_iters=301 - first["state"].iterations, tol=1e-10)
+        assert np.array_equal(first["x0"], project_constraint(problem.constraint, warm))
+        # Phase 1 ended below the warm start, so phase 2 starts where it ended.
+        assert np.array_equal(second["x0"], first["state"].x)
+        assert sol.iterations == first["state"].iterations + second["state"].iterations
+        assert sol.grad_map_norm <= 1e-10 and sol.flags == []
+
+    def test_phase_two_starts_at_the_warm_start_when_phase_one_ends_above_it(self, monkeypatch):
+        problem, X, y = self.setup_problem()
+        warm = np.full(problem.p, 0.1)
+        start = project_constraint(problem.constraint, warm)
+        far = project_constraint(problem.constraint, np.full(problem.p, -5.0))
+        assert train_risk(problem, far, X, y) > train_risk(problem, start, X, y)
+        runs = self.phases(monkeypatch, phase_one=lambda state: replace(state, x=far))
+        sol = solve_erm(problem, X, y, warm_start=warm)
+        assert np.array_equal(runs[1]["x0"], start)
+        assert sol.objective <= train_risk(problem, start, X, y)
+
+    def test_phase_one_divergence_restarts_from_the_warm_start(self, monkeypatch):
+        problem, X, y = self.setup_problem()
+        real_pgd, runs = erm.pgd_minimize, []
+
+        def pgd(fun, grad, project, x0, cfg):
+            runs.append(np.array(x0))
+            if len(runs) == 1:
+                raise SolverDivergedError("non-finite objective", 7)
+            return real_pgd(fun, grad, project, x0, cfg)
+
+        monkeypatch.setattr(erm, "pgd_minimize", pgd)
+        warm = np.full(problem.p, 0.1)
+        sol = solve_erm(problem, X, y, SolverConfig(max_iters=50), warm_start=warm)
+        reference = pgd_minimize(
+            lambda t: train_risk(problem, t, X, y), lambda t: train_risk_grad(problem, t, X, y),
+            lambda t: project_constraint(problem.constraint, t), runs[0], SolverConfig(max_iters=43),
+        )
+        assert np.array_equal(runs[1], runs[0])
+        assert np.array_equal(sol.theta_hat, reference.x)
+        assert sol.iterations == 7 + reference.iterations and sol.flags == reference.flags
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 5])
+    def test_iterations_never_exceed_max_iters(self, monkeypatch, max_iters):
+        # tol = 0 is never reached, so every phase runs out of iterations.
+        problem, X, y = self.setup_problem()
+        runs = self.phases(monkeypatch)
+        sol = solve_erm(problem, X, y, SolverConfig(max_iters=max_iters, tol=0.0))
+        assert sol.iterations == max_iters and sol.flags == ["maxiter"]
+        assert len(runs) == (1 if max_iters == 1 else 2)
+        assert runs[-1]["cfg"].max_iters == max_iters - max_iters // 2
+
+    def test_only_the_float64_phase_raises_flags(self, monkeypatch):
+        # Phase 1 runs out of its 10 iterations before its tolerance; phase 2
+        # converges, and the solve carries no flag.
+        problem, X, y = self.setup_problem()
+        runs = self.phases(monkeypatch)
+        sol = solve_erm(problem, X, y, SolverConfig(max_iters=20, tol=1e-8))
+        assert runs[0]["state"].flags == ["maxiter"]
+        assert sol.flags == [] and sol.grad_map_norm <= 1e-8
+
+    def test_a_diverging_float64_phase_counts_both_phases(self, monkeypatch):
+        problem, X, y = self.setup_problem()
+        real_pgd, calls = erm.pgd_minimize, []
+
+        def pgd(fun, grad, project, x0, cfg):
+            calls.append(cfg)
+            state = real_pgd(fun, grad, project, x0, cfg)
+            if len(calls) == 2:
+                raise SolverDivergedError("non-finite objective", 3)
+            return state
+
+        monkeypatch.setattr(erm, "pgd_minimize", pgd)
+        with pytest.raises(SolverDivergedError) as exc:
+            solve_erm(problem, X, y, SolverConfig(max_iters=100))
+        assert exc.value.iteration == 100 - calls[1].max_iters + 3
 
 
 class TestClosedForm:

@@ -127,7 +127,8 @@ class TestRfCovarianceHermite:
         for cell in cells:
             order = cell.spec.hermite_order
             cov = one_pass_horner(cell.model.W, cell.model.activation.coefficients(order), order)
-            assert np.array_equal(cell.equiv.factor, factor_covariance(cov, cell.spec.jitter_rel))
+            reference = factor_covariance(cov, cell.spec.jitter_rel).astype(np.float32)
+            assert np.array_equal(cell.equiv.factor, reference)
 
     def test_constant_only_series_gives_zeros(self):
         sigma = rf_covariance_hermite(sample_sphere_weights(4, 3, seed=1), np.zeros(1), order=5)
@@ -325,11 +326,16 @@ class TestSampleGaussian:
 
     def test_square_factor_draws_one_normal_per_entry(self):
         # A twin without isotropic term draws exactly n x p normals, so its
-        # batches are the same bits as xi @ L^T.
+        # batches are the same bits as xi @ L^T in float32, with xi and L
+        # rounded to float32.
         factor = factor_covariance(np.array([[2.0, 0.6, 0.1], [0.6, 1.0, 0.2], [0.1, 0.2, 0.5]]))
         equiv = GaussianEquivalent(factor=factor)
-        xi = rng_from(13, "gaussian-rows").standard_normal((40, 3))
-        assert np.array_equal(sample_gaussian(equiv, 40, seed=13), xi @ factor.T)
+        assert equiv.factor.dtype == np.float32
+        assert np.array_equal(equiv.factor, factor.astype(np.float32))
+        xi = rng_from(13, "gaussian-rows").standard_normal((40, 3)).astype(np.float32)
+        G = sample_gaussian(equiv, 40, seed=13)
+        assert G.dtype == np.float64
+        assert np.array_equal(G, (xi @ factor.astype(np.float32).T).astype(np.float64))
 
     def test_isotropic_scale_needs_an_empty_factor(self):
         # Only the linear twin's rows are s zeta; a factor's rows have no such term.
@@ -423,16 +429,16 @@ class TestEmpiricalTwin:
         emp = draws.T @ draws / draws.shape[0]
         assert np.abs(emp - cov).max() <= 5.0 * np.sqrt(2.0 / 200_000) * cov.diagonal().max()
 
-    def test_narrow_factor_draws_one_float64_product(self):
+    def test_narrow_factor_draws_one_float32_product(self):
         # A batch with fewer rows than features gives a factor with r <= p:
-        # the draw is the n x r normals times the factor in float64, and
-        # nothing else is drawn.
+        # the draw is the n x r normals, rounded to float32, times the
+        # factor in one float32 product, and nothing else is drawn.
         X = rng_from(7, "batch").standard_normal((5, 8))
         equiv = empirical_equivalent(X)
         G = sample_gaussian(equiv, 10, seed=3)
-        z = rng_from(3, "gaussian-rows").standard_normal((10, 5))
+        z = rng_from(3, "gaussian-rows").standard_normal((10, 5)).astype(np.float32)
         assert G.dtype == np.float64
-        assert np.array_equal(G, z @ equiv.factor.T.astype(np.float64))
+        assert np.array_equal(G, (z @ equiv.factor.T).astype(np.float64))
 
     @pytest.mark.parametrize("n", [1, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 3])
     def test_blocked_draw_is_float32_products_of_one_stream(self, n):

@@ -1035,10 +1035,12 @@ def edge_case_rows():
 
 
 # SHA-256 of the report of edge_case_rows() with 300 resamples, dumped with
-# sorted keys, without and with family kinds.
+# sorted keys, without and with family kinds. Re-pinned when each ramp's
+# name gained its grid index: the tied quantiles of family alpha's n=60 cell
+# had given three pairs of ramps one name each, and per_psi kept 14 of 17.
 EDGE_CASE_REPORT_PINS = {
-    "no-kinds": "aca3b6321e0959e82a414e4bbc35f8027870ad7f90055dafa050c9670865d633",
-    "kinds": "12bbe885fbddd7447eab4e5006502feefc13299d96d046b73e032c51db60eefe",
+    "no-kinds": "fd2da4d371a82748513d4f1f95cf17c6d839aeaec781a2b3ed3a98d20db9115e",
+    "kinds": "6c55d99e42b72cfe5c54d17a3cf76a36258dad13bac24d1e32e6b1f038405db3",
 }
 
 
@@ -1052,6 +1054,16 @@ class TestReport:
         )
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
         assert digest == EDGE_CASE_REPORT_PINS[kinds]
+
+    def test_tied_quantiles_keep_every_dictionary_function(self):
+        # Family alpha's n=60 cell has tied train values, so two of the
+        # quantiles its ramps start from coincide.
+        (cell,) = [size for size in build_report(edge_case_rows(), n_boot=300)
+                   ["families"]["alpha"]["sizes"] if size["n"] == 60]
+        per_psi = cell["bl_gap"]["per_psi"]
+        assert len(per_psi) == 17
+        assert [name.split("(")[0] for name in per_psi][:15] == [f"ramp{k}" for k in range(15)]
+        assert cell["bl_gap"]["argmax"] in per_psi
 
     def test_report_structure(self, tmp_path):
         cfg = base_config()

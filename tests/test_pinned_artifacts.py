@@ -51,43 +51,43 @@ CLOCK_FIELDS = ("wall_time_s", "created_unix")
 CAMPAIGN = "*"
 
 PINS = {
-    'free_energy_checks.json:control': 'f8cb4de15608d70d9a1503ef0607dd9b947ac10c70b9e2cd77f43622c32c9c32',
-    'free_energy_checks.json:lin': '67823cdcfbde4319255d5e93ed33d6cf39b8474e22edd72468d36312c378cb67',
-    'free_energy_checks.json:nt': 'aa42ceb0caf67e3f4b767ffa066298a86ff90dd0eb30aee7acf14e1dfeb2a14e',
-    'free_energy_checks.json:rf-hermite': '822b475e423d2cefbe21e28b0444c86474abc523cef86a4b77b9b66aa60b5340',
-    'free_energy_checks.json:rf-mc': 'a8f8d72fa057cde9d84b3b6179775f087f497b9c7b082e0b612614aa47b26310',
-    'free_energy_paths.csv:control': 'bbc3b05b829dbbbee07c70d3156a1042a20804086be1c6579d5c0ab622bebc1a',
-    'free_energy_paths.csv:lin': 'a81af3a1c18f5bf89e359abdef602f5d65c7295773452f8649430e6f938eaa8a',
-    'free_energy_paths.csv:nt': '4205dcac403f5537e89318bc0239286a9a8a4c65f166881f745fd4453b13edc0',
-    'free_energy_paths.csv:rf-hermite': '49a0b6415683919a873c88baf3beec01d5c9891df2c6fb0b932f61cb77112625',
-    'free_energy_paths.csv:rf-mc': '98160f44ccac08d30cfef35cbd24f1fc6eacea071641743cbe71ecfd9db6ded2',
-    'gap_vs_n.csv:control': '317cf47079609fc051bdc65b85cd490af03bc871cccb396b4b82329bd4a4a802',
-    'gap_vs_n.csv:lin': '0b75e141dafe7ba95517061f0ae26630a5c0c24c3a0a08c1559a8a4b4e7de2e1',
-    'gap_vs_n.csv:nt': '8aa698e413b0e6bdaaefdc18f0e20a31ac6d1320cd86d2acfc5cbb4f47b68248',
-    'gap_vs_n.csv:rf-hermite': '6ff22b5f9b29571c2fe760e2062aa86b3ba703d23ebe1483302d28ec33199d83',
-    'gap_vs_n.csv:rf-mc': 'd6cd885d947779de028d8a57946fea60d97c48918041b177f48669ef8390b627',
+    'free_energy_checks.json:control': '0159b6f074c3ae6c9ab4a3be1476eaaa1ce72ba04d4602357d38f4fc7bfad7e2',
+    'free_energy_checks.json:lin': '528c7b21499a2c66ec3d7eb91669b93e2b58bb58c0909ab1f6fb2eff8a8bebdb',
+    'free_energy_checks.json:nt': 'b1419144a8e28ba6354241e538e362a2ac7e01041389391d6889d41a582b1a36',
+    'free_energy_checks.json:rf-hermite': '0aef32fe7cceb97a01258dd289d3bcc2942526bfed949e4d1cc0ef882d15c750',
+    'free_energy_checks.json:rf-mc': '87c8e70a681af1cd9de56c68f7d6aad6a1e51318363effcb6ee4edbe35c8cf5a',
+    'free_energy_paths.csv:control': 'efa38a2752758452241955df0226658113f87604f4c20568605b001bf9a299ad',
+    'free_energy_paths.csv:lin': '6c0ee0a6088c69367fef04b7e3a91b747d444e7f5319651492f54ac7a7165818',
+    'free_energy_paths.csv:nt': '3db486a0519ed7713c35ec5deb28cc08bad14b7210f9ca0623b3c790a4989956',
+    'free_energy_paths.csv:rf-hermite': '063005890286e763c5c0abe70d182438ba8f7c9e32cb39fe32dac3ea9669ddef',
+    'free_energy_paths.csv:rf-mc': '975e0a3516f674a2dd2fbf6d26a9b78d5517fc426ad3e5f4de88d9b3bac3d212',
+    'gap_vs_n.csv:control': '91b3eb8de939df8debfcad0414b9169e7d96e2532a34263d9b6f5443137d9370',
+    'gap_vs_n.csv:lin': 'c2fcfeca8e82f564f39a79521ccb343e3a56582d6174afcc1fee9cdb12ff5559',
+    'gap_vs_n.csv:nt': 'f1de6427d97b3b81a36cdbb5e8bff9fd3ec4e0041dba7e519763a4a9afdede6a',
+    'gap_vs_n.csv:rf-hermite': '51c2b69cc15aa1e2eb8c8c18574e64296865559439a028aa032fa2f09c0494f0',
+    'gap_vs_n.csv:rf-mc': '5b3c94a3630a3c16bf0d52071cf5e0c887a49d5a5131db3130a8fa0e4a9c7dc6',
     'manifest.json:*': '895f4a7e49b5875c76f694357eca8ddb5cb7288f80c3b5d52933c0963603f5ef',
     'matrices:control': '864339eaaf736ac3511bb1c95985af22d14c853f54021744f66b715474360495',
     'matrices:lin': 'dd26b10beab2af5d8e21162620b39f58a10186348ff88b1341e38ab1cbc0117b',
     'matrices:nt': 'f387609c8edc0b4fc8f69954b5e13818bec45439a30f6810007c1eb1c8dfd1e9',
-    'matrices:rf-hermite': '6728a8f52d272f607224fde826b4a8cdd0cfad634803a8a200208340bdf1bbd0',
-    'matrices:rf-mc': '868ddade4f9e7908fe5fe0a2d18114091c19177b4e52b6ed46b849777cb57716',
-    'perturbed.csv:control': 'b226541aaaa0973fd1e8b4b5609c3b24c3e8747de6d6112821bff024fc25dbdb',
-    'perturbed.csv:lin': 'cc5dddb2a64905459249b1939b7ae567db26e2fd98ba1932a01f804167dbcbaf',
-    'perturbed.csv:nt': '389f21a77eae690c2c3bd2386302e2193237ba3cf8a461e75f797332363cca93',
-    'perturbed.csv:rf-hermite': 'bdcdbe8fd6be5540d0e0068c2d391b332ebcb8c5e5f8b1160f807102548dbc84',
-    'perturbed.csv:rf-mc': 'a977346dcaec429bfd5150f90f23e7f24610ef8827bf6393de5c00fcac2a4fb4',
+    'matrices:rf-hermite': '799e544a0070d2453d20d2e8dc8dab3e1cf0195c5daf6568ce316eee1c342609',
+    'matrices:rf-mc': '130bc3e33f50060b844694a305acbefb530e220a2c41db9ff93b4888ac8ca5b7',
+    'perturbed.csv:control': 'fb578458c3b17537ef0cb3daf9ccfdcc31d81275fa38331608789f3c09369138',
+    'perturbed.csv:lin': '3602050ea094c55b3acb776b236b15e4d98d0c7f37cbe823c8ea15c0eee82cf4',
+    'perturbed.csv:nt': '9cae62a1b1bece782ac22386077e8841b22675004b6c53d53a2ad36881b6e873',
+    'perturbed.csv:rf-hermite': 'e9a0b09762f510d21bf0b0f1decea345b8d836d2ebfa9d6a40bc6d19d6c4c6c8',
+    'perturbed.csv:rf-mc': '41daa63c804f40650b2d524dcb1a66d71fa55d43ac31812267b783d6f06b670d',
     'report.json:*': '6cea7f773c2e2d2dcf59eb959253ba07162001794dbaee02203556aa59a8b5cd',
-    'report.json:control': '6f72dd9c7cd033ccf2dd27b5c9351c2962187210f2f08bcdc93c97297ff6c1b4',
-    'report.json:lin': 'e2bfb60b499a7360876f78d03fb98283b35942b658c733f1f7246156e299d725',
-    'report.json:nt': 'ba68877d113c10d47958a290706c15acf221ed0c1a836b1ca9476d7fc5589a7d',
-    'report.json:rf-hermite': '21b5496d2cb2037c3a41d88d2d5a6cf1e46f112a0bc25593a560799094b84d55',
-    'report.json:rf-mc': 'f1e9ab4a0f1fbd6d3b7e8940f306cb7f9b8af5b29c3eeab90a861ec29a687c9c',
-    'trials.csv:control': '07f865a43cefb7cfe40ffcb58805acb0720191ea8e1ec759f3a6505acc0908e1',
-    'trials.csv:lin': '214206643d2710743953d9371be50e76b43565546144b84a4077de1bdfebf85b',
-    'trials.csv:nt': '466be0fc3abad625b469cf4ea0abfdf7255bde5a64b7137222c729922473d966',
-    'trials.csv:rf-hermite': '967fa84be6ac5cb964536aa965c21648edca4ce3ceb3a8d43b4a7c3d1b0f665e',
-    'trials.csv:rf-mc': 'fdcf1440048a5c63542330d0704e69acda3909231f2d18ef09e6b7536f743b14',
+    'report.json:control': 'b6effc4e98fe7e9cf3e3fcb25bb9f73c9bfe0f747e7e7bccf303282c47806efc',
+    'report.json:lin': 'be394d4c5c44927f21df1090bc86c347512874b32ba61d0eecfd6573235aa472',
+    'report.json:nt': '0e2c5aec4414d232db03ea53eb65f98e00b6d265a47c2d0a0fbd3abae96ca73a',
+    'report.json:rf-hermite': '265b478a53df0d915290674a6117bb907c3f400475274cd4e6e72ecab53e5e8d',
+    'report.json:rf-mc': 'e2c3b811f7100efb5fdde8c757dbdbdb973ac648d1090bcf655c594b11ffd23b',
+    'trials.csv:control': '99273949f50e58f455cc143a0cb56a4a9f8c673a4089011ac7b1b3e0101f0a98',
+    'trials.csv:lin': 'c88558fe7d3dfa3280f81a45c076d739c16430da18d6aad9cd0cee00ff5f6f9a',
+    'trials.csv:nt': 'd2b156af874ddd8672c6d6a4b543cbb31e326e4b4403b611422190b605a8207b',
+    'trials.csv:rf-hermite': 'd4ac9e330057101e911c8247ceb3c39afefe0c67fe55e014e4408079410a879d',
+    'trials.csv:rf-mc': '18ed01b20dbe275f4d887e669c00983ef3679dcc8a46b7750475db418594cd8e',
 }
 
 

@@ -21,7 +21,7 @@ from ermu.erm import (
     solve_erm,
 )
 from ermu.errors import InvalidArgumentError, SolverDivergedError
-from ermu.features import draw_features
+from ermu.features import draw_features, featurize, sample_covariates
 from ermu.gaussian import GaussianEquivalent, empirical_equivalent, sample_gaussian
 from ermu.seeds import derive_seed, rng_from
 from ermu.stats import bl_dictionary, bl_gap, bootstrap_mean_ci, ks_null_quantile, ks_statistic
@@ -155,8 +155,9 @@ class TestRunTrials:
             assert row.train_opt >= 0.0
 
     def test_streamed_test_risk_matches_one_batch(self, monkeypatch):
-        # The x arm's test rows are drawn and scored in blocks; its test_x and
-        # test_x_se are those of the whole batch drawn and scored at once.
+        # The x arm's test rows are drawn, featurized in float32 and scored
+        # in blocks; its test_x and test_x_se are those of the whole batch
+        # drawn, featurized in float32 and scored at once.
         inst = build_instance(RF_SPEC, PROBLEM, 60, 5)
         seen = []
         stream = universality._test_losses
@@ -169,7 +170,8 @@ class TestRunTrials:
         n_test = 2 * _TEST_BLOCK + 3
         rows = run_single_trial(inst, 0, 5, SolverConfig(), n_test)
         ((thetas, seed),) = seen
-        X = draw_features(inst.model, n_test, derive_seed(seed, "x"))
+        Z = sample_covariates(inst.model, n_test, derive_seed(seed, "x"))
+        X = featurize(inst.model, Z.astype(np.float32)).astype(np.float64)
         eps = inst.problem.labeler.draw_noise(n_test, derive_seed(seed, "noise"))
         labels = labels_from_noise(inst.problem, X, eps)
         assert len(thetas) == len(rows) == 2
@@ -248,7 +250,7 @@ class TestBlGap:
         t = np.array([-1.0, 1.0, 1.0 + 0.5 * math.sqrt(10), 1.0 + math.sqrt(10), 20.0])
         names, values = bl_dictionary(pooled, t)
         assert values.shape == (17, 5) and len(names) == 17
-        assert names[5] == "ramp(d=3.16228,r=1)"
+        assert names[5] == "ramp5(d=3.16228,r=1)"
         assert values[5].tolist() == pytest.approx([0.0, 0.0, 0.5, 1.0, 1.0], abs=1e-15)
         assert names[15:] == ["clipped-identity", "clipped-quadratic"]
 
