@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 from ermu.matio import load_matrix
@@ -113,17 +114,7 @@ def _leaves(node, path: str, out: dict) -> dict:
 
 def _group(path: str) -> str:
     """``path`` with every list element's name dropped: the leaves a numeric summary pools."""
-    out, depth = [], 0
-    for ch in path:
-        if ch == "[":
-            depth += 1
-            if depth == 1:
-                out.append("[]")
-        elif ch == "]":
-            depth -= 1
-        elif depth == 0:
-            out.append(ch)
-    return "".join(out)
+    return re.sub(r"\[[^\]]*\]", "[]", path)
 
 
 def _diff_json(a: Path, b: Path) -> list[str]:
@@ -174,7 +165,6 @@ def diff_dirs(a: Path, b: Path) -> tuple[list[str], bool]:
         else:
             differ = True
             reader = _READERS.get(fa.suffix)
-            detail = reader(fa, fb) if reader else []
             lines.append(f"{name}: differs")
-            lines.extend(detail)
+            lines.extend(reader(fa, fb) if reader else [])
     return lines, differ
