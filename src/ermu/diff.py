@@ -47,7 +47,8 @@ class _Numbers:
             return
         self.changed += 1
         change = abs(b - a)
-        rel = change / max(abs(a), abs(b))
+        scale = max(abs(a), abs(b))
+        rel = change / scale if scale > 0 else math.inf
         self.max_abs = max(self.max_abs, change if change == change else math.inf)
         self.max_rel = max(self.max_rel, rel if rel == rel else math.inf)
 

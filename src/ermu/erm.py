@@ -145,7 +145,8 @@ class ConstraintSet:
                 return theta
             return theta * (self.R / norm) if norm > 0 else theta
         if self.kind == "linf-ball":
-            return np.maximum(np.minimum(theta, self.linf_bound), -self.linf_bound)
+            bound = self.R / math.sqrt(self.p)
+            return np.maximum(np.minimum(theta, bound), -bound)
         bound = self.R / math.sqrt(self.d)
         # ||T||_2 <= ||T||_F = ||theta||: inside that bound no SVD is needed.
         if float(np.linalg.norm(theta)) <= bound:
@@ -156,11 +157,6 @@ class ConstraintSet:
             return theta
         T_clipped = (U * np.clip(s, None, bound)) @ Vt
         return T_clipped.T.reshape(-1)
-
-    @property
-    def linf_bound(self) -> float:
-        """The coordinate bound R / sqrt(p) of a ``linf-ball``."""
-        return self.R / math.sqrt(self.p)
 
     def diameter(self) -> float:
         """Euclidean diameter of the set, used for suboptimality bounds."""

@@ -98,12 +98,8 @@ def solution_cloud(
         if norm > 0:
             direction *= (alpha / (2.0 ** (i % n_levels))) / norm
     cloud += theta_hat
-    cset = problem.constraint
-    if cset.kind == "linf-ball":  # one elementwise clip projects every point
-        np.maximum(np.minimum(cloud, cset.linf_bound, out=cloud), -cset.linf_bound, out=cloud)
-    else:
-        for point in cloud:
-            point[:] = project_constraint(cset, point)
+    for point in cloud:
+        point[:] = project_constraint(problem.constraint, point)
     return CandidateSet(points=pts)
 
 

@@ -119,9 +119,8 @@ def bl_gap(
 
     ``a`` and ``b`` have the same size T. All resample indices are drawn at
     once as an (n_boot, 2, T) array: row r holds resample r of a, then of b.
-    Each arm's K×T dictionary values are gathered once into a K×T×n_boot
-    array, and each resample mean adds its T values in index order, one
-    T-slice at a time.
+    Each resample mean adds its T values in index order: one K×n_boot
+    gather of each arm's dictionary values per sample position.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -137,10 +136,9 @@ def bl_gap(
     idx = rng_from(seed, "bl-bootstrap").integers(0, a.size, size=(n_boot, 2, a.size))
 
     def resample_means(values, rows):
-        picked = values[:, rows.T]
-        total = picked[:, 0].copy()
+        total = values[:, rows[:, 0]]
         for column in range(1, a.size):
-            total += picked[:, column]
+            total += values[:, rows[:, column]]
         return total / a.size
 
     boot = np.abs(resample_means(psi_a, idx[:, 0]) - resample_means(psi_b, idx[:, 1])).max(axis=0)

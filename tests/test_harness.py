@@ -1458,6 +1458,21 @@ class TestDiff:
         out = capsys.readouterr().out.splitlines()
         assert out[-1] == "  test_x: 1 of 3 changed, max abs inf, max rel inf, sum nan -> nan"
 
+    def test_a_zero_that_turns_nan_is_an_infinite_change(self, tmp_path, capsys):
+        # max(|0|, |nan|) is 0: the relative change must not divide by it.
+        report = json.loads(json.dumps(self.REPORT))
+        report["families"]["rf"]["sizes"][0]["per_psi"]["ramp0"] = 0.0
+        self.write(tmp_path / "a", self.ROWS, report, np.arange(6.0).reshape(2, 3))
+        rows = [list(r) for r in self.ROWS]
+        rows[0][9] = "nan"  # test_g_se: 0 -> nan
+        report["families"]["rf"]["sizes"][0]["per_psi"]["ramp0"] = math.nan
+        self.write(tmp_path / "b", rows, report, np.arange(6.0).reshape(2, 3))
+        assert cli_main(["diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[3].startswith(
+            "  families.rf.sizes[].per_psi.ramp0: 1 of 2 changed, max abs inf, max rel inf, sum ")
+        assert out[-1] == "  test_g_se: 1 of 3 changed, max abs inf, max rel inf, sum nan -> nan"
+
     def test_missing_directory_exit_code(self, tmp_path, capsys):
         a, _ = self.crafted(tmp_path)
         assert cli_main(["diff", str(a), str(tmp_path / "nowhere")]) == 2
