@@ -14,7 +14,9 @@ saved matrix entry by entry:
   path whose list elements are named by their family and n.
 
 Two NaNs are equal. A value that turns non-finite counts as an infinite
-change.
+change. A CSV row pair in which either row has more or fewer fields than
+the header is reported by its data row number (from 1) and cell, with both
+field counts, and left out of the column comparisons.
 """
 
 from __future__ import annotations
@@ -81,7 +83,12 @@ def _diff_csv(a: Path, b: Path) -> list[str]:
         return [f"  header: {rows_a[:1]} -> {rows_b[:1]}"]
     body_a, body_b = rows_a[1:], rows_b[1:]
     out = [] if len(body_a) == len(body_b) else [f"  rows: {len(body_a)} -> {len(body_b)}"]
-    pairs = list(zip(body_a, body_b))
+    pairs = []
+    for i, (ra, rb) in enumerate(zip(body_a, body_b), 1):
+        if len(ra) == len(rb) == len(header):
+            pairs.append((ra, rb))
+        else:
+            out.append(f"  row {i} [{_row_cell(header, ra)}]: {len(ra)} fields -> {len(rb)} fields")
     for col, name in enumerate(header):
         values = [(ra[col], rb[col]) for ra, rb in pairs]
         numbers = [(_float(x), _float(y)) for x, y in values]

@@ -8,7 +8,7 @@ length-p vectors, so the loss sees the scalar score theta^T x per sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from ermu.errors import InvalidArgumentError, LinearSolveError, SolverDivergedError
 from ermu.features import nt_theta_matrix
 from ermu.seeds import rng_from
-from ermu.solver import SolverConfig, pgd_minimize
+from ermu.solver import ErmSolution, SolverConfig, pgd_minimize
 
 LOSS_KINDS = ("logistic", "huber", "squared", "pseudo-huber")
 ETA_KINDS = ("linear", "clipped-linear", "sign-smooth")
@@ -234,19 +234,6 @@ class ErmProblem:
         return X @ self.theta_star
 
 
-@dataclass
-class ErmSolution:
-    theta_hat: np.ndarray
-    objective: float
-    grad_map_norm: float
-    iterations: int
-    flags: list[str] = field(default_factory=list)
-
-    def suboptimality_bound(self, cset: ConstraintSet) -> float:
-        """First-order bound on the objective gap for a convex problem."""
-        return self.grad_map_norm * cset.diameter() + 1e-14
-
-
 def labels_from_noise(problem: ErmProblem, X: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """Labels y_i = eta(theta_star scores, eps_i) with caller-supplied noise."""
     X = np.asarray(X, dtype=np.float64)
@@ -413,20 +400,14 @@ def solve_erm(
             used = coarse.iterations
             at_start = objective(start)
             # Evaluated last, so phase 2's first value reuses its kept scores.
-            if objective(coarse.x) <= at_start:
-                start = coarse.x
+            if objective(coarse.theta_hat) <= at_start:
+                start = coarse.theta_hat
     try:
         state = pgd_minimize(objective, gradient, project, start,
                              replace(cfg, max_iters=cfg.max_iters - used))
     except SolverDivergedError as exc:
         raise SolverDivergedError(exc.args[0], used + exc.iteration) from None
-    return ErmSolution(
-        theta_hat=state.x,
-        objective=state.value,
-        grad_map_norm=state.grad_map_norm,
-        iterations=used + state.iterations,
-        flags=state.flags,
-    )
+    return replace(state, iterations=used + state.iterations)
 
 
 def solve_ridge_closed_form(

@@ -26,7 +26,6 @@ row, so the blocks change no number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,25 +44,8 @@ CANDIDATE_KINDS = ("solution-cloud", "random-net")
 _BLOCK_SCORES = 2**13
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Finite set of feasible parameter vectors (M x p array, one point per row)."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise InvalidArgumentError("candidate set needs at least one length-p point")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def M(self) -> int:
-        return self.points.shape[0]
-
-
-def random_net(problem: ErmProblem, M: int, seed: int, scale: float = 1.0) -> CandidateSet:
-    """M projected Gaussian draws inside the constraint set."""
+def random_net(problem: ErmProblem, M: int, seed: int, scale: float = 1.0) -> np.ndarray:
+    """M projected Gaussian draws inside the constraint set, an M x p array."""
     if M < 1:
         raise InvalidArgumentError("M must be >= 1")
     rng = rng_from(seed, "random-net")
@@ -71,13 +53,14 @@ def random_net(problem: ErmProblem, M: int, seed: int, scale: float = 1.0) -> Ca
     for i in range(M):
         draw = scale * rng.standard_normal(problem.p) / math.sqrt(problem.p)
         pts[i] = project_constraint(problem.constraint, draw)
-    return CandidateSet(points=pts)
+    return pts
 
 
 def solution_cloud(
     problem: ErmProblem, theta_hat: np.ndarray, M: int, alpha: float, seed: int
-) -> CandidateSet:
-    """The solution plus M-1 perturbations at radii alpha, alpha/2, alpha/4, ...
+) -> np.ndarray:
+    """The solution plus M-1 perturbations at radii alpha, alpha/2, alpha/4, ...,
+    an M x p array.
 
     The radius schedule cycles so the cloud probes several resolutions around
     the solver solution; every point is projected back into the set. The M-1
@@ -100,25 +83,25 @@ def solution_cloud(
     cloud += theta_hat
     for point in cloud:
         point[:] = project_constraint(problem.constraint, point)
-    return CandidateSet(points=pts)
+    return pts
 
 
 def candidate_risks(
-    candidates: CandidateSet, problem: ErmProblem, X: np.ndarray, y: np.ndarray
+    points: np.ndarray, problem: ErmProblem, X: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
-    """Empirical risk of every candidate, vectorized over the set."""
+    """Empirical risk of every row of the M x p array ``points``, vectorized over the set."""
     X = np.asarray(X, dtype=np.float64)
-    scores = _candidate_scores(candidates, X)
-    return _risks_from_scores(candidates, problem, lambda rows: scores[rows], y)
+    scores = _candidate_scores(points, X)
+    return _risks_from_scores(points, problem, lambda rows: scores[rows], y)
 
 
-def _candidate_scores(candidates: CandidateSet, X: np.ndarray) -> np.ndarray:
+def _candidate_scores(points: np.ndarray, X: np.ndarray) -> np.ndarray:
     """scores[m, i] = theta_m^T x_i, an M x n matrix."""
-    return np.einsum("ip,mp->mi", X, candidates.points, optimize=True)
+    return np.einsum("ip,mp->mi", X, points, optimize=True)
 
 
 def _risks_from_scores(
-    candidates: CandidateSet,
+    points: np.ndarray,
     problem: ErmProblem,
     block_scores: Callable[[slice], np.ndarray],
     y: np.ndarray,
@@ -128,17 +111,16 @@ def _risks_from_scores(
     ``block_scores(rows)`` gives the scores of the candidate rows ``rows``
     (a slice), a C-ordered block of the M x n score matrix. It is called
     once per block of ``max(1, _BLOCK_SCORES // n)`` rows, and the block's
-    regularizers are taken from its rows of the candidate points.
+    regularizers are taken from its rows of ``points``.
     """
     y = np.asarray(y, dtype=np.float64)
-    pts = candidates.points
-    M, n = pts.shape[0], y.shape[0]
+    M, n = points.shape[0], y.shape[0]
     step = max(1, _BLOCK_SCORES // max(n, 1))
     risks = np.empty(M)
     for start in range(0, M, step):
         rows = slice(start, start + step)
         risks[rows] = problem.loss.value(block_scores(rows), y[None, :]).mean(axis=1)
-        risks[rows] += problem.regularizer.values(pts[rows])
+        risks[rows] += problem.regularizer.values(points[rows])
     return risks
 
 
@@ -154,114 +136,76 @@ def softmin_free_energy(values: np.ndarray, n: int, beta: float) -> float:
     return vmin - logsum / (n * beta)
 
 
-@dataclass(frozen=True)
-class InterpolationPath:
-    """Sine/cosine interpolation U_t = sin(t) X + cos(t) G on [0, pi/2].
+def path_coefficients(t: float) -> tuple[float, float]:
+    """(sin t, cos t), each snapped to 0 below 1e-15.
 
-    The label noise is drawn once and reused at every point so the labels
-    vary only through U_t. ``coefficients`` gives (sin t, cos t) with values
-    below 1e-15 snapped to 0, so both ends of ``matrix_at`` and of
-    ``free_energy_path`` are the pure models, G at t = 0 and X at t = pi/2,
-    bit for bit.
+    sin/cos of the float nearest pi/2 are not exactly (1, 0); with the snap,
+    s X + c G is G at t = 0 and X at t = pi/2 bit for bit.
     """
-
-    X: np.ndarray
-    G: np.ndarray
-    grid: tuple[float, ...]
-    eps: np.ndarray
-
-    def __post_init__(self):
-        X = np.asarray(self.X, dtype=np.float64)
-        G = np.asarray(self.G, dtype=np.float64)
-        if X.shape != G.shape:
-            raise InvalidArgumentError("X and G must share a shape")
-        grid = tuple(float(t) for t in self.grid)
-        if any(b < a for a, b in zip(grid, grid[1:])):
-            raise InvalidArgumentError("grid must be sorted ascending")
-        if grid and (grid[0] < -1e-12 or grid[-1] > math.pi / 2 + 1e-12):
-            raise InvalidArgumentError("grid must lie in [0, pi/2]")
-        eps = np.asarray(self.eps, dtype=np.float64)
-        if eps.shape[0] != X.shape[0]:
-            raise InvalidArgumentError("noise vector must match the row count")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "eps", eps)
-
-    @staticmethod
-    def coefficients(t: float) -> tuple[float, float]:
-        s, c = math.sin(t), math.cos(t)
-        # sin/cos of the float nearest pi/2 are not exactly (1, 0); snap so
-        # the endpoints reproduce the pure matrices bit-for-bit.
-        if abs(s) < 1e-15:
-            s = 0.0
-        if abs(c) < 1e-15:
-            c = 0.0
-        return s, c
-
-    def matrix_at(self, t: float) -> np.ndarray:
-        s, c = self.coefficients(t)
-        return s * self.X + c * self.G
+    s, c = math.sin(t), math.cos(t)
+    return (0.0 if abs(s) < 1e-15 else s), (0.0 if abs(c) < 1e-15 else c)
 
 
 def free_energy_path(
-    path: InterpolationPath,
-    candidates: CandidateSet,
+    X: np.ndarray,
+    G: np.ndarray,
+    eps: np.ndarray,
+    grid: Sequence[float],
+    points: np.ndarray,
     problem: ErmProblem,
     beta: float,
 ) -> tuple[list[tuple[float, float]], np.ndarray]:
-    """Free energy along the path, with labels regenerated at each t.
+    """Free energy of the candidates ``points`` along U_t = sin(t) X + cos(t) G.
 
+    ``grid`` is an ascending sequence of t in [0, pi/2]. The label noise
+    ``eps`` is reused at every t, so the labels vary only through U_t.
     Returns the (t, f) trace and the candidate risks at the last grid point.
 
     U_t is never formed: scores and labels are linear in U_t, so the
-    candidate scores at t are sin t * (X theta) + cos t * (G theta) and the
-    target scores sin t * (X theta*) + cos t * (G theta*), from two M x n
-    score matrices and two target vectors computed once. The scores at t are
-    combined one block of candidate rows at a time (see
-    ``_risks_from_scores``), so beside X, G and the two score matrices a
-    call holds O(``_BLOCK_SCORES``) temporaries, not an M x n matrix per
-    term. Both ends equal ``candidate_risks`` on G and on X bit for bit;
-    interior points match the per-point products up to rounding.
+    candidate scores at t are s * (X theta) + c * (G theta) and the target
+    scores s * (X theta*) + c * (G theta*), with (s, c) from
+    ``path_coefficients``, from two M x n score matrices and two target
+    vectors computed once. The scores at t are combined one block of
+    candidate rows at a time (see ``_risks_from_scores``), so beside X, G
+    and the two score matrices a call holds O(``_BLOCK_SCORES``)
+    temporaries, not an M x n matrix per term. Both ends equal
+    ``candidate_risks`` on G and on X bit for bit; interior points match the
+    per-point products up to rounding.
     """
-    SX = _candidate_scores(candidates, path.X)
-    SG = _candidate_scores(candidates, path.G)
-    TX, TG = problem.target_scores(path.X), problem.target_scores(path.G)
+    X = np.asarray(X, dtype=np.float64)
+    G = np.asarray(G, dtype=np.float64)
+    if X.shape != G.shape:
+        raise InvalidArgumentError("X and G must share a shape")
+    grid = [float(t) for t in grid]
+    if any(b < a for a, b in zip(grid, grid[1:])):
+        raise InvalidArgumentError("grid must be sorted ascending")
+    if grid and (grid[0] < -1e-12 or grid[-1] > math.pi / 2 + 1e-12):
+        raise InvalidArgumentError("grid must lie in [0, pi/2]")
+    eps = np.asarray(eps, dtype=np.float64)
+    if eps.shape[0] != X.shape[0]:
+        raise InvalidArgumentError("noise vector must match the row count")
+    SX, SG = _candidate_scores(points, X), _candidate_scores(points, G)
+    TX, TG = problem.target_scores(X), problem.target_scores(G)
     out = []
     values = None
-    n = path.X.shape[0]
-    for t in path.grid:
-        s, c = path.coefficients(t)
-        y_t = problem.labeler.label(s * TX + c * TG, path.eps)
+    for t in grid:
+        s, c = path_coefficients(t)
+        y_t = problem.labeler.label(s * TX + c * TG, eps)
         values = _risks_from_scores(
-            candidates, problem, lambda rows: s * SX[rows] + c * SG[rows], y_t
+            points, problem, lambda rows: s * SX[rows] + c * SG[rows], y_t
         )
-        out.append((t, softmin_free_energy(values, n, beta)))
+        out.append((t, softmin_free_energy(values, X.shape[0], beta)))
     return out, values
 
 
-@dataclass
-class SandwichReport:
-    betas: list[float]
-    values: list[float]
-    minimum: float
-    lower_bounds: list[float]
-    sandwich_ok: bool
-    monotone_ok: bool
-    offending_betas: list[float] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.sandwich_ok and self.monotone_ok
-
-
-def entropy_sandwich_check(
-    values: np.ndarray, n: int, beta_grid: Sequence[float]
-) -> SandwichReport:
+def entropy_sandwich_check(values: np.ndarray, n: int, beta_grid: Sequence[float]) -> dict:
     """Check min - log(M)/(n beta) <= f(beta) <= min and monotonicity in beta.
 
     ``values`` are the risks of the M candidates on an n-row batch, as
-    ``candidate_risks`` gives them.
+    ``candidate_risks`` gives them. Returns the free_energy_checks.json
+    fields: ``betas``, ``free_energies`` f(beta), ``minimum``,
+    ``sandwich_ok``, ``monotone_ok`` and the ``offending_betas`` whose f
+    leaves the sandwich.
     """
     betas = [float(b) for b in beta_grid]
     if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
@@ -269,21 +213,13 @@ def entropy_sandwich_check(
     values = np.asarray(values, dtype=np.float64)
     vmin = float(values.min())
     logM = math.log(values.size)
-    fs, lowers, offending = [], [], []
-    for beta in betas:
-        f = softmin_free_energy(values, n, beta)
-        lower = vmin - logM / (n * beta)
-        fs.append(f)
-        lowers.append(lower)
-        if not (lower <= f <= vmin):
-            offending.append(beta)
-    monotone_ok = all(f2 >= f1 - 1e-13 for f1, f2 in zip(fs, fs[1:]))
-    return SandwichReport(
-        betas=betas,
-        values=fs,
-        minimum=vmin,
-        lower_bounds=lowers,
-        sandwich_ok=not offending,
-        monotone_ok=monotone_ok,
-        offending_betas=offending,
-    )
+    fs = [softmin_free_energy(values, n, beta) for beta in betas]
+    offending = [beta for beta, f in zip(betas, fs) if not (vmin - logM / (n * beta) <= f <= vmin)]
+    return {
+        "betas": betas,
+        "free_energies": fs,
+        "minimum": vmin,
+        "sandwich_ok": not offending,
+        "monotone_ok": all(f2 >= f1 - 1e-13 for f1, f2 in zip(fs, fs[1:])),
+        "offending_betas": offending,
+    }

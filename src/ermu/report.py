@@ -3,17 +3,18 @@
 Per family and size the report carries the signed mean train gap with a
 bootstrap CI, the bounded-Lipschitz gap over the test-function dictionary,
 the two-sample KS statistic against its simulated null quantile, and the
-test-risk gap with a combined standard error. The campaign-level verdict is
-the operational criterion: the CI covers zero at the largest size and the
-absolute mean gap does not increase along the ladder (one inversion within
-one standard error is tolerated).
+test-risk gap with its bootstrap CI and standard error over trials (each
+trial draws its own test rows, so that spread holds the Monte Carlo noise
+of the test risk). The campaign-level verdict is the operational
+criterion: the CI covers zero at the largest size and the absolute mean
+gap does not increase along the ladder (one inversion within one standard
+error is tolerated).
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 import typing
 from dataclasses import fields
 from pathlib import Path
@@ -59,13 +60,12 @@ def read_trials_csv(path: str | Path) -> list[TrialRow]:
 
 
 def _paired_table(trials: dict[int, dict[str, TrialRow]]) -> tuple[np.ndarray, int, int]:
-    """A cell's kept trial pairs, in trial order, as a T×6 table.
+    """A cell's kept trial pairs, in trial order, as a T×4 table.
 
     Its columns are ``train_x``, ``train_g``, the x row's ``test_x`` and
-    ``test_x_se`` and the g row's ``test_g`` and ``test_g_se``. A pair with
-    a missing or quarantined arm is left out and counted as quarantined; a
-    kept pair with a ``maxiter`` or ``step-underflow`` arm is counted as
-    non-converged.
+    the g row's ``test_g``. A pair with a missing or quarantined arm is left
+    out and counted as quarantined; a kept pair with a ``maxiter`` or
+    ``step-underflow`` arm is counted as non-converged.
     """
     table, quarantined, nonconverged = [], 0, 0
     for t in sorted(trials):
@@ -76,8 +76,8 @@ def _paired_table(trials: dict[int, dict[str, TrialRow]]) -> tuple[np.ndarray, i
         nonconverged += any(
             flag in _NONCONVERGED for row in (x, g) for flag in row.flags.split(";")
         )
-        table.append((x.train_opt, g.train_opt, x.test_x, x.test_x_se, g.test_g, g.test_g_se))
-    return np.array(table, dtype=np.float64).reshape(-1, 6), quarantined, nonconverged
+        table.append((x.train_opt, g.train_opt, x.test_x, g.test_g))
+    return np.array(table, dtype=np.float64).reshape(-1, 4), quarantined, nonconverged
 
 
 def _trend_verdict(abs_gaps: list[float], ses: list[float]) -> dict:
@@ -96,7 +96,7 @@ def _cell_statistics(
     table: np.ndarray, seed: int, n_boot: int, level: float, null_quantiles: dict[int, float]
 ) -> dict:
     """The gap statistics of a cell's paired table with T >= 1 rows."""
-    train_x, train_g, test_x, test_x_se, test_g, test_g_se = table.T
+    train_x, train_g, test_x, test_g = table.T
     T = len(table)
     mean, lo, hi, se = bootstrap_mean_ci(train_x - train_g, n_boot=n_boot, seed=seed, level=level)
     entry: dict = {
@@ -117,6 +117,7 @@ def _cell_statistics(
             "ci_lo": bl.ci_lo,
             "ci_hi": bl.ci_hi,
             "per_psi": bl.per_psi,
+            "ramps": bl.ramps,
         }
         if T not in null_quantiles:
             null_quantiles[T] = ks_null_quantile(
@@ -133,13 +134,11 @@ def _cell_statistics(
         tmean, tlo, thi, tse = bootstrap_mean_ci(
             test_gaps, n_boot=n_boot, seed=derive_seed(seed, "test"), level=level
         )
-        mc_var = float(np.sum(test_x_se**2) + np.sum(test_g_se**2)) / T**2
         entry["test_gap"] = {
             "mean": tmean,
             "ci_lo": tlo,
             "ci_hi": thi,
             "se": tse,
-            "combined_se": math.sqrt(tse**2 + mc_var),
             "covers_zero": tlo <= 0.0 <= thi,
             "degenerate_ci": T < 2 or thi == tlo,
         }

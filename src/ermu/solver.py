@@ -63,12 +63,18 @@ class SolverConfig:
 
 
 @dataclass
-class PgdState:
-    x: np.ndarray
-    value: float
+class ErmSolution:
+    """A PGD solve: its point, objective, gradient-mapping norm, iterations and flags."""
+
+    theta_hat: np.ndarray
+    objective: float
     grad_map_norm: float
     iterations: int
     flags: list[str] = field(default_factory=list)
+
+    def suboptimality_bound(self, cset) -> float:
+        """First-order bound on the objective gap for a convex problem over ``cset``."""
+        return self.grad_map_norm * cset.diameter() + 1e-14
 
 
 def pgd_minimize(
@@ -77,7 +83,7 @@ def pgd_minimize(
     project: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     cfg: SolverConfig = SolverConfig(),
-) -> PgdState:
+) -> ErmSolution:
     """Minimize a smooth function over a convex set by projected gradient.
 
     The first trial step is ``INIT_STEP``, then the Barzilai-Borwein step
@@ -147,4 +153,5 @@ def pgd_minimize(
         flags.append("maxiter")
     if flags and best is not None and best[0] < fx:
         fx, x, grad_map_norm = best
-    return PgdState(x=x, value=fx, grad_map_norm=float(grad_map_norm), iterations=iterations, flags=flags)
+    return ErmSolution(theta_hat=x, objective=fx, grad_map_norm=float(grad_map_norm),
+                       iterations=iterations, flags=flags)

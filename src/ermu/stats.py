@@ -69,15 +69,19 @@ def ks_null_quantile(
     return float(np.quantile(np.abs(gaps).max(axis=1), level))
 
 
-def bl_dictionary(pooled: np.ndarray, t: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The names of the dictionary built from ``pooled`` and its K×T values at ``t``.
+# The dictionary's functions, in row order: 15 ramps, then two clipped polynomials.
+BL_NAMES = tuple(f"ramp{k}" for k in range(15)) + ("clipped-identity", "clipped-quadratic")
+
+
+def bl_dictionary(pooled: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (delta, rho) of each ramp of the dictionary built from ``pooled``, a
+    15×2 array, and the dictionary's K×T values at ``t``, one row per name in
+    ``BL_NAMES``.
 
     Rows 0-14 are the ramps on the (delta, rho) grid, delta-major: rho runs
     over the 0.1, 0.25, 0.5, 0.75 and 0.9 quantiles of the pooled samples
-    and delta over 0.5, 1 and 2 times their spread. Ramp k is named
-    ``ramp<k>(d=<delta>,r=<rho>)``, so two ramps whose (delta, rho) agree
-    to the 6 printed digits keep two names. Rows 15 and 16 are the clipped
-    identity and the clipped quadratic.
+    and delta over 0.5, 1 and 2 times their spread. Rows 15 and 16 are the
+    clipped identity and the clipped quadratic.
     """
     pooled = np.asarray(pooled, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
@@ -89,17 +93,17 @@ def bl_dictionary(pooled: np.ndarray, t: np.ndarray) -> tuple[list[str], np.ndar
         spread = max(1e-8, abs(center) * 1e-3 + 1e-8)
     rhos = np.quantile(pooled, [0.1, 0.25, 0.5, 0.75, 0.9])
     deltas = np.array([0.5 * spread, spread, 2.0 * spread])
-    names = [f"ramp{k}(d={deltas[k // 5]:.6g},r={rhos[k % 5]:.6g})" for k in range(15)]
-    names += ["clipped-identity", "clipped-quadratic"]
-    ramps = np.clip((t - np.tile(rhos, 3)[:, None]) / np.repeat(deltas, 5)[:, None], 0.0, 1.0)
+    ramps = np.column_stack([np.repeat(deltas, 5), np.tile(rhos, 3)])
+    values = np.clip((t - ramps[:, 1:]) / ramps[:, :1], 0.0, 1.0)
     bound = abs(center) + 4.0 * spread
     c = np.clip(t - center, -bound, bound)
-    return names, np.vstack([ramps, np.clip(t, -bound, bound), c * c / (2.0 * bound)])
+    return ramps, np.vstack([values, np.clip(t, -bound, bound), c * c / (2.0 * bound)])
 
 
 @dataclass
 class BlGapResult:
-    per_psi: dict[str, float]
+    per_psi: dict[str, float]  # keyed by BL_NAMES
+    ramps: dict[str, dict[str, float]]  # each ramp's {"delta", "rho"}
     max_gap: float
     argmax: str
     ci_lo: float
@@ -129,7 +133,7 @@ def bl_gap(
     if a.size != b.size:
         raise InvalidArgumentError(f"samples must have the same size, got {a.size} and {b.size}")
     pooled = np.concatenate([a, b])
-    names, psi = bl_dictionary(pooled, pooled)
+    ramps, psi = bl_dictionary(pooled, pooled)
     psi_a, psi_b = psi[:, : a.size], psi[:, a.size :]
     gaps = np.abs(psi_a.mean(axis=1) - psi_b.mean(axis=1))
     best = int(np.argmax(gaps))
@@ -145,9 +149,10 @@ def bl_gap(
     alpha = 0.5 * (1.0 - level)
     lo, hi = np.quantile(boot, [alpha, 1.0 - alpha])
     return BlGapResult(
-        per_psi={name: float(gap) for name, gap in zip(names, gaps)},
+        per_psi={name: float(gap) for name, gap in zip(BL_NAMES, gaps)},
+        ramps={name: {"delta": float(d), "rho": float(r)} for name, (d, r) in zip(BL_NAMES, ramps)},
         max_gap=float(gaps[best]),
-        argmax=names[best],
+        argmax=BL_NAMES[best],
         ci_lo=float(lo),
         ci_hi=float(hi),
         se=float(boot.std(ddof=1)) if n_boot > 1 else 0.0,

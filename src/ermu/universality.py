@@ -56,7 +56,6 @@ from ermu.features import (
     random_features_model,
 )
 from ermu.free_energy import (
-    InterpolationPath,
     entropy_sandwich_check,
     free_energy_path,
     random_net,
@@ -710,12 +709,9 @@ def _free_energy_rows(instance, seed, X, G, eps, sol_x, settings) -> tuple[list,
         candidates = random_net(problem, settings.M, derive_seed(seed, "net"))
     grid = tuple(np.linspace(0.0, math.pi / 2.0, settings.path_points))
     beta = settings.beta_grid[-1]
-    trace, risks_x = free_energy_path(InterpolationPath(X, G, grid, eps), candidates, problem, beta)
+    trace, risks_x = free_energy_path(X, G, eps, grid, candidates, problem, beta)
     # The grid ends at pi/2, so the path's last risks are the candidates' risks on X.
-    report = entropy_sandwich_check(risks_x, instance.n, settings.beta_grid)
-    check.update(betas=report.betas, free_energies=report.values, minimum=report.minimum,
-                 sandwich_ok=report.sandwich_ok, monotone_ok=report.monotone_ok,
-                 offending_betas=report.offending_betas)
+    check.update(entropy_sandwich_check(risks_x, instance.n, settings.beta_grid))
     return [[t, f, instance.n, beta, instance.spec.id, seed] for t, f in trace], check
 
 
@@ -817,15 +813,16 @@ def _trial_chunk(args):
 class WorkerPool:
     """Up to ``threads`` worker processes, shared by every batch of tasks it is given.
 
-    The pool has ``workers`` = min(``threads``, usable cores) workers: a
-    fork executor starts all of its workers at the first submit, and more
-    workers than cores would only share them. All workers are forked at the
-    first batch of two or more tasks, before the pool starts its own manager
-    thread; with one worker, or with only one-task batches, nothing is
-    forked and ``map`` runs the tasks in the calling process. Forked
-    workers see the caller's module state as it was at that first batch.
-    ``close``, or leaving the ``with`` block (also on an exception), stops
-    and joins the workers.
+    The pool has ``workers`` = min(``threads``, usable cores) workers, the
+    cores counted by ``os.sched_getaffinity`` or, on a platform without it,
+    ``os.cpu_count()``: a fork executor starts all of its workers at the
+    first submit, and more workers than cores would only share them. All
+    workers are forked at the first batch of two or more tasks, before the
+    pool starts its own manager thread; with one worker, or with only
+    one-task batches, nothing is forked and ``map`` runs the tasks in the
+    calling process. Forked workers see the caller's module state as it
+    was at that first batch. ``close``, or leaving the ``with`` block (also
+    on an exception), stops and joins the workers.
 
     ``cells`` are the (family, size) cells the tasks work on. Each worker
     receives them once, at fork, through the executor's initializer (a
@@ -836,7 +833,8 @@ class WorkerPool:
     """
 
     def __init__(self, threads: int, cells: Sequence[FamilyInstance] = ()):
-        self.workers = min(threads, len(os.sched_getaffinity(0)))
+        affinity = getattr(os, "sched_getaffinity", None)
+        self.workers = min(threads, len(affinity(0)) if affinity else os.cpu_count() or 1)
         self.cells = cells
         self._executor: Optional[ProcessPoolExecutor] = None
 
@@ -1073,7 +1071,7 @@ def min_test_over_near_minimizers(
                     return g
 
                 state = pgd_minimize(objective, gradient, project, point, cfg)
-                point = state.x
+                point = state.theta_hat
             test_val = test_risk.value(point)
             residual = max(0.0, train.value(point) - t)
             if residual <= _RESIDUAL_TOL and (best_point is None or test_val < best_point[0]):

@@ -345,8 +345,8 @@ class TestSolveErm:
         x0 = np.ones(5)
         state = pgd_minimize(fun, grad, lambda x: x, x0, SolverConfig(tol=1e-10))
         assert any(b > a for a, b in zip(accepted, accepted[1:]))
-        assert state.value <= fun(x0)
-        assert state.flags == [] and np.abs(state.x).max() <= 1e-9
+        assert state.objective <= fun(x0)
+        assert state.flags == [] and np.abs(state.theta_hat).max() <= 1e-9
 
     @pytest.mark.parametrize("max_iters", range(6, 36))
     def test_unconverged_solve_returns_its_lowest_accepted_point(self, max_iters):
@@ -367,8 +367,8 @@ class TestSolveErm:
         state = pgd_minimize(fun, lambda x: A @ x, lambda x: x, np.ones(5),
                              SolverConfig(max_iters=max_iters))
         assert state.flags == ["maxiter"]
-        assert state.value == min(accepted[1:max_iters + 1])
-        assert state.value == fun(state.x)
+        assert state.objective == min(accepted[1:max_iters + 1])
+        assert state.objective == fun(state.theta_hat)
 
     @pytest.mark.parametrize("kind", ["l2-ball", "linf-ball", "nt-operator-ball"])
     def test_solves_never_end_above_the_start(self, kind):
@@ -389,7 +389,7 @@ class TestSolveErm:
             x0 = project(rng.standard_normal(p))
             for max_iters in (1, 2, 5, 20, 5000):
                 state = pgd_minimize(fun, grad, project, x0, SolverConfig(max_iters=max_iters))
-                assert state.value <= fun(x0), (seed, max_iters)
+                assert state.objective <= fun(x0), (seed, max_iters)
 
     def test_no_curvature_falls_back_to_growing_the_step(self):
         # A linear objective has a constant gradient, so s'y = 0 at every
@@ -401,7 +401,7 @@ class TestSolveErm:
             lambda x: project_constraint(ConstraintSet("l2-ball", R=R), x),
             np.zeros(3), SolverConfig(),
         )
-        assert np.abs(state.x - (-R * c / np.linalg.norm(c))).max() <= 1e-8
+        assert np.abs(state.theta_hat - (-R * c / np.linalg.norm(c))).max() <= 1e-8
         assert state.flags == []
         # Doubling from INIT_STEP 1 reaches the boundary, 50 gradient lengths
         # away, at iteration 6; iteration 7 stays put.
@@ -546,7 +546,7 @@ class TestTwoPhaseSolve:
         assert second["cfg"] == SolverConfig(max_iters=301 - first["state"].iterations, tol=1e-10)
         assert np.array_equal(first["x0"], project_constraint(problem.constraint, warm))
         # Phase 1 ended below the warm start, so phase 2 starts where it ended.
-        assert np.array_equal(second["x0"], first["state"].x)
+        assert np.array_equal(second["x0"], first["state"].theta_hat)
         assert sol.iterations == first["state"].iterations + second["state"].iterations
         assert sol.grad_map_norm <= 1e-10 and sol.flags == []
 
@@ -556,7 +556,7 @@ class TestTwoPhaseSolve:
         start = project_constraint(problem.constraint, warm)
         far = project_constraint(problem.constraint, np.full(problem.p, -5.0))
         assert train_risk(problem, far, X, y) > train_risk(problem, start, X, y)
-        runs = self.phases(monkeypatch, phase_one=lambda state: replace(state, x=far))
+        runs = self.phases(monkeypatch, phase_one=lambda state: replace(state, theta_hat=far))
         sol = solve_erm(problem, X, y, warm_start=warm)
         assert np.array_equal(runs[1]["x0"], start)
         assert sol.objective <= train_risk(problem, start, X, y)
@@ -579,7 +579,7 @@ class TestTwoPhaseSolve:
             lambda t: project_constraint(problem.constraint, t), runs[0], SolverConfig(max_iters=43),
         )
         assert np.array_equal(runs[1], runs[0])
-        assert np.array_equal(sol.theta_hat, reference.x)
+        assert np.array_equal(sol.theta_hat, reference.theta_hat)
         assert sol.iterations == 7 + reference.iterations and sol.flags == reference.flags
 
     @pytest.mark.parametrize("max_iters", [1, 2, 5])

@@ -22,11 +22,10 @@ from ermu.erm import (
 )
 from ermu.errors import InvalidArgumentError
 from ermu.free_energy import (
-    CandidateSet,
-    InterpolationPath,
     candidate_risks,
     entropy_sandwich_check,
     free_energy_path,
+    path_coefficients,
     random_net,
     softmin_free_energy,
     solution_cloud,
@@ -115,16 +114,16 @@ class TestCandidates:
         problem = small_problem(6)
         cset = problem.constraint
         net = random_net(problem, 32, seed=5)
-        assert net.M == 32
+        assert net.shape == (32, 6)
         for i in range(32):
-            assert np.linalg.norm(net.points[i]) <= cset.R + 1e-10
+            assert np.linalg.norm(net[i]) <= cset.R + 1e-10
 
     def test_solution_cloud_contains_center(self):
         problem = small_problem(6)
         theta = rng_from(3, "c").standard_normal(6) * 0.1
         cloud = solution_cloud(problem, theta, M=9, alpha=0.5, seed=7)
-        assert np.allclose(cloud.points[0], theta)
-        radii = [np.linalg.norm(cloud.points[i] - theta) for i in range(1, 9)]
+        assert np.allclose(cloud[0], theta)
+        radii = [np.linalg.norm(cloud[i] - theta) for i in range(1, 9)]
         assert max(radii) <= 0.5 + 1e-9
 
     @pytest.mark.parametrize("cset", [
@@ -145,7 +144,7 @@ class TestCandidates:
             direction *= (0.5 / (2.0 ** ((i - 1) % 8))) / np.linalg.norm(direction)
             ref.append(project_constraint(cset, theta + direction))
         cloud = solution_cloud(problem, theta, M, alpha=0.5, seed=8)
-        assert np.array_equal(cloud.points, np.array(ref))
+        assert np.array_equal(cloud, np.array(ref))
 
     def test_free_energy_consistency_with_risks(self):
         problem = small_problem(5)
@@ -157,19 +156,21 @@ class TestCandidates:
         # brute-force risk check for one candidate
         from ermu.erm import train_risk
 
-        assert vals[3] == pytest.approx(train_risk(problem, net.points[3], X, y))
+        assert vals[3] == pytest.approx(train_risk(problem, net[3], X, y))
 
 
-def per_point_path(path, candidates, problem, beta):
+def matrix_at(X, G, t):
+    s, c = path_coefficients(t)
+    return s * X + c * G
+
+
+def per_point_path(X, G, eps, grid, points, problem, beta):
     """Reference: form U_t at every grid point and score it from scratch."""
-    from ermu.erm import labels_from_noise
-
-    n = path.X.shape[0]
     out = []
-    for t in path.grid:
-        U = path.matrix_at(t)
-        values = candidate_risks(candidates, problem, U, labels_from_noise(problem, U, path.eps))
-        out.append((t, softmin_free_energy(values, n, beta)))
+    for t in grid:
+        U = matrix_at(X, G, t)
+        values = candidate_risks(points, problem, U, labels_from_noise(problem, U, eps))
+        out.append((t, softmin_free_energy(values, X.shape[0], beta)))
     return out
 
 
@@ -191,9 +192,8 @@ class TestPath:
         theta = rng.standard_normal(p) / math.sqrt(p)
         cloud = solution_cloud(problem, theta, M=12, alpha=0.4, seed=6)
         grid = tuple(np.linspace(0.0, math.pi / 2, 10))
-        path = InterpolationPath(X=X, G=G, grid=grid, eps=eps)
-        fast, _ = free_energy_path(path, cloud, problem, beta=3.0)
-        slow = per_point_path(path, cloud, problem, beta=3.0)
+        fast, _ = free_energy_path(X, G, eps, grid, cloud, problem, beta=3.0)
+        slow = per_point_path(X, G, eps, grid, cloud, problem, beta=3.0)
         assert [t for t, _ in fast] == list(grid)
         for (_, f), (_, ref) in zip(fast, slow):
             assert abs(f - ref) <= 1e-12 * abs(ref)
@@ -206,12 +206,11 @@ class TestPath:
         G = rng.standard_normal((20, 4))
         eps = problem.labeler.draw_noise(20, seed=3)
         net = random_net(problem, 16, seed=9)
-        path = InterpolationPath(X=X, G=G, grid=(0.0, math.pi / 2), eps=eps)
-        assert np.array_equal(path.matrix_at(0.0), G)
-        assert np.array_equal(path.matrix_at(math.pi / 2), X)
-        ((t0, f0), (t1, f1)), _ = free_energy_path(path, net, problem, beta=4.0)
-        from ermu.erm import labels_from_noise
-
+        assert np.array_equal(matrix_at(X, G, 0.0), G)
+        assert np.array_equal(matrix_at(X, G, math.pi / 2), X)
+        ((t0, f0), (t1, f1)), _ = free_energy_path(
+            X, G, eps, (0.0, math.pi / 2), net, problem, beta=4.0
+        )
         y_g = labels_from_noise(problem, G, eps)
         y_x = labels_from_noise(problem, X, eps)
         assert f0 == softmin_free_energy(candidate_risks(net, problem, G, y_g), 20, 4.0)
@@ -223,8 +222,9 @@ class TestPath:
         X = rng_from(6, "deg").standard_normal((15, 4))
         eps = problem.labeler.draw_noise(15, seed=4)
         net = random_net(problem, 8, seed=10)
-        path = InterpolationPath(X=X, G=X.copy(), grid=(0.0, math.pi / 2), eps=eps)
-        ((_, f0), (_, f1)), _ = free_energy_path(path, net, problem, beta=2.0)
+        ((_, f0), (_, f1)), _ = free_energy_path(
+            X, X.copy(), eps, (0.0, math.pi / 2), net, problem, beta=2.0
+        )
         assert f0 == pytest.approx(f1, abs=1e-12)
 
     @pytest.mark.parametrize("eta", ["linear", "clipped-linear", "sign-smooth"])
@@ -246,17 +246,23 @@ class TestPath:
         eps = problem.labeler.draw_noise(n, seed=2)
         net = random_net(problem, 20, seed=3, scale=2.0)
         grid = tuple(np.linspace(0.0, math.pi / 2.0, path_points))
-        path = InterpolationPath(X=X, G=G, grid=grid, eps=eps)
-        _, risks_x = free_energy_path(path, net, problem, beta=5.0)
+        _, risks_x = free_energy_path(X, G, eps, grid, net, problem, beta=5.0)
         y_x = labels_from_noise(problem, X, eps)
         assert np.array_equal(risks_x, candidate_risks(net, problem, X, y_x))
 
-    def test_unsorted_grid_rejected(self):
+    @pytest.mark.parametrize("G_rows, grid, eps_len", [
+        (5, (0.5, 0.1), 5),  # unsorted grid
+        (5, (0.0, 2.0), 5),  # grid beyond pi/2
+        (5, (-0.1, 0.5), 5),  # grid below 0
+        (4, (0.0, 0.5), 5),  # X and G differ in shape
+        (5, (0.0, 0.5), 4),  # noise shorter than the batch
+    ], ids=["unsorted", "above", "below", "shapes", "noise"])
+    def test_bad_path_rejected(self, G_rows, grid, eps_len):
         problem = small_problem(3)
-        X = np.zeros((5, 3))
-        eps = np.zeros(5)
+        net = random_net(problem, 4, seed=1)
         with pytest.raises(InvalidArgumentError):
-            InterpolationPath(X=X, G=X, grid=(0.5, 0.1), eps=eps)
+            free_energy_path(np.zeros((5, 3)), np.zeros((G_rows, 3)), np.zeros(eps_len), grid,
+                             net, problem, beta=1.0)
 
 
 class TestEntropySandwich:
@@ -266,8 +272,8 @@ class TestEntropySandwich:
         X = rng.standard_normal((40, 5))
         y = generate_labels(problem, X, seed=2)
         net = random_net(problem, 32, seed=12)
-        report = entropy_sandwich_check(candidate_risks(net, problem, X, y), 40, [1e6])
-        assert abs(report.values[0] - report.minimum) <= math.log(32) / (40 * 1e6)
+        check = entropy_sandwich_check(candidate_risks(net, problem, X, y), 40, [1e6])
+        assert abs(check["free_energies"][0] - check["minimum"]) <= math.log(32) / (40 * 1e6)
 
     def test_tiny_beta_on_constant_set(self):
         # All candidates identical: f equals min - log(M) / (n beta) exactly.
@@ -276,9 +282,10 @@ class TestEntropySandwich:
         X = rng.standard_normal((12, 4))
         y = generate_labels(problem, X, seed=6)
         theta = rng.standard_normal(4) * 0.1
-        candidates = CandidateSet(points=np.repeat(theta[None], 8, axis=0))
-        report = entropy_sandwich_check(candidate_risks(candidates, problem, X, y), 12, [1e-6])
-        assert report.values[0] == pytest.approx(report.lower_bounds[0], abs=1e-9)
+        candidates = np.repeat(theta[None], 8, axis=0)
+        check = entropy_sandwich_check(candidate_risks(candidates, problem, X, y), 12, [1e-6])
+        lower = check["minimum"] - math.log(8) / (12 * 1e-6)
+        assert check["free_energies"][0] == pytest.approx(lower, abs=1e-9)
 
     def test_monotone_over_standard_grid(self):
         problem = small_problem(6)
@@ -287,35 +294,35 @@ class TestEntropySandwich:
         y = generate_labels(problem, X, seed=8)
         net = random_net(problem, 64, seed=13)
         values = candidate_risks(net, problem, X, y)
-        report = entropy_sandwich_check(values, 50, [0.1, 1.0, 10.0, 100.0])
-        assert report.ok
-        assert all(b >= a for a, b in zip(report.values, report.values[1:]))
+        check = entropy_sandwich_check(values, 50, [0.1, 1.0, 10.0, 100.0])
+        assert check["sandwich_ok"] and check["monotone_ok"] and check["offending_betas"] == []
+        fs = check["free_energies"]
+        assert all(b >= a for a, b in zip(fs, fs[1:]))
 
     def test_unsorted_beta_grid_rejected(self):
         with pytest.raises(InvalidArgumentError):
             entropy_sandwich_check(np.ones(4), 4, [1.0, 0.1])
 
 
-def unblocked_risks(candidates, problem, scores, y):
+def unblocked_risks(pts, problem, scores, y):
     """Reference: the loss of the whole M x n score matrix at once."""
-    pts = candidates.points
     losses = problem.loss.value(scores, y[None, :]).mean(axis=1)
     if problem.regularizer.kind == "ridge":
         return losses + problem.regularizer.lam * np.einsum("mp->m", pts * pts)
     return losses + np.zeros(len(pts))
 
 
-def unblocked_path(path, candidates, problem, beta):
+def unblocked_path(X, G, eps, grid, pts, problem, beta):
     """Reference: free_energy_path with one M x n score matrix per grid point."""
-    SX = np.einsum("ip,mp->mi", path.X, candidates.points, optimize=True)
-    SG = np.einsum("ip,mp->mi", path.G, candidates.points, optimize=True)
-    TX, TG = problem.target_scores(path.X), problem.target_scores(path.G)
+    SX = np.einsum("ip,mp->mi", X, pts, optimize=True)
+    SG = np.einsum("ip,mp->mi", G, pts, optimize=True)
+    TX, TG = problem.target_scores(X), problem.target_scores(G)
     out = []
-    for t in path.grid:
-        s, c = path.coefficients(t)
-        y_t = problem.labeler.label(s * TX + c * TG, path.eps)
-        values = unblocked_risks(candidates, problem, s * SX + c * SG, y_t)
-        out.append((t, softmin_free_energy(values, path.X.shape[0], beta)))
+    for t in grid:
+        s, c = path_coefficients(t)
+        y_t = problem.labeler.label(s * TX + c * TG, eps)
+        values = unblocked_risks(pts, problem, s * SX + c * SG, y_t)
+        out.append((t, softmin_free_energy(values, X.shape[0], beta)))
     return out
 
 
@@ -345,13 +352,13 @@ class TestBlocks:
     def test_blocked_equals_unblocked_bit_for_bit(self, monkeypatch, loss, reg, M):
         problem, X, G, eps, net = self.case(monkeypatch, loss, reg, M)
         y = labels_from_noise(problem, X, eps)
-        scores = np.einsum("ip,mp->mi", X, net.points, optimize=True)
+        scores = np.einsum("ip,mp->mi", X, net, optimize=True)
         assert np.array_equal(
             candidate_risks(net, problem, X, y), unblocked_risks(net, problem, scores, y)
         )
-        path = InterpolationPath(X=X, G=G, grid=tuple(np.linspace(0, math.pi / 2, 5)), eps=eps)
-        trace, _ = free_energy_path(path, net, problem, 2.0)
-        assert trace == unblocked_path(path, net, problem, 2.0)
+        grid = [float(t) for t in np.linspace(0, math.pi / 2, 5)]
+        trace, _ = free_energy_path(X, G, eps, grid, net, problem, 2.0)
+        assert trace == unblocked_path(X, G, eps, grid, net, problem, 2.0)
 
     def test_loss_sees_one_block_at_a_time(self, monkeypatch):
         problem, X, G, eps, net = self.case(monkeypatch, "huber", "ridge", 13)

@@ -645,6 +645,21 @@ class TestCampaign:
         assert list(setup.map(str, ["b", "a"])) == ["b", "a"]
         assert submitted == ["b", "a"]
 
+    def test_pool_counts_cores_without_sched_getaffinity(self, monkeypatch):
+        # Only Linux has os.sched_getaffinity; elsewhere the pool counts
+        # os.cpu_count() cores, or one when that count is unknown.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert [WorkerPool(threads).workers for threads in (1, 2, 500)] == [1, 2, 3]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert WorkerPool(500).workers == 1
+        cfg = base_config(ladder=[20], families=[{"id": "lin", "kind": "linear-independent"}])
+        (instance,) = campaign.build_instances(cfg)
+        with WorkerPool(500, [instance]) as pool:
+            rows = run_trials(pool, 1, cfg.master_seed, n_test=10)
+        assert [row.arm for row in rows] == ["x", "g"]
+        assert rows == list(run_single_trial(instance, 0, cfg.master_seed, SolverConfig(), 10))
+
     def test_pool_forks_no_more_workers_than_cores(self, monkeypatch):
         # A fork executor starts all of its max_workers at the first submit,
         # so a pool asks for at most one worker per usable core, and
@@ -709,10 +724,10 @@ class TestCampaign:
         (_, X), = seen["X"]
         ((batch,), equiv), = seen["twin"]
         ((twin, *_), G), = seen["G"]
-        ((path, *_), _), = seen["path"]
+        ((path_X, path_G, *_), _), = seen["path"]
         ((_, risk_twin), _), = seen["risk"]
         assert batch is X and twin is equiv and risk_twin is equiv
-        assert path.X is X and path.G is G
+        assert path_X is X and path_G is G
         assert equiv.factor.dtype == np.float32
         assert np.array_equal(equiv.factor, empirical_equivalent(X).factor)
         assert equiv.iso_scale == 0.0
@@ -1038,9 +1053,12 @@ def edge_case_rows():
 # sorted keys, without and with family kinds. Re-pinned when each ramp's
 # name gained its grid index: the tied quantiles of family alpha's n=60 cell
 # had given three pairs of ramps one name each, and per_psi kept 14 of 17.
+# Re-pinned again when test_gap lost combined_se, which counted the test
+# rows' Monte Carlo noise twice, and when the ramps were named by their grid
+# index alone, with each ramp's delta and rho written as numbers in ramps.
 EDGE_CASE_REPORT_PINS = {
-    "no-kinds": "fd2da4d371a82748513d4f1f95cf17c6d839aeaec781a2b3ed3a98d20db9115e",
-    "kinds": "6c55d99e42b72cfe5c54d17a3cf76a36258dad13bac24d1e32e6b1f038405db3",
+    "no-kinds": "6911178ecec8f47adf15bc4db441381c6ce479d39e331ca4320ca688ae1544d7",
+    "kinds": "81326987b5b30673f584557a6b25279878f77f10cd86f34fac8e0fbbfc393412",
 }
 
 
@@ -1060,9 +1078,11 @@ class TestReport:
         # quantiles its ramps start from coincide.
         (cell,) = [size for size in build_report(edge_case_rows(), n_boot=300)
                    ["families"]["alpha"]["sizes"] if size["n"] == 60]
-        per_psi = cell["bl_gap"]["per_psi"]
-        assert len(per_psi) == 17
-        assert [name.split("(")[0] for name in per_psi][:15] == [f"ramp{k}" for k in range(15)]
+        per_psi, ramps = cell["bl_gap"]["per_psi"], cell["bl_gap"]["ramps"]
+        assert list(per_psi) == [f"ramp{k}" for k in range(15)] + [
+            "clipped-identity", "clipped-quadratic"]
+        assert list(ramps) == list(per_psi)[:15]
+        assert ramps["ramp1"] == ramps["ramp2"]  # the tied 0.25 and 0.5 quantiles
         assert cell["bl_gap"]["argmax"] in per_psi
 
     def test_report_structure(self, tmp_path):
@@ -1472,6 +1492,40 @@ class TestDiff:
         assert out[3].startswith(
             "  families.rf.sizes[].per_psi.ramp0: 1 of 2 changed, max abs inf, max rel inf, sum ")
         assert out[-1] == "  test_g_se: 1 of 3 changed, max abs inf, max rel inf, sum nan -> nan"
+
+    def test_ragged_rows_are_reported_not_compared(self, tmp_path, capsys):
+        # A row with fewer or more fields than the header is named with both
+        # field counts and left out of the columns; the other rows still are.
+        a, _ = self.crafted(tmp_path)
+        rows = [list(r) for r in self.ROWS]
+        rows[0][5] = "0.5"  # train_opt of a row both sides keep whole
+        rows[1] = rows[1][:9]
+        rows[2] = rows[2] + ["extra"]
+        self.write(tmp_path / "c", rows, self.REPORT, np.arange(6.0).reshape(2, 3))
+        assert cli_main(["diff", str(a), str(tmp_path / "c")]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[out.index("trials.csv: differs") + 1 :] == [
+            "  row 2 [family=rf n=40 trial=0 arm:g]: 12 fields -> 9 fields",
+            "  row 3 [family=lin n=80 trial=1 arm:x]: 12 fields -> 13 fields",
+            "  train_opt: 1 of 1 changed, max abs 0.25, max rel 0.5, sum 0.25 -> 0.5",
+        ]
+
+    def test_moved_quantiles_pair_every_dictionary_function(self, tmp_path, capsys):
+        # The dictionary's functions are named by their grid index, so two
+        # reports whose ramp quantiles differ pair every function.
+        rows = edge_case_rows()
+        moved = [replace(row, train_opt=row.train_opt ** 2) for row in rows]
+        for name, trial_rows in (("a", rows), ("b", moved)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "report.json").write_text(
+                json.dumps(build_report(trial_rows, n_boot=50)))
+        assert cli_main(["diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert not any("only in" in line for line in out)
+        assert any(line.startswith("  families.zeta.sizes[].bl_gap.ramps.ramp0.rho: ")
+                   for line in out)
+        assert any(line.startswith("  families.zeta.sizes[].bl_gap.per_psi.ramp0: ")
+                   for line in out)
 
     def test_missing_directory_exit_code(self, tmp_path, capsys):
         a, _ = self.crafted(tmp_path)

@@ -78,11 +78,11 @@ PINS = {
     'perturbed.csv:rf-hermite': 'e9a0b09762f510d21bf0b0f1decea345b8d836d2ebfa9d6a40bc6d19d6c4c6c8',
     'perturbed.csv:rf-mc': '41daa63c804f40650b2d524dcb1a66d71fa55d43ac31812267b783d6f06b670d',
     'report.json:*': '6cea7f773c2e2d2dcf59eb959253ba07162001794dbaee02203556aa59a8b5cd',
-    'report.json:control': 'b6effc4e98fe7e9cf3e3fcb25bb9f73c9bfe0f747e7e7bccf303282c47806efc',
-    'report.json:lin': 'be394d4c5c44927f21df1090bc86c347512874b32ba61d0eecfd6573235aa472',
-    'report.json:nt': '0e2c5aec4414d232db03ea53eb65f98e00b6d265a47c2d0a0fbd3abae96ca73a',
-    'report.json:rf-hermite': '265b478a53df0d915290674a6117bb907c3f400475274cd4e6e72ecab53e5e8d',
-    'report.json:rf-mc': 'e2c3b811f7100efb5fdde8c757dbdbdb973ac648d1090bcf655c594b11ffd23b',
+    'report.json:control': '73a211d48d5f4eaa560ec421b7e825401eb2c05efd1435528026aeacf7448e4b',
+    'report.json:lin': 'fdd74dbf4ed2705d2aa08182bdc89bc81735df8e29ef0ad830800629544819ae',
+    'report.json:nt': '7a9eed95a106c4603178d91d34e6e75ff605ee5be06b78e0d4684e0337a29f52',
+    'report.json:rf-hermite': '4d5970338099e4e6635e9ad1c3838abe96ef59efaf83987121ff6fdac3682af9',
+    'report.json:rf-mc': '6ed0a77194514f1d227e24f63583b2a9171d1a7cab8439739e505944c5d34c13',
     'trials.csv:control': '99273949f50e58f455cc143a0cb56a4a9f8c673a4089011ac7b1b3e0101f0a98',
     'trials.csv:lin': 'c88558fe7d3dfa3280f81a45c076d739c16430da18d6aad9cd0cee00ff5f6f9a',
     'trials.csv:nt': 'd2b156af874ddd8672c6d6a4b543cbb31e326e4b4403b611422190b605a8207b',

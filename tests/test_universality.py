@@ -24,7 +24,7 @@ from ermu.errors import InvalidArgumentError, SolverDivergedError
 from ermu.features import draw_features, featurize, sample_covariates
 from ermu.gaussian import GaussianEquivalent, empirical_equivalent, sample_gaussian
 from ermu.seeds import derive_seed, rng_from
-from ermu.stats import bl_dictionary, bl_gap, bootstrap_mean_ci, ks_null_quantile, ks_statistic
+from ermu.stats import BL_NAMES, bl_dictionary, bl_gap, bootstrap_mean_ci, ks_null_quantile, ks_statistic
 from ermu.universality import (
     FamilySpec,
     FrozenTestRisk,
@@ -248,11 +248,15 @@ class TestBlGap:
         # sqrt(10), so row 5 is the ramp of delta sqrt(10) from rho 1.
         pooled = np.arange(11.0)
         t = np.array([-1.0, 1.0, 1.0 + 0.5 * math.sqrt(10), 1.0 + math.sqrt(10), 20.0])
-        names, values = bl_dictionary(pooled, t)
-        assert values.shape == (17, 5) and len(names) == 17
-        assert names[5] == "ramp5(d=3.16228,r=1)"
+        ramps, values = bl_dictionary(pooled, t)
+        assert ramps.shape == (15, 2) and values.shape == (17, 5)
+        assert ramps[5].tolist() == pytest.approx([math.sqrt(10), 1.0], rel=1e-15)
+        assert ramps[:, 1].tolist() == pytest.approx([1.0, 2.5, 5.0, 7.5, 9.0] * 3, rel=1e-15)
+        assert ramps[:, 0].tolist() == pytest.approx(
+            [0.5 * math.sqrt(10)] * 5 + [math.sqrt(10)] * 5 + [2 * math.sqrt(10)] * 5, rel=1e-15
+        )
         assert values[5].tolist() == pytest.approx([0.0, 0.0, 0.5, 1.0, 1.0], abs=1e-15)
-        assert names[15:] == ["clipped-identity", "clipped-quadratic"]
+        assert BL_NAMES[5] == "ramp5" and BL_NAMES[15:] == ("clipped-identity", "clipped-quadratic")
 
     def test_ramp_separates_point_masses(self):
         a, b = np.zeros(50), np.ones(50)
@@ -745,7 +749,7 @@ class TestNearMinimizers:
             np.zeros(p),
             SolverConfig(tol=1e-10),
         )
-        assert results[0].achieved_test <= direct.value + 1e-6
+        assert results[0].achieved_test <= direct.objective + 1e-6
 
     def test_tightest_level_returns_base_solution_value(self):
         p = 5
