@@ -250,15 +250,11 @@ def generate_labels(problem: ErmProblem, X: np.ndarray, seed: int) -> np.ndarray
     return labels_from_noise(problem, X, eps)
 
 
-def data_risk(problem: ErmProblem, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-    """Average loss term only, without the regularizer."""
-    return EmpiricalRisk(problem, X, y).value(theta)
-
-
 def data_risk_grad(
     problem: ErmProblem, theta: np.ndarray, X: np.ndarray, y: np.ndarray, scores: np.ndarray
 ) -> np.ndarray:
-    """Gradient of ``data_risk`` at theta, given its scores ``problem.scores(theta, X)``.
+    """Gradient at theta of the average loss term, without the regularizer, given
+    its scores ``problem.scores(theta, X)``.
 
     The loss derivatives are computed in float64 and multiplied by X^T in
     the precision of X; a float32 product is cast to float64 before scaling.

@@ -5,10 +5,11 @@ bootstrap CI, the bounded-Lipschitz gap over the test-function dictionary,
 the two-sample KS statistic against its simulated null quantile, and the
 test-risk gap with its bootstrap CI and standard error over trials (each
 trial draws its own test rows, so that spread holds the Monte Carlo noise
-of the test risk). The campaign-level verdict is the operational
-criterion: the CI covers zero at the largest size and the absolute mean
-gap does not increase along the ladder (one inversion within one standard
-error is tolerated).
+of the test risk). All three CIs of a cell read one resample of its trial
+pairs. The campaign-level verdict is the operational criterion: the CI
+covers zero at the largest size and the absolute mean gap does not
+increase along the ladder (one inversion within one standard error is
+tolerated).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from ermu.campaign import _atomic_write, write_csv
 from ermu.config import BootstrapSettings, config_from_dict
 from ermu.errors import ConfigError, InvalidArgumentError
-from ermu.seeds import derive_seed
+from ermu.seeds import derive_seed, rng_from
 from ermu.stats import bl_gap, bootstrap_mean_ci, ks_null_quantile, ks_statistic
 from ermu.universality import TrialRow
 
@@ -35,7 +36,8 @@ _NONCONVERGED = ("maxiter", "step-underflow")
 
 
 def read_trials_csv(path: str | Path) -> list[TrialRow]:
-    """The rows of a trials.csv; each column is read as its ``TrialRow`` field's type."""
+    """The rows of a trials.csv, each column read as its ``TrialRow`` field's type;
+    a row that repeats an earlier row's (family, n, trial, arm) is an error."""
     path = Path(path)
     if not path.exists():
         raise InvalidArgumentError(f"{path}: no such file")
@@ -46,16 +48,23 @@ def read_trials_csv(path: str | Path) -> list[TrialRow]:
         header = next(reader, None)
         if header != names:
             raise InvalidArgumentError(f"{path}: unexpected header {header}")
-        rows = []
+        rows, lines = [], {}
         for i, values in enumerate(reader, start=2):
             if len(values) != len(names):
                 raise InvalidArgumentError(
                     f"{path}: line {i}: expected {len(names)} fields, got {len(values)}"
                 )
             try:
-                rows.append(TrialRow(*(types[name](v) for name, v in zip(names, values))))
+                row = TrialRow(*(types[name](v) for name, v in zip(names, values)))
             except ValueError as exc:
                 raise InvalidArgumentError(f"{path}: line {i}: {exc}") from exc
+            key = (row.family, row.n, row.trial, row.arm)
+            if key in lines:
+                raise InvalidArgumentError(
+                    f"{path}: line {i}: repeats (family, n, trial, arm) {key} of line {lines[key]}"
+                )
+            lines[key] = i
+            rows.append(row)
     return rows
 
 
@@ -80,45 +89,43 @@ def _paired_table(trials: dict[int, dict[str, TrialRow]]) -> tuple[np.ndarray, i
     return np.array(table, dtype=np.float64).reshape(-1, 4), quarantined, nonconverged
 
 
-def _trend_verdict(abs_gaps: list[float], ses: list[float]) -> dict:
-    inversions = []
-    for i in range(len(abs_gaps) - 1):
-        excess = abs_gaps[i + 1] - abs_gaps[i]
-        if excess > 0:
-            inversions.append({"index": i + 1, "excess": excess, "se": ses[i + 1]})
+def _trend_verdict(ladder: list[tuple[int, float, float]]) -> dict:
+    """The inversions of a family's (n, |mean train gap|, se) ladder, each named by its n."""
+    inversions = [
+        {"n": n, "excess": gap - prev, "se": se}
+        for (_, prev, _), (n, gap, se) in zip(ladder, ladder[1:])
+        if gap - prev > 0
+    ]
     ok = len(inversions) == 0 or (
         len(inversions) == 1 and inversions[0]["excess"] <= inversions[0]["se"]
     )
     return {"non_increasing_ok": ok, "inversions": inversions}
 
 
+def _ci_entry(values: np.ndarray, idx: np.ndarray, level: float) -> dict:
+    """The mean of ``values`` with its bootstrap CI over the resample rows ``idx``."""
+    mean, lo, hi, se = bootstrap_mean_ci(values, idx, level)
+    return {
+        "mean": mean,
+        "ci_lo": lo,
+        "ci_hi": hi,
+        "se": se,
+        "covers_zero": lo <= 0.0 <= hi,
+        "degenerate_ci": hi == lo,
+    }
+
+
 def _cell_statistics(
     table: np.ndarray, seed: int, n_boot: int, level: float, null_quantiles: dict[int, float]
 ) -> dict:
-    """The gap statistics of a cell's paired table with T >= 1 rows."""
+    """The gap statistics of a cell's paired table with T >= 1 rows; each CI
+    reads the same (n_boot, T) draw of trial-pair indices."""
     train_x, train_g, test_x, test_g = table.T
     T = len(table)
-    mean, lo, hi, se = bootstrap_mean_ci(train_x - train_g, n_boot=n_boot, seed=seed, level=level)
-    entry: dict = {
-        "train_gap": {
-            "mean": mean,
-            "ci_lo": lo,
-            "ci_hi": hi,
-            "se": se,
-            "covers_zero": lo <= 0.0 <= hi,
-            "degenerate_ci": T < 2 or hi == lo,
-        }
-    }
+    idx = rng_from(seed, "bootstrap").integers(0, T, size=(n_boot, T))
+    entry: dict = {"train_gap": _ci_entry(train_x - train_g, idx, level)}
     if T >= 2:
-        bl = bl_gap(train_x, train_g, n_boot=n_boot, seed=derive_seed(seed, "bl"), level=level)
-        entry["bl_gap"] = {
-            "max": bl.max_gap,
-            "argmax": bl.argmax,
-            "ci_lo": bl.ci_lo,
-            "ci_hi": bl.ci_hi,
-            "per_psi": bl.per_psi,
-            "ramps": bl.ramps,
-        }
+        entry["bl_gap"] = bl_gap(train_x, train_g, idx, level)
         if T not in null_quantiles:
             null_quantiles[T] = ks_null_quantile(
                 T, T, level=0.99, seed=derive_seed(_REPORT_SEED, "ks-null")
@@ -131,17 +138,7 @@ def _cell_statistics(
         }
     test_gaps = test_x - test_g
     if np.all(np.isfinite(test_gaps)):
-        tmean, tlo, thi, tse = bootstrap_mean_ci(
-            test_gaps, n_boot=n_boot, seed=derive_seed(seed, "test"), level=level
-        )
-        entry["test_gap"] = {
-            "mean": tmean,
-            "ci_lo": tlo,
-            "ci_hi": thi,
-            "se": tse,
-            "covers_zero": tlo <= 0.0 <= thi,
-            "degenerate_ci": T < 2 or thi == tlo,
-        }
+        entry["test_gap"] = _ci_entry(test_gaps, idx, level)
     return entry
 
 
@@ -165,7 +162,7 @@ def build_report(
     null_quantiles: dict[int, float] = {}
     for family, sizes in cells.items():
         fam_entry: dict = {"kind": family_kinds.get(family, ""), "sizes": []}
-        abs_gaps, gap_ses = [], []
+        ladder = []
         for n in sorted(sizes):
             table, quarantined, nonconverged = _paired_table(sizes[n])
             entry: dict = {
@@ -181,10 +178,9 @@ def build_report(
             else:
                 seed = derive_seed(_REPORT_SEED, family, n)
                 entry.update(_cell_statistics(table, seed, n_boot, level, null_quantiles))
-                abs_gaps.append(abs(entry["train_gap"]["mean"]))
-                gap_ses.append(entry["train_gap"]["se"])
+                ladder.append((n, abs(entry["train_gap"]["mean"]), entry["train_gap"]["se"]))
             fam_entry["sizes"].append(entry)
-        fam_entry["trend"] = _trend_verdict(abs_gaps, gap_ses)
+        fam_entry["trend"] = _trend_verdict(ladder)
         if "train_gap" in fam_entry["sizes"][-1]:
             last = fam_entry["sizes"][-1]["train_gap"]
             fam_entry["universality_pass"] = bool(

@@ -10,8 +10,6 @@ identity and a clipped quadratic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ermu.errors import InvalidArgumentError
@@ -19,20 +17,16 @@ from ermu.seeds import rng_from
 
 
 def bootstrap_mean_ci(
-    values: np.ndarray,
-    n_boot: int = 2000,
-    seed: int = 0,
-    level: float = 0.95,
+    values: np.ndarray, idx: np.ndarray, level: float = 0.95
 ) -> tuple[float, float, float, float]:
-    """Percentile bootstrap of the mean: (mean, lo, hi, se)."""
+    """Percentile bootstrap of the mean, each row of the (n_boot, T) integer
+    array ``idx`` one resample of the T ``values``: (mean, lo, hi, se)."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise InvalidArgumentError("empty sample")
     mean = float(values.mean())
     if values.size == 1:
         return mean, mean, mean, 0.0
-    rng = rng_from(seed, "bootstrap")
-    idx = rng.integers(0, values.size, size=(n_boot, values.size))
     means = values[idx].mean(axis=1)
     alpha = 0.5 * (1.0 - level)
     lo, hi = np.quantile(means, [alpha, 1.0 - alpha])
@@ -100,60 +94,36 @@ def bl_dictionary(pooled: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.nda
     return ramps, np.vstack([values, np.clip(t, -bound, bound), c * c / (2.0 * bound)])
 
 
-@dataclass
-class BlGapResult:
-    per_psi: dict[str, float]  # keyed by BL_NAMES
-    ramps: dict[str, dict[str, float]]  # each ramp's {"delta", "rho"}
-    max_gap: float
-    argmax: str
-    ci_lo: float
-    ci_hi: float
-    se: float
-
-
-def bl_gap(
-    a: np.ndarray,
-    b: np.ndarray,
-    n_boot: int = 2000,
-    seed: int = 0,
-    level: float = 0.95,
-) -> BlGapResult:
+def bl_gap(a: np.ndarray, b: np.ndarray, idx: np.ndarray, level: float = 0.95) -> dict:
     """Max over the dictionary of |mean psi(a) - mean psi(b)|, with a percentile
-    bootstrap CI at ``level``.
+    bootstrap CI at ``level``: the report's ``bl_gap`` entry.
 
-    ``a`` and ``b`` have the same size T. All resample indices are drawn at
-    once as an (n_boot, 2, T) array: row r holds resample r of a, then of b.
-    Each resample mean adds its T values in index order: one K×n_boot
-    gather of each arm's dictionary values per sample position.
+    ``a`` and ``b`` are the two arms of T pairs; each row of the (n_boot, T)
+    integer array ``idx`` is one resample of the pairs. A resample mean adds
+    its columns of psi(a) - psi(b) in index order, one K×n_boot gather per
+    sample position.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.size == 0 or b.size == 0:
-        raise InvalidArgumentError("samples must be nonempty")
     if a.size != b.size:
         raise InvalidArgumentError(f"samples must have the same size, got {a.size} and {b.size}")
     pooled = np.concatenate([a, b])
-    ramps, psi = bl_dictionary(pooled, pooled)
+    ramps, psi = bl_dictionary(pooled, pooled)  # raises on an empty pooled sample
     psi_a, psi_b = psi[:, : a.size], psi[:, a.size :]
     gaps = np.abs(psi_a.mean(axis=1) - psi_b.mean(axis=1))
     best = int(np.argmax(gaps))
-    idx = rng_from(seed, "bl-bootstrap").integers(0, a.size, size=(n_boot, 2, a.size))
-
-    def resample_means(values, rows):
-        total = values[:, rows[:, 0]]
-        for column in range(1, a.size):
-            total += values[:, rows[:, column]]
-        return total / a.size
-
-    boot = np.abs(resample_means(psi_a, idx[:, 0]) - resample_means(psi_b, idx[:, 1])).max(axis=0)
+    diff = psi_a - psi_b
+    total = diff[:, idx[:, 0]]
+    for column in range(1, a.size):
+        total += diff[:, idx[:, column]]
+    boot = np.abs(total / a.size).max(axis=0)
     alpha = 0.5 * (1.0 - level)
     lo, hi = np.quantile(boot, [alpha, 1.0 - alpha])
-    return BlGapResult(
-        per_psi={name: float(gap) for name, gap in zip(BL_NAMES, gaps)},
-        ramps={name: {"delta": float(d), "rho": float(r)} for name, (d, r) in zip(BL_NAMES, ramps)},
-        max_gap=float(gaps[best]),
-        argmax=BL_NAMES[best],
-        ci_lo=float(lo),
-        ci_hi=float(hi),
-        se=float(boot.std(ddof=1)) if n_boot > 1 else 0.0,
-    )
+    return {
+        "max": float(gaps[best]),
+        "argmax": BL_NAMES[best],
+        "ci_lo": float(lo),
+        "ci_hi": float(hi),
+        "per_psi": {name: float(gap) for name, gap in zip(BL_NAMES, gaps)},
+        "ramps": {name: {"delta": float(d), "rho": float(r)} for name, (d, r) in zip(BL_NAMES, ramps)},
+    }

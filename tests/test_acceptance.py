@@ -242,7 +242,8 @@ def test_criterion_05_null_calibration():
         for t in range(T):
             rx, rg = run_single_trial(inst, t, master, SolverConfig(), n_test=0)
             gaps.append(rx.train_opt - rg.train_opt)
-        _, lo, hi, _ = bootstrap_mean_ci(np.asarray(gaps), n_boot=2000, seed=master)
+        idx = rng_from(master, "bootstrap").integers(0, T, size=(2000, T))
+        _, lo, hi, _ = bootstrap_mean_ci(np.asarray(gaps), idx)
         if lo <= 0.0 <= hi:
             covered += 1
     elapsed = time.monotonic() - t0
@@ -438,7 +439,8 @@ def test_criterion_09_nt_smoke():
         gaps.append(rx.train_opt - rg.train_opt)
     from ermu.stats import bootstrap_mean_ci
 
-    mean, lo, hi, se = bootstrap_mean_ci(np.asarray(gaps), n_boot=2000, seed=MASTER_SEED)
+    idx = rng_from(MASTER_SEED, "bootstrap").integers(0, len(gaps), size=(2000, len(gaps)))
+    mean, lo, hi, se = bootstrap_mean_ci(np.asarray(gaps), idx)
     covers = lo <= 0.0 <= hi
     miss = 0.0 if covers else min(abs(lo), abs(hi))
     elapsed = time.monotonic() - t0

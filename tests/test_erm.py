@@ -10,12 +10,12 @@ import pytest
 from ermu import erm, solver
 from ermu.erm import (
     ConstraintSet,
+    EmpiricalRisk,
     ErmProblem,
     Labeler,
     Loss,
     Regularizer,
     SolverConfig,
-    data_risk,
     generate_labels,
     labels_from_noise,
     mean_with_jackknife_se,
@@ -268,7 +268,9 @@ class TestSolveErm:
         y = rng.standard_normal(30)
         sol = solve_erm(problem, X, y, SolverConfig())
         assert np.linalg.norm(sol.theta_hat) <= 1e-5
-        assert sol.objective == pytest.approx(data_risk(problem, np.zeros(p), X, y), rel=1e-6)
+        assert sol.objective == pytest.approx(
+            EmpiricalRisk(problem, X, y).value(np.zeros(p)), rel=1e-6
+        )
 
     def test_matches_normal_equations_small(self):
         rng = rng_from(13, "ne")

@@ -1056,9 +1056,13 @@ def edge_case_rows():
 # Re-pinned again when test_gap lost combined_se, which counted the test
 # rows' Monte Carlo noise twice, and when the ramps were named by their grid
 # index alone, with each ramp's delta and rho written as numbers in ramps.
+# Re-pinned again when each cell drew one resample of its trial pairs for
+# all three CIs (bl_gap and test_gap CIs moved; train_gap kept its bits),
+# and when each trend inversion was named by its n in place of an index
+# that skipped family zeta's empty n=10 cell.
 EDGE_CASE_REPORT_PINS = {
-    "no-kinds": "6911178ecec8f47adf15bc4db441381c6ce479d39e331ca4320ca688ae1544d7",
-    "kinds": "81326987b5b30673f584557a6b25279878f77f10cd86f34fac8e0fbbfc393412",
+    "no-kinds": "fd645932c858aa5428b1a40dc7c399c6af5c0666903c4ddca6808fd1ec4eb214",
+    "kinds": "daaf527e25621298236f84957a44b8d3abf4990257ef87fe1f17be3a3b6c636c",
 }
 
 
@@ -1150,6 +1154,32 @@ class TestReport:
         assert all(s["nonconverged"] == 0 for f in report["families"].values() for s in f["sizes"])
         assert "warnings" not in report
 
+    def test_cis_of_a_cell_read_one_resample_of_its_pairs(self):
+        # Each pair's test gap equals its train gap, so the two CIs agree
+        # exactly only when they read the same resample rows.
+        rows = []
+        for t, (vx, vg) in enumerate([(1.0, 0.9), (1.2, 1.0), (0.8, 0.9), (1.05, 1.1)]):
+            rows += [replace(trial_row(t, "x", vx), test_x=vx),
+                     replace(trial_row(t, "g", vg), test_g=vg)]
+        (entry,) = build_report(rows, n_boot=50)["families"]["lin"]["sizes"]
+        assert entry["test_gap"] == entry["train_gap"]
+
+    def test_inversion_names_the_size_where_the_gap_rose(self):
+        # The middle size has no kept pair, so the rise from n=10 to n=30
+        # is the second step among the kept sizes but the third size.
+        gaps = {10: [(1.0, 0.95), (1.1, 1.0)], 30: [(1.2, 1.0), (1.3, 1.0)]}
+        rows = [replace(trial_row(t, arm, value), n=n)
+                for n, pairs in gaps.items() for t, pair in enumerate(pairs)
+                for arm, value in zip("xg", pair)]
+        rows += [replace(trial_row(0, "x", float("nan"), "quarantined"), n=20),
+                 replace(trial_row(0, "g", 0.9), n=20)]
+        family = build_report(rows, n_boot=50)["families"]["lin"]
+        assert [s["n"] for s in family["sizes"]] == [10, 20, 30]
+        assert family["sizes"][1]["empty"]
+        (inversion,) = family["trend"]["inversions"]
+        assert inversion["n"] == 30
+        assert inversion["excess"] == pytest.approx(0.25 - 0.075)
+
     def test_report_elsewhere_copies_stage_outputs_byte_for_byte(self, tmp_path):
         cfg = base_config(
             ladder=[40],
@@ -1204,6 +1234,18 @@ class TestReport:
         with pytest.raises(InvalidArgumentError, match="line 2"):
             read_trials_csv(path)
 
+
+    def test_repeated_trial_row_fails_the_report(self, tmp_path, capsys):
+        rows = [trial_row(0, "x", 1.0), trial_row(0, "g", 0.9),
+                trial_row(1, "x", 1.2), trial_row(1, "g", 1.0), trial_row(0, "x", 0.5)]
+        campaign.write_csv(
+            tmp_path / "trials.csv", [f.name for f in fields(TrialRow)], map(astuple, rows)
+        )
+        assert cli_main(["report", "--results", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("report failed: ")
+        assert "line 6: repeats (family, n, trial, arm) ('lin', 40, 0, 'x') of line 2" in err
+        assert not (tmp_path / "report.json").exists()
 
 class TestSelftest:
     def test_property_suite_passes_within_budget(self, capsys):

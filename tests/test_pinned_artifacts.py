@@ -78,11 +78,11 @@ PINS = {
     'perturbed.csv:rf-hermite': 'e9a0b09762f510d21bf0b0f1decea345b8d836d2ebfa9d6a40bc6d19d6c4c6c8',
     'perturbed.csv:rf-mc': '41daa63c804f40650b2d524dcb1a66d71fa55d43ac31812267b783d6f06b670d',
     'report.json:*': '6cea7f773c2e2d2dcf59eb959253ba07162001794dbaee02203556aa59a8b5cd',
-    'report.json:control': '73a211d48d5f4eaa560ec421b7e825401eb2c05efd1435528026aeacf7448e4b',
-    'report.json:lin': 'fdd74dbf4ed2705d2aa08182bdc89bc81735df8e29ef0ad830800629544819ae',
-    'report.json:nt': '7a9eed95a106c4603178d91d34e6e75ff605ee5be06b78e0d4684e0337a29f52',
-    'report.json:rf-hermite': '4d5970338099e4e6635e9ad1c3838abe96ef59efaf83987121ff6fdac3682af9',
-    'report.json:rf-mc': '6ed0a77194514f1d227e24f63583b2a9171d1a7cab8439739e505944c5d34c13',
+    'report.json:control': 'c0347778fe4864afabf63a5f0be6ec52e57a646f0e1a55ecfad65ad597085d48',
+    'report.json:lin': '6e9ff0c13c5c93d98d748b1f0915e30eb549ba007aabc3b0ebf39b7e2d350a66',
+    'report.json:nt': '087f035cde73d9884b4af096fc1cab90d9404a1f92d448523c27b10750060343',
+    'report.json:rf-hermite': '95517a4d9decac982b69e9c7f391539de24e498bdefefe65b7e11a015fbc504a',
+    'report.json:rf-mc': 'e8fc248a46771209facdc782020914c8fb9b7d0d7bf5925a6d69545e641b6774',
     'trials.csv:control': '99273949f50e58f455cc143a0cb56a4a9f8c673a4089011ac7b1b3e0101f0a98',
     'trials.csv:lin': 'c88558fe7d3dfa3280f81a45c076d739c16430da18d6aad9cd0cee00ff5f6f9a',
     'trials.csv:nt': 'd2b156af874ddd8672c6d6a4b543cbb31e326e4b4403b611422190b605a8207b',

@@ -54,17 +54,16 @@ def twin_test_risk(problem, n_test, seed):
     return FrozenTestRisk(problem, equiv, n_test, derive_seed(seed, "surrogate"))
 
 
-def bl_gap_loop(a, b, n_boot, seed):
-    """bl_gap's bootstrap statistics, one resample of a and then of b at a time."""
+def resample_rows(seed, T, n_boot):
+    """n_boot resamples of T trial pairs, drawn as the report draws them."""
+    return rng_from(seed, "bootstrap").integers(0, T, size=(n_boot, T))
+
+
+def bl_gap_loop(a, b, idx):
+    """bl_gap's bootstrap statistics, one resample of the pairs at a time."""
     pooled = np.concatenate([a, b])
-    psi_a, psi_b = bl_dictionary(pooled, a)[1], bl_dictionary(pooled, b)[1]
-    rng = rng_from(seed, "bl-bootstrap")
-    boot = np.empty(n_boot)
-    for r in range(n_boot):
-        ia = rng.integers(0, a.size, size=a.size)
-        ib = rng.integers(0, b.size, size=b.size)
-        boot[r] = np.abs(psi_a[:, ia].mean(axis=1) - psi_b[:, ib].mean(axis=1)).max()
-    return boot
+    diff = bl_dictionary(pooled, a)[1] - bl_dictionary(pooled, b)[1]
+    return np.array([np.abs(diff[:, rows].mean(axis=1)).max() for rows in idx])
 
 
 class ConstantTestRisk:
@@ -239,9 +238,16 @@ class TestRunTrials:
 class TestBlGap:
     def test_identical_samples_zero(self):
         a = rng_from(1, "a").standard_normal(200)
-        result = bl_gap(a, a.copy(), n_boot=100, seed=0)
-        assert result.max_gap == 0.0
-        assert all(v == 0.0 for v in result.per_psi.values())
+        result = bl_gap(a, a.copy(), resample_rows(0, 200, 100))
+        assert result["max"] == 0.0
+        assert all(v == 0.0 for v in result["per_psi"].values())
+
+    def test_identical_arms_have_a_zero_ci(self):
+        # Each resample picks whole pairs, so with identical arms every
+        # resample's gap is exactly zero.
+        a = rng_from(1, "a").standard_normal(30)
+        result = bl_gap(a, a.copy(), resample_rows(0, 30, 200))
+        assert (result["ci_lo"], result["ci_hi"]) == (0.0, 0.0)
 
     def test_unit_ramp_hand_values(self):
         # The pooled sample 0..10 has quantiles 1, 2.5, 5, 7.5, 9 and spread
@@ -260,49 +266,55 @@ class TestBlGap:
 
     def test_ramp_separates_point_masses(self):
         a, b = np.zeros(50), np.ones(50)
-        result = bl_gap(a, b, n_boot=50, seed=1)
-        assert result.max_gap == pytest.approx(1.0)
+        result = bl_gap(a, b, resample_rows(1, 50, 50))
+        assert result["max"] == pytest.approx(1.0)
 
     def test_shifted_gaussians_match_oversampled_oracle(self):
         rng = rng_from(2, "bl")
         a = rng.standard_normal(10_000)
         b = rng.standard_normal(10_000) + 0.5
-        res = bl_gap(a, b, n_boot=400, seed=3)
+        idx = resample_rows(3, 10_000, 400)
+        res = bl_gap(a, b, idx)
+        se = bl_gap_loop(a, b, idx).std(ddof=1)
         big_a = rng.standard_normal(1_000_000)
         big_b = rng.standard_normal(1_000_000) + 0.5
         pooled = np.concatenate([a, b])
         (_, psi_a), (_, psi_b) = bl_dictionary(pooled, big_a), bl_dictionary(pooled, big_b)
         oracle = np.abs(psi_a.mean(axis=1) - psi_b.mean(axis=1)).max()
-        assert abs(res.max_gap - oracle) <= 3.0 * max(res.se, 1e-6)
+        assert abs(res["max"] - oracle) <= 3.0 * max(se, 1e-6)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            bl_gap(np.array([]), np.array([1.0]))
+            bl_gap(np.array([]), np.array([1.0]), resample_rows(0, 1, 2))
+        with pytest.raises(InvalidArgumentError, match="empty"):
+            bl_gap(np.array([]), np.array([]), resample_rows(0, 0, 2))
 
     def test_unequal_sizes_rejected(self):
         with pytest.raises(InvalidArgumentError, match="same size"):
-            bl_gap(np.zeros(3), np.zeros(4))
+            bl_gap(np.zeros(3), np.zeros(4), resample_rows(0, 3, 2))
 
     @pytest.mark.parametrize("T", [2, 4, 7, 30, 100])
     def test_matches_per_resample_loop_bit_for_bit(self, T):
         rng = rng_from(21, "bl-oracle", T)
         a, b = rng.standard_normal(T), rng.standard_normal(T) + 0.3
-        res = bl_gap(a, b, n_boot=500, seed=T)
-        boot = bl_gap_loop(a, b, n_boot=500, seed=T)
+        idx = resample_rows(T, T, 500)
+        res = bl_gap(a, b, idx)
         alpha = 0.5 * (1.0 - 0.95)
-        lo, hi = np.quantile(boot, [alpha, 1.0 - alpha])
-        assert (res.ci_lo, res.ci_hi, res.se) == (lo, hi, boot.std(ddof=1))
+        lo, hi = np.quantile(bl_gap_loop(a, b, idx), [alpha, 1.0 - alpha])
+        assert (res["ci_lo"], res["ci_hi"]) == (lo, hi)
 
     def test_ci_takes_the_level(self):
         # At level 0.8 the CI is the 0.1 and 0.9 quantiles of the same resamples;
         # (1 - 0.8) / 2 is 0.1 only up to rounding, hence the relative 1e-12.
         rng = rng_from(22, "bl-level")
         a, b = rng.standard_normal(30), rng.standard_normal(30) + 0.3
-        res = bl_gap(a, b, n_boot=500, seed=5, level=0.8)
-        lo, hi = np.quantile(bl_gap_loop(a, b, n_boot=500, seed=5), [0.1, 0.9])
-        assert (res.ci_lo, res.ci_hi) == (pytest.approx(lo, rel=1e-12), pytest.approx(hi, rel=1e-12))
-        wide = bl_gap(a, b, n_boot=500, seed=5)
-        assert wide.ci_lo < res.ci_lo < res.ci_hi < wide.ci_hi
+        idx = resample_rows(5, 30, 500)
+        res = bl_gap(a, b, idx, level=0.8)
+        lo, hi = np.quantile(bl_gap_loop(a, b, idx), [0.1, 0.9])
+        assert (res["ci_lo"], res["ci_hi"]) == (
+            pytest.approx(lo, rel=1e-12), pytest.approx(hi, rel=1e-12))
+        wide = bl_gap(a, b, idx)
+        assert wide["ci_lo"] < res["ci_lo"] < res["ci_hi"] < wide["ci_hi"]
 
 
 class TestKs:
@@ -347,18 +359,19 @@ class TestKs:
 class TestBootstrap:
     def test_ci_contains_point_estimate(self):
         vals = rng_from(7, "b").standard_normal(40)
-        mean, lo, hi, se = bootstrap_mean_ci(vals, n_boot=500, seed=1)
+        mean, lo, hi, se = bootstrap_mean_ci(vals, resample_rows(1, 40, 500))
         assert lo <= mean <= hi
         assert se > 0
 
     def test_single_value_degenerate(self):
-        mean, lo, hi, se = bootstrap_mean_ci(np.array([2.0]), n_boot=100, seed=0)
+        mean, lo, hi, se = bootstrap_mean_ci(np.array([2.0]), resample_rows(0, 1, 100))
         assert mean == lo == hi == 2.0
         assert se == 0.0
 
     def test_deterministic(self):
         vals = rng_from(8, "b2").standard_normal(25)
-        assert bootstrap_mean_ci(vals, 300, seed=9) == bootstrap_mean_ci(vals, 300, seed=9)
+        idx = resample_rows(9, 25, 300)
+        assert bootstrap_mean_ci(vals, idx) == bootstrap_mean_ci(vals, idx.copy())
 
 
 def twin_problem(loss, labeler, noise_law, p):
