@@ -26,13 +26,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from ermu.errors import ConfigError, InvalidArgumentError, check, check_one_of
+from ermu.errors import ConfigError, InvalidArgumentError, check, check_one_of, check_unread
 from ermu.free_energy import CANDIDATE_KINDS
 from ermu.solver import SolverConfig
 from ermu.universality import FamilySpec, ProblemSpec
 
-# Field names whose JSON key differs: ``lambda`` is a Python keyword.
-_JSON_KEYS = {"lam": "lambda"}
 # Fields left out of ``normalized()`` and the hash: the worker count is a
 # deployment setting, and no artifact but the manifest depends on it.
 _UNHASHED = {"threads"}
@@ -56,19 +54,10 @@ class BootstrapSettings:
         check(0 < self.level < 1, "level must be in (0, 1)")
 
 
-def _check_disabled_stage(settings) -> None:
-    """A disabled stage reads none of its settings, so each must keep its default.
-
-    Otherwise a setting that changes nothing the run writes would still
-    change the config hash.
-    """
-    if settings.enabled:
-        return
-    for f in dataclasses.fields(settings):
-        check(
-            getattr(settings, f.name) == f.default,
-            f"{f.name} applies to an enabled stage only; set enabled to true or leave {f.name} out",
-        )
+def _unread_when_disabled(settings) -> dict[str, str]:
+    """A disabled stage reads none of its settings."""
+    reason = "an enabled stage only; set enabled to true or leave {} out"
+    return {f.name: reason.format(f.name) for f in dataclasses.fields(settings)}
 
 
 @dataclass(frozen=True)
@@ -92,7 +81,10 @@ class FreeEnergySettings:
         # is the solution, below 0 the radii are negative.
         check(self.alpha > 0, "alpha must be positive")
         check_one_of("candidates", self.candidates, CANDIDATE_KINDS)
-        _check_disabled_stage(self)
+        unread = {}
+        if self.candidates != "solution-cloud":  # random_net takes no alpha
+            unread["alpha"] = f"candidates 'solution-cloud' only; got {self.candidates!r}"
+        check_unread(self, unread if self.enabled else _unread_when_disabled(self))
 
 
 @dataclass(frozen=True)
@@ -110,7 +102,7 @@ class PerturbedSettings:
             "s_values must be nonempty, positive and distinct (each s also runs as -s)",
         )
         check(self.n_test >= 1, "n_test must be >= 1")
-        _check_disabled_stage(self)
+        check_unread(self, {} if self.enabled else _unread_when_disabled(self))
 
 
 @dataclass(frozen=True)
@@ -151,15 +143,11 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _json_key(f: dataclasses.Field) -> str:
-    return _JSON_KEYS.get(f.name, f.name)
-
-
 def _to_json(value: Any) -> Any:
     """The JSON form of a config value; the inverse of ``_read``."""
     if dataclasses.is_dataclass(value):
         return {
-            _json_key(f): _to_json(getattr(value, f.name))
+            f.metadata.get("key", f.name): _to_json(getattr(value, f.name))
             for f in dataclasses.fields(value)
             if f.name not in _UNHASHED
         }
@@ -202,7 +190,7 @@ def _read(tp: Any, value: Any, path: str) -> Any:
 def _read_object(cls: type, raw: Any, path: str) -> Any:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected an object, got {type(raw).__name__}")
-    fields = {_json_key(f): f for f in dataclasses.fields(cls)}
+    fields = {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)}
     for key in raw:
         if key not in fields:
             raise ConfigError(f"{path}: unknown key {key!r} (allowed: {sorted(fields)})")

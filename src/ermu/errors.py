@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the precondition checks that raise them."""
 
+import dataclasses
+
 
 class ErmuError(Exception):
     """Base class for package errors."""
@@ -18,6 +20,16 @@ def check(ok: bool, message: str) -> None:
 def check_one_of(key: str, value: str, kinds: tuple[str, ...]) -> None:
     """Raise ``InvalidArgumentError`` naming ``key`` unless ``value`` is one of ``kinds``."""
     check(value in kinds, f"{key} must be one of {', '.join(kinds)}; got {value!r}")
+
+
+def check_unread(spec, unread: dict[str, str]) -> None:
+    """Raise ``<key> applies to <reason>`` unless each field of ``spec`` that ``unread`` maps
+    to a reason, in the map's order, keeps its default: an unread value would change the
+    config hash and nothing else. The key is the field's ``metadata["key"]`` or its name."""
+    fields = {f.name: f for f in dataclasses.fields(spec)}
+    for name, reason in unread.items():
+        key = fields[name].metadata.get("key", name)
+        check(getattr(spec, name) == fields[name].default, f"{key} applies to {reason}")
 
 
 class SolverDivergedError(ErmuError, RuntimeError):

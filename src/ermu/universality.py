@@ -16,7 +16,7 @@ import multiprocessing
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -41,7 +41,7 @@ from ermu.erm import (
     solve_erm,
     mean_with_jackknife_se,
 )
-from ermu.errors import InvalidArgumentError, SolverDivergedError, check, check_one_of
+from ermu.errors import InvalidArgumentError, SolverDivergedError, check, check_one_of, check_unread
 from ermu.features import (
     ACTIVATION_KINDS,
     COEFFICIENT_NODES,
@@ -78,17 +78,17 @@ FAMILY_KINDS = ("random-features", "neural-tangent", "linear-independent", "cont
 
 # The family keys that only some families read, each with the kinds and cov
 # modes that read it; every family reads the keys not listed here, except
-# hermite_coeffs, which only a custom-hermite activation reads (checked apart).
+# hermite_coeffs and gamma_p (see FamilySpec.__post_init__).
 _READ_BY = {
     "activation": ("random-features", "neural-tangent"),
     "entry_law": ("linear-independent",),
     "nu": ("linear-independent",),
     "gamma_d_over_p": ("random-features",),
     "gamma_tilde": ("neural-tangent",),
-    "sizes": ("neural-tangent",),
     "hermite_order": ("hermite-exact",),
     "cov_samples_per_dim": ("monte-carlo",),
     "jitter_rel": ("hermite-exact", "monte-carlo"),
+    "sizes": ("neural-tangent",),
 }
 
 
@@ -143,10 +143,31 @@ class FamilySpec:
                 f"{key} {value!r} applies to kind {' or '.join(kinds)} only; got {self.kind!r}",
             )
         self.build_activation()  # custom-hermite needs coefficients
+        for key in ("nu", "gamma_p", "gamma_d_over_p", "gamma_tilde", "radius"):
+            check(getattr(self, key) > 0, f"{key} must be positive")
+        for key in ("hermite_order", "cov_samples_per_dim"):
+            check(getattr(self, key) >= 1, f"{key} must be >= 1")
         check(
-            not self.hermite_coeffs or self.activation == "custom-hermite",
-            f"hermite_coeffs applies to activation 'custom-hermite' only; got {self.activation!r}",
+            self.hermite_order < COEFFICIENT_NODES,
+            f"hermite_order must be <= {COEFFICIENT_NODES - 1}: the activation's coefficients "
+            f"come from a {COEFFICIENT_NODES}-node Gauss-Hermite rule, exact to that order only",
         )
+        check(self.jitter_rel >= 0, "jitter_rel must be >= 0")
+        # theta* is drawn from a sign-symmetric law, so a negative scale would
+        # draw the law of its absolute value under a second config hash.
+        # Zero is a pure-noise teacher, which TwinTestRisk handles.
+        check(self.theta_star_scale >= 0, "theta_star_scale must be >= 0")
+        unread = {}
+        if self.activation != "custom-hermite":
+            unread["hermite_coeffs"] = f"activation 'custom-hermite' only; got {self.activation!r}"
+        got = f"got kind {self.kind!r} with cov_mode {self.cov_mode!r}"
+        for key, readers in _READ_BY.items():
+            if self.kind not in readers and self.cov_mode not in readers:
+                unread[key] = f"{' or '.join(readers)} only; {got}"
+        if self.sizes and all("n" in size for size in self.sizes):
+            unread["gamma_p"] = ("a neural-tangent cell whose sizes entry sets no n; "
+                                 "every sizes entry here sets n")
+        check_unread(self, unread)
         coeffs = self.hermite_coeffs + (0.0,) * 3  # c_k past the list are 0
         # A random-features twin is zero-mean, so its features must be too.
         check(
@@ -160,15 +181,6 @@ class FamilySpec:
             "hermite_coeffs[1] and hermite_coeffs[2] must be 0 for neural tangents "
             "(E[sigma'(G)] = E[G sigma'(G)] = 0)",
         )
-        for key in ("nu", "gamma_p", "gamma_d_over_p", "gamma_tilde", "radius"):
-            check(getattr(self, key) > 0, f"{key} must be positive")
-        for key in ("hermite_order", "cov_samples_per_dim"):
-            check(getattr(self, key) >= 1, f"{key} must be >= 1")
-        check(
-            self.hermite_order < COEFFICIENT_NODES,
-            f"hermite_order must be <= {COEFFICIENT_NODES - 1}: the activation's coefficients "
-            f"come from a {COEFFICIENT_NODES}-node Gauss-Hermite rule, exact to that order only",
-        )
         # The twin's series stops at hermite_order; the features carry every term.
         last = max((k for k, c in enumerate(self.hermite_coeffs) if c != 0.0), default=0)
         check(
@@ -176,21 +188,6 @@ class FamilySpec:
             f"hermite_order must be >= {last}, the index of the last nonzero hermite_coeffs "
             "entry, or the hermite-exact twin misses terms of the features' covariance",
         )
-        check(self.jitter_rel >= 0, "jitter_rel must be >= 0")
-        # theta* is drawn from a sign-symmetric law, so a negative scale would
-        # draw the law of its absolute value under a second config hash.
-        # Zero is a pure-noise teacher, which TwinTestRisk handles.
-        check(self.theta_star_scale >= 0, "theta_star_scale must be >= 0")
-        # A key the family never reads must keep its default, so that one
-        # experiment has one config hash.
-        for f in fields(self):
-            readers = _READ_BY.get(f.name, FAMILY_KINDS)
-            check(
-                self.kind in readers or self.cov_mode in readers
-                or getattr(self, f.name) == f.default,
-                f"{f.name} applies to {' or '.join(readers)} only; "
-                f"got kind {self.kind!r} with cov_mode {self.cov_mode!r}",
-            )
         # A sizes entry names a neural-tangent cell by its d and may set its n.
         for size in self.sizes:
             check(
@@ -200,14 +197,6 @@ class FamilySpec:
             check("d" in size, "neural-tangent sizes need d")
         named = [size["d"] for size in self.sizes]
         check(len(set(named)) == len(named), "sizes entries must name distinct d values")
-        # gamma_p sets the n of a cell whose sizes entry does not; when every
-        # entry sets n, no cell reads it.
-        check(
-            not self.sizes or any("n" not in size for size in self.sizes)
-            or self.gamma_p == FamilySpec.gamma_p,
-            "gamma_p applies to a neural-tangent cell whose sizes entry sets no n; "
-            "every sizes entry here sets n",
-        )
 
     def build_activation(self) -> Optional[Activation]:
         if self.kind in ("linear-independent", "control-gaussian"):
@@ -249,7 +238,7 @@ class ProblemSpec:
     clip_bound: float = 1.0
     smoothing: float = 0.1
     regularizer: str = "ridge"
-    lam: float = 0.1
+    lam: float = field(default=0.1, metadata={"key": "lambda"})  # lambda is a Python keyword
 
     def __post_init__(self):
         check_one_of("loss", self.loss, LOSS_KINDS)
@@ -257,6 +246,19 @@ class ProblemSpec:
         check_one_of("noise_law", self.noise_law, NOISE_LAWS)
         check_one_of("regularizer", self.regularizer, REGULARIZER_KINDS)
         self.parts()  # their own range checks: loss_delta, tau, smoothing, lambda
+        unread = {
+            key: f"{kind} {' or '.join(map(repr, readers))} only; got {getattr(self, kind)!r}"
+            for key, kind, readers in (
+                ("loss_delta", "loss", ("huber", "pseudo-huber")),
+                ("clip_bound", "labeler", ("clipped-linear",)),
+                ("smoothing", "labeler", ("sign-smooth",)),
+                ("lam", "regularizer", ("ridge",)),
+            )
+            if getattr(self, kind) not in readers
+        }
+        if self.tau == 0:  # the label is eta(v) + 0 * eps
+            unread["noise_law"] = "a labeler with tau > 0 only; got tau 0"
+        check_unread(self, unread)
 
     def parts(self) -> tuple[Loss, Labeler, Regularizer]:
         """The loss, labeler and regularizer this spec names."""

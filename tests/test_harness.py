@@ -66,8 +66,11 @@ README_CONFIG = {
     "perturbed": {"enabled": True, "s_values": [0.01, 0.1]},
 }
 
-# Every key of every section, each set to a value other than its default;
-# each family sets only keys that its kind and cov_mode read.
+# Every key of every section, each set to a value other than its default,
+# but for smoothing, lambda and alpha: a key the run never reads must keep
+# its default, and its clipped-linear labeler, regularizer none and
+# random-net candidates read none of the three. Each family sets only keys
+# that its kind and cov_mode read.
 EVERY_KEY_CONFIG = {
     "master_seed": 11,
     "trials": 5,
@@ -86,14 +89,23 @@ EVERY_KEY_CONFIG = {
          "sizes": [{"n": 100, "d": 30}]},
     ],
     "problem": {"loss": "pseudo-huber", "loss_delta": 0.5, "labeler": "clipped-linear",
-                "tau": 0.25, "noise_law": "rademacher", "clip_bound": 2.0, "smoothing": 0.2,
-                "regularizer": "none", "lambda": 0.3},
+                "tau": 0.25, "noise_law": "rademacher", "clip_bound": 2.0,
+                "regularizer": "none"},
     "solver": {"max_iters": 300, "tol": 1e-6},
     "test_risk": {"n_test": 100},
     "bootstrap": {"resamples": 300, "level": 0.9},
     "free_energy": {"enabled": True, "M": 16, "beta_grid": [0.5, 5.0], "path_points": 4,
-                    "alpha": 0.25, "candidates": "random-net"},
+                    "candidates": "random-net"},
     "perturbed": {"enabled": True, "s_values": [0.05], "n_test": 100},
+}
+
+# The three keys EVERY_KEY_CONFIG leaves at their defaults, each set where
+# it is read: smoothing by sign-smooth, lambda by ridge, alpha by the
+# solution cloud.
+OTHER_KEYS_CONFIG = {
+    **EVERY_KEY_CONFIG,
+    "problem": {"labeler": "sign-smooth", "smoothing": 0.2, "lambda": 0.3},
+    "free_energy": {"enabled": True, "alpha": 0.25},
 }
 
 
@@ -270,7 +282,10 @@ class TestConfig:
             "0512bc4c58f1693bc2cca461ad281a0c6d6fde9ede0881e9208e7ce203ad816f"
         )
         assert config_from_dict(EVERY_KEY_CONFIG).canonical_hash() == (
-            "588121897509800ee703a12f1fc381aeaee13a949816be48d82537b5e1e00213"
+            "681a7bb77fbae022ddcc1031f7cb92894d1daec8b43057accbd628c6bb27de96"
+        )
+        assert config_from_dict(OTHER_KEYS_CONFIG).canonical_hash() == (
+            "1d011ed3ae16c4353dab79cba373f961a503873d91628361d3a5d9ffc8b2cafc"
         )
 
     def test_every_key_config_sets_every_field(self):
@@ -278,8 +293,12 @@ class TestConfig:
         default = base_config().normalized()
         for section, value in normalized.items():
             if isinstance(value, dict):
-                assert set(value) == set(EVERY_KEY_CONFIG[section]), section
-                assert all(value[k] != default[section][k] for k in value), section
+                set_keys = set()
+                for raw in (EVERY_KEY_CONFIG, OTHER_KEYS_CONFIG):
+                    got = config_from_dict(raw).normalized()[section]
+                    assert all(got[k] != default[section][k] for k in raw[section]), section
+                    set_keys |= set(raw[section])
+                assert set_keys == set(value), section
         specs = config_from_dict(EVERY_KEY_CONFIG).families
         set_keys = {k for family in EVERY_KEY_CONFIG["families"] for k in family}
         assert set_keys == {f.name for f in fields(FamilySpec)}
@@ -498,6 +517,33 @@ class TestConfig:
         enabled = base_with((section, key), value)
         enabled[section]["enabled"] = True
         config_from_dict(enabled)  # the same setting parses once its stage runs
+
+    @pytest.mark.parametrize("section, settings, key", [
+        ("problem", {"loss": "squared", "loss_delta": 7.0}, "loss_delta"),
+        ("problem", {"loss": "logistic", "loss_delta": 7.0}, "loss_delta"),
+        ("problem", {"clip_bound": 3.0}, "clip_bound"),
+        ("problem", {"labeler": "sign-smooth", "clip_bound": 3.0}, "clip_bound"),
+        ("problem", {"smoothing": 0.5}, "smoothing"),
+        ("problem", {"labeler": "clipped-linear", "smoothing": 0.5}, "smoothing"),
+        ("problem", {"regularizer": "none", "lambda": 9.0}, "lambda"),
+        ("problem", {"tau": 0.0, "noise_law": "rademacher"}, "noise_law"),
+        ("free_energy", {"enabled": True, "candidates": "random-net", "alpha": 0.25}, "alpha"),
+    ])
+    def test_unread_setting_rejected(self, section, settings, key):
+        # A key the run never reads, set to another value than its default,
+        # would change the hash and nothing else.
+        raw = json.loads(json.dumps(BASE))
+        raw[section] = {**raw.get(section, {}), **settings}
+        with pytest.raises(ConfigError, match=rf"config\.{section}: {key} applies to "):
+            config_from_dict(raw)
+
+    def test_unread_problem_keys_at_their_defaults_keep_the_hash(self):
+        bare = {"loss": "squared", "labeler": "linear", "tau": 0, "regularizer": "none"}
+        explicit = {**bare, "loss_delta": 1, "clip_bound": 1, "smoothing": 0.1, "lambda": 0.1,
+                    "noise_law": "gaussian"}
+        assert base_config(problem=explicit).canonical_hash() == (
+            base_config(problem=bare).canonical_hash()
+        )
 
     @pytest.mark.parametrize("path, where", [
         (("perturbed", "s_values"), r"config\.perturbed\.s_values\[0\]"),
