@@ -35,7 +35,7 @@ def cmd_run(args) -> int:
         config = replace(config, threads=args.threads)
     try:
         summary = run_campaign(config, args.out)
-    except ErmuError as exc:
+    except (ErmuError, OSError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     print(
@@ -50,7 +50,7 @@ def cmd_report(args) -> int:
 
     try:
         path = write_report(args.results, out_dir=args.out)
-    except ErmuError as exc:
+    except (ErmuError, OSError) as exc:
         print(f"report failed: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {path}")

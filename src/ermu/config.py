@@ -211,10 +211,24 @@ def config_from_dict(raw: Any) -> ExperimentConfig:
     return _read(ExperimentConfig, raw, "config")
 
 
+def _unique_keys(path: str | Path, pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object of the config file ``path``; a repeated key is an error, since
+    ``json`` would keep the last of its values without a word."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"{path}: repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
-    text = Path(path).read_text()
     try:
-        raw = json.loads(text)
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    try:
+        raw = json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(path, pairs))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     return config_from_dict(raw)

@@ -206,12 +206,11 @@ def write_report(results_dir: str | Path, out_dir: str | Path | None = None) -> 
     config in its manifest.json like any config, so a manifest or config
     that does not parse raises ``ConfigError``; a directory without a
     manifest is reported with the default ``BootstrapSettings`` and no
-    family kinds. ``out_dir`` ends up holding the stage files of this run
-    only.
+    family kinds. ``out_dir`` is made only once the rows and the manifest
+    have been read, and ends up holding the stage files of this run only.
     """
     results = Path(results_dir)
     out = Path(out_dir) if out_dir is not None else results
-    out.mkdir(parents=True, exist_ok=True)
     trials_path = results / "trials.csv"
     rows = read_trials_csv(trials_path)
     if not rows:
@@ -253,6 +252,7 @@ def write_report(results_dir: str | Path, out_dir: str | Path | None = None) -> 
     if warnings_list:
         report["warnings"] = warnings_list
 
+    out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.json"
     _atomic_write(report_path, lambda fh: json.dump(report, fh, indent=2, sort_keys=True))
 

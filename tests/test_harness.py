@@ -1359,6 +1359,52 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert "ladder" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, key", [
+        ('"trials": 3', '"trials": 1, "trials": 3', "trials"),
+        ('"tau": 0.5', '"tau": 0.5, "tau": 0.0', "tau"),
+    ])
+    def test_repeated_key_exit_code(self, tmp_path, capsys, old, new, key):
+        # json keeps the last value of a repeated key; the config reader refuses it.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(BASE).replace(old, new, 1))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {cfg_path}: repeated key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("make", [
+        lambda path: None,
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b"\xff\xfe{}"),
+    ], ids=["missing", "directory", "not-utf8"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, make):
+        cfg_path = tmp_path / "cfg.json"
+        make(cfg_path)
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {cfg_path}: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_run_out_is_a_file_exit_code(self, tmp_path, capsys):
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps({**BASE, "ladder": [40]}))
+        out.write_text("not a directory")
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("run failed: ")
+        assert out.read_text() == "not a directory"
+
+    def test_report_path_errors_exit_code(self, tmp_path, capsys):
+        a_file, missing = tmp_path / "a-file", tmp_path / "missing"
+        a_file.write_text("not a directory")
+        for args in (["--results", str(a_file)], ["--results", str(missing)]):
+            assert cli_main(["report", *args]) == 1
+            assert capsys.readouterr().err.startswith("report failed: ")
+        assert not missing.exists()  # the rows are read before the output directory is made
+        cfg_path, results = tmp_path / "cfg.json", tmp_path / "results"
+        cfg_path.write_text(json.dumps({**BASE, "ladder": [40]}))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(results)]) == 0
+        capsys.readouterr()
+        assert cli_main(["report", "--results", str(results), "--out", str(a_file)]) == 1
+        assert capsys.readouterr().err.startswith("report failed: ")
+
     def test_k_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_with(("problem", "k"), 2)))
@@ -1420,11 +1466,15 @@ class TestCli:
         (("families", 0), {"id": "rf", "kind": "random-features", "cov_mode": "hermite-exact",
                            "hermite_order": 200},
          "config.families[0]: hermite_order must be <= 199"),
+        (("problem",), {"regularizer": "none", "lambda": 0.3},
+         "config.problem: lambda applies to regularizer 'ridge' only; got 'none'"),
+        (("free_energy",), {"enabled": True, "candidates": "random-net", "alpha": 0.25},
+         "config.free_energy: alpha applies to candidates 'solution-cloud' only"),
     ], ids=[*REMOVED_SOLVER_KEYS, "output_dir", "repeated-sizes", "non-centred-hermite", "nt-hermite-c2",
             "unused-hermite-coeffs", "linear-sizes", "rf-sizes", "control-nu",
             "disabled-free-energy-M", "disabled-perturbed-s-values", "disabled-perturbed-n-test",
             "nt-gamma-p-every-n-set", "hermite-order-below-last-coeff",
-            "hermite-order-above-quadrature-rule"])
+            "hermite-order-above-quadrature-rule", "lambda-without-ridge", "random-net-alpha"])
     def test_rejected_setting_exit_code(self, tmp_path, capsys, path, value, where):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_with(path, value)))
