@@ -7,11 +7,13 @@ Artifacts written into the output directory:
 * ``free_energy_checks.json`` sandwich/monotonicity diagnostics, when enabled
 * ``perturbed.csv``   perturbed-risk sweeps D(s) of the exact twin test risk,
   when enabled
-* ``manifest.json``   config hash, code version, wall time, quarantine count
+* ``manifest.json``   config hash, code version, wall time, quarantine count,
+  and the BLAS library with its thread count (``ermu.blas``)
 
 A run first deletes the files of a disabled stage, the saved matrices and
 the ``ermu report`` output that an earlier run left in the output
-directory. It then builds the (family, size) cells that each
+directory. It then sets BLAS to one thread (``ermu.blas``) until it ends,
+also on an error, and builds the (family, size) cells that each
 ``FamilySpec`` names, running any monte-carlo covariance chunks on a set-up
 pool that is closed once the cells exist. It then opens its worker pool
 (see ``universality.WorkerPool``), whose workers receive the cells when
@@ -39,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from ermu import __version__
+from ermu.blas import one_blas_thread
 from ermu.config import ExperimentConfig
 from ermu.erm import labels_from_noise, solve_erm  # rebound by perfbench/spans.py
 from ermu.features import draw_features  # rebound by perfbench/spans.py
@@ -92,6 +95,7 @@ class CampaignSummary:
     n_rows: int
     quarantined: int
     wall_time_s: float
+    blas_pinned: bool
 
 
 def build_instances(config: ExperimentConfig) -> list[FamilyInstance]:
@@ -115,23 +119,25 @@ def run_campaign(config: ExperimentConfig, out_dir: str | Path) -> CampaignSumma
     out.mkdir(parents=True, exist_ok=True)
     _remove_stale_artifacts(config, out)
 
-    # The cells are built before the campaign's pool, so that its workers
-    # receive them at fork and no task pickles a cell.
-    instances = build_instances(config)
-    with WorkerPool(config.threads, instances) as pool:
-        rows, cell_stages = run_trials(
-            pool, config.trials, config.master_seed, config.solver, config.test_risk.n_test,
-            (config.free_energy, config.perturbed),
-        )
-        quarantined = sum(1 for r in rows if r.quarantined)
-        write_csv(out / "trials.csv", [f.name for f in fields(TrialRow)], map(astuple, rows))
+    # BLAS is pinned before set-up, so that every forked worker inherits one
+    # thread. The cells are built before the campaign's pool, so that its
+    # workers receive them at fork and no task pickles a cell.
+    with one_blas_thread() as blas:
+        instances = build_instances(config)
+        with WorkerPool(config.threads, instances) as pool:
+            rows, cell_stages = run_trials(
+                pool, config.trials, config.master_seed, config.solver, config.test_risk.n_test,
+                (config.free_energy, config.perturbed),
+            )
+            quarantined = sum(1 for r in rows if r.quarantined)
+            write_csv(out / "trials.csv", [f.name for f in fields(TrialRow)], map(astuple, rows))
 
-        if config.save_matrices:
-            _save_matrices(instances, out)
-        if config.free_energy.enabled:
-            _run_free_energy_stage(out, cell_stages)
-        if config.perturbed.enabled:
-            _run_perturbed_stage(out, cell_stages)
+            if config.save_matrices:
+                _save_matrices(instances, out)
+            if config.free_energy.enabled:
+                _run_free_energy_stage(out, cell_stages)
+            if config.perturbed.enabled:
+                _run_perturbed_stage(out, cell_stages)
 
     wall = time.monotonic() - t0
     manifest = {
@@ -150,6 +156,7 @@ def run_campaign(config: ExperimentConfig, out_dir: str | Path) -> CampaignSumma
             for spec in config.families
         },
         "config": config.normalized(),
+        "blas": blas,
     }
     _atomic_write(out / "manifest.json", lambda fh: json.dump(manifest, fh, indent=2, sort_keys=True))
     return CampaignSummary(
@@ -157,6 +164,7 @@ def run_campaign(config: ExperimentConfig, out_dir: str | Path) -> CampaignSumma
         n_rows=len(rows),
         quarantined=quarantined,
         wall_time_s=wall,
+        blas_pinned=blas["pinned"],
     )
 
 

@@ -38,6 +38,12 @@ def cmd_run(args) -> int:
     except (ErmuError, OSError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
+    if not summary.blas_pinned:
+        print(
+            "warning: no OpenBLAS found to pin to one thread; BLAS ran at its own thread "
+            "count, so the artifacts may differ in their last bits from another machine's",
+            file=sys.stderr,
+        )
     print(
         f"wrote {summary.n_rows} trial rows to {summary.out_dir} "
         f"({summary.quarantined} quarantined) in {summary.wall_time_s:.1f} s"

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ermu import campaign, erm, features, gaussian, universality
+from ermu import blas, campaign, erm, features, gaussian, universality
 from ermu.campaign import run_campaign
 from ermu.cli import main as cli_main
 from ermu.config import ExperimentConfig, config_from_dict, load_config
@@ -809,6 +809,52 @@ class TestCampaign:
         assert manifest["config_hash"] == cfg.canonical_hash()
         assert manifest["quarantined"] == 0
         assert manifest["families"]["control"]["kind"] == "control-gaussian"
+
+    def test_blas_runs_on_one_thread_and_its_old_count_comes_back(self, tmp_path, monkeypatch):
+        # OpenBLAS defaults to the core count, which moves the last bits of
+        # some products; a campaign pins it to one thread while it runs.
+        found = blas._loaded_openblas()
+        if found is None:
+            pytest.skip("no OpenBLAS loaded")
+        _, lib, prefix, suffix = found
+        get_threads = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
+        set_threads = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
+        old, seen = get_threads(), []
+        real_run_trials = campaign.run_trials
+
+        def recording(*args, **kwargs):
+            seen.append(get_threads())
+            return real_run_trials(*args, **kwargs)
+
+        def failing(*args, **kwargs):
+            seen.append(get_threads())
+            raise SolverDivergedError("diverged", 3)
+
+        set_threads(2)
+        try:
+            monkeypatch.setattr(campaign, "run_trials", recording)
+            run_campaign(base_config(), tmp_path / "out")
+            assert (seen, get_threads()) == ([1], 2)
+            manifest = json.loads((tmp_path / "out/manifest.json").read_text())
+            assert manifest["blas"]["pinned"] and manifest["blas"]["threads"] == 1
+            assert manifest["blas"]["config"].startswith("OpenBLAS")
+            monkeypatch.setattr(campaign, "run_trials", failing)
+            with pytest.raises(SolverDivergedError):
+                run_campaign(base_config(), tmp_path / "out")
+            assert (seen, get_threads()) == ([1, 1], 2)
+        finally:
+            set_threads(old)
+
+    def test_blas_not_found_is_recorded_and_reported(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(blas, "_loaded_openblas", lambda: None)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(BASE))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out/manifest.json").read_text())
+        assert manifest["blas"] == {"library": None, "config": None, "threads": None,
+                                    "pinned": False}
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("warning: no OpenBLAS found")
 
     def test_stage_outputs_written_when_enabled(self, tmp_path):
         cfg = base_config(

@@ -10,7 +10,9 @@ CHANGES.md.
 
 The campaign runs in a fresh process with BLAS on one thread: OpenBLAS
 splits some products over its threads, which moves their last bits, and its
-default thread count is the machine's core count.
+default thread count is the machine's core count. ``ermu run`` pins OpenBLAS
+to one thread itself, so a run whose environment sets no BLAS thread count
+must match the same pins.
 """
 
 import csv
@@ -46,7 +48,9 @@ PINNED_CONFIG = {
 }
 
 FAMILY_CSVS = ("trials.csv", "free_energy_paths.csv", "perturbed.csv", "gap_vs_n.csv")
-CLOCK_FIELDS = ("wall_time_s", "created_unix")
+# Manifest fields that vary with the run and the machine: the clocks, and the
+# BLAS library with its thread count.
+UNPINNED_FIELDS = ("wall_time_s", "created_unix", "blas")
 # Entries that belong to no one family carry this family name.
 CAMPAIGN = "*"
 
@@ -105,7 +109,7 @@ def artifact_digests(out: Path, families: list[str]) -> dict[str, str]:
     A CSV's part is its header and the family's lines, as written; a JSON
     artifact's part is the family's entries, dumped with sorted keys; the
     matrices' part is the family's files, each with its name. The manifest
-    is one campaign-wide entry without its clock fields, and so is the part
+    is one campaign-wide entry without its ``UNPINNED_FIELDS``, and so is the part
     of ``report.json`` outside its families.
     """
     digests = {}
@@ -129,18 +133,18 @@ def artifact_digests(out: Path, families: list[str]) -> dict[str, str]:
     digests[f"report.json:{CAMPAIGN}"] = _json_sha(report)
     manifest = json.loads((out / "manifest.json").read_text())
     digests[f"manifest.json:{CAMPAIGN}"] = _json_sha(
-        {key: value for key, value in manifest.items() if key not in CLOCK_FIELDS}
+        {key: value for key, value in manifest.items() if key not in UNPINNED_FIELDS}
     )
     return digests
 
 
-BLAS_ON_ONE_THREAD = {key: "1" for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                            "MKL_NUM_THREADS")}
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def test_every_family_artifact_matches_its_pin(tmp_path):
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), **BLAS_ON_ONE_THREAD)
+def check_pins(tmp_path, env) -> dict:
+    """Run and report the pinned campaign in a fresh process with ``env``, compare
+    the pins, and return the run's manifest."""
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
     config_path, out = tmp_path / "config.json", tmp_path / "out"
     config_path.write_text(json.dumps(PINNED_CONFIG))
     for args in (["run", "--config", str(config_path), "--out", str(out)],
@@ -157,3 +161,17 @@ def test_every_family_artifact_matches_its_pin(tmp_path):
         "number re-pins the entries below and names the reason in CHANGES.md:\n"
         + "\n".join(f"    {key!r}: {value!r}," for key, value in moved.items())
     )
+    return json.loads((out / "manifest.json").read_text())
+
+
+def test_every_family_artifact_matches_its_pin(tmp_path):
+    check_pins(tmp_path, dict(os.environ, **{key: "1" for key in BLAS_VARIABLES}))
+
+
+def test_a_run_without_blas_variables_matches_the_pins(tmp_path):
+    # The root conftest.py sets the variables for the test run; drop them.
+    # OpenBLAS then starts at the core count, and ermu run sets it to one thread.
+    manifest = check_pins(
+        tmp_path, {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    )
+    assert manifest["blas"]["pinned"] and manifest["blas"]["threads"] == 1
