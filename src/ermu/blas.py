@@ -14,15 +14,16 @@ from __future__ import annotations
 import contextlib
 import ctypes
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 # OpenBLAS names its entry points openblas_<name>, with a scipy_ prefix in
 # the builds numpy bundles and a 64_ suffix in the 64-bit-integer builds.
 _NAMINGS = [(prefix, suffix) for prefix in ("scipy_", "") for suffix in ("64_", "")]
 
 
-def _loaded_openblas() -> Optional[tuple[str, ctypes.CDLL, str, str]]:
-    """(path, handle, prefix, suffix) of the OpenBLAS this process has loaded, or None."""
+def _openblas() -> Optional[tuple[str, Callable, Callable, Callable]]:
+    """(file name, set_num_threads, get_num_threads, get_config) of the OpenBLAS
+    this process has loaded, or None."""
     try:
         maps = Path("/proc/self/maps").read_text()
     except OSError:
@@ -32,7 +33,10 @@ def _loaded_openblas() -> Optional[tuple[str, ctypes.CDLL, str, str]]:
         lib = ctypes.CDLL(path)
         for prefix, suffix in _NAMINGS:
             if hasattr(lib, f"{prefix}openblas_set_num_threads{suffix}"):
-                return path, lib, prefix, suffix
+                entry = [getattr(lib, f"{prefix}openblas_{name}{suffix}")
+                         for name in ("set_num_threads", "get_num_threads", "get_config")]
+                entry[2].restype = ctypes.c_char_p
+                return (Path(path).name, *entry)
     return None
 
 
@@ -41,20 +45,16 @@ def one_blas_thread() -> Iterator[dict]:
     """Run the body with BLAS on one thread and restore the old count after it,
     also on an error. Yields the manifest's ``blas`` entry: the library, its
     config string, the thread count in force and whether it was pinned."""
-    found = _loaded_openblas()
+    found = _openblas()
     if found is None:
         yield {"library": None, "config": None, "threads": None, "pinned": False}
         return
-    path, lib, prefix, suffix = found
-    set_threads = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
-    get_threads = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
-    get_config = getattr(lib, f"{prefix}openblas_get_config{suffix}")
-    get_config.restype = ctypes.c_char_p
+    library, set_threads, get_threads, get_config = found
     old = get_threads()
     set_threads(1)
     try:
         yield {
-            "library": Path(path).name,
+            "library": library,
             "config": get_config().decode(errors="replace").strip(),
             "threads": get_threads(),
             "pinned": True,

@@ -813,12 +813,10 @@ class TestCampaign:
     def test_blas_runs_on_one_thread_and_its_old_count_comes_back(self, tmp_path, monkeypatch):
         # OpenBLAS defaults to the core count, which moves the last bits of
         # some products; a campaign pins it to one thread while it runs.
-        found = blas._loaded_openblas()
+        found = blas._openblas()
         if found is None:
             pytest.skip("no OpenBLAS loaded")
-        _, lib, prefix, suffix = found
-        get_threads = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
-        set_threads = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
+        _, set_threads, get_threads, _ = found
         old, seen = get_threads(), []
         real_run_trials = campaign.run_trials
 
@@ -846,7 +844,7 @@ class TestCampaign:
             set_threads(old)
 
     def test_blas_not_found_is_recorded_and_reported(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(blas, "_loaded_openblas", lambda: None)
+        monkeypatch.setattr(blas, "_openblas", lambda: None)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(BASE))
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
