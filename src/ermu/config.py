@@ -212,7 +212,7 @@ def config_from_dict(raw: Any) -> ExperimentConfig:
 
 
 def _unique_keys(path: str | Path, pairs: list[tuple[str, Any]]) -> dict:
-    """A JSON object of the config file ``path``; a repeated key is an error, since
+    """A JSON object of the file ``path``; a repeated key is an error, since
     ``json`` would keep the last of its values without a word."""
     obj = {}
     for key, value in pairs:
@@ -222,13 +222,18 @@ def _unique_keys(path: str | Path, pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def read_json(path: str | Path) -> Any:
+    """The JSON value in the file ``path``. A file that cannot be read, is not
+    JSON or repeats a key within an object raises ``ConfigError`` naming ``path``."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     try:
-        raw = json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(path, pairs))
+        return json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(path, pairs))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return config_from_dict(raw)
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return config_from_dict(read_json(path))

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ermu.campaign import _atomic_write, write_csv
-from ermu.config import BootstrapSettings, config_from_dict
+from ermu.config import BootstrapSettings, config_from_dict, read_json
 from ermu.errors import ConfigError, InvalidArgumentError
 from ermu.seeds import derive_seed, rng_from
 from ermu.stats import bl_gap, bootstrap_mean_ci, ks_null_quantile, ks_statistic
@@ -221,12 +221,7 @@ def write_report(results_dir: str | Path, out_dir: str | Path | None = None) -> 
     bootstrap = BootstrapSettings()
     manifest_path = results / "manifest.json"
     if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{manifest_path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
+        manifest = read_json(manifest_path)
         if not isinstance(manifest, dict):
             got = type(manifest).__name__
             raise ConfigError(f"{manifest_path}: expected an object, got {got}")

@@ -1383,6 +1383,7 @@ class TestCli:
     @pytest.mark.parametrize("text, message", [
         ('{"config": ', "manifest.json: line 1, column 12: Expecting value"),
         ("[1, 2]", "manifest.json: expected an object, got list"),
+        ('{"config": {}, "config": {}}', "manifest.json: repeated key 'config'"),
     ])
     def test_report_of_a_manifest_that_does_not_parse(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "cfg.json"
