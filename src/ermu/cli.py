@@ -1,4 +1,4 @@
-"""Command line interface: run, report, diff, selftest."""
+"""Command line interface: run, report, diff."""
 
 from __future__ import annotations
 
@@ -82,13 +82,6 @@ def cmd_diff(args) -> int:
     return 1 if differ else 0
 
 
-def cmd_selftest(args) -> int:
-    from ermu.selftest import run_selftest
-
-    ok = run_selftest(threads=args.threads)
-    return 0 if ok else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ermu",
@@ -115,10 +108,6 @@ def main(argv=None) -> int:
     p_diff.add_argument("a", help="first results directory")
     p_diff.add_argument("b", help="second results directory")
     p_diff.set_defaults(fn=cmd_diff)
-
-    p_self = sub.add_parser("selftest", help="run the fast property suite")
-    p_self.add_argument("--threads", type=_thread_count, default=1)
-    p_self.set_defaults(fn=cmd_selftest)
 
     args = parser.parse_args(argv)
     return args.fn(args)
