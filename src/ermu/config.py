@@ -96,10 +96,13 @@ class PerturbedSettings:
     n_test: int = 2000
 
     def __post_init__(self):
+        # The sweep sorts its s grid, so one order stands for every other.
         s_values = self.s_values
         check(
-            bool(s_values) and all(s > 0 for s in s_values) and len(set(s_values)) == len(s_values),
-            "s_values must be nonempty, positive and distinct (each s also runs as -s)",
+            bool(s_values) and s_values[0] > 0
+            and all(a < b for a, b in zip(s_values, s_values[1:])),
+            "s_values must be a nonempty, positive, strictly ascending list "
+            "(each s also runs as -s)",
         )
         check(self.n_test >= 1, "n_test must be >= 1")
         check_unread(self, {} if self.enabled else _unread_when_disabled(self))

@@ -37,7 +37,8 @@ _NONCONVERGED = ("maxiter", "step-underflow")
 
 def read_trials_csv(path: str | Path) -> list[TrialRow]:
     """The rows of a trials.csv, each column read as its ``TrialRow`` field's type;
-    a row that repeats an earlier row's (family, n, trial, arm) is an error."""
+    a row whose flags name no arm ``x`` or ``g``, or that repeats an earlier
+    row's (family, n, trial, arm), is an error."""
     path = Path(path)
     if not path.exists():
         raise InvalidArgumentError(f"{path}: no such file")
@@ -58,6 +59,10 @@ def read_trials_csv(path: str | Path) -> list[TrialRow]:
                 row = TrialRow(*(types[name](v) for name, v in zip(names, values)))
             except ValueError as exc:
                 raise InvalidArgumentError(f"{path}: line {i}: {exc}") from exc
+            if row.arm not in ("x", "g"):
+                raise InvalidArgumentError(
+                    f"{path}: line {i}: flags {row.flags!r} name no arm x or g"
+                )
             key = (row.family, row.n, row.trial, row.arm)
             if key in lines:
                 raise InvalidArgumentError(

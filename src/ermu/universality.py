@@ -181,12 +181,17 @@ class FamilySpec:
             "hermite_coeffs[1] and hermite_coeffs[2] must be 0 for neural tangents "
             "(E[sigma'(G)] = E[G sigma'(G)] = 0)",
         )
+        # Trailing zeros would give one activation a second config hash.
+        check(
+            not self.hermite_coeffs or self.hermite_coeffs[-1] != 0,
+            "hermite_coeffs must end in a nonzero entry (c_k past the list are 0)",
+        )
         # The twin's series stops at hermite_order; the features carry every term.
-        last = max((k for k, c in enumerate(self.hermite_coeffs) if c != 0.0), default=0)
+        last = len(self.hermite_coeffs) - 1
         check(
             self.cov_mode != "hermite-exact" or self.hermite_order >= last,
-            f"hermite_order must be >= {last}, the index of the last nonzero hermite_coeffs "
-            "entry, or the hermite-exact twin misses terms of the features' covariance",
+            f"hermite_order must be >= {last}, the index of the last hermite_coeffs entry, "
+            "or the hermite-exact twin misses terms of the features' covariance",
         )
         # A sizes entry names a neural-tangent cell by its d and may set its n.
         for size in self.sizes:
@@ -246,6 +251,11 @@ class ProblemSpec:
         check_one_of("noise_law", self.noise_law, NOISE_LAWS)
         check_one_of("regularizer", self.regularizer, REGULARIZER_KINDS)
         self.parts()  # their own range checks: loss_delta, tau, smoothing, lambda
+        # A zero ridge penalty is regularizer none under a second config hash.
+        check(
+            self.regularizer != "ridge" or self.lam > 0,
+            "lambda must be > 0 under regularizer 'ridge'; for no penalty set regularizer 'none'",
+        )
         unread = {
             key: f"{kind} {' or '.join(map(repr, readers))} only; got {getattr(self, kind)!r}"
             for key, kind, readers in (

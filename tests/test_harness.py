@@ -309,7 +309,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("path, int_value", [
         (("families", 0, "radius"), 3),
-        (("problem", "lambda"), 0),
+        (("problem", "lambda"), 1),
         (("solver", "tol"), 0),
         (("free_energy", "beta_grid"), [1, 10]),
     ])
@@ -587,6 +587,26 @@ class TestConfig:
             config_from_dict(raw)
 
 
+# The log file, OpenBLAS's get_num_threads and the wrapped functions of
+# test_forked_workers_run_blas_on_one_thread, set before its pools fork.
+_BLAS_PROBE = {}
+
+
+def _probe(name, task):
+    """Log this process's pid and BLAS thread count, then run the real ``name``."""
+    with open(_BLAS_PROBE["log"], "a") as fh:
+        fh.write(f"{name} {os.getpid()} {_BLAS_PROBE['get_threads']()}\n")
+    return _BLAS_PROBE[name](task)
+
+
+def _probed_chunk_gram(task):
+    return _probe("_chunk_gram", task)
+
+
+def _probed_trial_chunk(task):
+    return _probe("_trial_chunk", task)
+
+
 class TestCampaign:
     def test_rerun_byte_identical(self, tmp_path):
         cfg = base_config()
@@ -842,6 +862,40 @@ class TestCampaign:
             assert (seen, get_threads()) == ([1, 1], 2)
         finally:
             set_threads(old)
+
+    def test_forked_workers_run_blas_on_one_thread(self, tmp_path, monkeypatch):
+        # The workers fork inside the pinned block, so they inherit one thread.
+        # Both pools fork: the monte-carlo twin has four 4096-row covariance
+        # chunks at p = 30, and three trials on two workers make two chunks.
+        found = blas._openblas()
+        if found is None:
+            pytest.skip("no OpenBLAS loaded")
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("fewer than 2 usable cores: no pool forks")
+        _, set_threads, get_threads, _ = found
+        log = tmp_path / "blas.log"
+        monkeypatch.setattr(sys.modules[__name__], "_BLAS_PROBE", {
+            "log": log, "get_threads": get_threads,
+            "_chunk_gram": gaussian._chunk_gram, "_trial_chunk": universality._trial_chunk,
+        })
+        monkeypatch.setattr(gaussian, "_chunk_gram", _probed_chunk_gram)
+        monkeypatch.setattr(universality, "_trial_chunk", _probed_trial_chunk)
+        cfg = base_config(
+            ladder=[40], threads=2,
+            families=[{"id": "rf", "kind": "random-features", "cov_mode": "monte-carlo",
+                       "cov_samples_per_dim": 420}],
+        )
+        old = get_threads()
+        set_threads(2)
+        try:
+            run_campaign(cfg, tmp_path / "out")
+            assert get_threads() == 2
+        finally:
+            set_threads(old)
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert {name for name, _, _ in calls} == {"_chunk_gram", "_trial_chunk"}
+        assert all(int(pid) != os.getpid() for _, pid, _ in calls)
+        assert {threads for _, _, threads in calls} == {"1"}
 
     def test_blas_not_found_is_recorded_and_reported(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(blas, "_openblas", lambda: None)
@@ -1337,6 +1391,20 @@ class TestReport:
         assert "line 6: repeats (family, n, trial, arm) ('lin', 40, 0, 'x') of line 2" in err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("flags", ["arm:q", "quarantined"])
+    def test_row_naming_no_arm_fails_the_report(self, tmp_path, capsys, flags):
+        # Read as a cell with one arm, the row would count as a quarantined trial.
+        rows = [trial_row(0, "x", 1.0), trial_row(0, "g", 0.9),
+                trial_row(1, "x", 1.2), replace(trial_row(1, "g", 1.0), flags=flags)]
+        campaign.write_csv(
+            tmp_path / "trials.csv", [f.name for f in fields(TrialRow)], map(astuple, rows)
+        )
+        assert cli_main(["report", "--results", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("report failed: ")
+        assert f"line 5: flags '{flags}' name no arm x or g" in err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestCli:
     def test_run_and_report(self, tmp_path, capsys):
@@ -1500,11 +1568,24 @@ class TestCli:
          "config.problem: lambda applies to regularizer 'ridge' only; got 'none'"),
         (("free_energy",), {"enabled": True, "candidates": "random-net", "alpha": 0.25},
          "config.free_energy: alpha applies to candidates 'solution-cloud' only"),
+        # Each of the next three would run the same trials as an accepted
+        # config under a second hash: the sweep sorts its s grid, ridge at
+        # lambda 0 is regularizer none, and c_k past the list are 0.
+        (("perturbed",), {"enabled": True, "s_values": [0.1, 0.01]},
+         "config.perturbed: s_values must be a nonempty, positive, strictly ascending list"),
+        (("problem", "lambda"), 0,
+         "config.problem: lambda must be > 0 under regularizer 'ridge'; "
+         "for no penalty set regularizer 'none'"),
+        (("families", 0), {"id": "rf", "kind": "random-features", "activation": "custom-hermite",
+                           "hermite_coeffs": [0, 1, 0.25, 0, 0], "cov_mode": "hermite-exact",
+                           "hermite_order": 5},
+         "config.families[0]: hermite_coeffs must end in a nonzero entry"),
     ], ids=[*REMOVED_SOLVER_KEYS, "output_dir", "repeated-sizes", "non-centred-hermite", "nt-hermite-c2",
             "unused-hermite-coeffs", "linear-sizes", "rf-sizes", "control-nu",
             "disabled-free-energy-M", "disabled-perturbed-s-values", "disabled-perturbed-n-test",
             "nt-gamma-p-every-n-set", "hermite-order-below-last-coeff",
-            "hermite-order-above-quadrature-rule", "lambda-without-ridge", "random-net-alpha"])
+            "hermite-order-above-quadrature-rule", "lambda-without-ridge", "random-net-alpha",
+            "descending-s-values", "ridge-lambda-zero", "hermite-coeffs-trailing-zero"])
     def test_rejected_setting_exit_code(self, tmp_path, capsys, path, value, where):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_with(path, value)))
